@@ -14,7 +14,7 @@ from .dataio import (Dataset, DatasetFormatError, ModelFormatError,
                      load_label_names, load_model, parse_dataset, save_model,
                      write_dataset)
 from .metrics import evaluate
-from .mips import NoCandidateError, index_from_matrix
+from .mips import BACKEND_DEFAULTS, NoCandidateError, index_from_matrix
 from .mips.audit import audit_inexactness
 from .train import TrainConfig, train_l1, train_l2
 
@@ -28,48 +28,41 @@ def _add_dataset_flags(p):
                    help="force the class count")
 
 
+# (flag, parameter it sets, the backend it applies to, help)
+_BACKEND_FLAGS = (
+    ("--lsh-bits", "lsh_bits", "simplelsh", "hash bits per LSH table"),
+    ("--lsh-tables", "lsh_tables", "simplelsh", "number of LSH tables"),
+    ("--swg-m", "swg_max_neighbors", "swgraph", "max graph neighbors per node"),
+    ("--swg-ef-construction", "swg_ef_construction", "swgraph",
+     "graph candidate list size at insert"),
+    ("--swg-ef-search", "swg_ef_search", "swgraph",
+     "graph candidate list size at query"),
+)
+
+
 def _add_backend_flags(p):
     p.add_argument("--backend", choices=("exact", "simplelsh", "swgraph"),
                    default="exact", help="MIPS backend for margin queries")
-    p.add_argument("--lsh-bits", type=int, default=None,
-                   help="hash bits per LSH table (default 64)")
-    p.add_argument("--lsh-tables", type=int, default=None,
-                   help="number of LSH tables (default 32)")
-    p.add_argument("--swg-m", type=int, default=None,
-                   help="max graph neighbors per node (default 16)")
-    p.add_argument("--swg-ef-construction", type=int, default=None,
-                   help="graph candidate list size at insert (default 100)")
-    p.add_argument("--swg-ef-search", type=int, default=None,
-                   help="graph candidate list size at query (default 64)")
+    for flag, param, _, text in _BACKEND_FLAGS:
+        p.add_argument(flag, dest=param, type=int, default=None,
+                       help=f"{text} (default {BACKEND_DEFAULTS[param]})")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def _warn_unused_backend_flags(args):
-    lsh = {"--lsh-bits": args.lsh_bits, "--lsh-tables": args.lsh_tables}
-    swg = {"--swg-m": args.swg_m,
-           "--swg-ef-construction": args.swg_ef_construction,
-           "--swg-ef-search": args.swg_ef_search}
-    unused = []
-    if args.backend != "simplelsh":
-        unused += [k for k, v in lsh.items() if v is not None]
-    if args.backend != "swgraph":
-        unused += [k for k, v in swg.items() if v is not None]
-    for flag in unused:
-        print(f"warning: {flag} has no effect with --backend {args.backend}; "
-              "ignored", file=sys.stderr)
+    for flag, param, backend, _ in _BACKEND_FLAGS:
+        if backend != args.backend and getattr(args, param) is not None:
+            print(f"warning: {flag} has no effect with --backend {args.backend}; "
+                  "ignored", file=sys.stderr)
 
 
 def _backend_params(args) -> dict:
-    return {
-        "seed": args.seed,
-        "lsh_bits": args.lsh_bits if args.lsh_bits is not None else 64,
-        "lsh_tables": args.lsh_tables if args.lsh_tables is not None else 32,
-        "swg_max_neighbors": args.swg_m if args.swg_m is not None else 16,
-        "swg_ef_construction": (args.swg_ef_construction
-                                if args.swg_ef_construction is not None else 100),
-        "swg_ef_search": (args.swg_ef_search
-                          if args.swg_ef_search is not None else 64),
-    }
+    """Seed plus every backend parameter, defaults filled in."""
+    params = {"seed": args.seed}
+    for _, param, _, _ in _BACKEND_FLAGS:
+        given = getattr(args, param)
+        params[param] = BACKEND_DEFAULTS[param] if given is None else given
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,17 +141,12 @@ def _load_dataset(path, args, label_map=None) -> Dataset:
 
 def _train_config(args) -> TrainConfig:
     lam = args.lam if args.lam is not None else (1.0 if args.algo == "l2" else 1e-6)
-    params = _backend_params(args)
     return TrainConfig(lam=lam, rho=args.rho, eta0=args.eta0,
                        eta_step=args.eta_step, epochs=args.epochs,
                        batch_size=args.batch_size, backend=args.backend,
-                       seed=args.seed, truncation=not args.no_truncation,
-                       lsh_bits=params["lsh_bits"],
-                       lsh_tables=params["lsh_tables"],
-                       swg_max_neighbors=params["swg_max_neighbors"],
-                       swg_ef_construction=params["swg_ef_construction"],
-                       swg_ef_search=params["swg_ef_search"],
-                       threads=args.threads, early_stop=args.early_stop)
+                       truncation=not args.no_truncation,
+                       threads=args.threads, early_stop=args.early_stop,
+                       **_backend_params(args))
 
 
 def _cmd_train(args) -> int:
@@ -187,7 +175,7 @@ def _cmd_train(args) -> int:
     if heldout is not None:
         record["heldout_accuracy"] = log.heldout_accuracy[-1]
         record["heldout_macro_f1"] = log.heldout_macro_f1[-1]
-    print(json.dumps(record))
+    print(json.dumps(record, allow_nan=False))
     return 0
 
 
@@ -246,13 +234,8 @@ def _cmd_bench(args) -> int:
                           noise=args.noise, seed=args.seed)
     if args.out:
         write_dataset(args.out, data)
-    params = _backend_params(args)
     cfg = config_for_algo(args.algo, backend=args.backend, epochs=args.epochs,
-                          seed=args.seed, lsh_bits=params["lsh_bits"],
-                          lsh_tables=params["lsh_tables"],
-                          swg_max_neighbors=params["swg_max_neighbors"],
-                          swg_ef_construction=params["swg_ef_construction"],
-                          swg_ef_search=params["swg_ef_search"])
+                          **_backend_params(args))
     trainer = train_l2 if args.algo == "l2" else train_l1
     t0 = time.perf_counter()
     W, log = trainer(data, cfg)

@@ -20,6 +20,8 @@ Model files come in two flavors sharing the magic string ``MEMOIR1``:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse as sp
 
-from .sparse import SparseVector, WeightMatrix
+from .sparse import SparseVector, WeightMatrix, stack_csr
 
 TEXT_MAGIC = "MEMOIR1 text"
 BINARY_MAGIC = b"MEMOIR1\x00bin\x00"
@@ -63,14 +65,8 @@ class Dataset:
         return [inverse.get(c, str(c)) for c in range(self.num_classes)]
 
     def to_csr(self) -> sp.csr_matrix:
-        indptr = np.zeros(len(self.examples) + 1, dtype=np.int64)
-        np.cumsum([x.indices.size for _, x in self.examples], out=indptr[1:])
-        if not self.examples or indptr[-1] == 0:
-            return sp.csr_matrix((len(self.examples), self.dim))
-        indices = np.concatenate([x.indices for _, x in self.examples])
-        data = np.concatenate([x.values for _, x in self.examples])
-        return sp.csr_matrix((data, indices, indptr),
-                             shape=(len(self.examples), self.dim))
+        return stack_csr([x.indices for _, x in self.examples],
+                         [x.values for _, x in self.examples], self.dim)
 
     def subset(self, idx) -> "Dataset":
         return Dataset([self.examples[i] for i in idx], self.dim,
@@ -86,6 +82,8 @@ def _parse_feature(token: str, lineno: int, zero_based: bool) -> tuple[int, floa
         value = float(tail)
     except ValueError:
         raise DatasetFormatError(f"line {lineno}: malformed token {token!r}") from None
+    if not math.isfinite(value):
+        raise DatasetFormatError(f"line {lineno}: non-finite value in {token!r}")
     index = raw if zero_based else raw - 1
     if index < 0:
         raise DatasetFormatError(f"line {lineno}: feature index {raw} out of range")
@@ -201,6 +199,19 @@ def save_model(path, W: WeightMatrix, *, lam: float, algorithm: str,
             fh.writelines(name + "\n" for name in label_names)
 
 
+def _check_class_claim(fh, num_classes: int, min_row_bytes: int) -> None:
+    """Reject a header claiming more rows than the rest of the file can hold.
+
+    Runs before the matrix is allocated, so a short file cannot make the
+    loader allocate in proportion to a forged class count.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if num_classes * min_row_bytes > left:
+        raise ModelFormatError(
+            f"header claims {num_classes} classes but only {left} bytes follow "
+            f"(each row takes at least {min_row_bytes})")
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
@@ -215,6 +226,7 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
         raise ModelFormatError(f"unsupported model version {version}")
     (tag_len,) = struct.unpack("<B", _read_exact(fh, 1, "header"))
     algorithm = _read_exact(fh, tag_len, "header").decode("utf-8")
+    _check_class_claim(fh, num_classes, 16)
     W = WeightMatrix(max(num_classes, 1), max(dim, 1))
     for k in range(num_classes):
         c, nnz = struct.unpack("<QQ", _read_exact(fh, 16, f"row {k} header"))
@@ -246,6 +258,7 @@ def _load_text(fh) -> tuple[WeightMatrix, dict]:
         raise ModelFormatError("bad text model header line")
     num_classes, dim, lam, algorithm = (int(head[0]), int(head[1]),
                                         float(head[2]), head[3])
+    _check_class_claim(fh, num_classes, len("0 0\n"))
     W = WeightMatrix(max(num_classes, 1), max(dim, 1))
     for k in range(num_classes):
         parts = fh.readline().split()

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix
+from .sparse import SparseVector, WeightMatrix, score_block, scoring_operand
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -86,13 +86,10 @@ def hinge_loss(margin: float, rho: float) -> float:
 
 
 def exact_margins_batch(W: WeightMatrix, data: "Dataset") -> np.ndarray:
-    """Exact margins for a whole dataset via one sparse matrix product."""
-    scores = (data.to_csr() @ W.to_csr().T).toarray()
-    n = scores.shape[0]
+    """Exact margins for a whole dataset, scored by :func:`score_block`."""
     labels = data.labels_array()
-    s_true = scores[np.arange(n), labels]
-    scores[np.arange(n), labels] = -np.inf
-    s_rival = scores.max(axis=1)
+    _, s_rival, s_true = score_block(data.to_csr(), scoring_operand(W.to_csr()),
+                                     exclude=labels, at=labels)
     return s_true - s_rival
 
 

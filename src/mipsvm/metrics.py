@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix
+from .sparse import SparseVector, WeightMatrix, score_block, scoring_operand
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -57,8 +57,8 @@ def predict(W: WeightMatrix, x: SparseVector) -> int:
 
 def predict_batch(W: WeightMatrix, data: "Dataset") -> np.ndarray:
     """Vectorized prediction for a whole dataset (same tie-breaking as predict)."""
-    scores = (data.to_csr() @ W.to_csr().T).toarray()
-    return scores.argmax(axis=1).astype(np.int64)
+    best, _, _ = score_block(data.to_csr(), scoring_operand(W.to_csr()))
+    return best
 
 
 def accuracy(p: PredictionSet) -> float:

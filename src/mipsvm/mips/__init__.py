@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .audit import AuditReport, audit_inexactness, recall_at_1
-from .base import MipsIndex, NoCandidateError
+from .base import BACKEND_DEFAULTS, MipsIndex, NoCandidateError
 from .exact import ExactIndex
 from .simplelsh import (GaussianPlaneField, SimpleLshIndex, hash_code,
                         hashing_quality, sign_bits, simplelsh_transform)
@@ -18,9 +18,11 @@ BACKENDS = ("exact", "simplelsh", "swgraph")
 
 
 def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
-                lsh_bits: int = 64, lsh_tables: int = 32,
-                swg_max_neighbors: int = 16, swg_ef_construction: int = 100,
-                swg_ef_search: int = 64) -> MipsIndex:
+                lsh_bits: int = BACKEND_DEFAULTS["lsh_bits"],
+                lsh_tables: int = BACKEND_DEFAULTS["lsh_tables"],
+                swg_max_neighbors: int = BACKEND_DEFAULTS["swg_max_neighbors"],
+                swg_ef_construction: int = BACKEND_DEFAULTS["swg_ef_construction"],
+                swg_ef_search: int = BACKEND_DEFAULTS["swg_ef_search"]) -> MipsIndex:
     """Build an index of the given kind over (class_id, row) pairs.
 
     Deterministic for a fixed seed and row order.  Duplicate class ids and
@@ -62,6 +64,7 @@ def index_from_matrix(W: "WeightMatrix", kind: str, **params) -> MipsIndex:
 __all__ = [
     "MipsIndex", "NoCandidateError", "ExactIndex", "SimpleLshIndex",
     "SwGraphIndex", "build_index", "index_from_matrix", "BACKENDS",
+    "BACKEND_DEFAULTS",
     "simplelsh_transform", "hash_code", "sign_bits", "hashing_quality",
     "GaussianPlaneField", "AuditReport", "audit_inexactness", "recall_at_1",
 ]

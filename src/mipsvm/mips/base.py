@@ -6,6 +6,16 @@ from abc import ABC, abstractmethod
 
 from ..sparse import SparseVector
 
+# Default backend parameters, keyed like the build_index keywords; the index
+# constructors, TrainConfig and the CLI all read them from here.
+BACKEND_DEFAULTS = {
+    "lsh_bits": 64,
+    "lsh_tables": 32,
+    "swg_max_neighbors": 16,
+    "swg_ef_construction": 100,
+    "swg_ef_search": 64,
+}
+
 
 class NoCandidateError(LookupError):
     """Raised when a query has no candidate left after exclusion."""

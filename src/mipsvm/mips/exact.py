@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as sp
 
-from ..sparse import SparseVector
+from ..sparse import SparseVector, score_block, scoring_operand, stack_csr
 from .base import MipsIndex, NoCandidateError
 
 
 class ExactIndex(MipsIndex):
     """Full-scan index.
 
-    Rows are kept as sparse snapshots and stacked into a CSR matrix that is
-    rebuilt lazily after updates, so a query is a single sparse
-    matrix-vector product followed by a masked argmax.  Ties break toward
-    the smallest class id.
+    Rows are kept as sparse snapshots.  The class matrix :func:`score_block`
+    multiplies by is rebuilt lazily after updates, so a query is one kernel
+    call on a one-row block.  Ties break toward the smallest class id.
     """
 
     kind = "exact"
@@ -23,14 +21,13 @@ class ExactIndex(MipsIndex):
     def __init__(self, dim: int):
         super().__init__(dim)
         self._rows: dict[int, SparseVector] = {}
-        self._dirty = True
         self._ids = np.empty(0, dtype=np.int64)
-        self._mat: sp.csr_matrix | None = None
+        self._operand = None  # None until the first query after an update
 
     def update_row(self, c: int, new_row: SparseVector) -> None:
         self._check_row(new_row)
         self._rows[int(c)] = new_row
-        self._dirty = True
+        self._operand = None
 
     def class_ids(self) -> list[int]:
         return sorted(self._rows)
@@ -41,31 +38,21 @@ class ExactIndex(MipsIndex):
     def _rebuild(self):
         self._ids = np.array(sorted(self._rows), dtype=np.int64)
         rows = [self._rows[int(c)] for c in self._ids]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([r.indices.size for r in rows], out=indptr[1:])
-        if rows and indptr[-1] > 0:
-            indices = np.concatenate([r.indices for r in rows])
-            data = np.concatenate([r.values for r in rows])
-            self._mat = sp.csr_matrix((data, indices, indptr),
-                                      shape=(len(rows), self.dim))
-        else:
-            self._mat = sp.csr_matrix((len(rows), self.dim))
-        self._dirty = False
+        self._operand = scoring_operand(stack_csr([r.indices for r in rows],
+                                                  [r.values for r in rows], self.dim))
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         self._check_row(x)
-        if self._dirty:
+        if self._operand is None:
             self._rebuild()
         n = self._ids.size
         if n == 0 or (n == 1 and exclude is not None and self._ids[0] == exclude):
             raise NoCandidateError("no candidate class after exclusion")
-        xv = sp.csc_matrix((x.values, x.indices, np.array([0, x.indices.size])),
-                           shape=(self.dim, 1))
-        scores = (self._mat @ xv).toarray().ravel()
+        masked = None
         if exclude is not None:
             pos = np.searchsorted(self._ids, exclude)
             if pos < n and self._ids[pos] == exclude:
-                scores = scores.copy()
-                scores[pos] = -np.inf
-        k = int(np.argmax(scores))
-        return int(self._ids[k]), float(scores[k])
+                masked = np.array([pos])
+        best, score, _ = score_block(stack_csr([x.indices], [x.values], self.dim),
+                                     self._operand, exclude=masked)
+        return int(self._ids[best[0]]), float(score[0])

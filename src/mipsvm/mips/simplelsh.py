@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ..sparse import SparseVector, dot
-from .base import MipsIndex, NoCandidateError
+from .base import BACKEND_DEFAULTS, MipsIndex, NoCandidateError
 
 # Precompute the plane matrix when bits * (dim + 1) stays below this.
 DENSE_PLANES_MAX_ENTRIES = 1 << 24
@@ -148,7 +148,8 @@ class SimpleLshIndex(MipsIndex):
 
     kind = "simplelsh"
 
-    def __init__(self, dim: int, *, bits: int = 64, tables: int = 32, seed: int = 0):
+    def __init__(self, dim: int, *, bits: int = BACKEND_DEFAULTS["lsh_bits"],
+                 tables: int = BACKEND_DEFAULTS["lsh_tables"], seed: int = 0):
         super().__init__(dim)
         if bits < 1:
             raise ValueError("bits must be positive")

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ..sparse import SparseVector, dot
-from .base import MipsIndex, NoCandidateError
+from .base import BACKEND_DEFAULTS, MipsIndex, NoCandidateError
 
 ENTRY_POINTS = 4
 
@@ -29,8 +29,10 @@ ENTRY_POINTS = 4
 class SwGraphIndex(MipsIndex):
     kind = "swgraph"
 
-    def __init__(self, dim: int, *, max_neighbors: int = 16,
-                 ef_construction: int = 100, ef_search: int = 64, seed: int = 0):
+    def __init__(self, dim: int, *,
+                 max_neighbors: int = BACKEND_DEFAULTS["swg_max_neighbors"],
+                 ef_construction: int = BACKEND_DEFAULTS["swg_ef_construction"],
+                 ef_search: int = BACKEND_DEFAULTS["swg_ef_search"], seed: int = 0):
         super().__init__(dim)
         if max_neighbors < 1 or ef_construction < 1 or ef_search < 1:
             raise ValueError("graph parameters must be positive")

@@ -4,6 +4,8 @@ Every trainer, search index and metric in this package works on two
 structures: :class:`SparseVector` (sorted index/value pairs with an explicit
 dimension) and :class:`WeightMatrix` (one sparse row per class sharing a
 single scale multiplier, so that scaling the whole matrix is O(1)).
+:func:`score_block` is the one exact scoring kernel: it multiplies a CSR
+block of examples by a class matrix, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -17,6 +19,17 @@ from scipy import sparse as sp
 # this range; keeps double precision comfortable during long runs.
 SCALE_FOLD_LOW = 1e-8
 SCALE_FOLD_HIGH = 1e8
+
+# score_block keeps at most this many scores alive at once (32 MB of
+# float64): examples are scored SCORE_BLOCK_ENTRIES // C rows at a time.
+# Against an l1-trained sparse C = 1000 model, the CSR product over 4000
+# test rows took about 15 % longer in chunks of 524 rows (a 2^19 cap) than
+# in one piece, and dense scoring was no slower in larger chunks either.
+SCORE_BLOCK_ENTRIES = 1 << 22
+# Class matrices at least this full are multiplied as a dense array, sparser
+# ones as CSR.  Block scoring crossed over between 0.07 (40-nnz rows at
+# d = 20k, C = 1000) and 0.12 (dense rows at d = 300, C = 500).
+DENSE_SCORING_MIN_DENSITY = 0.1
 
 
 class SparseVector:
@@ -45,6 +58,8 @@ class SparseVector:
                     )
                 if indices.size > 1 and np.any(np.diff(indices) <= 0):
                     raise ValueError("indices must be strictly increasing")
+                if not np.isfinite(values).all():
+                    raise ValueError("non-finite value")
         self.indices = indices
         self.values = values
         self.dim = int(dim)
@@ -128,6 +143,62 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return _dot_arrays(a.indices, a.values, b.indices, b.values)
+
+
+def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
+    """Stack per-row sorted index arrays and their value arrays into CSR."""
+    indptr = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum([idx.size for idx in indices], out=indptr[1:])
+    if indptr[-1] == 0:
+        return sp.csr_matrix((len(indices), dim))
+    return sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
+                         shape=(len(indices), dim))
+
+
+def scoring_operand(classes: sp.csr_matrix):
+    """The (dim x C) right-hand side :func:`score_block` multiplies by.
+
+    ``classes`` holds one class per row.  The operand is a C-ordered dense
+    array when at least DENSE_SCORING_MIN_DENSITY of the class matrix is
+    nonzero, and CSR otherwise.  Either way each score sums the example's
+    nonzeros in stored order, so both give the same floats.
+    """
+    num_classes, dim = classes.shape
+    if classes.nnz >= DENSE_SCORING_MIN_DENSITY * num_classes * dim:
+        return classes.T.toarray(order="C")
+    return classes.T.tocsr()
+
+
+def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None):
+    """Best class and its score for every row of ``X @ operand``.
+
+    ``operand`` comes from :func:`scoring_operand`.  ``exclude`` optionally
+    gives one class position per row that cannot be the best; ``at``
+    optionally gives one class position per row whose score is returned
+    too.  Ties go to the smallest position.  Rows are scored in chunks of
+    SCORE_BLOCK_ENTRIES // C, so memory is O(chunk x C), never O(n x C).
+    Returns ``(best, best_scores, at_scores)``; ``at_scores`` is None when
+    ``at`` is.
+    """
+    n = X.shape[0]
+    chunk = max(1, SCORE_BLOCK_ENTRIES // max(operand.shape[1], 1))
+    best = np.empty(n, dtype=np.int64)
+    best_scores = np.empty(n)
+    at_scores = None if at is None else np.empty(n)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        scores = (X if hi - lo == n else X[lo:hi]) @ operand
+        if sp.issparse(scores):
+            scores = scores.toarray()
+        rows = np.arange(hi - lo)
+        if at is not None:
+            at_scores[lo:hi] = scores[rows, at[lo:hi]]
+        if exclude is not None:
+            scores[rows, exclude[lo:hi]] = -np.inf
+        top = scores.argmax(axis=1)
+        best[lo:hi] = top
+        best_scores[lo:hi] = scores[rows, top]
+    return best, best_scores, at_scores
 
 
 class WeightMatrix:
@@ -323,14 +394,9 @@ class WeightMatrix:
 
     def to_csr(self) -> sp.csr_matrix:
         """Logical matrix as a scipy CSR, for vectorized scoring paths."""
-        indptr = np.zeros(self.num_classes + 1, dtype=np.int64)
-        np.cumsum([idx.size for idx in self._idx], out=indptr[1:])
-        if indptr[-1] == 0:
-            return sp.csr_matrix((self.num_classes, self.dim))
-        indices = np.concatenate(self._idx)
-        data = self.scale * np.concatenate(self._val)
-        return sp.csr_matrix((data, indices, indptr),
-                             shape=(self.num_classes, self.dim))
+        M = stack_csr(self._idx, self._val, self.dim)
+        M.data *= self.scale
+        return M
 
     def __repr__(self):
         return (f"WeightMatrix(num_classes={self.num_classes}, dim={self.dim}, "

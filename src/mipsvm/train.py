@@ -28,7 +28,7 @@ import numpy as np
 from .dataio import Dataset
 from .margin import empirical_risk, inexact_margin
 from .metrics import evaluate
-from .mips import BACKENDS, MipsIndex, build_index
+from .mips import BACKEND_DEFAULTS, BACKENDS, MipsIndex, build_index
 from .sparse import SparseVector, WeightMatrix
 
 
@@ -82,11 +82,11 @@ class TrainConfig:
     backend: str = "exact"
     seed: int = 0
     truncation: bool = True
-    lsh_bits: int = 64
-    lsh_tables: int = 32
-    swg_max_neighbors: int = 16
-    swg_ef_construction: int = 100
-    swg_ef_search: int = 64
+    lsh_bits: int = BACKEND_DEFAULTS["lsh_bits"]
+    lsh_tables: int = BACKEND_DEFAULTS["lsh_tables"]
+    swg_max_neighbors: int = BACKEND_DEFAULTS["swg_max_neighbors"]
+    swg_ef_construction: int = BACKEND_DEFAULTS["swg_ef_construction"]
+    swg_ef_search: int = BACKEND_DEFAULTS["swg_ef_search"]
     threads: int = 1
     early_stop: bool = False
 
@@ -168,10 +168,7 @@ def objective_l1(W: WeightMatrix, data: Dataset, lam: float) -> float:
 def _build_training_index(W: WeightMatrix, cfg: TrainConfig) -> MipsIndex:
     rows = [(c, W.stored_row(c)) for c in range(W.num_classes)]
     return build_index(rows, cfg.backend, dim=W.dim, seed=cfg.seed,
-                       lsh_bits=cfg.lsh_bits, lsh_tables=cfg.lsh_tables,
-                       swg_max_neighbors=cfg.swg_max_neighbors,
-                       swg_ef_construction=cfg.swg_ef_construction,
-                       swg_ef_search=cfg.swg_ef_search)
+                       **{k: getattr(cfg, k) for k in BACKEND_DEFAULTS})
 
 
 def _query_phase(index, W, batch, threads):

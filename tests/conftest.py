@@ -1,0 +1,44 @@
+"""Fixtures shared by the oracle tests of the exact scoring kernel."""
+
+import numpy as np
+import pytest
+
+from mipsvm import sparse
+from mipsvm.dataio import Dataset
+from mipsvm.sparse import SparseVector, WeightMatrix
+
+
+def _random_rows(rng, count, dim, nnz):
+    rows = []
+    for _ in range(count):
+        idx = np.sort(rng.choice(dim, size=nnz, replace=False))
+        rows.append(SparseVector(idx, rng.standard_normal(nnz), dim))
+    return rows
+
+
+@pytest.fixture
+def kernel_cases(monkeypatch):
+    """(W, data) pairs covering both products of ``sparse.score_block``.
+
+    One class matrix sits below DENSE_SCORING_MIN_DENSITY and one above it.
+    Each has a duplicated row and an all-zero row, and the data hold
+    examples with no nonzeros, so scores tie.  The block cap is patched so
+    that 41 examples span several chunks and the last one is short.
+    """
+    C, d, n = 7, 60, 41
+    monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 3 * C - 1)
+    rng = np.random.default_rng(21)
+    cases = []
+    for row_nnz in (3, d):  # densities 0.05 and 1
+        rows = _random_rows(rng, C, d, row_nnz)
+        rows[4] = rows[1]
+        rows[6] = SparseVector.zeros(d)
+        W = WeightMatrix.from_rows(enumerate(rows), d)
+        W.global_scale(0.37)
+        xs = _random_rows(rng, n, d, 8)
+        xs[::10] = [SparseVector.zeros(d)] * len(xs[::10])
+        labels = rng.integers(C, size=n)
+        cases.append((W, Dataset(list(zip(labels.tolist(), xs)), d, C)))
+    assert cases[0][0].nnz() < sparse.DENSE_SCORING_MIN_DENSITY * C * d
+    assert cases[1][0].nnz() > sparse.DENSE_SCORING_MIN_DENSITY * C * d
+    return cases

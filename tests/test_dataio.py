@@ -95,6 +95,12 @@ class TestParse:
             except DatasetFormatError as exc:
                 assert "line 1" in str(exc)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        for value in ("nan", "inf", "-inf", "1e999"):
+            path = write(tmp_path, f"a 1:1\na 1:{value} 2:1\n")
+            with pytest.raises(DatasetFormatError, match="line 2: non-finite"):
+                parse_dataset(path)
+
     def test_roundtrip_random_dataset(self, tmp_path):
         rng = np.random.default_rng(1)
         lines = []
@@ -191,15 +197,34 @@ class TestModelIO:
         W.add_to_row(0, 1.0, SparseVector.from_pairs({1: 2.0}, 4))
         path = tmp_path / "model.bin"
         save_model(path, W, lam=1.0, algorithm="l2")
-        blob = bytearray(path.read_bytes())
+        good = path.read_bytes()
         # layout: 12-byte magic, 28-byte header, 1+2 tag, row 0 id+nnz,
-        # then the first stored index
+        # then the first stored index and, after the indices, its value
         offset = 12 + 28 + 3 + 16
-        assert struct.unpack_from("<q", blob, offset)[0] == 1
-        struct.pack_into("<q", blob, offset, 99)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError, match="row 0 is corrupt"):
-            load_model(path)
+        assert struct.unpack_from("<q", good, offset)[0] == 1
+        for fmt, at, bad in (("<q", offset, 99), ("<d", offset + 8, float("nan"))):
+            blob = bytearray(good)
+            struct.pack_into(fmt, blob, at, bad)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ModelFormatError, match="row 0 is corrupt"):
+                load_model(path)
+
+    def test_class_count_bounded_by_file_size(self, tmp_path):
+        import struct
+        W = WeightMatrix(2, 4)
+        binary, text = tmp_path / "model.bin", tmp_path / "model.txt"
+        save_model(binary, W, lam=1.0, algorithm="l2")
+        save_model(text, W, lam=1.0, algorithm="l2", fmt="text")
+        blob = bytearray(binary.read_bytes())
+        # the u64 class count follows the 12-byte magic and the u32 version
+        struct.pack_into("<Q", blob, 16, 10**6)
+        binary.write_bytes(bytes(blob))
+        lines = text.read_text().splitlines()
+        lines[1] = "1000000" + lines[1][1:]
+        text.write_text("\n".join(lines) + "\n")
+        for path in (binary, text):
+            with pytest.raises(ModelFormatError, match="claims 1000000 classes"):
+                load_model(path)
 
     def test_truncated_text_fails_closed(self, tmp_path):
         W = self.make_matrix(seed=6)

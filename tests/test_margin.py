@@ -175,14 +175,15 @@ class TestEmpiricalRisk:
         assert rep.empirical_hinge == pytest.approx(expected, rel=1e-12)
         assert rep.zero_one == 0.5
 
-    def test_vectorized_matches_per_example(self):
+    def test_vectorized_matches_per_example(self, kernel_cases):
         rng = np.random.default_rng(9)
         W = matrix_from_dense(rng.standard_normal((6, 5)))
         data = dataset_from_dense(rng.integers(6, size=40),
                                   rng.standard_normal((40, 5)))
-        batch = exact_margins_batch(W, data)
-        loop = np.array([exact_margin(W, x, y).margin for y, x in data.examples])
-        np.testing.assert_allclose(batch, loop, rtol=1e-12, atol=1e-14)
+        for W, data in [(W, data)] + kernel_cases:
+            batch = exact_margins_batch(W, data)
+            loop = np.array([exact_margin(W, x, y).margin for y, x in data.examples])
+            np.testing.assert_allclose(batch, loop, rtol=1e-12, atol=1e-14)
 
     def test_inexact_path_dominates(self):
         rng = np.random.default_rng(10)

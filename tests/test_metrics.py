@@ -51,13 +51,14 @@ class TestPredict:
         for _, x in data.examples:
             assert predict(W, x) == index.query(x)[0]
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_single(self, kernel_cases):
         rng = np.random.default_rng(1)
         W = matrix_from_dense(rng.standard_normal((7, 5)))
         data = random_dataset(rng, 200, 7, 5)
-        batch = predict_batch(W, data)
-        singles = [predict(W, x) for _, x in data.examples]
-        assert batch.tolist() == singles
+        for W, data in [(W, data)] + kernel_cases:
+            batch = predict_batch(W, data)
+            singles = [predict(W, x) for _, x in data.examples]
+            assert batch.tolist() == singles
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)

@@ -30,12 +30,13 @@ def setup():
 
 
 class TestAudit:
-    def test_exact_backend_has_zero_delta(self, setup):
-        W, queries, rows = setup
-        index = build_index(rows, "exact", dim=W.dim)
-        report = audit_inexactness(index, W, queries, epsilon=0.0)
-        assert report.delta_hat == 0.0
-        assert report.max_gap == 0.0
+    def test_exact_backend_has_zero_delta(self, setup, kernel_cases):
+        for W, queries in [setup[:2]] + kernel_cases:
+            rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
+            index = build_index(rows, "exact", dim=W.dim)
+            report = audit_inexactness(index, W, queries, epsilon=0.0)
+            assert report.delta_hat == 0.0
+            assert report.max_gap == 0.0
 
     def test_infinite_epsilon(self, setup):
         W, queries, rows = setup
