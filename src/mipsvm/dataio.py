@@ -199,13 +199,22 @@ def save_model(path, W: WeightMatrix, *, lam: float, algorithm: str,
             fh.writelines(name + "\n" for name in label_names)
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ModelFormatError(f"header claims dimension {dim}")
+
+
 def _check_class_claim(fh, num_classes: int, min_row_bytes: int) -> None:
     """Reject a header claiming more rows than the rest of the file can hold.
 
     Runs before the matrix is allocated, so a short file cannot make the
     loader allocate in proportion to a forged class count.
     """
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    left = _bytes_left(fh)
     if num_classes * min_row_bytes > left:
         raise ModelFormatError(
             f"header claims {num_classes} classes but only {left} bytes follow "
@@ -225,13 +234,22 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
     (tag_len,) = struct.unpack("<B", _read_exact(fh, 1, "header"))
-    algorithm = _read_exact(fh, tag_len, "header").decode("utf-8")
+    try:
+        algorithm = _read_exact(fh, tag_len, "header").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"algorithm tag is not UTF-8: {exc}") from exc
+    _check_dim(dim)
     _check_class_claim(fh, num_classes, 16)
-    W = WeightMatrix(max(num_classes, 1), max(dim, 1))
+    W = WeightMatrix(max(num_classes, 1), dim)
     for k in range(num_classes):
         c, nnz = struct.unpack("<QQ", _read_exact(fh, 16, f"row {k} header"))
         if c != k:
             raise ModelFormatError(f"row {k} carries class id {c}")
+        # checked before reading, so a forged count cannot size a read
+        left = _bytes_left(fh)
+        if 16 * nnz > left:
+            raise ModelFormatError(f"row {k} is corrupt: claims {nnz} features "
+                                   f"but only {left} bytes follow")
         idx = np.frombuffer(_read_exact(fh, 8 * nnz, f"row {k} indices"), dtype="<i8")
         val = np.frombuffer(_read_exact(fh, 8 * nnz, f"row {k} values"), dtype="<f8")
         try:
@@ -246,25 +264,38 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
     return W, header
 
 
+def _number(kind, token: str, what: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ModelFormatError(f"bad {what}: {token!r}") from None
+
+
 def _load_text(fh) -> tuple[WeightMatrix, dict]:
     first = fh.readline().split()
     if first[:2] != TEXT_MAGIC.split() or len(first) != 3:
         raise ModelFormatError("bad text model header")
-    version = int(first[2])
+    version = _number(int, first[2], "model version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
     head = fh.readline().split()
     if len(head) != 4:
         raise ModelFormatError("bad text model header line")
-    num_classes, dim, lam, algorithm = (int(head[0]), int(head[1]),
-                                        float(head[2]), head[3])
+    num_classes = _number(int, head[0], "class count")
+    dim = _number(int, head[1], "dimension")
+    lam = _number(float, head[2], "lambda")
+    algorithm = head[3]
+    _check_dim(dim)
     _check_class_claim(fh, num_classes, len("0 0\n"))
-    W = WeightMatrix(max(num_classes, 1), max(dim, 1))
+    W = WeightMatrix(max(num_classes, 1), dim)
     for k in range(num_classes):
-        parts = fh.readline().split()
-        if len(parts) < 2:
+        line = fh.readline()
+        parts = line.split()
+        # every row line ends in a newline, so a cut inside the last row shows
+        if len(parts) < 2 or not line.endswith("\n"):
             raise ModelFormatError(f"truncated model file at row {k}")
-        c, nnz = int(parts[0]), int(parts[1])
+        c = _number(int, parts[0], f"class id in row {k}")
+        nnz = _number(int, parts[1], f"feature count in row {k}")
         if c != k:
             raise ModelFormatError(f"row {k} carries class id {c}")
         if len(parts) != 2 + nnz:
@@ -276,7 +307,7 @@ def _load_text(fh) -> tuple[WeightMatrix, dict]:
                 i, _, v = tok.partition(":")
                 pairs.append((int(i), float(v)))
             W.add_to_row(c, 1.0, SparseVector.from_pairs(pairs, dim))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ModelFormatError(f"row {k} is corrupt: {exc}") from exc
     if fh.readline().strip():
         raise ModelFormatError("trailing content after last row")
@@ -291,16 +322,11 @@ def load_model(path) -> tuple[WeightMatrix, dict]:
         prefix = fh.read(len(BINARY_MAGIC))
         if prefix == BINARY_MAGIC:
             return _load_binary(fh)
-    try:
-        text = open(path, "r", encoding="utf-8")
-    except (UnicodeDecodeError, OSError) as exc:
-        raise ModelFormatError(f"unreadable model file: {exc}") from exc
-    with text:
-        probe = text.read(len(TEXT_MAGIC))
-        if probe != TEXT_MAGIC:
-            raise ModelFormatError("not a model file (bad magic)")
-        text.seek(0)
+    with open(path, "r", encoding="utf-8") as text:
         try:
+            if text.read(len(TEXT_MAGIC)) != TEXT_MAGIC:
+                raise ModelFormatError("not a model file (bad magic)")
+            text.seek(0)
             return _load_text(text)
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"unreadable model file: {exc}") from exc

@@ -21,8 +21,10 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from ..sparse import SparseVector, dot
-from .base import BACKEND_DEFAULTS, MipsIndex, NoCandidateError
+# dot is unused here; perfbench/tracing.py patches it by this name on this
+# module.
+from ..sparse import SparseVector, dot  # noqa: F401
+from .base import BACKEND_DEFAULTS, MipsIndex
 
 # Precompute the plane matrix when bits * (dim + 1) stays below this.
 DENSE_PLANES_MAX_ENTRIES = 1 << 24
@@ -137,9 +139,10 @@ class SimpleLshIndex(MipsIndex):
     """Multi-table sign-projection LSH with exact re-ranking.
 
     Each row lives in exactly one bucket per table.  A query collects the
-    union of its bucket matches over all tables, re-scores them exactly and
-    returns the best; when no bucket matches, it falls back to a full scan,
-    so a returned candidate is never worse than any retrieved one.
+    union of its bucket matches over all tables, re-scores them exactly in
+    one product and returns the best; when no bucket matches, it falls back
+    to a full scan, so a returned candidate is never worse than any
+    retrieved one.
 
     The norm constant U is the largest row norm seen at build time; an
     update that exceeds it triggers a re-augmentation of the whole index
@@ -163,7 +166,6 @@ class SimpleLshIndex(MipsIndex):
             self._planes = self._field.block(np.arange(dim + 1, dtype=np.uint64))
         else:
             self._planes = None
-        self._rows: dict[int, SparseVector] = {}
         self._norms: dict[int, float] = {}
         self._codes: dict[int, list[int]] = {}
         self._buckets: list[dict[int, set[int]]] = [{} for _ in range(self.tables)]
@@ -220,22 +222,15 @@ class SimpleLshIndex(MipsIndex):
     # -- MipsIndex interface ----------------------------------------------
 
     def update_row(self, c: int, new_row: SparseVector) -> None:
-        self._check_row(new_row)
         c = int(c)
-        if c in self._rows:
+        self._store(c, new_row)
+        if c in self._codes:
             self._remove_from_buckets(c)
-        self._rows[c] = new_row
         self._norms[c] = new_row.norm()
         if self._norms[c] > self._U:
             self._rebuild()
         else:
             self._add_to_buckets(c)
-
-    def class_ids(self) -> list[int]:
-        return sorted(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     def _candidates(self, x: SparseVector, exclude: int | None) -> tuple[list[int], bool]:
         """Bucket-union candidates and whether the exact-scan fallback fired."""
@@ -256,14 +251,6 @@ class SimpleLshIndex(MipsIndex):
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         self._check_row(x)
-        if not self._rows or (len(self._rows) == 1 and exclude in self._rows):
-            raise NoCandidateError("no candidate class after exclusion")
-        cands, _ = self._candidates(x, exclude)
-        best_c = -1
-        best_s = -np.inf
-        for c in cands:
-            s = dot(self._rows[c], x)
-            if s > best_s:
-                best_s = s
-                best_c = c
-        return best_c, float(best_s)
+        self._require_candidate(exclude)
+        pool, fell_back = self._candidates(x, exclude)
+        return self._scan(x, exclude, None if fell_back else pool)

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ..sparse import SparseVector, dot
-from .base import BACKEND_DEFAULTS, MipsIndex, NoCandidateError
+from .base import BACKEND_DEFAULTS, MipsIndex
 
 ENTRY_POINTS = 4
 
@@ -39,7 +39,6 @@ class SwGraphIndex(MipsIndex):
         self.max_neighbors = int(max_neighbors)
         self.ef_construction = int(ef_construction)
         self.ef_search = int(ef_search)
-        self._rows: dict[int, SparseVector] = {}
         self._adj: dict[int, set[int]] = {}
         self._entries: list[int] = []
         self._rng = np.random.default_rng(seed)
@@ -137,7 +136,7 @@ class SwGraphIndex(MipsIndex):
 
     def _insert(self, c: int, row: SparseVector):
         others_exist = bool(self._rows)
-        self._rows[c] = row
+        self._store(c, row)
         self._adj[c] = set()
         if others_exist:
             candidates = [v for _, v in self._search(row, self.ef_construction)
@@ -178,30 +177,14 @@ class SwGraphIndex(MipsIndex):
         self._insert(c, new_row)
         self._repair_connectivity()
 
-    def class_ids(self) -> list[int]:
-        return sorted(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         self._check_row(x)
-        if not self._rows or (len(self._rows) == 1 and exclude in self._rows):
-            raise NoCandidateError("no candidate class after exclusion")
+        self._require_candidate(exclude)
         for s, c in self._search(x, self.ef_search):
             if c != exclude:
                 return c, float(s)
         # traversal surfaced only the excluded class; scan the rest
-        best_c = -1
-        best_s = -np.inf
-        for c in sorted(self._rows):
-            if c == exclude:
-                continue
-            s = dot(self._rows[c], x)
-            if s > best_s:
-                best_s = s
-                best_c = c
-        return best_c, float(best_s)
+        return self._scan(x, exclude)
 
     # -- introspection (used by tests and demos) ----------------------------
 
@@ -209,16 +192,7 @@ class SwGraphIndex(MipsIndex):
         """True when every inserted node is reachable from every other."""
         if len(self._rows) <= 1:
             return True
-        start = next(iter(self._rows))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self._rows)
+        return len(self._component(next(iter(self._rows)))) == len(self._rows)
 
     def degree(self, c: int) -> int:
         return len(self._adj[c])

@@ -245,7 +245,10 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
             index.update_row(c, W.stored_row(c))
 
         held = evaluate(W, heldout) if heldout is not None else None
-        log.append(objective=objective(W, data, cfg.lam),
+        obj = objective(W, data, cfg.lam)
+        if not math.isfinite(obj):
+            raise ValueError(f"training diverged at step {t}: objective is {obj}")
+        log.append(objective=obj,
                    heldout_accuracy=held.accuracy if held else math.nan,
                    heldout_macro_f1=held.macro_f1 if held else math.nan,
                    seconds=time.perf_counter() - t0,

@@ -70,6 +70,18 @@ class TestTrain:
         assert code == 1
         assert "error" in err
 
+    def test_diverged_run_writes_no_model(self, tmp_path, capsys):
+        data = tmp_path / "huge.txt"
+        data.write_text("a 1:1e155 2:1e155\nb 1:-1e155 3:1e155\n"
+                        "a 2:1e155\nb 3:-1e155 1:1e155\n")
+        model, log = tmp_path / "model.bin", tmp_path / "log.tsv"
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "train", str(data), "--algo", "l2",
+                                 "--model-out", str(model), "--log-out", str(log))
+        assert code == 1
+        assert "diverged at step 1" in err and out == ""
+        assert not model.exists() and not log.exists()
+
     def test_text_format(self, tmp_path, toy_file, capsys):
         model = tmp_path / "model.txt"
         code, _, _ = run(capsys, "train", str(toy_file), "--epochs", "2",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mipsvm.dataio import (DatasetFormatError, ModelFormatError, load_label_names,
                            load_model, parse_dataset, save_model, write_dataset)
@@ -202,7 +204,10 @@ class TestModelIO:
         # then the first stored index and, after the indices, its value
         offset = 12 + 28 + 3 + 16
         assert struct.unpack_from("<q", good, offset)[0] == 1
-        for fmt, at, bad in (("<q", offset, 99), ("<d", offset + 8, float("nan"))):
+        # the last case is row 0's feature count, set so high that reading
+        # 8 bytes per feature could not even be sized
+        for fmt, at, bad in (("<q", offset, 99), ("<d", offset + 8, float("nan")),
+                             ("<Q", offset - 8, 2**62)):
             blob = bytearray(good)
             struct.pack_into(fmt, blob, at, bad)
             path.write_bytes(bytes(blob))
@@ -242,3 +247,73 @@ class TestModelIO:
                    label_names=["cat", "dog", "bird"])
         assert load_label_names(path) == ["cat", "dog", "bird"]
         assert load_label_names(tmp_path / "missing.bin") is None
+
+
+# -- fuzzing both model formats ----------------------------------------------
+
+# Offsets into the two fuzzed models (see ``fuzz_models``): the binary
+# algorithm tag and the top byte of row 0's feature count, and the text
+# version, dimension and row-0 feature-count tokens.
+BIN_TAG, BIN_ROW0_NNZ_TOP = 12 + 28 + 1, 12 + 28 + 1 + 2 + 8 + 7
+TEXT_VERSION, TEXT_DIM, TEXT_ROW0_NNZ = 13, 17, 28
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """A small model saved in each format: {fmt: (bytes, matrix)}."""
+    W = WeightMatrix.from_rows([(0, SparseVector([1, 4], [2.0, -0.25], 6)),
+                                (2, SparseVector([0, 5], [0.1, 3e-7], 6))], 6)
+    W.global_scale(0.7315)
+    path = tmp_path_factory.mktemp("models") / "model"
+    blobs = {}
+    for fmt in ("binary", "text"):
+        save_model(path, W, lam=0.5, algorithm="l2", fmt=fmt)
+        blobs[fmt] = (path.read_bytes(), W)
+    assert blobs["binary"][0][BIN_TAG:BIN_TAG + 2] == b"l2"
+    assert blobs["text"][0].startswith(b"MEMOIR1 text 1\n3 6 0.5 l2\n0 2 ")
+    return blobs
+
+
+def assert_same_model(loaded, W):
+    W2, header = loaded
+    assert (header["num_classes"], header["dim"]) == (W.num_classes, W.dim)
+    assert (header["lambda"], header["algorithm"]) == (0.5, "l2")
+    for c in range(W.num_classes):
+        assert W2.materialize_row(c) == W.materialize_row(c)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_every_truncation_fails_closed(fuzz_models, tmp_path, fmt):
+    blob, W = fuzz_models[fmt]
+    path = tmp_path / "model"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+    path.write_bytes(blob)
+    assert_same_model(load_model(path), W)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=st.sampled_from(["binary", "text"]), at=st.integers(0, 1 << 16),
+       patch=st.one_of(st.binary(min_size=1, max_size=12),
+                       st.text("0123456789+-.:eEinfa x\n\r", min_size=1,
+                               max_size=12).map(str.encode)))
+@example(fmt="binary", at=BIN_TAG, patch=b"\xff")
+@example(fmt="binary", at=BIN_ROW0_NNZ_TOP, patch=b"\x40")
+@example(fmt="binary", at=12 + 12, patch=bytes(8))  # dimension 0
+@example(fmt="text", at=TEXT_VERSION, patch=b"x")
+@example(fmt="text", at=TEXT_DIM, patch=b"x")
+@example(fmt="text", at=TEXT_ROW0_NNZ, patch=b"z")
+def test_corruption_fails_closed(fuzz_models, tmp_path_factory, fmt, at, patch):
+    """Overwriting bytes gives ModelFormatError or a load, nothing else."""
+    blob = bytearray(fuzz_models[fmt][0])
+    at %= len(blob)
+    blob[at:at + len(patch)] = patch[:len(blob) - at]
+    path = tmp_path_factory.getbasetemp() / "fuzzed-model"
+    path.write_bytes(bytes(blob))
+    try:
+        with np.errstate(over="ignore"):  # a huge value may load, norm and all
+            load_model(path)
+    except ModelFormatError:
+        pass

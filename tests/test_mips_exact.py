@@ -1,5 +1,8 @@
 """Exact MIPS backend against a naive per-row scan."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -139,3 +142,35 @@ class TestUpdateRow:
         index = build_index([(3, sv({}, 2)), (1, sv({}, 2))], "exact", dim=2)
         assert index.class_ids() == [1, 3]
         assert len(index) == 2
+
+
+@pytest.mark.parametrize("kind", ["exact", "simplelsh"])
+def test_concurrent_first_queries_after_update(kind):
+    """Threads racing to build the scan state all see a whole, current one."""
+    rng = np.random.default_rng(31)
+    dim, C = 12, 40
+    index = build_index([(c, random_sparse(rng, dim)) for c in range(C)], kind, dim=dim)
+    queries = [(random_sparse(rng, dim), int(rng.integers(C))) for _ in range(30)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for step in range(5):
+            index.update_row(step, random_sparse(rng, dim))  # replaces a row
+            index.update_row(C + step, random_sparse(rng, dim))  # adds a class
+            results = [None] * 4
+            start = threading.Barrier(4)
+
+            def work(i):
+                start.wait(timeout=60)
+                results[i] = [index.query(x, exclude=e) for x, e in queries]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            want = [index.query(x, exclude=e) for x, e in queries]
+            assert results == [want] * 4
+    finally:
+        sys.setswitchinterval(old)

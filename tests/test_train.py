@@ -302,6 +302,17 @@ class TestTrainL2:
         with pytest.raises(ValueError):
             train_l2(one_class, TrainConfig(epochs=1))
 
+    def test_non_finite_objective_names_step(self):
+        # scores near 1e308 overflow after the first update
+        data = Dataset([(0, sv({0: 1e155, 1: 1e155}, 3)),
+                        (1, sv({0: -1e155, 2: 1e155}, 3)),
+                        (0, sv({1: 1e155}, 3)),
+                        (1, sv({0: 1e155, 2: -1e155}, 3))], 3, 2)
+        for trainer in (train_l2, train_l1):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(ValueError, match="diverged at step 1: objective is nan"):
+                trainer(data, TrainConfig(epochs=3, seed=0))
+
 
 class TestTrainL1:
     def test_matches_dense_reference(self):
