@@ -16,7 +16,7 @@ from .dataio import (Dataset, DatasetFormatError, ModelFormatError,
 from .metrics import evaluate
 from .mips import BACKEND_DEFAULTS, NoCandidateError, index_from_matrix
 from .mips.audit import audit_inexactness
-from .train import TrainConfig, train_l1, train_l2
+from .train import TrainConfig, config_for_algo, train_l1, train_l2
 
 
 def _add_dataset_flags(p):
@@ -78,15 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--algo", choices=("l2", "l1"), default="l2")
     p_train.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="regularization weight (default: 1 for l2, 1e-6 for l1)")
-    p_train.add_argument("--eta0", type=float, default=0.1)
-    p_train.add_argument("--eta-step", type=float, default=0.02)
-    p_train.add_argument("--epochs", type=int, default=10)
+    p_train.add_argument("--eta0", type=float, help=f"default {TrainConfig.eta0}")
+    p_train.add_argument("--eta-step", type=float,
+                         help=f"default {TrainConfig.eta_step}")
+    p_train.add_argument("--epochs", type=int, help=f"default {TrainConfig.epochs}")
     p_train.add_argument("--batch-size", type=int, default=None,
                          help="default: round(100*sqrt(C))")
-    p_train.add_argument("--rho", type=float, default=1.0,
-                         help="hinge width for reported risks")
-    p_train.add_argument("--threads", type=int, default=1,
-                         help="threads for the batch query phase")
+    p_train.add_argument("--threads", type=int, help="batch slices queried in "
+                         f"parallel (default {TrainConfig.threads})")
     p_train.add_argument("--no-truncation", action="store_true",
                          help="disable the l1 truncation step")
     p_train.add_argument("--early-stop", action="store_true",
@@ -140,13 +139,13 @@ def _load_dataset(path, args, label_map=None) -> Dataset:
 
 
 def _train_config(args) -> TrainConfig:
-    lam = args.lam if args.lam is not None else (1.0 if args.algo == "l2" else 1e-6)
-    return TrainConfig(lam=lam, rho=args.rho, eta0=args.eta0,
-                       eta_step=args.eta_step, epochs=args.epochs,
-                       batch_size=args.batch_size, backend=args.backend,
-                       truncation=not args.no_truncation,
-                       threads=args.threads, early_stop=args.early_stop,
-                       **_backend_params(args))
+    given = {k: getattr(args, k) for k in ("lam", "eta0", "eta_step", "epochs",
+                                           "threads")
+             if getattr(args, k) is not None}
+    return config_for_algo(args.algo, batch_size=args.batch_size,
+                           backend=args.backend, truncation=not args.no_truncation,
+                           early_stop=args.early_stop, **given,
+                           **_backend_params(args))
 
 
 def _cmd_train(args) -> int:
@@ -228,7 +227,6 @@ def _cmd_audit(args) -> int:
 def _cmd_bench(args) -> int:
     _warn_unused_backend_flags(args)
     from .synth import make_synthetic
-    from .train import config_for_algo
 
     data = make_synthetic(args.classes, args.dim, args.examples,
                           noise=args.noise, seed=args.seed)

@@ -93,6 +93,22 @@ def exact_margins_batch(W: WeightMatrix, data: "Dataset") -> np.ndarray:
     return s_true - s_rival
 
 
+def inexact_margins_batch(index: "MipsIndex", W: WeightMatrix,
+                          data: "Dataset") -> tuple[np.ndarray, np.ndarray]:
+    """Margins and rivals of a whole dataset, the rivals proposed by ``index``.
+
+    One ``query_batch`` call proposes every rival; the true and the rival
+    class of every example are then re-scored exactly against W, each in
+    one row-wise sparse product, so only the rival selection is approximate.
+    """
+    labels = data.labels_array()
+    rivals, _ = index.query_batch([x for _, x in data.examples], labels)
+    X, M = data.to_csr(), W.to_csr()
+    s_true, s_rival = (np.asarray(X.multiply(M[c]).sum(axis=1)).ravel()
+                       for c in (labels, rivals))
+    return s_true - s_rival, rivals
+
+
 def empirical_risk(W: WeightMatrix, data: "Dataset", rho: float,
                    use_exact: bool = True,
                    index: Optional["MipsIndex"] = None) -> RiskReport:
@@ -111,8 +127,7 @@ def empirical_risk(W: WeightMatrix, data: "Dataset", rho: float,
     else:
         if index is None:
             raise ValueError("approximate risk needs a MIPS index")
-        margins = np.array([inexact_margin(index, W, x, y).margin
-                            for y, x in data.examples])
+        margins, _ = inexact_margins_batch(index, W, data)
     hinge = np.maximum(0.0, 1.0 - margins / rho)
     return RiskReport(rho=rho,
                       empirical_hinge=float(hinge.mean()),

@@ -52,19 +52,18 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
                       epsilon: float, bins: int = 20) -> AuditReport:
     """Empirical P(approx_margin - exact_margin > epsilon) plus a gap histogram.
 
-    The index proposes each query's rival; one :func:`score_block` pass then
-    gives the exact best rival and the proposed rival's score from the same
-    score block.  The true-class score cancels, so the gap is the exact best
-    score minus the proposed one: never negative, and 0 wherever the index
-    found a best rival.
+    One ``query_batch`` call proposes every query's rival; one
+    :func:`score_block` pass then gives the exact best rival and the
+    proposed rival's score from the same score block.  The true-class score
+    cancels, so the gap is the exact best score minus the proposed one:
+    never negative, and 0 wherever the index found a best rival.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     if len(queries) == 0:
         raise ValueError("empty query set")
     labels = queries.labels_array()
-    rivals = np.array([index.query(x, exclude=y)[0] for y, x in queries.examples],
-                      dtype=np.int64)
+    rivals, _ = index.query_batch([x for _, x in queries.examples], labels)
     _, best, proposed = score_block(queries.to_csr(), scoring_operand(W.to_csr()),
                                     exclude=labels, at=rivals)
     gaps = best - proposed
@@ -85,9 +84,7 @@ def recall_at_1(index: MipsIndex, oracle: MipsIndex, queries) -> float:
     queries = list(queries)
     if not queries:
         raise ValueError("empty query set")
-    hits = 0
-    for x, exclude in queries:
-        got, _ = index.query(x, exclude=exclude)
-        want, _ = oracle.query(x, exclude=exclude)
-        hits += got == want
-    return hits / len(queries)
+    xs, exclude = zip(*queries)
+    got, _ = index.query_batch(xs, exclude)
+    want, _ = oracle.query_batch(xs, exclude)
+    return float((got == want).mean())

@@ -28,7 +28,8 @@ class MipsIndex(ABC):
 
     Contract shared by all backends:
 
-    * ``query`` never returns the excluded class;
+    * ``query`` never returns the excluded class, and ``query_batch``
+      answers every row of a batch exactly as ``query`` would;
     * after ``update_row(c, row)`` the index reflects the new row before the
       next query;
     * queries are read-only and may run concurrently against a frozen index;
@@ -38,7 +39,7 @@ class MipsIndex(ABC):
       racing each other build identical values and each reads a whole pair.
 
     The base class keeps the row snapshots and does every exact scan: the
-    full scan and the re-ranking of a candidate pool.
+    full scan of a batch and the re-ranking of a candidate pool.
     """
 
     kind: str = "abstract"
@@ -70,14 +71,15 @@ class MipsIndex(ABC):
         return scoring_operand(stack_csr([r.indices for r in rows],
                                          [r.values for r in rows], self.dim))
 
-    def _scan(self, x: SparseVector, exclude: int | None,
-              among: list[int] | None = None) -> tuple[int, float]:
-        """Best (class id, exact score) over every row, or over ``among``.
+    def _scan(self, xs: list[SparseVector], exclude: list,
+              among: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Best (class ids, exact scores) of the rows of ``xs``, over every row
+        or over ``among``.
 
-        ``among`` holds sorted indexed class ids; their rows are gathered
-        into one CSR slice.  Either way the scores come from one
-        :func:`score_block` call on a one-row block, and ties go to the
-        smallest id.
+        ``exclude`` holds one class id or None per row; an id outside the
+        scan masks nothing.  ``among`` holds sorted indexed class ids; their
+        rows are gathered into one CSR slice.  Either way the scores come
+        from one :func:`score_block` call, and ties go to the smallest id.
         """
         if among is None:
             state = self._scan_state
@@ -88,18 +90,29 @@ class MipsIndex(ABC):
             ids, operand = state
         else:
             ids, operand = np.array(among, dtype=np.int64), self._operand(among)
-        masked = None
-        if exclude is not None:
-            pos = np.searchsorted(ids, exclude)
-            if pos < ids.size and ids[pos] == exclude:
-                masked = np.array([pos])
-        best, score, _ = score_block(stack_csr([x.indices], [x.values], self.dim),
-                                     operand, exclude=masked)
-        return int(ids[best[0]]), float(score[0])
+        given = np.array([e is not None for e in exclude], dtype=bool)
+        wanted = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
+        pos = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
+        masked = np.where(given & (ids[pos] == wanted), pos, -1)
+        best, score, _ = score_block(
+            stack_csr([x.indices for x in xs], [x.values for x in xs], self.dim),
+            operand, exclude=masked)
+        return ids[best], score
 
     @abstractmethod
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         """Best (class_id, exact score of that class) with ``exclude`` removed."""
+
+    def query_batch(self, xs, exclude) -> tuple[np.ndarray, np.ndarray]:
+        """(class ids, exact scores) that :meth:`query` gives for each row of
+        ``xs``, with ``exclude`` holding one class id or None per row.
+
+        This default asks :meth:`query` once per row; a backend that answers
+        a whole batch at once overrides it.
+        """
+        found = [self.query(x, exclude=e) for x, e in zip(xs, exclude)]
+        return (np.array([c for c, _ in found], dtype=np.int64),
+                np.array([s for _, s in found], dtype=np.float64))
 
     @abstractmethod
     def update_row(self, c: int, new_row: SparseVector) -> None:

@@ -7,7 +7,8 @@ from .base import MipsIndex
 
 
 class ExactIndex(MipsIndex):
-    """Full-scan index: every query is the base class's exact scan.
+    """Full-scan index: a batch of queries is one exact scan of the base
+    class, and a single query is a batch of one.
 
     Ties break toward the smallest class id.
     """
@@ -18,6 +19,12 @@ class ExactIndex(MipsIndex):
         self._store(int(c), new_row)
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        self._check_row(x)
-        self._require_candidate(exclude)
-        return self._scan(x, exclude)
+        ids, scores = self.query_batch([x], [exclude])
+        return int(ids[0]), float(scores[0])
+
+    def query_batch(self, xs, exclude):
+        for x in xs:
+            self._check_row(x)
+        for e in set(exclude):
+            self._require_candidate(e)
+        return self._scan(xs, exclude)

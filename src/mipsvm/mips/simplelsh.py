@@ -253,4 +253,5 @@ class SimpleLshIndex(MipsIndex):
         self._check_row(x)
         self._require_candidate(exclude)
         pool, fell_back = self._candidates(x, exclude)
-        return self._scan(x, exclude, None if fell_back else pool)
+        ids, scores = self._scan([x], [exclude], None if fell_back else pool)
+        return int(ids[0]), float(scores[0])

@@ -184,7 +184,8 @@ class SwGraphIndex(MipsIndex):
             if c != exclude:
                 return c, float(s)
         # traversal surfaced only the excluded class; scan the rest
-        return self._scan(x, exclude)
+        ids, scores = self._scan([x], [exclude])
+        return int(ids[0]), float(scores[0])
 
     # -- introspection (used by tests and demos) ----------------------------
 

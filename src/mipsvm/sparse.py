@@ -173,7 +173,8 @@ def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None):
     """Best class and its score for every row of ``X @ operand``.
 
     ``operand`` comes from :func:`scoring_operand`.  ``exclude`` optionally
-    gives one class position per row that cannot be the best; ``at``
+    gives one class position per row that cannot be the best (a negative
+    position excludes nothing); ``at``
     optionally gives one class position per row whose score is returned
     too.  Ties go to the smallest position.  Rows are scored in chunks of
     SCORE_BLOCK_ENTRIES // C, so memory is O(chunk x C), never O(n x C).
@@ -194,7 +195,8 @@ def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None):
         if at is not None:
             at_scores[lo:hi] = scores[rows, at[lo:hi]]
         if exclude is not None:
-            scores[rows, exclude[lo:hi]] = -np.inf
+            masked = exclude[lo:hi] >= 0
+            scores[rows[masked], exclude[lo:hi][masked]] = -np.inf
         top = scores.argmax(axis=1)
         best[lo:hi] = top
         best_scores[lo:hi] = scores[rows, top]

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from mipsvm.cli import main
+from mipsvm.cli import _train_config, build_parser, main
 from mipsvm.dataio import load_model, parse_dataset, write_dataset
 from mipsvm.metrics import evaluate
 from mipsvm.synth import make_toy_dataset
+from mipsvm.train import config_for_algo
 
 
 @pytest.fixture
@@ -59,6 +60,11 @@ class TestTrain:
                            "--model-out", str(tmp_path / "m.bin"))
         assert code == 0
         assert "--lsh-bits" in err and "ignored" in err
+
+    def test_default_config_is_config_for_algo(self):
+        for algo in ("l2", "l1"):
+            args = build_parser().parse_args(["train", "data.txt", "--algo", algo])
+            assert _train_config(args) == config_for_algo(algo)
 
     def test_unknown_flag_fails(self, toy_file, capsys):
         code, _, _ = run(capsys, "train", str(toy_file), "--frobnicate")

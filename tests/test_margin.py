@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mipsvm.dataio import Dataset
 from mipsvm.margin import (empirical_risk, exact_margin, exact_margins_batch,
-                           hinge_loss, inexact_margin)
-from mipsvm.mips import build_index
+                           hinge_loss, inexact_margin, inexact_margins_batch)
+from mipsvm.mips import BACKENDS, build_index
 from mipsvm.sparse import SparseVector, WeightMatrix
 
 
@@ -184,6 +184,16 @@ class TestEmpiricalRisk:
             batch = exact_margins_batch(W, data)
             loop = np.array([exact_margin(W, x, y).margin for y, x in data.examples])
             np.testing.assert_allclose(batch, loop, rtol=1e-12, atol=1e-14)
+            rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
+            for kind in BACKENDS:
+                index = build_index(rows, kind, dim=W.dim, seed=1, lsh_bits=3,
+                                    lsh_tables=2, swg_ef_search=2,
+                                    swg_max_neighbors=3)
+                margins, rivals = inexact_margins_batch(index, W, data)
+                loop = [inexact_margin(index, W, x, y) for y, x in data.examples]
+                assert rivals.tolist() == [m.rival for m in loop]
+                np.testing.assert_allclose(margins, [m.margin for m in loop],
+                                           rtol=1e-12, atol=1e-14)
 
     def test_inexact_path_dominates(self):
         rng = np.random.default_rng(10)

@@ -53,13 +53,19 @@ class TestBuild:
         index = build_index([], "exact", dim=3)
         with pytest.raises(NoCandidateError):
             index.query(sv({0: 1.0}, 3))
+        with pytest.raises(NoCandidateError):
+            index.query_batch([sv({0: 1.0}, 3)], [None])
 
     def test_exclusion_exhausts_single_row(self):
         index = build_index([(4, sv({0: 1.0}, 2))], "exact", dim=2)
         with pytest.raises(NoCandidateError):
             index.query(sv({0: 1.0}, 2), exclude=4)
+        with pytest.raises(NoCandidateError):
+            index.query_batch([sv({0: 1.0}, 2)] * 2, [None, 4])
         # without exclusion the row is returned
         assert index.query(sv({0: 1.0}, 2)) == (4, 1.0)
+        ids, scores = index.query_batch([sv({0: 1.0}, 2)] * 2, [None, 7])
+        assert (ids.tolist(), scores.tolist()) == ([4, 4], [1.0, 1.0])
 
 
 class TestQuery:
@@ -174,3 +180,28 @@ def test_concurrent_first_queries_after_update(kind):
             assert results == [want] * 4
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_query_batch_matches_query(kind, kernel_cases):
+    """One query_batch call gives every row's query answer, bit for bit.
+
+    The kernel cases bring score ties (a duplicated and an all-zero class
+    row, examples with no nonzeros) and chunk boundaries; the excludes mix
+    an indexed id, an id the index does not hold, and None.
+    """
+    params = {"exact": {}, "simplelsh": {"lsh_bits": 3, "lsh_tables": 2},
+              "swgraph": {"swg_ef_search": 2, "swg_max_neighbors": 3}}[kind]
+    for W, data in kernel_cases:
+        index = build_index([(c, W.materialize_row(c)) for c in range(W.num_classes)],
+                            kind, dim=W.dim, seed=1, **params)
+        xs = [x for _, x in data.examples]
+        mixed = [(y, W.num_classes + 3, None)[i % 3]
+                 for i, (y, _) in enumerate(data.examples)]
+        for exclude in ([None] * len(xs), mixed, data.labels_array()):
+            ids, scores = index.query_batch(xs, exclude)
+            want = [index.query(x, exclude=e) for x, e in zip(xs, exclude)]
+            assert ids.tolist() == [c for c, _ in want]
+            assert scores.tolist() == [s for _, s in want]
+        empty = index.query_batch([], [])
+        assert [a.size for a in empty] == [0, 0]

@@ -124,7 +124,7 @@ class TestTruncate:
 
 class TestConfig:
     def test_validation_catches_bad_values(self):
-        for bad in [dict(lam=-1), dict(rho=0), dict(eta0=0), dict(eta_step=-1),
+        for bad in [dict(lam=-1), dict(eta0=0), dict(eta_step=-1),
                     dict(epochs=0), dict(batch_size=0), dict(backend="fancy"),
                     dict(lsh_bits=0), dict(threads=0),
                     dict(lam=11.0, eta0=0.1, eta_step=0.0)]:
@@ -284,14 +284,15 @@ class TestTrainL2:
 
     def test_determinism_and_thread_independence(self):
         toy = make_toy_dataset()
-        runs = []
-        for threads in (1, 1, 3):
-            cfg = TrainConfig(lam=1.0, epochs=10, seed=4, backend="exact",
-                              threads=threads)
-            W, _ = train_l2(toy, cfg)
-            runs.append(dense_rows(W))
-        np.testing.assert_array_equal(runs[0], runs[1])
-        np.testing.assert_array_equal(runs[0], runs[2])
+        for backend in ("exact", "simplelsh", "swgraph"):
+            runs = []
+            for threads in (1, 1, 3):
+                cfg = TrainConfig(lam=1.0, epochs=10, seed=4, backend=backend,
+                                  threads=threads)
+                W, _ = train_l2(toy, cfg)
+                runs.append(dense_rows(W))
+            np.testing.assert_array_equal(runs[0], runs[1])
+            np.testing.assert_array_equal(runs[0], runs[2])
 
     def test_shape_validation(self):
         toy = make_toy_dataset()
