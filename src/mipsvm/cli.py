@@ -133,9 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(path, args, label_map=None) -> Dataset:
-    return parse_dataset(path, zero_based=args.zero_based, dim=args.dim,
-                         num_classes=args.classes, label_map=label_map)
+def _load_dataset(path, args, dim=None) -> Dataset:
+    """Parse with the dataset flags; ``--dim``, when given, overrides ``dim``."""
+    return parse_dataset(path, zero_based=args.zero_based,
+                         dim=dim if args.dim is None else args.dim,
+                         num_classes=args.classes)
 
 
 def _train_config(args) -> TrainConfig:
@@ -181,7 +183,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     W, _ = load_model(args.model)
     names = load_label_names(args.model)
-    data = _load_dataset(args.input, args)
+    data = _load_dataset(args.input, args, W.dim)
     from .metrics import predict_batch
     pred = predict_batch(W, data)
     lines = [(names[c] if names and c < len(names) else str(c)) for c in pred]

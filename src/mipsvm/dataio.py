@@ -204,7 +204,8 @@ def _bytes_left(fh) -> int:
 
 
 def _check_dim(dim: int) -> None:
-    if dim < 1:
+    # feature indices are int64, and so is the weight matrix's CSR shape
+    if not 1 <= dim <= np.iinfo(np.int64).max:
         raise ModelFormatError(f"header claims dimension {dim}")
 
 
@@ -228,6 +229,11 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _matrix(rows, dim: int) -> WeightMatrix:
+    """The matrix of a model's checked rows; a header of 0 classes gives one zero row."""
+    return WeightMatrix.from_rows(rows, dim) if rows else WeightMatrix(1, dim)
+
+
 def _load_binary(fh) -> tuple[WeightMatrix, dict]:
     version, num_classes, dim, lam = struct.unpack(
         "<IQQd", _read_exact(fh, struct.calcsize("<IQQd"), "header"))
@@ -240,7 +246,7 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
         raise ModelFormatError(f"algorithm tag is not UTF-8: {exc}") from exc
     _check_dim(dim)
     _check_class_claim(fh, num_classes, 16)
-    W = WeightMatrix(max(num_classes, 1), dim)
+    rows = []
     for k in range(num_classes):
         c, nnz = struct.unpack("<QQ", _read_exact(fh, 16, f"row {k} header"))
         if c != k:
@@ -253,15 +259,15 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
         idx = np.frombuffer(_read_exact(fh, 8 * nnz, f"row {k} indices"), dtype="<i8")
         val = np.frombuffer(_read_exact(fh, 8 * nnz, f"row {k} values"), dtype="<f8")
         try:
-            row = SparseVector(idx.astype(np.int64), val.astype(np.float64), dim)
+            rows.append((k, SparseVector(idx.astype(np.int64),
+                                         val.astype(np.float64), dim)))
         except ValueError as exc:
             raise ModelFormatError(f"row {k} is corrupt: {exc}") from exc
-        W.add_to_row(c, 1.0, row)
     if fh.read(1):
         raise ModelFormatError("trailing bytes after last row")
     header = {"format_version": version, "num_classes": int(num_classes),
               "dim": int(dim), "lambda": lam, "algorithm": algorithm}
-    return W, header
+    return _matrix(rows, dim), header
 
 
 def _number(kind, token: str, what: str):
@@ -287,7 +293,7 @@ def _load_text(fh) -> tuple[WeightMatrix, dict]:
     algorithm = head[3]
     _check_dim(dim)
     _check_class_claim(fh, num_classes, len("0 0\n"))
-    W = WeightMatrix(max(num_classes, 1), dim)
+    rows = []
     for k in range(num_classes):
         line = fh.readline()
         parts = line.split()
@@ -306,14 +312,14 @@ def _load_text(fh) -> tuple[WeightMatrix, dict]:
             for tok in parts[2:]:
                 i, _, v = tok.partition(":")
                 pairs.append((int(i), float(v)))
-            W.add_to_row(c, 1.0, SparseVector.from_pairs(pairs, dim))
+            rows.append((k, SparseVector.from_pairs(pairs, dim)))
         except (ValueError, OverflowError) as exc:
             raise ModelFormatError(f"row {k} is corrupt: {exc}") from exc
     if fh.readline().strip():
         raise ModelFormatError("trailing content after last row")
     header = {"format_version": version, "num_classes": num_classes,
               "dim": dim, "lambda": lam, "algorithm": algorithm}
-    return W, header
+    return _matrix(rows, dim), header
 
 
 def load_model(path) -> tuple[WeightMatrix, dict]:

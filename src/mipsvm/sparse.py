@@ -2,8 +2,8 @@
 
 Every trainer, search index and metric in this package works on two
 structures: :class:`SparseVector` (sorted index/value pairs with an explicit
-dimension) and :class:`WeightMatrix` (one sparse row per class sharing a
-single scale multiplier, so that scaling the whole matrix is O(1)).
+dimension) and :class:`WeightMatrix` (one CSR of class rows behind a single
+scale multiplier, so that scaling the whole matrix is O(1)).
 :func:`score_block` is the one exact scoring kernel: it multiplies a CSR
 block of examples by a class matrix, chunk by chunk.
 """
@@ -92,9 +92,6 @@ class SparseVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def sq_norm(self) -> float:
-        return float(np.dot(self.values, self.values))
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
@@ -102,13 +99,6 @@ class SparseVector:
 
     def scaled(self, alpha) -> "SparseVector":
         return SparseVector(self.indices, alpha * self.values, self.dim, check=False)
-
-    def drop_zeros(self) -> "SparseVector":
-        keep = self.values != 0.0
-        if keep.all():
-            return self
-        return SparseVector(self.indices[keep], self.values[keep], self.dim,
-                            check=False)
 
     def __eq__(self, other):
         if not isinstance(other, SparseVector):
@@ -211,10 +201,10 @@ class WeightMatrix:
     by a positive factor only touches ``scale``, which is what makes the
     regularization step of the trainers O(1) instead of O(nnz).
 
-    Cached per-row squared norms (of the stored, unscaled rows) and their sum
-    are maintained incrementally; the squared norm of a row is recomputed
-    exactly from its value array on every row update, so the caches cannot
-    drift with the number of operations.
+    The stored rows are one canonical CSR (sorted indices, no duplicates,
+    no explicit zeros).  Every write replaces it through :meth:`_write`,
+    which recomputes the cached squared norms of the stored rows and their
+    sum exactly from the new data, so the caches cannot drift.
 
     Single-writer: concurrent read-only access (dot products against a
     frozen matrix) is safe, concurrent mutation is not.
@@ -228,11 +218,8 @@ class WeightMatrix:
         self.num_classes = int(num_classes)
         self.dim = int(dim)
         self.scale = 1.0
-        self._idx = [np.empty(0, dtype=np.int64) for _ in range(num_classes)]
-        self._val = [np.empty(0, dtype=np.float64) for _ in range(num_classes)]
-        self._row_sq = np.zeros(num_classes)
-        self._frob_sq = 0.0
         self.fold_count = 0
+        self._write(sp.csr_matrix((self.num_classes, self.dim)))
 
     # -- constructors -------------------------------------------------
 
@@ -242,20 +229,19 @@ class WeightMatrix:
         rows = list(rows)
         if not rows:
             raise ValueError("need at least one row")
-        num_classes = max(c for c, _ in rows) + 1
-        W = cls(num_classes, dim)
+        W = cls(max(c for c, _ in rows) + 1, dim)
+        indices = [np.empty(0, dtype=np.int64)] * W.num_classes
+        values = [np.empty(0, dtype=np.float64)] * W.num_classes
         seen = set()
         for c, r in rows:
+            W._check_class(c)
             if c in seen:
                 raise ValueError(f"duplicate class id {c}")
             seen.add(c)
             if r.dim != dim:
                 raise ValueError(f"row {c} has dim {r.dim}, expected {dim}")
-            r = r.drop_zeros()
-            W._idx[c] = r.indices.copy()
-            W._val[c] = r.values.copy()
-            W._row_sq[c] = r.sq_norm()
-        W._frob_sq = float(W._row_sq.sum())
+            indices[c], values[c] = r.indices, r.values
+        W._write(stack_csr(indices, values, dim))
         return W
 
     # -- internal helpers ---------------------------------------------
@@ -264,44 +250,50 @@ class WeightMatrix:
         if not 0 <= c < self.num_classes:
             raise IndexError(f"class id {c} out of range [0, {self.num_classes})")
 
-    def _fold(self):
-        s = self.scale
-        for c in range(self.num_classes):
-            val = self._val[c] * s
-            keep = val != 0.0
-            if not keep.all():
-                self._idx[c] = self._idx[c][keep]
-                val = val[keep]
-            self._val[c] = val
-            self._row_sq[c] = float(np.dot(val, val))
-        self.scale = 1.0
+    def _write(self, stored: sp.csr_matrix) -> None:
+        """The one writer: canonicalise ``stored`` (a fresh matrix, changed in
+        place), make it the store and recompute the norm caches from it.
+
+        scipy's sums and products may leave indices unsorted, which
+        SparseVector rejects; ``sum_duplicates`` sorts them.
+        """
+        stored.sum_duplicates()
+        stored.eliminate_zeros()
+        rows = np.repeat(np.arange(self.num_classes), np.diff(stored.indptr))
+        self._row_sq = np.bincount(rows, weights=stored.data ** 2,
+                                   minlength=self.num_classes)
         self._frob_sq = float(self._row_sq.sum())
+        self._store = stored
+
+    def _row(self, c: int):
+        """Index and value views of stored row c."""
+        self._check_class(c)
+        lo, hi = self._store.indptr[c], self._store.indptr[c + 1]
+        return self._store.indices[lo:hi], self._store.data[lo:hi]
+
+    def _fold(self):
+        self._write(self._store * self.scale)
+        self.scale = 1.0
         self.fold_count += 1
 
     # -- mutating operations ------------------------------------------
 
+    def add(self, delta) -> None:
+        """Logical W += delta for a C x dim scipy sparse ``delta``."""
+        if delta.shape != (self.num_classes, self.dim):
+            raise ValueError(f"delta shape {delta.shape} does not match the matrix")
+        if delta.nnz:
+            self._write(self._store + delta * (1.0 / self.scale))
+
     def add_to_row(self, c: int, coeff: float, x: SparseVector) -> None:
-        """Logical row c += coeff * x (stored row takes coeff/scale * x)."""
+        """Logical row c += coeff * x."""
         self._check_class(c)
         if x.dim != self.dim:
             raise ValueError(f"vector dim {x.dim} does not match matrix dim {self.dim}")
         if coeff == 0.0 or x.indices.size == 0:
             return
-        sc = coeff / self.scale
-        idx, val = self._idx[c], self._val[c]
-        if idx.size == 0:
-            new_idx = x.indices.copy()
-            new_val = sc * x.values
-        else:
-            new_idx = np.union1d(idx, x.indices)
-            new_val = np.zeros(new_idx.size)
-            new_val[np.searchsorted(new_idx, idx)] = val
-            new_val[np.searchsorted(new_idx, x.indices)] += sc * x.values
-        self._idx[c] = new_idx
-        self._val[c] = new_val
-        new_sq = float(np.dot(new_val, new_val))
-        self._frob_sq += new_sq - self._row_sq[c]
-        self._row_sq[c] = new_sq
+        self.add(sp.csr_matrix((coeff * x.values, (np.full(x.nnz, c), x.indices)),
+                               shape=(self.num_classes, self.dim)))
 
     def global_scale(self, alpha: float) -> None:
         """Logical W *= alpha in O(1); folds into rows on extreme scales."""
@@ -312,74 +304,65 @@ class WeightMatrix:
             self._fold()
 
     def project_to_ball(self, lam: float) -> float:
-        """Scale W into the Frobenius ball of radius 1/sqrt(lam); returns the factor."""
+        """Scale W into the Frobenius ball of radius 1/sqrt(lam); returns the factor.
+
+        An overflowed (non-finite) norm leaves W as it is and returns 1.0.
+        """
         if lam < 0.0:
             raise ValueError("lam must be nonnegative")
         fro = self.frob_norm()
-        if lam == 0.0 or fro == 0.0:
+        if lam == 0.0 or fro == 0.0 or not math.isfinite(fro):
             return 1.0
         phi = min(1.0, 1.0 / (math.sqrt(lam) * fro))
         if phi < 1.0:
             self.global_scale(phi)
         return phi
 
-    def truncate_row(self, c: int, tau: float) -> None:
-        """Soft-threshold logical row c at tau; drops the resulting zeros."""
-        self._check_class(c)
+    def truncate_rows(self, rows, tau: float) -> None:
+        """Soft-threshold the logical rows ``rows`` at tau; drops the resulting zeros."""
+        rows = np.asarray(rows, dtype=np.int64)
+        for c in rows:
+            self._check_class(c)
         if tau < 0.0:
             raise ValueError("threshold must be nonnegative")
-        idx, val = self._idx[c], self._val[c]
-        if idx.size == 0:
+        if tau == 0.0 or rows.size == 0:
             return
-        if tau == 0.0:
-            keep = val != 0.0
-            new_idx, new_val = idx[keep], val[keep]
-        else:
-            logical = self.scale * val
-            shrunk = np.sign(logical) * np.maximum(np.abs(logical) - tau, 0.0)
-            keep = shrunk != 0.0
-            new_idx = idx[keep]
-            new_val = shrunk[keep] / self.scale
-        self._idx[c] = new_idx
-        self._val[c] = new_val
-        new_sq = float(np.dot(new_val, new_val))
-        self._frob_sq += new_sq - self._row_sq[c]
-        self._row_sq[c] = new_sq
+        chosen = np.zeros(self.num_classes, dtype=bool)
+        chosen[rows] = True
+        at = np.repeat(chosen, np.diff(self._store.indptr))
+        stored = self._store.copy()
+        logical = self.scale * stored.data[at]
+        shrunk = np.sign(logical) * np.maximum(np.abs(logical) - tau, 0.0)
+        stored.data[at] = shrunk / self.scale
+        self._write(stored)
+
+    def truncate_row(self, c: int, tau: float) -> None:
+        """Soft-threshold logical row c at tau; drops the resulting zeros."""
+        self.truncate_rows([c], tau)
 
     # -- read-only views ----------------------------------------------
 
     def materialize_row(self, c: int) -> SparseVector:
         """Logical row c with the scale folded in; explicit zeros dropped."""
-        self._check_class(c)
-        val = self.scale * self._val[c]
+        idx, val = self._row(c)
+        val = self.scale * val
         keep = val != 0.0
-        if keep.all():
-            return SparseVector(self._idx[c].copy(), val, self.dim, check=False)
-        return SparseVector(self._idx[c][keep], val[keep], self.dim, check=False)
+        return SparseVector(idx[keep], val[keep], self.dim, check=False)
 
     def stored_row(self, c: int) -> SparseVector:
         """Stored (unscaled) row c; all rows share the same implicit scale."""
-        self._check_class(c)
-        idx, val = self._idx[c], self._val[c]
-        keep = val != 0.0
-        if keep.all():
-            return SparseVector(idx.copy(), val.copy(), self.dim, check=False)
-        return SparseVector(idx[keep], val[keep], self.dim, check=False)
+        idx, val = self._row(c)
+        return SparseVector(idx.copy(), val.copy(), self.dim, check=False)
 
     def row_dot(self, c: int, x: SparseVector) -> float:
         """Logical inner product of row c with x."""
-        self._check_class(c)
         if x.dim != self.dim:
             raise ValueError(f"vector dim {x.dim} does not match matrix dim {self.dim}")
-        return self.scale * _dot_arrays(self._idx[c], self._val[c],
-                                        x.indices, x.values)
-
-    def row_norm(self, c: int) -> float:
-        self._check_class(c)
-        return self.scale * math.sqrt(max(self._row_sq[c], 0.0))
+        idx, val = self._row(c)
+        return self.scale * _dot_arrays(idx, val, x.indices, x.values)
 
     def frob_norm(self) -> float:
-        return self.scale * math.sqrt(max(self._frob_sq, 0.0))
+        return self.scale * math.sqrt(self._frob_sq)
 
     @property
     def row_sq_norms(self) -> np.ndarray:
@@ -392,13 +375,11 @@ class WeightMatrix:
         return self._frob_sq
 
     def nnz(self) -> int:
-        return sum(idx.size for idx in self._idx)
+        return int(self._store.nnz)
 
     def to_csr(self) -> sp.csr_matrix:
         """Logical matrix as a scipy CSR, for vectorized scoring paths."""
-        M = stack_csr(self._idx, self._val, self.dim)
-        M.data *= self.scale
-        return M
+        return self._store * self.scale
 
     def __repr__(self):
         return (f"WeightMatrix(num_classes={self.num_classes}, dim={self.dim}, "

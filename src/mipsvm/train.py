@@ -3,12 +3,13 @@
 Both trainers share one loop shape.  Per step: draw a batch uniformly with
 replacement, ask the MIPS index (a frozen snapshot) for every example's
 rival class with one ``query_batch`` call per slice of the batch, re-score
-the true and rival classes exactly, then apply the hinge updates
-sequentially.  The l2 variant scales the matrix by (1 - lambda * eta_t)
-before the queries and projects it onto the Frobenius ball of radius
-1/sqrt(lambda) afterwards; the l1 variant skips both and instead
-soft-thresholds every row touched by the batch, which is where the whole l1
-penalty lives.
+the true and rival classes exactly, then apply the hinge updates as one
+sparse product, eta * (Y - R)^T X over the hinge-active examples (Y and R
+one-hot in the true and rival classes).  The l2 variant scales the matrix
+by (1 - lambda * eta_t) before the queries and projects it onto the
+Frobenius ball of radius 1/sqrt(lambda) afterwards; the l1 variant skips
+both and instead soft-thresholds every row touched by the batch, which is
+where the whole l1 penalty lives.
 
 The index is kept in the matrix's stored (unscaled) units: global scaling
 multiplies every logical row by the same positive factor and cannot change
@@ -26,6 +27,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy import sparse as sp
 
 from .dataio import Dataset
 # inexact_margin is unused here; perfbench/tracing.py patches it by this
@@ -180,15 +182,20 @@ def _query_phase(index, W, batch, threads):
     """Margin and rival of every example against the frozen index.
 
     The batch is cut into ``threads`` contiguous slices, each scored by one
-    :func:`inexact_margins_batch` call on a pool thread, and the results are
-    joined in order; every example is scored on its own, so the cut cannot
-    change them.
+    :func:`inexact_margins_batch` call, and the results are joined in order;
+    every example is scored on its own, so the cut cannot change them.  One
+    slice is scored on the calling thread; more go to a pool, one thread
+    each.
     """
     cuts = np.linspace(0, len(batch), min(threads, len(batch)) + 1).astype(int)
     parts = [Dataset(batch[lo:hi], W.dim, W.num_classes)
              for lo, hi in zip(cuts[:-1], cuts[1:])]
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        found = list(pool.map(partial(inexact_margins_batch, index, W), parts))
+    score = partial(inexact_margins_batch, index, W)
+    if len(parts) == 1:
+        found = [score(parts[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            found = list(pool.map(score, parts))
     margins, rivals = (np.concatenate(arrays).tolist() for arrays in zip(*found))
     return list(map(_Proposal, margins, rivals))
 
@@ -229,29 +236,32 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
         # phase 1: rivals and margins against the frozen snapshot
         margins = _query_phase(index, W, batch, cfg.threads)
 
-        # phase 2: sequential hinge updates
-        touched: set[int] = set()
-        for (y, x), m in zip(batch, margins):
-            if mode == "l1":
-                touched.update((y, m.rival))
-            if 1.0 - m.margin > 0.0:
-                W.add_to_row(m.rival, -eta, x)
-                W.add_to_row(y, eta, x)
-                if mode == "l2":
-                    touched.update((y, m.rival))
-
+        # phase 2: the hinge updates, one product over the hinge-active examples
+        labels = np.array([y for y, _ in batch], dtype=np.int64)
+        rivals = np.array([m.rival for m in margins], dtype=np.int64)
+        active = np.flatnonzero(1.0 - np.array([m.margin for m in margins]) > 0.0)
+        if active.size:
+            signs = sp.csr_matrix(
+                (np.repeat([eta, -eta], active.size),
+                 (np.concatenate([labels[active], rivals[active]]),
+                  np.tile(np.arange(active.size), 2))),
+                shape=(W.num_classes, active.size))
+            X = Dataset([batch[i] for i in active], W.dim, W.num_classes).to_csr()
+            W.add(signs @ X)
         if mode == "l2":
+            touched = np.union1d(labels[active], rivals[active])
             W.project_to_ball(cfg.lam)
-        elif cfg.truncation and touched:
-            tau = (data.num_classes / len(touched)) * cfg.lam * eta
-            for c in sorted(touched):
-                W.truncate_row(c, tau)
+        else:
+            touched = np.union1d(labels, rivals)
+            if cfg.truncation:
+                tau = (data.num_classes / touched.size) * cfg.lam * eta
+                W.truncate_rows(touched, tau)
 
         # refresh the index; a fold rewrote every stored row
         if W.fold_count != fold_before:
             refresh = list(range(W.num_classes))
         else:
-            refresh = sorted(touched)
+            refresh = touched.tolist()
         # descending norm order caps LSH re-augmentation at one rebuild per batch
         row_sq = W.row_sq_norms
         refresh.sort(key=lambda c: -row_sq[c])

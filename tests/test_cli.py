@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mipsvm.cli import _train_config, build_parser, main
-from mipsvm.dataio import load_model, parse_dataset, write_dataset
-from mipsvm.metrics import evaluate
+from mipsvm.dataio import load_label_names, load_model, parse_dataset, write_dataset
+from mipsvm.metrics import evaluate, predict_batch
 from mipsvm.synth import make_toy_dataset
 from mipsvm.train import config_for_algo
 
@@ -118,6 +118,17 @@ class TestPredictEvalAudit:
         truth = [data.label_names()[y] for y, _ in data.examples]
         agree = sum(p == t for p, t in zip(preds, truth)) / len(preds)
         assert agree >= 0.95
+
+    def test_predict_parses_input_at_model_dim(self, tmp_path, trained, capsys):
+        # the file's largest feature index (1) is below the model's dimension
+        one = tmp_path / "one.txt"
+        one.write_text("a 1:0.5\n")
+        code, out, err = run(capsys, "predict", "--model", str(trained),
+                             "--input", str(one))
+        assert code == 0, err
+        W, _ = load_model(trained)
+        pred = predict_batch(W, parse_dataset(one, dim=W.dim))
+        assert out.split() == [load_label_names(trained)[pred[0]]]
 
     def test_predict_missing_model_names_path(self, toy_file, capsys):
         code, _, err = run(capsys, "predict", "--model", "/nope/model.bin",

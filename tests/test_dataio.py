@@ -231,6 +231,23 @@ class TestModelIO:
             with pytest.raises(ModelFormatError, match="claims 1000000 classes"):
                 load_model(path)
 
+    def test_dimension_beyond_int64_fails_closed(self, tmp_path):
+        import struct
+        W = WeightMatrix(2, 4)
+        binary, text = tmp_path / "model.bin", tmp_path / "model.txt"
+        save_model(binary, W, lam=1.0, algorithm="l2")
+        save_model(text, W, lam=1.0, algorithm="l2", fmt="text")
+        blob = bytearray(binary.read_bytes())
+        # the u64 dimension follows the u64 class count
+        struct.pack_into("<Q", blob, 24, 2**64 - 1)
+        binary.write_bytes(bytes(blob))
+        lines = text.read_text().splitlines()
+        lines[1] = lines[1].replace(" 4 ", f" {2**63} ", 1)
+        text.write_text("\n".join(lines) + "\n")
+        for path in (binary, text):
+            with pytest.raises(ModelFormatError, match="claims dimension"):
+                load_model(path)
+
     def test_truncated_text_fails_closed(self, tmp_path):
         W = self.make_matrix(seed=6)
         path = tmp_path / "model.txt"

@@ -7,6 +7,7 @@ same logical operations literally, with no scale trick.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import sparse as sp
 from hypothesis import strategies as st
 
 from mipsvm.sparse import SparseVector, WeightMatrix, dot
@@ -123,8 +124,25 @@ class TestWeightMatrixBasics:
         W.add_to_row(0, 2.0, sv({0: 1.0}, 1))
         W.global_scale(0.5)
         W.add_to_row(0, 1.0, sv({0: 1.0}, 1))
-        assert W._val[0][0] == 4.0
+        assert W.stored_row(0).values[0] == 4.0
         assert W.materialize_row(0) == sv({0: 2.0}, 1)
+
+    def test_nnz_counts_only_nonzeros(self):
+        W = WeightMatrix(2, 3)
+        x = sv({0: 1.0, 2: -2.0}, 3)
+        W.add_to_row(0, 1.0, x)
+        W.add_to_row(0, -1.0, x)
+        assert W.nnz() == 0
+        assert W.materialize_row(0) == sv({}, 3)
+
+    def test_batched_write_checks(self):
+        W = WeightMatrix(2, 3)
+        with pytest.raises(ValueError, match="shape"):
+            W.add(sp.csr_matrix((2, 4)))
+        with pytest.raises(IndexError):
+            W.truncate_rows([0, 2], 0.1)
+        with pytest.raises(ValueError):
+            W.truncate_rows([0], -0.1)
 
     def test_class_out_of_range(self):
         W = WeightMatrix(2, 3)
@@ -141,13 +159,13 @@ class TestWeightMatrixBasics:
     def test_global_scale_identity_and_powers(self):
         W = WeightMatrix(1, 2)
         W.add_to_row(0, 1.0, sv({1: 3.0}, 2))
-        stored = W._val[0].copy()
+        stored = W.stored_row(0).values.copy()
         W.global_scale(1.0)
         assert W.scale == 1.0
         for _ in range(3):
             W.global_scale(0.9)
         assert W.scale == pytest.approx(0.729, rel=1e-15)
-        np.testing.assert_array_equal(W._val[0], stored)
+        np.testing.assert_array_equal(W.stored_row(0).values, stored)
 
     def test_global_scale_rejects_nonpositive(self):
         W = WeightMatrix(1, 1)
@@ -270,7 +288,8 @@ class TestLazyScaleTransparency:
 
     def test_cache_coherence(self):
         W, _ = random_op_sequence(seed=7, n_ops=400)
-        recomputed = np.array([float(np.dot(v, v)) for v in W._val])
+        recomputed = np.array([float(np.dot(v, v)) for v in
+                               (W.stored_row(c).values for c in range(W.num_classes))])
         np.testing.assert_allclose(W.row_sq_norms, recomputed,
                                    rtol=1e-9, atol=1e-15)
         assert W.frob_sq == pytest.approx(float(recomputed.sum()),
@@ -286,6 +305,76 @@ class TestLazyScaleTransparency:
             W.add_to_row(c, float(rng.standard_normal()), x)
             touched.update((c, int(i)) for i in x.indices)
         assert W.nnz() <= len(touched)
+
+
+def random_batched_sequence(seed, num_classes=6, dim=10, n_ops=300):
+    """Multi-row deltas and truncations mixed with scaling, folds and projection."""
+    rng = np.random.default_rng(seed)
+    W = WeightMatrix(num_classes, dim)
+    mirror = DenseMirror(num_classes, dim)
+    for _ in range(n_ops):
+        r = rng.random()
+        if r < 0.4:
+            # duplicate coordinates are summed; a delta may cancel a row
+            n = int(rng.integers(0, 12))
+            delta = sp.coo_matrix((rng.standard_normal(n),
+                                   (rng.integers(num_classes, size=n),
+                                    rng.integers(dim, size=n))),
+                                  shape=(num_classes, dim))
+            if rng.random() < 0.2:
+                delta = -W.to_csr()
+            W.add(delta)
+            mirror.M += delta.toarray()
+        elif r < 0.6:
+            alpha = float(rng.uniform(0.2, 1.8))
+            W.global_scale(alpha)
+            mirror.global_scale(alpha)
+        elif r < 0.7:
+            # far enough from 1 that the scale leaves the fold range
+            alpha = float(10.0 ** rng.choice([-5.0, 5.0]))
+            W.global_scale(alpha)
+            mirror.global_scale(alpha)
+        elif r < 0.85:
+            lam = float(rng.uniform(0.1, 4.0))
+            assert W.project_to_ball(lam) == pytest.approx(
+                mirror.project_to_ball(lam), rel=1e-9)
+        else:
+            rows = rng.choice(num_classes, size=int(rng.integers(0, num_classes + 1)),
+                              replace=False)
+            tau = float(rng.uniform(0.0, 0.3))
+            W.truncate_rows(np.sort(rows), tau)
+            for c in rows:
+                mirror.truncate_row(c, tau)
+    return W, mirror
+
+
+class TestBatchedWrites:
+    def test_matches_dense_mirror(self):
+        W, mirror = random_batched_sequence(seed=2024)
+        assert W.fold_count >= 1
+        assert_matches_mirror(W, mirror)
+
+    def test_truncation_drops_zeroed_entries(self):
+        W = WeightMatrix(3, 4)
+        W.add(sp.csr_matrix([[0.5, -0.05, 0.0, 0.0],
+                             [0.08, 0.0, 0.0, -0.3],
+                             [0.05, 0.0, 0.0, 0.0]]))
+        W.truncate_rows([0, 1], 0.1)
+        assert W.nnz() == 3
+        np.testing.assert_allclose(W.to_csr().toarray(),
+                                   [[0.4, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, -0.2],
+                                    [0.05, 0.0, 0.0, 0.0]], rtol=1e-15)
+
+    def test_store_stays_canonical_and_caches_exact(self):
+        W, _ = random_batched_sequence(seed=5)
+        M = W.to_csr()
+        assert M.has_canonical_format and not (M.data == 0.0).any()
+        assert W.nnz() == M.nnz
+        recomputed = np.array([float(np.dot(v, v)) for v in
+                               (W.stored_row(c).values for c in range(W.num_classes))])
+        np.testing.assert_allclose(W.row_sq_norms, recomputed, rtol=1e-12, atol=0)
+        assert W.frob_sq == pytest.approx(float(recomputed.sum()), rel=1e-12)
 
 
 class TestCsrView:

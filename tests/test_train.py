@@ -294,6 +294,16 @@ class TestTrainL2:
             np.testing.assert_array_equal(runs[0], runs[1])
             np.testing.assert_array_equal(runs[0], runs[2])
 
+    def test_one_slice_runs_on_the_calling_thread(self, monkeypatch):
+        # a fresh pool thread per step made dense training times bimodal
+        import mipsvm.train as train_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("threads=1 started a thread pool")
+
+        monkeypatch.setattr(train_module, "ThreadPoolExecutor", no_pool)
+        train_l2(make_toy_dataset(), TrainConfig(lam=1.0, epochs=3, threads=1))
+
     def test_shape_validation(self):
         toy = make_toy_dataset()
         with pytest.raises(ValueError):
@@ -313,6 +323,12 @@ class TestTrainL2:
             with np.errstate(all="ignore"), \
                     pytest.raises(ValueError, match="diverged at step 1: objective is nan"):
                 trainer(data, TrainConfig(epochs=3, seed=0))
+        # the first update overflows ||W||^2 to inf: projection must leave
+        # the divergence to the objective check, not pass on a zero factor
+        wide = Dataset([(0, sv({0: 1e160}, 2)), (1, sv({1: 1e160}, 2))], 2, 2)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="diverged at step 1"):
+            train_l2(wide, TrainConfig(epochs=3, seed=0, batch_size=1))
 
 
 class TestTrainL1:
