@@ -171,8 +171,12 @@ def _cmd_train(args) -> int:
     record = {
         "algo": args.algo, "backend": args.backend, "epochs": len(log),
         "train_seconds": seconds, "final_objective": log.objective[-1],
-        "nnz": log.nnz[-1],
+        "nnz": log.nnz[-1], "index_refreshes": sum(log.index_refreshes),
+        **log.index_counters,
     }
+    if log.index_counters.get("queries"):
+        record["fallback_rate"] = (log.index_counters["fallbacks"]
+                                   / log.index_counters["queries"])
     if heldout is not None:
         record["heldout_accuracy"] = log.heldout_accuracy[-1]
         record["heldout_macro_f1"] = log.heldout_macro_f1[-1]

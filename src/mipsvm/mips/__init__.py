@@ -33,11 +33,7 @@ def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
         if not rows:
             raise ValueError("dim is required when building from no rows")
         dim = rows[0][1].dim
-    seen = set()
     for c, r in rows:
-        if c in seen:
-            raise ValueError(f"duplicate class id {c}")
-        seen.add(c)
         if r.dim != dim:
             raise ValueError(f"row {c} has dim {r.dim}, expected {dim}")
     if kind == "exact":
@@ -50,8 +46,7 @@ def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
                              ef_search=swg_ef_search, seed=seed)
     else:
         raise ValueError(f"unknown backend {kind!r}; expected one of {BACKENDS}")
-    for c, r in rows:
-        index.update_row(c, r)
+    index.update_rows(rows)
     return index
 
 

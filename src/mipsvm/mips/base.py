@@ -30,13 +30,14 @@ class MipsIndex(ABC):
 
     * ``query`` never returns the excluded class, and ``query_batch``
       answers every row of a batch exactly as ``query`` would;
-    * after ``update_row(c, row)`` the index reflects the new row before the
-      next query;
+    * after ``update_row(c, row)`` or ``update_rows(items)`` the index
+      reflects the new rows before the next query;
     * queries are read-only and may run concurrently against a frozen index;
       updates are exclusive.  The one thing a query writes is the scan state
       (sorted ids and their scoring operand), built on the first full scan
       after an update and kept in a single attribute: two first queries
       racing each other build identical values and each reads a whole pair.
+      A backend's work counters (:meth:`counters`) are bumped under a lock.
 
     The base class keeps the row snapshots and does every exact scan: the
     full scan of a batch and the re-ranking of a candidate pool.
@@ -117,6 +118,27 @@ class MipsIndex(ABC):
     @abstractmethod
     def update_row(self, c: int, new_row: SparseVector) -> None:
         """Insert or replace the row of class ``c``."""
+
+    @staticmethod
+    def _distinct(items) -> list[tuple[int, SparseVector]]:
+        """``items`` as a list of (int class id, row); duplicate ids raise."""
+        items = [(int(c), row) for c, row in items]
+        if len({c for c, _ in items}) != len(items):
+            raise ValueError("duplicate class id in one batch of updates")
+        return items
+
+    def update_rows(self, items) -> None:
+        """Insert or replace the row of every (class id, row) pair of ``items``.
+
+        This default makes one :meth:`update_row` call per pair, in the given
+        order; a backend that refreshes a whole batch at once overrides it.
+        """
+        for c, row in self._distinct(items):
+            self.update_row(c, row)
+
+    def counters(self) -> dict[str, int]:
+        """The work counts this backend keeps, by name (none by default)."""
+        return {}
 
     def class_ids(self) -> list[int]:
         """Sorted ids of the currently indexed classes."""

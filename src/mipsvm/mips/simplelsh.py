@@ -8,26 +8,40 @@ In the augmented space the inner product of a data row and a query equals
 candidates exactly as the original inner products do.
 
 Hash planes are a deterministic Gaussian field keyed by (seed, bit,
-coordinate), evaluated only on the support of the hashed vector.  For small
+coordinate), evaluated only on the support of the hashed vectors.  For small
 dimensions the whole field is precomputed into a dense matrix; for large
 ones it is generated on demand, so memory stays independent of the feature
 count.
+
+Vectors are hashed a batch at a time: a query batch, the rows of one
+refresh, or every row on a rebuild.  One pass takes the sorted union of the
+batch's supports and sweeps it in chunks of PLANE_CHUNK_ENTRIES // (tables *
+bits) coordinates.  Each chunk's plane columns are generated (or gathered)
+once, whatever the number of vectors sharing them, and one CSR x dense
+product adds the chunk's share to an n x (tables * bits) projection matrix;
+the sign bits of all tables are then packed in one vectorized step.  Memory
+is O(PLANE_CHUNK_ENTRIES + n * tables * bits), never O(bits * support).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
+from scipy import sparse as sp
 from scipy.special import ndtri
 
 # dot is unused here; perfbench/tracing.py patches it by this name on this
 # module.
-from ..sparse import SparseVector, dot  # noqa: F401
+from ..sparse import SparseVector, dot, stack_csr  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 # Precompute the plane matrix when bits * (dim + 1) stays below this.
 DENSE_PLANES_MAX_ENTRIES = 1 << 24
+# A hashing pass holds at most this many plane values at once (16 MB of
+# float64); with the 64 x 32 default that is 1024 coordinates per chunk.
+PLANE_CHUNK_ENTRIES = 1 << 21
 
 
 def hashing_quality(c: float, S: float) -> float:
@@ -83,12 +97,16 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 of every element, computed in place: pass a fresh array."""
     with np.errstate(over="ignore"):
-        z = x + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z += _GOLDEN
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    return z
 
 
 class GaussianPlaneField:
@@ -101,14 +119,27 @@ class GaussianPlaneField:
         with np.errstate(over="ignore"):
             self._bit_keys = _splitmix64(bit_ids * _MIX1 + seed64)
 
-    def block(self, coords: np.ndarray) -> np.ndarray:
-        """Plane values for every bit at the given coordinates: (n_bits, len(coords))."""
+    def columns(self, coords: np.ndarray) -> np.ndarray:
+        """Plane values at the given coordinates for every bit, C-ordered
+        (len(coords), n_bits): one row per coordinate.
+
+        Every step runs in place on one fresh array, so the peak is about
+        two arrays of the output's size.
+        """
         coords = np.asarray(coords, dtype=np.uint64)
         with np.errstate(over="ignore"):
             ckeys = _splitmix64(coords * _MIX2)
-            mixed = _splitmix64(self._bit_keys[:, None] ^ ckeys[None, :])
-        u = ((mixed >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        return ndtri(u)
+        mixed = _splitmix64(ckeys[:, None] ^ self._bit_keys[None, :])
+        mixed >>= np.uint64(11)
+        u = mixed.astype(np.float64)
+        del mixed
+        u += 0.5
+        u *= 2.0 ** -53
+        return ndtri(u, out=u)
+
+    def block(self, coords: np.ndarray) -> np.ndarray:
+        """Plane values for every bit at the given coordinates: (n_bits, len(coords))."""
+        return self.columns(coords).T
 
 
 def sign_bits(z, planes: np.ndarray) -> np.ndarray:
@@ -135,6 +166,19 @@ def hash_code(z, planes: np.ndarray) -> int:
     return pack_bits(sign_bits(z, planes))
 
 
+def _pack_codes(bits: np.ndarray) -> list[list[int]]:
+    """Pack a boolean (n, tables, bits) array into one int per (row, table),
+    each equal to :func:`pack_bits` of that table's bits."""
+    packed = np.packbits(bits, axis=-1)
+    pad = -packed.shape[-1] % 8
+    packed = np.pad(packed, [(0, 0), (0, 0), (pad, 0)])
+    words = packed.view(">u8").astype(object)  # big-endian 64-bit words
+    codes = words[..., 0]
+    for k in range(1, words.shape[-1]):
+        codes = (codes << 64) | words[..., k]
+    return codes.tolist()
+
+
 class SimpleLshIndex(MipsIndex):
     """Multi-table sign-projection LSH with exact re-ranking.
 
@@ -142,11 +186,13 @@ class SimpleLshIndex(MipsIndex):
     union of its bucket matches over all tables, re-scores them exactly in
     one product and returns the best; when no bucket matches, it falls back
     to a full scan, so a returned candidate is never worse than any
-    retrieved one.
+    retrieved one.  A batch's fallbacks share one full scan.
 
-    The norm constant U is the largest row norm seen at build time; an
-    update that exceeds it triggers a re-augmentation of the whole index
-    (rare once training projects the matrix into a fixed ball).
+    The norm constant U is the largest row norm seen so far; a batch of
+    updates whose largest norm exceeds it re-augments and re-hashes the
+    whole index once (rare once training projects the matrix into a fixed
+    ball).  ``rebuild_count``, ``query_count`` and ``fallback_count`` count
+    those rebuilds, the queries answered and the queries that fell back.
     """
 
     kind = "simplelsh"
@@ -163,7 +209,7 @@ class SimpleLshIndex(MipsIndex):
         self.seed = int(seed)
         self._field = GaussianPlaneField(seed, self.tables * self.bits)
         if self.tables * self.bits * (dim + 1) <= DENSE_PLANES_MAX_ENTRIES:
-            self._planes = self._field.block(np.arange(dim + 1, dtype=np.uint64))
+            self._planes = self._field.columns(np.arange(dim + 1, dtype=np.uint64))
         else:
             self._planes = None
         self._norms: dict[int, float] = {}
@@ -171,22 +217,29 @@ class SimpleLshIndex(MipsIndex):
         self._buckets: list[dict[int, set[int]]] = [{} for _ in range(self.tables)]
         self._U = 0.0
         self.rebuild_count = 0
+        self.query_count = 0
+        self.fallback_count = 0
+        # concurrent query batches bump the query counters under this lock
+        self._count_lock = threading.Lock()
 
     # -- hashing --------------------------------------------------------
 
-    def _projections(self, z: SparseVector) -> np.ndarray:
-        if z.nnz == 0:
-            return np.zeros(self.tables * self.bits)
-        if self._planes is not None:
-            block = self._planes[:, z.indices]
-        else:
-            block = self._field.block(z.indices.astype(np.uint64))
-        return block @ z.values
-
-    def _table_codes(self, z: SparseVector) -> list[int]:
-        bits = self._projections(z) >= 0.0
-        return [pack_bits(bits[t * self.bits:(t + 1) * self.bits])
-                for t in range(self.tables)]
+    def _hash(self, zs: list[SparseVector]) -> list[list[int]]:
+        """Table codes of every augmented vector of ``zs``, in one chunked pass."""
+        n_bits = self.tables * self.bits
+        Z = stack_csr([z.indices for z in zs], [z.values for z in zs], self.dim + 1)
+        coords, cols = np.unique(Z.indices, return_inverse=True)
+        Z = sp.csc_matrix(sp.csr_matrix((Z.data, cols, Z.indptr),
+                                        shape=(len(zs), coords.size)))
+        proj = np.zeros((len(zs), n_bits))
+        step = max(1, PLANE_CHUNK_ENTRIES // n_bits)
+        for lo in range(0, coords.size, step):
+            chunk = coords[lo:lo + step]
+            planes = (self._field.columns(chunk) if self._planes is None
+                      else self._planes[chunk])
+            proj += Z[:, lo:lo + step] @ planes
+            del planes  # freed before the next chunk is generated
+        return _pack_codes((proj >= 0.0).reshape(len(zs), self.tables, self.bits))
 
     def _augment_row(self, row: SparseVector) -> SparseVector:
         if self._U == 0.0:
@@ -197,12 +250,6 @@ class SimpleLshIndex(MipsIndex):
 
     # -- bucket maintenance ----------------------------------------------
 
-    def _add_to_buckets(self, c: int):
-        codes = self._table_codes(self._augment_row(self._rows[c]))
-        self._codes[c] = codes
-        for t, code in enumerate(codes):
-            self._buckets[t].setdefault(code, set()).add(c)
-
     def _remove_from_buckets(self, c: int):
         for t, code in enumerate(self._codes.pop(c)):
             bucket = self._buckets[t].get(code)
@@ -211,47 +258,86 @@ class SimpleLshIndex(MipsIndex):
                 if not bucket:
                     del self._buckets[t][code]
 
-    def _rebuild(self):
-        self._U = max(self._norms.values(), default=0.0)
-        self._buckets = [{} for _ in range(self.tables)]
-        self._codes = {}
-        for c in sorted(self._rows):
-            self._add_to_buckets(c)
-        self.rebuild_count += 1
-
     # -- MipsIndex interface ----------------------------------------------
 
-    def update_row(self, c: int, new_row: SparseVector) -> None:
-        c = int(c)
-        self._store(c, new_row)
-        if c in self._codes:
-            self._remove_from_buckets(c)
-        self._norms[c] = new_row.norm()
-        if self._norms[c] > self._U:
-            self._rebuild()
-        else:
-            self._add_to_buckets(c)
+    def update_rows(self, items) -> None:
+        """Store every row, then re-hash in one pass.
 
-    def _candidates(self, x: SparseVector, exclude: int | None) -> tuple[list[int], bool]:
-        """Bucket-union candidates and whether the exact-scan fallback fired."""
-        if x.norm() == 0.0:
-            pool = [c for c in self._rows if c != exclude]
-            return sorted(pool), True
-        zq = simplelsh_transform(x, self._U if self._U > 0 else 1.0, query=True)
-        found: set[int] = set()
-        for t, code in enumerate(self._table_codes(zq)):
-            hit = self._buckets[t].get(code)
-            if hit:
-                found.update(hit)
-        found.discard(exclude)
-        if found:
-            return sorted(found), False
-        pool = [c for c in self._rows if c != exclude]
-        return sorted(pool), True
+        When the largest new norm exceeds U, U becomes the largest norm of
+        the index and every row is re-hashed (one rebuild); otherwise only
+        the given rows are.  Either way U and every code come out as one
+        :meth:`update_row` per row in descending-norm order leaves them.
+        """
+        items = self._distinct(items)
+        for _, row in items:  # a bad row must not leave stored rows unhashed
+            self._check_row(row)
+        for c, row in items:
+            self._store(c, row)
+            self._norms[c] = row.norm()
+        if max((self._norms[c] for c, _ in items), default=0.0) > self._U:
+            self._U = max(self._norms.values())
+            self._codes = {}
+            self._buckets = [{} for _ in range(self.tables)]
+            self.rebuild_count += 1
+            refresh = sorted(self._rows)
+        else:
+            refresh = [c for c, _ in items]
+            for c in refresh:
+                if c in self._codes:
+                    self._remove_from_buckets(c)
+        codes = self._hash([self._augment_row(self._rows[c]) for c in refresh])
+        for c, row_codes in zip(refresh, codes):
+            self._codes[c] = row_codes
+            for t, code in enumerate(row_codes):
+                self._buckets[t].setdefault(code, set()).add(c)
+
+    def update_row(self, c: int, new_row: SparseVector) -> None:
+        self.update_rows([(c, new_row)])
+
+    def _candidates(self, xs, exclude) -> list[list[int] | None]:
+        """Sorted bucket-union candidates of each query, or None where the
+        exact-scan fallback fires (no bucket match, or a zero query)."""
+        live = [i for i, x in enumerate(xs) if x.norm() != 0.0]
+        codes = self._hash([simplelsh_transform(xs[i], 1.0, query=True)
+                            for i in live])
+        pools: list[list[int] | None] = [None] * len(xs)
+        for i, row_codes in zip(live, codes):
+            found: set[int] = set()
+            for t, code in enumerate(row_codes):
+                hit = self._buckets[t].get(code)
+                if hit:
+                    found.update(hit)
+            found.discard(exclude[i])
+            if found:
+                pools[i] = sorted(found)
+        return pools
+
+    def query_batch(self, xs, exclude):
+        xs, exclude = list(xs), list(exclude)
+        for x in xs:
+            self._check_row(x)
+        for e in set(exclude):
+            self._require_candidate(e)
+        pools = self._candidates(xs, exclude)
+        ids = np.empty(len(xs), dtype=np.int64)
+        scores = np.empty(len(xs))
+        fell = [i for i, pool in enumerate(pools) if pool is None]
+        if fell:
+            ids[fell], scores[fell] = self._scan([xs[i] for i in fell],
+                                                 [exclude[i] for i in fell])
+        for i, pool in enumerate(pools):
+            if pool is not None:
+                got, score = self._scan([xs[i]], [exclude[i]], pool)
+                ids[i], scores[i] = got[0], score[0]
+        with self._count_lock:
+            self.query_count += len(xs)
+            self.fallback_count += len(fell)
+        return ids, scores
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        self._check_row(x)
-        self._require_candidate(exclude)
-        pool, fell_back = self._candidates(x, exclude)
-        ids, scores = self._scan([x], [exclude], None if fell_back else pool)
+        ids, scores = self.query_batch([x], [exclude])
         return int(ids[0]), float(scores[0])
+
+    def counters(self) -> dict[str, int]:
+        return {"rebuilds": self.rebuild_count, "queries": self.query_count,
+                "fallbacks": self.fallback_count}

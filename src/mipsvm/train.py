@@ -131,6 +131,8 @@ class TrainLog:
     seconds: list[float] = field(default_factory=list)
     nnz: list[int] = field(default_factory=list)
     index_refreshes: list[int] = field(default_factory=list)
+    # the training index's work counts once training ends (MipsIndex.counters)
+    index_counters: dict[str, int] = field(default_factory=dict)
 
     def append(self, objective, heldout_accuracy, heldout_macro_f1, seconds,
                nnz, index_refreshes):
@@ -257,16 +259,17 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
                 tau = (data.num_classes / touched.size) * cfg.lam * eta
                 W.truncate_rows(touched, tau)
 
-        # refresh the index; a fold rewrote every stored row
+        # refresh the index with one update_rows call; a fold rewrote every
+        # stored row.  The rows go in descending norm order: swgraph inserts
+        # them one by one in that order, and simplelsh, which hashes them
+        # in one pass, ends with the U and codes that order gives.
         if W.fold_count != fold_before:
             refresh = list(range(W.num_classes))
         else:
             refresh = touched.tolist()
-        # descending norm order caps LSH re-augmentation at one rebuild per batch
         row_sq = W.row_sq_norms
         refresh.sort(key=lambda c: -row_sq[c])
-        for c in refresh:
-            index.update_row(c, W.stored_row(c))
+        index.update_rows([(c, W.stored_row(c)) for c in refresh])
 
         held = evaluate(W, heldout) if heldout is not None else None
         obj = objective(W, data, cfg.lam)
@@ -288,6 +291,7 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
                 stale_epochs += 1
                 if stale_epochs >= 5:
                     break
+    log.index_counters = index.counters()
     return W, log
 
 

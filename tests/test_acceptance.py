@@ -22,7 +22,7 @@ from mipsvm.mips import audit_inexactness, build_index, recall_at_1, sign_bits
 from mipsvm.sparse import SparseVector, WeightMatrix, dot
 from mipsvm.synth import (make_synthetic, make_toy_dataset,
                           toy_reference_margins, train_test_split)
-from mipsvm.train import TrainConfig, train_l1, train_l2
+from mipsvm.train import TrainConfig, default_batch_size, train_l1, train_l2
 
 
 @contextmanager
@@ -195,6 +195,32 @@ def test_criterion_6_and_7_inexact_degradation_and_projection_invariant():
     with criterion(7, "||W||_F <= 1/sqrt(lam) + 1e-9 after every epoch", 1.0):
         assert len(norms) == 50
         assert max(norms) <= bound
+
+
+# The 6-bit probe of criterion 6's training fell back on 40 % of queries.
+LSH6_MAX_FALLBACK_RATE = 0.5
+
+
+def test_criterion_6_split_with_lsh_bits_6_is_a_real_approximation():
+    """Criterion 6 at its 64-bit default falls back to the exact scan on
+    every training query, so it compares exact with exact.  At 6 bits most
+    rivals come from the buckets; the fallback rate, counted by the
+    training index, must stay below LSH6_MAX_FALLBACK_RATE."""
+    with criterion("6b", "SimpleLSH at 6 bits falls back on < "
+                   f"{LSH6_MAX_FALLBACK_RATE:.0%} of training queries", 300.0):
+        train, test = _synthetic_split()
+        accs = {}
+        for backend in ("exact", "simplelsh"):
+            cfg = TrainConfig(lam=1.0, epochs=25, seed=608, backend=backend,
+                              lsh_bits=6)
+            W, log = train_l2(train, cfg)
+            accs[backend] = evaluate(W, test).accuracy
+        counts = log.index_counters
+        rate = counts["fallbacks"] / counts["queries"]
+        print(f"\n  exact={accs['exact']:.4f} simplelsh6={accs['simplelsh']:.4f} "
+              f"fallback={counts['fallbacks']}/{counts['queries']}={rate:.3f}")
+        assert counts["queries"] == 25 * default_batch_size(train.num_classes)
+        assert rate < LSH6_MAX_FALLBACK_RATE
 
 
 def test_criterion_8_truncation_sparsity_monotonicity():

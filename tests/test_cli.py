@@ -88,6 +88,19 @@ class TestTrain:
         assert "diverged at step 1" in err and out == ""
         assert not model.exists() and not log.exists()
 
+    def test_summary_reports_index_work(self, toy_file, capsys):
+        for backend in ("exact", "simplelsh"):
+            code, out, _ = run(capsys, "train", str(toy_file), "--epochs", "3",
+                               "--backend", backend, "--batch-size", "4")
+            assert code == 0
+            record = json.loads(out)
+            assert record["index_refreshes"] > 0
+            if backend == "exact":
+                assert "fallback_rate" not in record
+            else:
+                assert record["queries"] == 12 and record["rebuilds"] >= 1
+                assert record["fallback_rate"] == record["fallbacks"] / 12
+
     def test_text_format(self, tmp_path, toy_file, capsys):
         model = tmp_path / "model.txt"
         code, _, _ = run(capsys, "train", str(toy_file), "--epochs", "2",

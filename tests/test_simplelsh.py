@@ -1,9 +1,13 @@
 """SimpleLSH: augmentation, sign-projection hashing, buckets and re-ranking."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import mipsvm.mips.simplelsh as slsh
 from mipsvm.mips import (ExactIndex, NoCandidateError, SimpleLshIndex,
@@ -179,8 +183,9 @@ class TestIndex:
         for _ in range(100):
             x = unit_row(rng, 6)
             exclude = int(rng.integers(40))
-            cands, fallback = index._candidates(x, exclude)
-            bucket_hits += not fallback
+            pool = index._candidates([x], [exclude])[0]
+            bucket_hits += pool is not None
+            cands = pool if pool is not None else [c for c in rows if c != exclude]
             got_c, got_s = index.query(x, exclude=exclude)
             best = max(cands, key=lambda c: (dot(rows[c], x), -c))
             assert got_c == best
@@ -247,3 +252,151 @@ class TestIndex:
                             "simplelsh", dim=5, lsh_bits=96, lsh_tables=2, seed=7)
         c, _ = index.query(unit_row(rng, 5), exclude=2)
         assert c != 2
+
+
+def reference_block(field, coords):
+    """The plane field written out directly, one (n_bits, len(coords)) block."""
+    coords = np.asarray(coords, dtype=np.uint64)
+
+    def mix(x):
+        with np.errstate(over="ignore"):
+            z = x + slsh._GOLDEN
+            z = (z ^ (z >> np.uint64(30))) * slsh._MIX1
+            z = (z ^ (z >> np.uint64(27))) * slsh._MIX2
+            return z ^ (z >> np.uint64(31))
+
+    with np.errstate(over="ignore"):
+        mixed = mix(field._bit_keys[:, None] ^ mix(coords * slsh._MIX2)[None, :])
+    return ndtri(((mixed >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+
+
+def random_sparse(rng, dim, max_nnz):
+    nnz = int(rng.integers(1, max_nnz + 1))
+    idx = np.sort(rng.choice(dim, size=nnz, replace=False))
+    return SparseVector(idx, rng.standard_normal(nnz), dim)
+
+
+class TestBatchedHashing:
+    def test_columns_are_the_transposed_block(self):
+        field = slsh.GaussianPlaneField(13, 40)
+        coords = np.array([0, 7, 3, 1 << 40, 19], dtype=np.uint64)
+        cols = field.columns(coords)
+        assert cols.shape == (5, 40) and cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, reference_block(field, coords).T)
+        np.testing.assert_array_equal(cols, field.block(coords).T)
+
+    @pytest.mark.parametrize("on_demand", [False, True])
+    @pytest.mark.parametrize("bits,tables", [(6, 5), (70, 2)])
+    def test_batched_codes_equal_hash_code(self, monkeypatch, on_demand, bits, tables):
+        # chunks of three coordinates: every batch spans many chunks
+        monkeypatch.setattr(slsh, "PLANE_CHUNK_ENTRIES", 3 * bits * tables)
+        if on_demand:
+            monkeypatch.setattr(slsh, "DENSE_PLANES_MAX_ENTRIES", 0)
+        rng = np.random.default_rng(20)
+        dim = 30
+        rows = [(c, random_sparse(rng, dim, 12)) for c in range(25)]
+        rows.append((25, SparseVector.zeros(dim)))
+        index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
+                            lsh_tables=tables, seed=4)
+        assert (index._planes is None) == on_demand
+        planes = index._field.block(np.arange(dim + 1, dtype=np.uint64))
+
+        def expected(z):
+            return [hash_code(z, planes[t * bits:(t + 1) * bits])
+                    for t in range(tables)]
+
+        for c, row in rows:
+            assert index._codes[c] == expected(simplelsh_transform(row, index._U))
+        zs = [simplelsh_transform(random_sparse(rng, dim, 12), 1.0, query=True)
+              for _ in range(20)]
+        assert index._hash(zs) == [expected(z) for z in zs]
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_update_rows_equals_update_row_in_descending_norm_order(self, grow):
+        rng = np.random.default_rng(21)
+        dim = 9
+        rows = [(c, unit_row(rng, dim).scaled(rng.uniform(0.5, 0.9)))
+                for c in range(30)]
+        rows[4] = (4, unit_row(rng, dim))  # U = 1
+        batched, serial = (build_index(rows, "simplelsh", dim=dim, lsh_bits=5,
+                                       lsh_tables=4, seed=3) for _ in range(2))
+        top = 3.0 if grow else 0.95
+        items = [(int(c), unit_row(rng, dim).scaled(rng.uniform(0.1, top)))
+                 for c in rng.choice(30, size=12, replace=False)]
+        items += [(30 + k, unit_row(rng, dim).scaled(rng.uniform(0.1, top)))
+                  for k in range(3)]  # new classes
+        rebuilds = batched.rebuild_count
+        batched.update_rows(items)
+        for c, row in sorted(items, key=lambda item: -item[1].norm()):
+            serial.update_row(c, row)
+        assert batched.rebuild_count - rebuilds == int(grow)
+        assert batched.rebuild_count == serial.rebuild_count
+        assert batched._U == serial._U
+        assert batched._codes == serial._codes
+        assert batched._buckets == serial._buckets
+
+    @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+    def test_update_rows_rejects_duplicate_ids(self, kind):
+        index = build_index([], kind, dim=4)
+        with pytest.raises(ValueError, match="duplicate class id"):
+            index.update_rows([(1, sv({0: 1.0}, 4)), (np.int64(1), sv({1: 1.0}, 4))])
+        assert len(index) == 0
+
+    def test_hashing_memory_is_bounded_by_the_chunk(self):
+        dim = 20_000
+        rng = np.random.default_rng(22)
+        row = SparseVector(np.arange(dim), rng.standard_normal(dim), dim)
+        index = SimpleLshIndex(dim)  # 64 x 32: planes generated on demand
+        assert index._planes is None
+        tracemalloc.start()
+        try:
+            index.update_row(0, row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the chunk's plane values plus one scratch array of the same size;
+        # one block over the row's whole support would be 328 MB
+        assert peak < 3 * slsh.PLANE_CHUNK_ENTRIES * 8
+
+    def test_counters_count_queries_and_fallbacks(self):
+        rng = np.random.default_rng(23)
+        index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
+                            "simplelsh", dim=6, lsh_bits=2, lsh_tables=2, seed=2)
+        xs = [unit_row(rng, 6) for _ in range(50)] + [sv({}, 6)]
+        exclude = [int(c) for c in rng.integers(40, size=len(xs))]
+        pools = index._candidates(xs, exclude)
+        fallbacks = sum(pool is None for pool in pools)
+        assert pools[-1] is None  # the zero query
+        assert 0 < fallbacks < len(xs)
+        index.query_batch(xs, exclude)
+        index.query(xs[-1], exclude=exclude[-1])
+        assert index.counters() == {"rebuilds": index.rebuild_count,
+                                    "queries": len(xs) + 1,
+                                    "fallbacks": fallbacks + 1}
+
+    def test_concurrent_query_batches_count_every_query(self):
+        rng = np.random.default_rng(24)
+        index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
+                            "simplelsh", dim=6, lsh_bits=2, lsh_tables=2, seed=2)
+        xs = [unit_row(rng, 6) for _ in range(5)]
+        index.query_batch(xs, [None] * len(xs))
+        per_batch = index.fallback_count
+        start = threading.Barrier(6)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work():
+                start.wait(timeout=60)
+                for _ in range(100):
+                    index.query_batch(xs, [None] * len(xs))
+
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert index.query_count == 601 * len(xs)
+        assert index.fallback_count == 601 * per_batch
