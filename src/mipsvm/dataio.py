@@ -52,6 +52,9 @@ class Dataset:
     dim: int
     num_classes: int
     label_map: dict[str, int] = field(default_factory=dict)
+    # the examples' CSR block, set only on the copies that stacked() makes
+    _block: sp.csr_matrix | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __len__(self):
         return len(self.examples)
@@ -65,8 +68,20 @@ class Dataset:
         return [inverse.get(c, str(c)) for c in range(self.num_classes)]
 
     def to_csr(self) -> sp.csr_matrix:
+        """The examples stacked into one CSR block (do not modify it: on a
+        :meth:`stacked` copy every call returns the same block)."""
+        if self._block is not None:
+            return self._block
         return stack_csr([x.indices for _, x in self.examples],
                          [x.values for _, x in self.examples], self.dim)
+
+    def stacked(self) -> "Dataset":
+        """A copy whose :meth:`to_csr` returns one block stacked now, for a
+        caller that scores the same examples again and again."""
+        copy = Dataset(list(self.examples), self.dim, self.num_classes,
+                       dict(self.label_map))
+        copy._block = self.to_csr()
+        return copy
 
     def subset(self, idx) -> "Dataset":
         return Dataset([self.examples[i] for i in idx], self.dim,

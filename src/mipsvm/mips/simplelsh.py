@@ -15,12 +15,23 @@ count.
 
 Vectors are hashed a batch at a time: a query batch, the rows of one
 refresh, or every row on a rebuild.  One pass takes the sorted union of the
-batch's supports and sweeps it in chunks of PLANE_CHUNK_ENTRIES // (tables *
-bits) coordinates.  Each chunk's plane columns are generated (or gathered)
+batch's supports and sweeps it in chunks of PLANE_CHUNK_ENTRIES // (planes
+hashed) coordinates.  Each chunk's plane columns are generated (or gathered)
 once, whatever the number of vectors sharing them, and one CSR x dense
-product adds the chunk's share to an n x (tables * bits) projection matrix;
-the sign bits of all tables are then packed in one vectorized step.  Memory
-is O(PLANE_CHUNK_ENTRIES + n * tables * bits), never O(bits * support).
+product adds the chunk's share to an n x (planes hashed) projection matrix;
+the sign bits are then packed in one vectorized step.  Memory is
+O(PLANE_CHUNK_ENTRIES + n * planes hashed), never O(bits * support).
+
+A bucket hit needs a table's whole code, yet a short prefix already rules
+out almost every (query, table) pair.  So rows and queries are hashed to
+the first p = min(bits, PREFIX_BITS) bits of every table only (p * tables
+planes, not bits * tables), and rows are bucketed by that prefix.  Where a
+query's prefix bucket in table t is occupied, one pass per such table
+hashes the remaining bits - p bits of t for the queries that hit there and
+the rows of their buckets; a row is a candidate when those match too.  The
+pools are exactly those of whole codes, at about p / bits of the hashing
+while prefix buckets stay sparse (C well below 2^p).  Queries cache
+nothing, so they stay read-only.
 """
 
 from __future__ import annotations
@@ -42,6 +53,10 @@ DENSE_PLANES_MAX_ENTRIES = 1 << 24
 # A hashing pass holds at most this many plane values at once (16 MB of
 # float64); with the 64 x 32 default that is 1024 coordinates per chunk.
 PLANE_CHUNK_ENTRIES = 1 << 21
+# Rows and queries are hashed to the first min(bits, PREFIX_BITS) bits of
+# each table; the rest of a table's code is hashed only where a query's
+# prefix bucket is occupied.
+PREFIX_BITS = 16
 
 
 def hashing_quality(c: float, S: float) -> float:
@@ -119,17 +134,21 @@ class GaussianPlaneField:
         with np.errstate(over="ignore"):
             self._bit_keys = _splitmix64(bit_ids * _MIX1 + seed64)
 
-    def columns(self, coords: np.ndarray) -> np.ndarray:
-        """Plane values at the given coordinates for every bit, C-ordered
-        (len(coords), n_bits): one row per coordinate.
+    def columns(self, coords: np.ndarray, bit_ids=None) -> np.ndarray:
+        """Plane values at the given coordinates, C-ordered with one row per
+        coordinate: (len(coords), n_bits), or (len(coords), len(bit_ids))
+        holding the bits ``bit_ids`` in that order.  Every value is
+        bit-identical to the full field's.
 
         Every step runs in place on one fresh array, so the peak is about
         two arrays of the output's size.
         """
+        keys = (self._bit_keys if bit_ids is None
+                else self._bit_keys[np.asarray(bit_ids, dtype=np.int64)])
         coords = np.asarray(coords, dtype=np.uint64)
         with np.errstate(over="ignore"):
             ckeys = _splitmix64(coords * _MIX2)
-        mixed = _splitmix64(ckeys[:, None] ^ self._bit_keys[None, :])
+        mixed = _splitmix64(ckeys[:, None] ^ keys[None, :])
         mixed >>= np.uint64(11)
         u = mixed.astype(np.float64)
         del mixed
@@ -182,17 +201,21 @@ def _pack_codes(bits: np.ndarray) -> list[list[int]]:
 class SimpleLshIndex(MipsIndex):
     """Multi-table sign-projection LSH with exact re-ranking.
 
-    Each row lives in exactly one bucket per table.  A query collects the
-    union of its bucket matches over all tables, re-scores them exactly in
-    one product and returns the best; when no bucket matches, it falls back
-    to a full scan, so a returned candidate is never worse than any
-    retrieved one.  A batch's fallbacks share one full scan.
+    Each row lives in exactly one bucket per table, keyed by the first
+    ``min(bits, PREFIX_BITS)`` bits of its code in that table.  A query
+    collects the rows whose whole code matches its own in some table,
+    re-scores them exactly in one product and returns the best; when no
+    code matches, it falls back to a full scan, so a returned candidate is
+    never worse than any retrieved one.  A batch's fallbacks share one full
+    scan.
 
     The norm constant U is the largest row norm seen so far; a batch of
     updates whose largest norm exceeds it re-augments and re-hashes the
     whole index once (rare once training projects the matrix into a fixed
-    ball).  ``rebuild_count``, ``query_count`` and ``fallback_count`` count
-    those rebuilds, the queries answered and the queries that fell back.
+    ball).  ``rebuild_count``, ``query_count``, ``fallback_count`` and
+    ``prefix_hit_count`` count those rebuilds, the queries answered, the
+    queries that fell back and the (query, table) pairs that needed the
+    rest of their code hashed.
     """
 
     kind = "simplelsh"
@@ -207,39 +230,47 @@ class SimpleLshIndex(MipsIndex):
         self.bits = int(bits)
         self.tables = int(tables)
         self.seed = int(seed)
+        self._prefix = min(self.bits, PREFIX_BITS)
         self._field = GaussianPlaneField(seed, self.tables * self.bits)
         if self.tables * self.bits * (dim + 1) <= DENSE_PLANES_MAX_ENTRIES:
             self._planes = self._field.columns(np.arange(dim + 1, dtype=np.uint64))
         else:
             self._planes = None
         self._norms: dict[int, float] = {}
-        self._codes: dict[int, list[int]] = {}
+        self._codes: dict[int, list[int]] = {}  # code prefixes, one per table
         self._buckets: list[dict[int, set[int]]] = [{} for _ in range(self.tables)]
         self._U = 0.0
         self.rebuild_count = 0
         self.query_count = 0
         self.fallback_count = 0
+        self.prefix_hit_count = 0
         # concurrent query batches bump the query counters under this lock
         self._count_lock = threading.Lock()
 
     # -- hashing --------------------------------------------------------
 
-    def _hash(self, zs: list[SparseVector]) -> list[list[int]]:
-        """Table codes of every augmented vector of ``zs``, in one chunked pass."""
-        n_bits = self.tables * self.bits
+    def _hash(self, zs: list[SparseVector], tables=None, lo: int = 0,
+              hi: int | None = None) -> list[list[int]]:
+        """Codes of bits ``lo``..``hi`` of each of ``tables`` (by default the
+        whole code of every table) for every augmented vector of ``zs``,
+        in one chunked pass."""
+        tables = range(self.tables) if tables is None else tables
+        hi = self.bits if hi is None else hi
+        bit_ids = (np.asarray(tables)[:, None] * self.bits
+                   + np.arange(lo, hi)).ravel()
         Z = stack_csr([z.indices for z in zs], [z.values for z in zs], self.dim + 1)
         coords, cols = np.unique(Z.indices, return_inverse=True)
         Z = sp.csc_matrix(sp.csr_matrix((Z.data, cols, Z.indptr),
                                         shape=(len(zs), coords.size)))
-        proj = np.zeros((len(zs), n_bits))
-        step = max(1, PLANE_CHUNK_ENTRIES // n_bits)
-        for lo in range(0, coords.size, step):
-            chunk = coords[lo:lo + step]
-            planes = (self._field.columns(chunk) if self._planes is None
-                      else self._planes[chunk])
-            proj += Z[:, lo:lo + step] @ planes
+        proj = np.zeros((len(zs), bit_ids.size))
+        step = max(1, PLANE_CHUNK_ENTRIES // bit_ids.size)
+        for start in range(0, coords.size, step):
+            chunk = coords[start:start + step]
+            planes = (self._field.columns(chunk, bit_ids) if self._planes is None
+                      else self._planes[np.ix_(chunk, bit_ids)])
+            proj += Z[:, start:start + step] @ planes
             del planes  # freed before the next chunk is generated
-        return _pack_codes((proj >= 0.0).reshape(len(zs), self.tables, self.bits))
+        return _pack_codes((proj >= 0.0).reshape(len(zs), len(tables), hi - lo))
 
     def _augment_row(self, row: SparseVector) -> SparseVector:
         if self._U == 0.0:
@@ -285,7 +316,8 @@ class SimpleLshIndex(MipsIndex):
             for c in refresh:
                 if c in self._codes:
                     self._remove_from_buckets(c)
-        codes = self._hash([self._augment_row(self._rows[c]) for c in refresh])
+        codes = self._hash([self._augment_row(self._rows[c]) for c in refresh],
+                           hi=self._prefix)
         for c, row_codes in zip(refresh, codes):
             self._codes[c] = row_codes
             for t, code in enumerate(row_codes):
@@ -296,20 +328,40 @@ class SimpleLshIndex(MipsIndex):
 
     def _candidates(self, xs, exclude) -> list[list[int] | None]:
         """Sorted bucket-union candidates of each query, or None where the
-        exact-scan fallback fires (no bucket match, or a zero query)."""
+        exact-scan fallback fires (no bucket match, or a zero query).
+
+        The queries are hashed to their code prefixes in one pass.  Each
+        table in which some query's prefix bucket is occupied then gets one
+        pass over the rest of its bits, for those queries and the rows of
+        their buckets (augmented at the current U); a row joins a query's
+        pool when that rest matches too.
+        """
         live = [i for i, x in enumerate(xs) if x.norm() != 0.0]
-        codes = self._hash([simplelsh_transform(xs[i], 1.0, query=True)
-                            for i in live])
+        zs = [simplelsh_transform(xs[i], 1.0, query=True) for i in live]
+        found: list[set[int]] = [set() for _ in live]
+        hits: dict[int, list[tuple[int, set[int]]]] = {}
+        for k, prefixes in enumerate(self._hash(zs, hi=self._prefix)):
+            for t, prefix in enumerate(prefixes):
+                bucket = self._buckets[t].get(prefix)
+                if bucket and self._prefix == self.bits:
+                    found[k].update(bucket)  # the prefix is the whole code
+                elif bucket:
+                    hits.setdefault(t, []).append((k, bucket))
+        for t, pairs in hits.items():
+            rows = sorted(set().union(*(bucket for _, bucket in pairs)))
+            codes = self._hash([zs[k] for k, _ in pairs]
+                               + [self._augment_row(self._rows[c]) for c in rows],
+                               tables=[t], lo=self._prefix)
+            rest = dict(zip(rows, codes[len(pairs):]))
+            for (k, bucket), code in zip(pairs, codes):
+                found[k].update(c for c in bucket if rest[c] == code)
+        with self._count_lock:
+            self.prefix_hit_count += sum(len(pairs) for pairs in hits.values())
         pools: list[list[int] | None] = [None] * len(xs)
-        for i, row_codes in zip(live, codes):
-            found: set[int] = set()
-            for t, code in enumerate(row_codes):
-                hit = self._buckets[t].get(code)
-                if hit:
-                    found.update(hit)
-            found.discard(exclude[i])
-            if found:
-                pools[i] = sorted(found)
+        for i, pool in zip(live, found):
+            pool.discard(exclude[i])
+            if pool:
+                pools[i] = sorted(pool)
         return pools
 
     def query_batch(self, xs, exclude):
@@ -340,4 +392,5 @@ class SimpleLshIndex(MipsIndex):
 
     def counters(self) -> dict[str, int]:
         return {"rebuilds": self.rebuild_count, "queries": self.query_count,
-                "fallbacks": self.fallback_count}
+                "fallbacks": self.fallback_count,
+                "prefix_hits": self.prefix_hit_count}

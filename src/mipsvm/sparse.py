@@ -115,17 +115,18 @@ class SparseVector:
 
 
 def _dot_arrays(ai, av, bi, bv) -> float:
-    if ai.size == 0 or bi.size == 0:
-        return 0.0
+    """Sum of the products over shared indices, in the shorter array's
+    order.  A clipped ``take`` finds the matches: a search position past
+    the end lands on ``bi``'s last index, which is below the searched one.
+    Array methods skip numpy's function dispatch, the bulk of a small call.
+    """
     if ai.size > bi.size:
         ai, av, bi, bv = bi, bv, ai, av
-    pos = np.searchsorted(bi, ai)
-    in_range = pos < bi.size
-    hit = np.zeros(ai.size, dtype=bool)
-    hit[in_range] = bi[pos[in_range]] == ai[in_range]
-    if not hit.any():
+    if ai.size == 0:
         return 0.0
-    return float(np.dot(av[hit], bv[pos[hit]]))
+    pos = bi.searchsorted(ai)
+    hit = bi.take(pos, mode="clip") == ai
+    return float(av[hit].dot(bv[pos[hit]]))
 
 
 def dot(a: SparseVector, b: SparseVector) -> float:

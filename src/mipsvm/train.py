@@ -212,6 +212,10 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
     if len(data) == 0:
         raise ValueError("empty dataset")
     objective = objective_l2 if mode == "l2" else objective_l1
+    # every step scores the whole training split (objective) and the heldout
+    # split: stack each once
+    data = data.stacked()
+    heldout = heldout.stacked() if heldout is not None else None
 
     if initial is not None:
         if (initial.num_classes, initial.dim) != (data.num_classes, data.dim):

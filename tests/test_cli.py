@@ -100,6 +100,7 @@ class TestTrain:
             else:
                 assert record["queries"] == 12 and record["rebuilds"] >= 1
                 assert record["fallback_rate"] == record["fallbacks"] / 12
+                assert isinstance(record["prefix_hits"], int)
 
     def test_text_format(self, tmp_path, toy_file, capsys):
         model = tmp_path / "model.txt"

@@ -121,6 +121,15 @@ class TestParse:
             assert y1 == y2
             assert x1 == x2
 
+    def test_stacked_copy_returns_one_block(self, tmp_path):
+        data = parse_dataset(write(tmp_path, "a 1:1 3:2\nb 2:-1\na 3:0.5\n"))
+        copy = data.stacked()
+        block = copy.to_csr()
+        assert copy.to_csr() is block
+        assert (block != data.to_csr()).nnz == 0 and block.shape == (3, 3)
+        assert copy == data and data._block is None
+        assert copy.subset([0])._block is None
+
 
 class TestModelIO:
     def make_matrix(self, seed=0, C=6, d=20):

@@ -270,6 +270,20 @@ def reference_block(field, coords):
     return ndtri(((mixed >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
 
 
+def full_codes(index, zs):
+    """Whole table codes of augmented vectors, by hash_code over the field."""
+    planes = index._field.block(np.arange(index.dim + 1, dtype=np.uint64))
+    b = index.bits
+    return [[hash_code(z, planes[t * b:(t + 1) * b]) for t in range(index.tables)]
+            for z in zs]
+
+
+def code_prefix(code, bits, p):
+    """The packed code of the first p of a packed ``bits``-bit code's bits
+    (pack_bits pads a code with zero bits up to whole bytes)."""
+    return (code >> (-bits % 8 + bits - p)) << (-p % 8)
+
+
 def random_sparse(rng, dim, max_nnz):
     nnz = int(rng.integers(1, max_nnz + 1))
     idx = np.sort(rng.choice(dim, size=nnz, replace=False))
@@ -305,8 +319,12 @@ class TestBatchedHashing:
             return [hash_code(z, planes[t * bits:(t + 1) * bits])
                     for t in range(tables)]
 
+        # rows are stored by the prefixes of their codes
+        p = min(bits, slsh.PREFIX_BITS)
         for c, row in rows:
-            assert index._codes[c] == expected(simplelsh_transform(row, index._U))
+            assert index._codes[c] == [
+                code_prefix(code, bits, p)
+                for code in expected(simplelsh_transform(row, index._U))]
         zs = [simplelsh_transform(random_sparse(rng, dim, 12), 1.0, query=True)
               for _ in range(20)]
         assert index._hash(zs) == [expected(z) for z in zs]
@@ -358,29 +376,43 @@ class TestBatchedHashing:
         # one block over the row's whole support would be 328 MB
         assert peak < 3 * slsh.PLANE_CHUNK_ENTRIES * 8
 
-    def test_counters_count_queries_and_fallbacks(self):
+    def test_counters_count_queries_and_fallbacks(self, monkeypatch):
+        monkeypatch.setattr(slsh, "PREFIX_BITS", 1)
         rng = np.random.default_rng(23)
         index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
                             "simplelsh", dim=6, lsh_bits=2, lsh_tables=2, seed=2)
         xs = [unit_row(rng, 6) for _ in range(50)] + [sv({}, 6)]
         exclude = [int(c) for c in rng.integers(40, size=len(xs))]
+        # (query, table) pairs whose 1-bit prefix bucket is occupied
+        rows = full_codes(index, [simplelsh_transform(r, index._U)
+                                  for r in index._rows.values()])
+        queries = full_codes(index, [simplelsh_transform(x, 1.0, query=True)
+                                     for x in xs[:-1]])
+        hits = sum(any(code_prefix(q[t], 2, 1) == code_prefix(r[t], 2, 1)
+                       for r in rows)
+                   for q in queries for t in range(2))
         pools = index._candidates(xs, exclude)
         fallbacks = sum(pool is None for pool in pools)
         assert pools[-1] is None  # the zero query
         assert 0 < fallbacks < len(xs)
         index.query_batch(xs, exclude)
         index.query(xs[-1], exclude=exclude[-1])
+        # the direct _candidates call and query_batch both hash every prefix
         assert index.counters() == {"rebuilds": index.rebuild_count,
                                     "queries": len(xs) + 1,
-                                    "fallbacks": fallbacks + 1}
+                                    "fallbacks": fallbacks + 1,
+                                    "prefix_hits": 2 * hits}
 
-    def test_concurrent_query_batches_count_every_query(self):
+    def test_concurrent_query_batches_count_every_query(self, monkeypatch):
+        monkeypatch.setattr(slsh, "PREFIX_BITS", 1)
         rng = np.random.default_rng(24)
         index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
                             "simplelsh", dim=6, lsh_bits=2, lsh_tables=2, seed=2)
         xs = [unit_row(rng, 6) for _ in range(5)]
         index.query_batch(xs, [None] * len(xs))
         per_batch = index.fallback_count
+        hits_per_batch = index.prefix_hit_count
+        assert hits_per_batch > 0
         start = threading.Barrier(6)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -400,3 +432,94 @@ class TestBatchedHashing:
             sys.setswitchinterval(old)
         assert index.query_count == 601 * len(xs)
         assert index.fallback_count == 601 * per_batch
+        assert index.prefix_hit_count == 601 * hits_per_batch
+
+
+class TestPrefixHashing:
+    def test_columns_bit_subset_matches_the_field(self):
+        field = slsh.GaussianPlaneField(13, 40)
+        coords = np.array([0, 7, 3, 1 << 40, 19], dtype=np.uint64)
+        bit_ids = np.array([39, 0, 17, 17, 5])
+        cols = field.columns(coords, bit_ids)
+        assert cols.shape == (5, 5) and cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, reference_block(field, coords)[bit_ids].T)
+
+    @pytest.mark.parametrize("grow", [False, True])
+    @pytest.mark.parametrize("on_demand", [False, True])
+    @pytest.mark.parametrize("bits,tables", [(6, 5), (70, 2)])
+    @pytest.mark.parametrize("prefix", [1, 3, 70])
+    def test_pools_equal_full_code_reference(self, monkeypatch, prefix, bits,
+                                             tables, on_demand, grow):
+        monkeypatch.setattr(slsh, "PREFIX_BITS", prefix)
+        if on_demand:
+            monkeypatch.setattr(slsh, "DENSE_PLANES_MAX_ENTRIES", 0)
+        rng = np.random.default_rng(25)
+        dim = 8
+
+        def row(top):
+            r = random_sparse(rng, dim, 5)
+            return r.scaled(rng.uniform(0.1, top) / r.norm())
+
+        rows = [(c, row(1.0)) for c in range(40)] + [(40, SparseVector.zeros(dim))]
+        index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
+                            lsh_tables=tables, seed=6)
+        assert (index._planes is None) == on_demand
+        rebuilds = index.rebuild_count
+        index.update_rows([(int(c), row(3.0 if grow else 0.9))
+                           for c in rng.choice(40, size=10, replace=False)]
+                          + [(41, row(0.9))])
+        assert index.rebuild_count - rebuilds == int(grow)
+
+        # queries: random vectors, copies of the longest row (its augmented
+        # tail is about zero, so its whole codes match theirs), and one zero
+        # query
+        top = max(index._norms, key=index._norms.get)
+        xs = [random_sparse(rng, dim, 5) for _ in range(60)]
+        xs += [index._rows[top].scaled(2.0)] * 3 + [SparseVector.zeros(dim)]
+        exclude = [None if rng.random() < 0.3 else int(rng.integers(42))
+                   for _ in xs]
+        exclude[-2] = top
+
+        ids = sorted(index._rows)
+        rows_full = dict(zip(ids, full_codes(index, [
+            simplelsh_transform(index._rows[c], index._U) for c in ids])))
+        want, full_pairs = [], 0
+        for x, e in zip(xs, exclude):
+            if x.norm() == 0.0:
+                want.append(None)
+                continue
+            q = full_codes(index, [simplelsh_transform(x, 1.0, query=True)])[0]
+            full_pairs += sum(any(r[t] == q[t] for r in rows_full.values())
+                              for t in range(tables))
+            pool = [c for c in ids if c != e
+                    and any(a == b for a, b in zip(rows_full[c], q))]
+            want.append(pool or None)
+        assert index._candidates(xs, exclude) == want
+        assert sum(pool is not None for pool in want) >= 2
+        if prefix < bits:
+            # some prefix matches were confirmed and some rejected
+            assert index.prefix_hit_count > full_pairs > 0
+        else:
+            assert index.prefix_hit_count == 0
+
+    def test_query_batch_generates_prefix_planes_only(self, monkeypatch):
+        dim = 20_000
+        rng = np.random.default_rng(26)
+        index = SimpleLshIndex(dim)  # 64 x 32: planes generated on demand
+        assert index._planes is None
+        index.update_rows([(c, random_sparse(rng, dim, 40)) for c in range(5)])
+        xs = [random_sparse(rng, dim, 40) for _ in range(5)]
+        generated = []
+        columns = slsh.GaussianPlaneField.columns
+
+        def counting(field, *args, **kwargs):
+            out = columns(field, *args, **kwargs)
+            generated.append(out.size)
+            return out
+
+        monkeypatch.setattr(slsh.GaussianPlaneField, "columns", counting)
+        index.query_batch(xs, [None] * len(xs))
+        support = np.unique(np.concatenate([x.indices for x in xs])).size
+        assert 0 < sum(generated) <= slsh.PREFIX_BITS * index.tables * support
+        # ... because no prefix collided: no pass hashed the rest of a code
+        assert index.prefix_hit_count == 0

@@ -400,3 +400,36 @@ def test_dot_bilinear_against_dense(pa, pb):
     b = SparseVector.from_pairs(dict(pb), 15)
     expected = float(a.to_dense() @ b.to_dense())
     assert dot(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def merge_dot_reference(ai, av, bi, bv) -> float:
+    """The searchsorted merge that dot used before its per-call overhead was
+    cut, written out: the same pairs summed by one np.dot in the shorter
+    array's order."""
+    if ai.size == 0 or bi.size == 0:
+        return 0.0
+    if ai.size > bi.size:
+        ai, av, bi, bv = bi, bv, ai, av
+    pos = np.searchsorted(bi, ai)
+    in_range = pos < bi.size
+    hit = np.zeros(ai.size, dtype=bool)
+    hit[in_range] = bi[pos[in_range]] == ai[in_range]
+    if not hit.any():
+        return 0.0
+    return float(np.dot(av[hit], bv[pos[hit]]))
+
+
+sparse_pairs = st.dictionaries(
+    st.integers(0, 199),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_pairs, sparse_pairs)
+def test_dot_gives_the_floats_of_the_merge_reference(pa, pb):
+    # bit-identical, signed zeros included; explicit zeros are kept
+    a = SparseVector(sorted(pa), [pa[i] for i in sorted(pa)], 200)
+    b = SparseVector(sorted(pb), [pb[i] for i in sorted(pb)], 200)
+    want = merge_dot_reference(a.indices, a.values, b.indices, b.values)
+    for got in (dot(a, b), dot(b, a)):
+        assert got.hex() == want.hex()

@@ -396,6 +396,34 @@ class TestTrainLog:
         assert first[0] == "1"
         assert 0.0 <= float(first[2]) <= 1.0
 
+    def test_splits_are_stacked_once_per_training(self, monkeypatch):
+        import mipsvm.dataio as dataio_module
+
+        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
+        heldout = make_synthetic(num_classes=4, dim=12, n=30, seed=4)
+        cfg = TrainConfig(lam=1.0, epochs=4, seed=5, batch_size=7)
+        W, log = train_l1(data, cfg, heldout=heldout)
+        # the same run with every to_csr call stacking afresh
+        monkeypatch.setattr(Dataset, "stacked", lambda self: self)
+        W_fresh, log_fresh = train_l1(data, cfg, heldout=heldout)
+        np.testing.assert_array_equal(dense_rows(W), dense_rows(W_fresh))
+        assert log.objective == log_fresh.objective
+        assert log.heldout_accuracy == log_fresh.heldout_accuracy
+        assert log.heldout_macro_f1 == log_fresh.heldout_macro_f1
+
+        monkeypatch.undo()
+        stacked_rows = []
+        stack_csr = dataio_module.stack_csr
+
+        def counting(indices, values, dim):
+            stacked_rows.append(len(indices))
+            return stack_csr(indices, values, dim)
+
+        monkeypatch.setattr(dataio_module, "stack_csr", counting)
+        train_l1(data, cfg, heldout=heldout)
+        assert stacked_rows.count(len(data)) == 1
+        assert stacked_rows.count(len(heldout)) == 1
+
     def test_early_stopping_breaks_out(self):
         toy = make_toy_dataset()
         cfg = TrainConfig(lam=1.0, epochs=60, seed=9, backend="exact",
