@@ -97,13 +97,14 @@ def inexact_margins_batch(index: "MipsIndex", W: WeightMatrix,
                           data: "Dataset") -> tuple[np.ndarray, np.ndarray]:
     """Margins and rivals of a whole dataset, the rivals proposed by ``index``.
 
-    One ``query_batch`` call proposes every rival; the true and the rival
-    class of every example are then re-scored exactly against W, each in
-    one row-wise sparse product, so only the rival selection is approximate.
+    One ``query_batch`` call on the dataset's CSR block proposes every
+    rival; the true and the rival class of every example are then re-scored
+    exactly against W from the same block, each in one row-wise sparse
+    product, so only the rival selection is approximate.
     """
     labels = data.labels_array()
-    rivals, _ = index.query_batch([x for _, x in data.examples], labels)
     X, M = data.to_csr(), W.to_csr()
+    rivals, _ = index.query_batch(X, labels)
     s_true, s_rival = (np.asarray(X.multiply(M[c]).sum(axis=1)).ravel()
                        for c in (labels, rivals))
     return s_true - s_rival, rivals

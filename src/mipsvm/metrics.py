@@ -77,27 +77,18 @@ def macro_f1(p: PredictionSet, *, mean_per_class: bool = False) -> float:
     """
     if len(p) == 0:
         raise ValueError("empty prediction set")
-    present = np.union1d(np.unique(p.true_labels), np.unique(p.predicted))
-    tp = {c: 0 for c in present}
-    pred_n = {c: 0 for c in present}
-    true_n = {c: 0 for c in present}
-    for t, q in zip(p.true_labels.tolist(), p.predicted.tolist()):
-        true_n[t] += 1
-        pred_n[q] += 1
-        if t == q:
-            tp[t] += 1
+    present = np.union1d(p.true_labels, p.predicted)
+    hit = p.true_labels[p.true_labels == p.predicted]
+    tp, pred_n, true_n = (np.bincount(labels, minlength=p.num_classes)[present].tolist()
+                          for labels in (hit, p.predicted, p.true_labels))
     k = len(present)
     if mean_per_class:
-        total = Fraction(0)
-        for c in present:
-            denom = pred_n[c] + true_n[c]
-            if denom:
-                total += Fraction(2 * tp[c], denom)
+        # every present class has a true or a predicted example
+        total = sum((Fraction(2 * t, pn + tn) for t, pn, tn in zip(tp, pred_n, true_n)),
+                    Fraction(0))
         return float(total / k)
-    map_sum = sum((Fraction(tp[c], pred_n[c]) for c in present if pred_n[c]),
-                  Fraction(0))
-    mar_sum = sum((Fraction(tp[c], true_n[c]) for c in present if true_n[c]),
-                  Fraction(0))
+    map_sum = sum((Fraction(t, n) for t, n in zip(tp, pred_n) if n), Fraction(0))
+    mar_sum = sum((Fraction(t, n) for t, n in zip(tp, true_n) if n), Fraction(0))
     ma_p = map_sum / k
     ma_r = mar_sum / k
     if ma_p + ma_r == 0:

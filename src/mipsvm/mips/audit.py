@@ -16,7 +16,7 @@ import numpy as np
 # exact_margin and inexact_margin are unused here; perfbench/tracing.py
 # patches them by these names on this module.
 from ..margin import exact_margin, inexact_margin  # noqa: F401
-from ..sparse import score_block, scoring_operand
+from ..sparse import score_block, scoring_operand, stack_csr
 from .base import MipsIndex
 
 if TYPE_CHECKING:
@@ -52,9 +52,9 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
                       epsilon: float, bins: int = 20) -> AuditReport:
     """Empirical P(approx_margin - exact_margin > epsilon) plus a gap histogram.
 
-    One ``query_batch`` call proposes every query's rival; one
-    :func:`score_block` pass then gives the exact best rival and the
-    proposed rival's score from the same score block.  The true-class score
+    One ``query_batch`` call on the queries' CSR block proposes every
+    rival; one :func:`score_block` pass over the same block then gives the
+    exact best rival and the proposed rival's score.  The true-class score
     cancels, so the gap is the exact best score minus the proposed one:
     never negative, and 0 wherever the index found a best rival.
     """
@@ -63,8 +63,9 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
     if len(queries) == 0:
         raise ValueError("empty query set")
     labels = queries.labels_array()
-    rivals, _ = index.query_batch([x for _, x in queries.examples], labels)
-    _, best, proposed = score_block(queries.to_csr(), scoring_operand(W.to_csr()),
+    X = queries.to_csr()
+    rivals, _ = index.query_batch(X, labels)
+    _, best, proposed = score_block(X, scoring_operand(W.to_csr()),
                                     exclude=labels, at=rivals)
     gaps = best - proposed
     counts, edges = np.histogram(gaps, bins=bins)
@@ -80,11 +81,15 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
 
 
 def recall_at_1(index: MipsIndex, oracle: MipsIndex, queries) -> float:
-    """Fraction of (x, exclude) queries where ``index`` returns the oracle's class."""
+    """Fraction of (x, exclude) queries where ``index`` returns the oracle's
+    class; both answer the same stacked query block."""
     queries = list(queries)
     if not queries:
         raise ValueError("empty query set")
     xs, exclude = zip(*queries)
-    got, _ = index.query_batch(xs, exclude)
-    want, _ = oracle.query_batch(xs, exclude)
+    if any(x.dim != index.dim for x in xs):
+        raise ValueError(f"a query's dim does not match index dim {index.dim}")
+    X = stack_csr([x.indices for x in xs], [x.values for x in xs], index.dim)
+    got, _ = index.query_batch(X, exclude)
+    want, _ = oracle.query_batch(X, exclude)
     return float((got == want).mean())

@@ -5,6 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
+from scipy import sparse as sp
 
 from ..sparse import SparseVector, score_block, scoring_operand, stack_csr
 
@@ -29,7 +30,7 @@ class MipsIndex(ABC):
     Contract shared by all backends:
 
     * ``query`` never returns the excluded class, and ``query_batch``
-      answers every row of a batch exactly as ``query`` would;
+      answers every row of a CSR query block exactly as ``query`` would;
     * after ``update_row(c, row)`` or ``update_rows(items)`` the index
       reflects the new rows before the next query;
     * queries are read-only and may run concurrently against a frozen index;
@@ -56,6 +57,23 @@ class MipsIndex(ABC):
         if row.dim != self.dim:
             raise ValueError(f"row dim {row.dim} does not match index dim {self.dim}")
 
+    def _check_batch(self, X, exclude):
+        """``X`` as canonical CSR, once it is known to hold ``dim`` columns,
+        finite values, one exclude per row and a candidate for each."""
+        X = X.tocsr()
+        if not X.has_canonical_format:  # row views need sorted, distinct indices
+            X = X.tocoo().tocsr()
+        if X.shape[1] != self.dim:
+            raise ValueError(f"query block width {X.shape[1]} does not match "
+                             f"index dim {self.dim}")
+        if not np.isfinite(X.data).all():
+            raise ValueError("query block holds a non-finite value")
+        if len(exclude) != X.shape[0]:
+            raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
+        for e in set(exclude):
+            self._require_candidate(e)
+        return X
+
     def _store(self, c: int, row: SparseVector) -> None:
         """Keep ``row`` as the snapshot of class ``c``."""
         self._check_row(row)
@@ -66,16 +84,15 @@ class MipsIndex(ABC):
         if not self._rows or (len(self._rows) == 1 and exclude in self._rows):
             raise NoCandidateError("no candidate class after exclusion")
 
-    def _operand(self, ids: list[int]):
-        """Scoring operand over the rows of ``ids``, in that order."""
+    def _stack(self, ids) -> sp.csr_matrix:
+        """The rows of ``ids``, in that order, as one CSR block."""
         rows = [self._rows[c] for c in ids]
-        return scoring_operand(stack_csr([r.indices for r in rows],
-                                         [r.values for r in rows], self.dim))
+        return stack_csr([r.indices for r in rows], [r.values for r in rows], self.dim)
 
-    def _scan(self, xs: list[SparseVector], exclude: list,
+    def _scan(self, X: sp.csr_matrix, exclude,
               among: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Best (class ids, exact scores) of the rows of ``xs``, over every row
-        or over ``among``.
+        """Best (class ids, exact scores) of the rows of the query block
+        ``X``, over every row or over ``among``.
 
         ``exclude`` holds one class id or None per row; an id outside the
         scan masks nothing.  ``among`` holds sorted indexed class ids; their
@@ -87,31 +104,40 @@ class MipsIndex(ABC):
             if state is None:
                 ids = sorted(self._rows)
                 state = self._scan_state = (np.array(ids, dtype=np.int64),
-                                            self._operand(ids))
+                                            scoring_operand(self._stack(ids)))
             ids, operand = state
         else:
-            ids, operand = np.array(among, dtype=np.int64), self._operand(among)
+            ids, operand = np.array(among), scoring_operand(self._stack(among))
         given = np.array([e is not None for e in exclude], dtype=bool)
         wanted = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
         pos = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
         masked = np.where(given & (ids[pos] == wanted), pos, -1)
-        best, score, _ = score_block(
-            stack_csr([x.indices for x in xs], [x.values for x in xs], self.dim),
-            operand, exclude=masked)
+        best, score, _ = score_block(X, operand, exclude=masked)
         return ids[best], score
 
     @abstractmethod
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         """Best (class_id, exact score of that class) with ``exclude`` removed."""
 
-    def query_batch(self, xs, exclude) -> tuple[np.ndarray, np.ndarray]:
-        """(class ids, exact scores) that :meth:`query` gives for each row of
-        ``xs``, with ``exclude`` holding one class id or None per row.
+    def _query_one(self, x: SparseVector, exclude: int | None) -> tuple[int, float]:
+        """:meth:`query` as a :meth:`query_batch` of one row."""
+        ids, scores = self.query_batch(stack_csr([x.indices], [x.values], x.dim),
+                                       [exclude])
+        return int(ids[0]), float(scores[0])
 
-        This default asks :meth:`query` once per row; a backend that answers
-        a whole batch at once overrides it.
+    def query_batch(self, X, exclude) -> tuple[np.ndarray, np.ndarray]:
+        """(class ids, exact scores) that :meth:`query` gives for each row of
+        the CSR query block ``X`` (n x dim, the operand :func:`score_block`
+        takes), with ``exclude`` holding one class id or None per row.
+
+        This default asks :meth:`query` once per row, viewing the row as a
+        :class:`SparseVector`; a backend that answers a whole batch at once
+        overrides it.
         """
-        found = [self.query(x, exclude=e) for x, e in zip(xs, exclude)]
+        X = self._check_batch(X, exclude)
+        found = [self.query(SparseVector(X.indices[lo:hi], X.data[lo:hi], self.dim,
+                                         check=False), exclude=e)
+                 for lo, hi, e in zip(X.indptr[:-1], X.indptr[1:], exclude)]
         return (np.array([c for c, _ in found], dtype=np.int64),
                 np.array([s for _, s in found], dtype=np.float64))
 
@@ -139,10 +165,6 @@ class MipsIndex(ABC):
     def counters(self) -> dict[str, int]:
         """The work counts this backend keeps, by name (none by default)."""
         return {}
-
-    def class_ids(self) -> list[int]:
-        """Sorted ids of the currently indexed classes."""
-        return sorted(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)

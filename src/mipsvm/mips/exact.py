@@ -19,12 +19,7 @@ class ExactIndex(MipsIndex):
         self._store(int(c), new_row)
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        ids, scores = self.query_batch([x], [exclude])
-        return int(ids[0]), float(scores[0])
+        return self._query_one(x, exclude)
 
-    def query_batch(self, xs, exclude):
-        for x in xs:
-            self._check_row(x)
-        for e in set(exclude):
-            self._require_candidate(e)
-        return self._scan(xs, exclude)
+    def query_batch(self, X, exclude):
+        return self._scan(self._check_batch(X, exclude), exclude)

@@ -8,19 +8,18 @@ In the augmented space the inner product of a data row and a query equals
 candidates exactly as the original inner products do.
 
 Hash planes are a deterministic Gaussian field keyed by (seed, bit,
-coordinate), evaluated only on the support of the hashed vectors.  For small
-dimensions the whole field is precomputed into a dense matrix; for large
-ones it is generated on demand, so memory stays independent of the feature
-count.
+coordinate), generated on demand on the support of the hashed vectors, so
+memory stays independent of the feature count.
 
-Vectors are hashed a batch at a time: a query batch, the rows of one
-refresh, or every row on a rebuild.  One pass takes the sorted union of the
-batch's supports and sweeps it in chunks of PLANE_CHUNK_ENTRIES // (planes
-hashed) coordinates.  Each chunk's plane columns are generated (or gathered)
-once, whatever the number of vectors sharing them, and one CSR x dense
-product adds the chunk's share to an n x (planes hashed) projection matrix;
-the sign bits are then packed in one vectorized step.  Memory is
-O(PLANE_CHUNK_ENTRIES + n * planes hashed), never O(bits * support).
+Vectors are hashed a CSR block at a time: a query block, the rows of one
+refresh, or every row on a rebuild, normalized or augmented as whole
+blocks.  One pass takes the sorted union of the block's supports and sweeps
+it in chunks of PLANE_CHUNK_ENTRIES // (planes hashed) coordinates.  Each
+chunk's plane columns are generated once, whatever the number of vectors
+sharing them, and one CSR x dense product adds the chunk's share to an
+n x (planes hashed) projection matrix; the sign bits are then packed in one
+vectorized step.  Memory is O(PLANE_CHUNK_ENTRIES + n * planes hashed),
+never O(bits * support).
 
 A bucket hit needs a table's whole code, yet a short prefix already rules
 out almost every (query, table) pair.  So rows and queries are hashed to
@@ -45,11 +44,9 @@ from scipy.special import ndtri
 
 # dot is unused here; perfbench/tracing.py patches it by this name on this
 # module.
-from ..sparse import SparseVector, dot, stack_csr  # noqa: F401
+from ..sparse import SparseVector, dot, row_sums  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
-# Precompute the plane matrix when bits * (dim + 1) stays below this.
-DENSE_PLANES_MAX_ENTRIES = 1 << 24
 # A hashing pass holds at most this many plane values at once (16 MB of
 # float64); with the 64 x 32 default that is 1024 coordinates per chunk.
 PLANE_CHUNK_ENTRIES = 1 << 21
@@ -156,10 +153,6 @@ class GaussianPlaneField:
         u *= 2.0 ** -53
         return ndtri(u, out=u)
 
-    def block(self, coords: np.ndarray) -> np.ndarray:
-        """Plane values for every bit at the given coordinates: (n_bits, len(coords))."""
-        return self.columns(coords).T
-
 
 def sign_bits(z, planes: np.ndarray) -> np.ndarray:
     """Boolean array: bit k is (planes[k] . z) >= 0."""
@@ -232,11 +225,6 @@ class SimpleLshIndex(MipsIndex):
         self.seed = int(seed)
         self._prefix = min(self.bits, PREFIX_BITS)
         self._field = GaussianPlaneField(seed, self.tables * self.bits)
-        if self.tables * self.bits * (dim + 1) <= DENSE_PLANES_MAX_ENTRIES:
-            self._planes = self._field.columns(np.arange(dim + 1, dtype=np.uint64))
-        else:
-            self._planes = None
-        self._norms: dict[int, float] = {}
         self._codes: dict[int, list[int]] = {}  # code prefixes, one per table
         self._buckets: list[dict[int, set[int]]] = [{} for _ in range(self.tables)]
         self._U = 0.0
@@ -249,35 +237,38 @@ class SimpleLshIndex(MipsIndex):
 
     # -- hashing --------------------------------------------------------
 
-    def _hash(self, zs: list[SparseVector], tables=None, lo: int = 0,
+    def _hash(self, Z: sp.csr_matrix, tables=None, lo: int = 0,
               hi: int | None = None) -> list[list[int]]:
         """Codes of bits ``lo``..``hi`` of each of ``tables`` (by default the
-        whole code of every table) for every augmented vector of ``zs``,
-        in one chunked pass."""
+        whole code of every table) for every row of the augmented block
+        ``Z``, in one chunked pass."""
         tables = range(self.tables) if tables is None else tables
         hi = self.bits if hi is None else hi
         bit_ids = (np.asarray(tables)[:, None] * self.bits
                    + np.arange(lo, hi)).ravel()
-        Z = stack_csr([z.indices for z in zs], [z.values for z in zs], self.dim + 1)
+        n = Z.shape[0]
         coords, cols = np.unique(Z.indices, return_inverse=True)
         Z = sp.csc_matrix(sp.csr_matrix((Z.data, cols, Z.indptr),
-                                        shape=(len(zs), coords.size)))
-        proj = np.zeros((len(zs), bit_ids.size))
+                                        shape=(n, coords.size)))
+        proj = np.zeros((n, bit_ids.size))
         step = max(1, PLANE_CHUNK_ENTRIES // bit_ids.size)
         for start in range(0, coords.size, step):
-            chunk = coords[start:start + step]
-            planes = (self._field.columns(chunk, bit_ids) if self._planes is None
-                      else self._planes[np.ix_(chunk, bit_ids)])
+            planes = self._field.columns(coords[start:start + step], bit_ids)
             proj += Z[:, start:start + step] @ planes
             del planes  # freed before the next chunk is generated
-        return _pack_codes((proj >= 0.0).reshape(len(zs), len(tables), hi - lo))
+        return _pack_codes((proj >= 0.0).reshape(n, len(tables), hi - lo))
 
-    def _augment_row(self, row: SparseVector) -> SparseVector:
-        if self._U == 0.0:
-            # all rows are zero; the augmented limit is the unit last-axis vector
-            return SparseVector(np.array([self.dim], dtype=np.int64),
-                                np.array([1.0]), self.dim + 1, check=False)
-        return simplelsh_transform(row, self._U)
+    def _augment(self, R: sp.csr_matrix) -> sp.csr_matrix:
+        """The rows of ``R`` augmented at the current U, as
+        :func:`simplelsh_transform` maps them; while U is 0 every row is zero
+        and maps to the unit last-axis vector.  Each row's tail value goes in
+        one new last column, inserted before the row's end."""
+        scaled = R.data / (self._U or 1.0)
+        tail = np.sqrt(np.maximum(0.0, 1.0 - row_sums(scaled * scaled, R.indptr)))
+        ends, n = R.indptr[1:], R.shape[0]
+        return sp.csr_matrix((np.insert(scaled, ends, tail),
+                              np.insert(R.indices, ends, self.dim),
+                              R.indptr + np.arange(n + 1)), shape=(n, self.dim + 1))
 
     # -- bucket maintenance ----------------------------------------------
 
@@ -304,21 +295,20 @@ class SimpleLshIndex(MipsIndex):
             self._check_row(row)
         for c, row in items:
             self._store(c, row)
-            self._norms[c] = row.norm()
-        if max((self._norms[c] for c, _ in items), default=0.0) > self._U:
-            self._U = max(self._norms.values())
+        refresh = [c for c, _ in items]
+        R = self._stack(refresh)
+        if np.sqrt(row_sums(R.data * R.data, R.indptr)).max(initial=0.0) > self._U:
+            refresh = sorted(self._rows)
+            R = self._stack(refresh)
+            self._U = float(np.sqrt(row_sums(R.data * R.data, R.indptr)).max())
             self._codes = {}
             self._buckets = [{} for _ in range(self.tables)]
             self.rebuild_count += 1
-            refresh = sorted(self._rows)
         else:
-            refresh = [c for c, _ in items]
             for c in refresh:
                 if c in self._codes:
                     self._remove_from_buckets(c)
-        codes = self._hash([self._augment_row(self._rows[c]) for c in refresh],
-                           hi=self._prefix)
-        for c, row_codes in zip(refresh, codes):
+        for c, row_codes in zip(refresh, self._hash(self._augment(R), hi=self._prefix)):
             self._codes[c] = row_codes
             for t, code in enumerate(row_codes):
                 self._buckets[t].setdefault(code, set()).add(c)
@@ -326,21 +316,27 @@ class SimpleLshIndex(MipsIndex):
     def update_row(self, c: int, new_row: SparseVector) -> None:
         self.update_rows([(c, new_row)])
 
-    def _candidates(self, xs, exclude) -> list[list[int] | None]:
-        """Sorted bucket-union candidates of each query, or None where the
-        exact-scan fallback fires (no bucket match, or a zero query).
+    def _candidates(self, X: sp.csr_matrix, exclude) -> list[list[int] | None]:
+        """Sorted bucket-union candidates of each row of the query block
+        ``X``, or None where the exact-scan fallback fires (no bucket match,
+        or a zero query).
 
-        The queries are hashed to their code prefixes in one pass.  Each
-        table in which some query's prefix bucket is occupied then gets one
-        pass over the rest of its bits, for those queries and the rows of
-        their buckets (augmented at the current U); a row joins a query's
-        pool when that rest matches too.
+        The queries are normalized as one block and hashed to their code
+        prefixes in one pass.  Each table in which some query's prefix
+        bucket is occupied then gets one pass over the rest of its bits, for
+        those queries and the rows of their buckets (augmented at the
+        current U); a row joins a query's pool when that rest matches too.
         """
-        live = [i for i, x in enumerate(xs) if x.norm() != 0.0]
-        zs = [simplelsh_transform(xs[i], 1.0, query=True) for i in live]
-        found: list[set[int]] = [set() for _ in live]
+        norms = np.sqrt(row_sums(X.data * X.data, X.indptr))
+        live = norms != 0.0
+        Z = sp.csr_matrix((X.data / np.repeat(np.where(live, norms, 1.0),
+                                              np.diff(X.indptr)), X.indices, X.indptr),
+                          shape=(X.shape[0], self.dim + 1))
+        found: list[set[int]] = [set() for _ in range(X.shape[0])]
         hits: dict[int, list[tuple[int, set[int]]]] = {}
-        for k, prefixes in enumerate(self._hash(zs, hi=self._prefix)):
+        for k, prefixes in enumerate(self._hash(Z, hi=self._prefix)):
+            if not live[k]:
+                continue
             for t, prefix in enumerate(prefixes):
                 bucket = self._buckets[t].get(prefix)
                 if bucket and self._prefix == self.bits:
@@ -349,46 +345,38 @@ class SimpleLshIndex(MipsIndex):
                     hits.setdefault(t, []).append((k, bucket))
         for t, pairs in hits.items():
             rows = sorted(set().union(*(bucket for _, bucket in pairs)))
-            codes = self._hash([zs[k] for k, _ in pairs]
-                               + [self._augment_row(self._rows[c]) for c in rows],
+            codes = self._hash(sp.vstack([Z[[k for k, _ in pairs]],
+                                          self._augment(self._stack(rows))],
+                                         format="csr"),
                                tables=[t], lo=self._prefix)
             rest = dict(zip(rows, codes[len(pairs):]))
             for (k, bucket), code in zip(pairs, codes):
                 found[k].update(c for c in bucket if rest[c] == code)
         with self._count_lock:
             self.prefix_hit_count += sum(len(pairs) for pairs in hits.values())
-        pools: list[list[int] | None] = [None] * len(xs)
-        for i, pool in zip(live, found):
-            pool.discard(exclude[i])
-            if pool:
-                pools[i] = sorted(pool)
-        return pools
+        for pool, e in zip(found, exclude):
+            pool.discard(e)
+        return [sorted(pool) if pool else None for pool in found]
 
-    def query_batch(self, xs, exclude):
-        xs, exclude = list(xs), list(exclude)
-        for x in xs:
-            self._check_row(x)
-        for e in set(exclude):
-            self._require_candidate(e)
-        pools = self._candidates(xs, exclude)
-        ids = np.empty(len(xs), dtype=np.int64)
-        scores = np.empty(len(xs))
+    def query_batch(self, X, exclude):
+        X = self._check_batch(X, exclude)
+        pools = self._candidates(X, exclude)
+        ids = np.empty(len(pools), dtype=np.int64)
+        scores = np.empty(len(pools))
         fell = [i for i, pool in enumerate(pools) if pool is None]
         if fell:
-            ids[fell], scores[fell] = self._scan([xs[i] for i in fell],
-                                                 [exclude[i] for i in fell])
+            ids[fell], scores[fell] = self._scan(X[fell], [exclude[i] for i in fell])
         for i, pool in enumerate(pools):
             if pool is not None:
-                got, score = self._scan([xs[i]], [exclude[i]], pool)
+                got, score = self._scan(X[i:i + 1], [exclude[i]], pool)
                 ids[i], scores[i] = got[0], score[0]
         with self._count_lock:
-            self.query_count += len(xs)
+            self.query_count += len(pools)
             self.fallback_count += len(fell)
         return ids, scores
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        ids, scores = self.query_batch([x], [exclude])
-        return int(ids[0]), float(scores[0])
+        return self._query_one(x, exclude)
 
     def counters(self) -> dict[str, int]:
         return {"rebuilds": self.rebuild_count, "queries": self.query_count,

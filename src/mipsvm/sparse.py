@@ -146,6 +146,13 @@ def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
                          shape=(len(indices), dim))
 
 
+def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row's ``values``, in stored order: a row's sum does
+    not depend on the other rows of its block."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return np.bincount(rows, weights=values, minlength=indptr.size - 1)
+
+
 def scoring_operand(classes: sp.csr_matrix):
     """The (dim x C) right-hand side :func:`score_block` multiplies by.
 
@@ -260,9 +267,7 @@ class WeightMatrix:
         """
         stored.sum_duplicates()
         stored.eliminate_zeros()
-        rows = np.repeat(np.arange(self.num_classes), np.diff(stored.indptr))
-        self._row_sq = np.bincount(rows, weights=stored.data ** 2,
-                                   minlength=self.num_classes)
+        self._row_sq = row_sums(stored.data ** 2, stored.indptr)
         self._frob_sq = float(self._row_sq.sum())
         self._store = stored
 

@@ -1,15 +1,16 @@
 """Stochastic subgradient trainers for l2- and l1-regularized multi-class SVMs.
 
 Both trainers share one loop shape.  Per step: draw a batch uniformly with
-replacement, ask the MIPS index (a frozen snapshot) for every example's
-rival class with one ``query_batch`` call per slice of the batch, re-score
-the true and rival classes exactly, then apply the hinge updates as one
-sparse product, eta * (Y - R)^T X over the hinge-active examples (Y and R
-one-hot in the true and rival classes).  The l2 variant scales the matrix
-by (1 - lambda * eta_t) before the queries and projects it onto the
-Frobenius ball of radius 1/sqrt(lambda) afterwards; the l1 variant skips
-both and instead soft-thresholds every row touched by the batch, which is
-where the whole l1 penalty lives.
+replacement and stack it into one CSR block, ask the MIPS index (a frozen
+snapshot) for every example's rival class with one ``query_batch`` call per
+slice of the block, re-score the true and rival classes exactly, then apply
+the hinge updates as one sparse product, eta * (Y - R)^T X over the
+hinge-active rows of the block (Y and R one-hot in the true and rival
+classes).  The l2 variant scales the matrix by (1 - lambda * eta_t) before
+the queries and projects it onto the Frobenius ball of radius
+1/sqrt(lambda) afterwards; the l1 variant skips both and instead
+soft-thresholds every row touched by the batch, which is where the whole
+l1 penalty lives.
 
 The index is kept in the matrix's stored (unscaled) units: global scaling
 multiplies every logical row by the same positive factor and cannot change
@@ -24,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse as sp
@@ -175,31 +176,23 @@ def _build_training_index(W: WeightMatrix, cfg: TrainConfig) -> MipsIndex:
                        **{k: getattr(cfg, k) for k in BACKEND_DEFAULTS})
 
 
-class _Proposal(NamedTuple):
-    margin: float
-    rival: int
+def _query_phase(index, W, batch: Dataset, threads):
+    """Margin and rival of every example of ``batch`` against the frozen
+    index, as one record array with ``margin`` and ``rival`` fields.
 
-
-def _query_phase(index, W, batch, threads):
-    """Margin and rival of every example against the frozen index.
-
-    The batch is cut into ``threads`` contiguous slices, each scored by one
-    :func:`inexact_margins_batch` call, and the results are joined in order;
-    every example is scored on its own, so the cut cannot change them.  One
-    slice is scored on the calling thread; more go to a pool, one thread
-    each.
-    """
+    One thread scores the batch's own block with one
+    :func:`inexact_margins_batch` call.  More cut it into that many slices,
+    each stacked again and scored on a pool thread; every example is scored
+    on its own, so the cut cannot change the results."""
     cuts = np.linspace(0, len(batch), min(threads, len(batch)) + 1).astype(int)
-    parts = [Dataset(batch[lo:hi], W.dim, W.num_classes)
-             for lo, hi in zip(cuts[:-1], cuts[1:])]
-    score = partial(inexact_margins_batch, index, W)
-    if len(parts) == 1:
-        found = [score(parts[0])]
+    if cuts.size == 2:
+        found = [inexact_margins_batch(index, W, batch)]
     else:
+        parts = [batch.subset(range(lo, hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            found = list(pool.map(score, parts))
-    margins, rivals = (np.concatenate(arrays).tolist() for arrays in zip(*found))
-    return list(map(_Proposal, margins, rivals))
+            found = list(pool.map(partial(inexact_margins_batch, index, W), parts))
+    margins, rivals = (np.concatenate(arrays) for arrays in zip(*found))
+    return np.rec.fromarrays([margins, rivals], names="margin,rival")
 
 
 def _train(data: Dataset, cfg: TrainConfig, mode: str,
@@ -233,27 +226,26 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
     for t in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         eta = learning_rate(t, cfg.eta0, cfg.eta_step)
-        batch = sample_batch(data, batch_size, rng)
+        batch = Dataset(sample_batch(data, batch_size, rng), data.dim,
+                        data.num_classes).stacked()
         fold_before = W.fold_count
 
         if mode == "l2":
             W.global_scale(1.0 - cfg.lam * eta)
 
         # phase 1: rivals and margins against the frozen snapshot
-        margins = _query_phase(index, W, batch, cfg.threads)
+        found = _query_phase(index, W, batch, cfg.threads)
 
         # phase 2: the hinge updates, one product over the hinge-active examples
-        labels = np.array([y for y, _ in batch], dtype=np.int64)
-        rivals = np.array([m.rival for m in margins], dtype=np.int64)
-        active = np.flatnonzero(1.0 - np.array([m.margin for m in margins]) > 0.0)
+        labels, rivals = batch.labels_array(), found.rival
+        active = np.flatnonzero(1.0 - found.margin > 0.0)
         if active.size:
             signs = sp.csr_matrix(
                 (np.repeat([eta, -eta], active.size),
                  (np.concatenate([labels[active], rivals[active]]),
                   np.tile(np.arange(active.size), 2))),
                 shape=(W.num_classes, active.size))
-            X = Dataset([batch[i] for i in active], W.dim, W.num_classes).to_csr()
-            W.add(signs @ X)
+            W.add(signs @ batch.to_csr()[active])
         if mode == "l2":
             touched = np.union1d(labels[active], rivals[active])
             W.project_to_ball(cfg.lam)

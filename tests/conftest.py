@@ -1,4 +1,5 @@
-"""Fixtures shared by the oracle tests of the exact scoring kernel."""
+"""Fixtures shared by the oracle tests of the exact scoring kernel and the
+MIPS indexes."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,16 @@ def _random_rows(rng, count, dim, nnz):
         idx = np.sort(rng.choice(dim, size=nnz, replace=False))
         rows.append(SparseVector(idx, rng.standard_normal(nnz), dim))
     return rows
+
+
+@pytest.fixture
+def as_block():
+    """Stacks SparseVectors of one dim into the CSR block that
+    ``MipsIndex.query_batch`` and the SimpleLSH hashing take:
+    ``as_block(xs, dim)``."""
+    def stack(xs, dim):
+        return sparse.stack_csr([x.indices for x in xs], [x.values for x in xs], dim)
+    return stack
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from mipsvm.mips import ExactIndex, NoCandidateError, build_index
 from mipsvm.sparse import SparseVector, dot
@@ -49,22 +50,22 @@ class TestBuild:
         with pytest.raises(ValueError, match="unknown backend"):
             build_index([], "btree", dim=2)
 
-    def test_empty_index_queries_fail(self):
+    def test_empty_index_queries_fail(self, as_block):
         index = build_index([], "exact", dim=3)
         with pytest.raises(NoCandidateError):
             index.query(sv({0: 1.0}, 3))
         with pytest.raises(NoCandidateError):
-            index.query_batch([sv({0: 1.0}, 3)], [None])
+            index.query_batch(as_block([sv({0: 1.0}, 3)], 3), [None])
 
-    def test_exclusion_exhausts_single_row(self):
+    def test_exclusion_exhausts_single_row(self, as_block):
         index = build_index([(4, sv({0: 1.0}, 2))], "exact", dim=2)
         with pytest.raises(NoCandidateError):
             index.query(sv({0: 1.0}, 2), exclude=4)
         with pytest.raises(NoCandidateError):
-            index.query_batch([sv({0: 1.0}, 2)] * 2, [None, 4])
+            index.query_batch(as_block([sv({0: 1.0}, 2)] * 2, 2), [None, 4])
         # without exclusion the row is returned
         assert index.query(sv({0: 1.0}, 2)) == (4, 1.0)
-        ids, scores = index.query_batch([sv({0: 1.0}, 2)] * 2, [None, 7])
+        ids, scores = index.query_batch(as_block([sv({0: 1.0}, 2)] * 2, 2), [None, 7])
         assert (ids.tolist(), scores.tolist()) == ([4, 4], [1.0, 1.0])
 
 
@@ -144,11 +145,6 @@ class TestUpdateRow:
         with pytest.raises(ValueError):
             index.update_row(0, sv({0: 1.0}, 5))
 
-    def test_class_ids(self):
-        index = build_index([(3, sv({}, 2)), (1, sv({}, 2))], "exact", dim=2)
-        assert index.class_ids() == [1, 3]
-        assert len(index) == 2
-
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh"])
 def test_concurrent_first_queries_after_update(kind):
@@ -183,8 +179,9 @@ def test_concurrent_first_queries_after_update(kind):
 
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
-def test_query_batch_matches_query(kind, kernel_cases):
-    """One query_batch call gives every row's query answer, bit for bit.
+def test_query_batch_matches_query(kind, kernel_cases, as_block):
+    """One query_batch call gives every row's query answer, bit for bit,
+    also from a block whose rows hold their entries out of order.
 
     The kernel cases bring score ties (a duplicated and an all-zero class
     row, examples with no nonzeros) and chunk boundaries; the excludes mix
@@ -196,12 +193,37 @@ def test_query_batch_matches_query(kind, kernel_cases):
         index = build_index([(c, W.materialize_row(c)) for c in range(W.num_classes)],
                             kind, dim=W.dim, seed=1, **params)
         xs = [x for _, x in data.examples]
+        X = as_block(xs, W.dim)
         mixed = [(y, W.num_classes + 3, None)[i % 3]
                  for i, (y, _) in enumerate(data.examples)]
+        # the same block with every row's entries in reverse order
+        flipped = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                                  for lo, hi in zip(X.indptr[:-1], X.indptr[1:])])
+        unsorted = sp.csr_matrix((X.data[flipped], X.indices[flipped], X.indptr),
+                                 shape=X.shape)
         for exclude in ([None] * len(xs), mixed, data.labels_array()):
-            ids, scores = index.query_batch(xs, exclude)
             want = [index.query(x, exclude=e) for x, e in zip(xs, exclude)]
-            assert ids.tolist() == [c for c, _ in want]
-            assert scores.tolist() == [s for _, s in want]
-        empty = index.query_batch([], [])
+            for block in (X, unsorted):
+                ids, scores = index.query_batch(block, exclude)
+                assert ids.tolist() == [c for c, _ in want]
+                assert scores.tolist() == [s for _, s in want]
+        empty = index.query_batch(as_block([], W.dim), [])
         assert [a.size for a in empty] == [0, 0]
+
+
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_query_batch_rejects_a_bad_block(kind, as_block):
+    """A block of the wrong width, with a non-finite value or with another
+    number of excludes than rows fails closed, on every backend."""
+    rng = np.random.default_rng(32)
+    index = build_index([(c, random_sparse(rng, 6)) for c in range(5)], kind, dim=6)
+    xs = [random_sparse(rng, 6) for _ in range(3)]
+    with pytest.raises(ValueError, match="width 7 does not match index dim 6"):
+        index.query_batch(as_block([sv({0: 1.0}, 7)], 7), [None])
+    for bad in (np.nan, np.inf):
+        X = as_block(xs, 6)
+        X.data[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            index.query_batch(X, [None] * 3)
+    with pytest.raises(ValueError, match="2 excludes for 3 queries"):
+        index.query_batch(as_block(xs, 6), [None] * 2)

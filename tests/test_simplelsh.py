@@ -125,34 +125,20 @@ class TestPlaneField:
         f2 = slsh.GaussianPlaneField(7, 32)
         f3 = slsh.GaussianPlaneField(8, 32)
         coords = np.arange(50, dtype=np.uint64)
-        np.testing.assert_array_equal(f1.block(coords), f2.block(coords))
-        assert not np.array_equal(f1.block(coords), f3.block(coords))
+        np.testing.assert_array_equal(f1.columns(coords), f2.columns(coords))
+        assert not np.array_equal(f1.columns(coords), f3.columns(coords))
 
     def test_random_access_matches_dense(self):
         field = slsh.GaussianPlaneField(5, 16)
-        dense = field.block(np.arange(30, dtype=np.uint64))
+        dense = field.columns(np.arange(30, dtype=np.uint64))
         picks = np.array([3, 11, 29], dtype=np.uint64)
-        np.testing.assert_array_equal(field.block(picks), dense[:, picks])
+        np.testing.assert_array_equal(field.columns(picks), dense[picks])
 
     def test_values_look_standard_normal(self):
         field = slsh.GaussianPlaneField(11, 64)
-        block = field.block(np.arange(2000, dtype=np.uint64))
-        assert abs(block.mean()) < 0.01
-        assert abs(block.std() - 1.0) < 0.01
-
-    def test_on_demand_path_equals_dense_path(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        rows = [(c, unit_row(rng, 10)) for c in range(20)]
-        dense = build_index(rows, "simplelsh", dim=10, seed=9,
-                            lsh_bits=8, lsh_tables=4)
-        monkeypatch.setattr(slsh, "DENSE_PLANES_MAX_ENTRIES", 0)
-        lazy = build_index(rows, "simplelsh", dim=10, seed=9,
-                           lsh_bits=8, lsh_tables=4)
-        assert lazy._planes is None and dense._planes is not None
-        assert lazy._codes == dense._codes
-        for _ in range(50):
-            x = unit_row(rng, 10)
-            assert lazy.query(x, exclude=3) == dense.query(x, exclude=3)
+        values = field.columns(np.arange(2000, dtype=np.uint64))
+        assert abs(values.mean()) < 0.01
+        assert abs(values.std() - 1.0) < 0.01
 
 
 class TestIndex:
@@ -172,7 +158,7 @@ class TestIndex:
         with pytest.raises(NoCandidateError):
             index.query(sv({0: 1.0}, 4), exclude=2)
 
-    def test_rerank_returns_best_retrieved_candidate(self):
+    def test_rerank_returns_best_retrieved_candidate(self, as_block):
         # small codes force real bucket collisions; the answer must be the
         # exact argmax over whatever candidate pool was retrieved
         rng = np.random.default_rng(6)
@@ -183,7 +169,7 @@ class TestIndex:
         for _ in range(100):
             x = unit_row(rng, 6)
             exclude = int(rng.integers(40))
-            pool = index._candidates([x], [exclude])[0]
+            pool = index._candidates(as_block([x], 6), [exclude])[0]
             bucket_hits += pool is not None
             cands = pool if pool is not None else [c for c in rows if c != exclude]
             got_c, got_s = index.query(x, exclude=exclude)
@@ -272,7 +258,7 @@ def reference_block(field, coords):
 
 def full_codes(index, zs):
     """Whole table codes of augmented vectors, by hash_code over the field."""
-    planes = index._field.block(np.arange(index.dim + 1, dtype=np.uint64))
+    planes = index._field.columns(np.arange(index.dim + 1, dtype=np.uint64)).T
     b = index.bits
     return [[hash_code(z, planes[t * b:(t + 1) * b]) for t in range(index.tables)]
             for z in zs]
@@ -297,23 +283,20 @@ class TestBatchedHashing:
         cols = field.columns(coords)
         assert cols.shape == (5, 40) and cols.flags.c_contiguous
         np.testing.assert_array_equal(cols, reference_block(field, coords).T)
-        np.testing.assert_array_equal(cols, field.block(coords).T)
 
-    @pytest.mark.parametrize("on_demand", [False, True])
+    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("bits,tables", [(6, 5), (70, 2)])
-    def test_batched_codes_equal_hash_code(self, monkeypatch, on_demand, bits, tables):
-        # chunks of three coordinates: every batch spans many chunks
-        monkeypatch.setattr(slsh, "PLANE_CHUNK_ENTRIES", 3 * bits * tables)
-        if on_demand:
-            monkeypatch.setattr(slsh, "DENSE_PLANES_MAX_ENTRIES", 0)
+    def test_batched_codes_equal_hash_code(self, monkeypatch, as_block, chunked,
+                                           bits, tables):
+        if chunked:  # chunks of three coordinates: every batch spans many
+            monkeypatch.setattr(slsh, "PLANE_CHUNK_ENTRIES", 3 * bits * tables)
         rng = np.random.default_rng(20)
         dim = 30
         rows = [(c, random_sparse(rng, dim, 12)) for c in range(25)]
         rows.append((25, SparseVector.zeros(dim)))
         index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
                             lsh_tables=tables, seed=4)
-        assert (index._planes is None) == on_demand
-        planes = index._field.block(np.arange(dim + 1, dtype=np.uint64))
+        planes = index._field.columns(np.arange(dim + 1, dtype=np.uint64)).T
 
         def expected(z):
             return [hash_code(z, planes[t * bits:(t + 1) * bits])
@@ -327,7 +310,7 @@ class TestBatchedHashing:
                 for code in expected(simplelsh_transform(row, index._U))]
         zs = [simplelsh_transform(random_sparse(rng, dim, 12), 1.0, query=True)
               for _ in range(20)]
-        assert index._hash(zs) == [expected(z) for z in zs]
+        assert index._hash(as_block(zs, dim + 1)) == [expected(z) for z in zs]
 
     @pytest.mark.parametrize("grow", [False, True])
     def test_update_rows_equals_update_row_in_descending_norm_order(self, grow):
@@ -364,8 +347,7 @@ class TestBatchedHashing:
         dim = 20_000
         rng = np.random.default_rng(22)
         row = SparseVector(np.arange(dim), rng.standard_normal(dim), dim)
-        index = SimpleLshIndex(dim)  # 64 x 32: planes generated on demand
-        assert index._planes is None
+        index = SimpleLshIndex(dim)
         tracemalloc.start()
         try:
             index.update_row(0, row)
@@ -376,7 +358,7 @@ class TestBatchedHashing:
         # one block over the row's whole support would be 328 MB
         assert peak < 3 * slsh.PLANE_CHUNK_ENTRIES * 8
 
-    def test_counters_count_queries_and_fallbacks(self, monkeypatch):
+    def test_counters_count_queries_and_fallbacks(self, monkeypatch, as_block):
         monkeypatch.setattr(slsh, "PREFIX_BITS", 1)
         rng = np.random.default_rng(23)
         index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
@@ -391,11 +373,11 @@ class TestBatchedHashing:
         hits = sum(any(code_prefix(q[t], 2, 1) == code_prefix(r[t], 2, 1)
                        for r in rows)
                    for q in queries for t in range(2))
-        pools = index._candidates(xs, exclude)
+        pools = index._candidates(as_block(xs, 6), exclude)
         fallbacks = sum(pool is None for pool in pools)
         assert pools[-1] is None  # the zero query
         assert 0 < fallbacks < len(xs)
-        index.query_batch(xs, exclude)
+        index.query_batch(as_block(xs, 6), exclude)
         index.query(xs[-1], exclude=exclude[-1])
         # the direct _candidates call and query_batch both hash every prefix
         assert index.counters() == {"rebuilds": index.rebuild_count,
@@ -403,13 +385,13 @@ class TestBatchedHashing:
                                     "fallbacks": fallbacks + 1,
                                     "prefix_hits": 2 * hits}
 
-    def test_concurrent_query_batches_count_every_query(self, monkeypatch):
+    def test_concurrent_query_batches_count_every_query(self, monkeypatch, as_block):
         monkeypatch.setattr(slsh, "PREFIX_BITS", 1)
         rng = np.random.default_rng(24)
         index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
                             "simplelsh", dim=6, lsh_bits=2, lsh_tables=2, seed=2)
-        xs = [unit_row(rng, 6) for _ in range(5)]
-        index.query_batch(xs, [None] * len(xs))
+        xs = as_block([unit_row(rng, 6) for _ in range(5)], 6)
+        index.query_batch(xs, [None] * 5)
         per_batch = index.fallback_count
         hits_per_batch = index.prefix_hit_count
         assert hits_per_batch > 0
@@ -420,7 +402,7 @@ class TestBatchedHashing:
             def work():
                 start.wait(timeout=60)
                 for _ in range(100):
-                    index.query_batch(xs, [None] * len(xs))
+                    index.query_batch(xs, [None] * 5)
 
             threads = [threading.Thread(target=work) for _ in range(6)]
             for t in threads:
@@ -430,7 +412,7 @@ class TestBatchedHashing:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(old)
-        assert index.query_count == 601 * len(xs)
+        assert index.query_count == 601 * 5
         assert index.fallback_count == 601 * per_batch
         assert index.prefix_hit_count == 601 * hits_per_batch
 
@@ -445,14 +427,14 @@ class TestPrefixHashing:
         np.testing.assert_array_equal(cols, reference_block(field, coords)[bit_ids].T)
 
     @pytest.mark.parametrize("grow", [False, True])
-    @pytest.mark.parametrize("on_demand", [False, True])
+    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("bits,tables", [(6, 5), (70, 2)])
     @pytest.mark.parametrize("prefix", [1, 3, 70])
-    def test_pools_equal_full_code_reference(self, monkeypatch, prefix, bits,
-                                             tables, on_demand, grow):
+    def test_pools_equal_full_code_reference(self, monkeypatch, as_block, prefix,
+                                             bits, tables, chunked, grow):
         monkeypatch.setattr(slsh, "PREFIX_BITS", prefix)
-        if on_demand:
-            monkeypatch.setattr(slsh, "DENSE_PLANES_MAX_ENTRIES", 0)
+        if chunked:  # one coordinate per chunk in every pass
+            monkeypatch.setattr(slsh, "PLANE_CHUNK_ENTRIES", 1)
         rng = np.random.default_rng(25)
         dim = 8
 
@@ -463,7 +445,6 @@ class TestPrefixHashing:
         rows = [(c, row(1.0)) for c in range(40)] + [(40, SparseVector.zeros(dim))]
         index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
                             lsh_tables=tables, seed=6)
-        assert (index._planes is None) == on_demand
         rebuilds = index.rebuild_count
         index.update_rows([(int(c), row(3.0 if grow else 0.9))
                            for c in rng.choice(40, size=10, replace=False)]
@@ -473,7 +454,7 @@ class TestPrefixHashing:
         # queries: random vectors, copies of the longest row (its augmented
         # tail is about zero, so its whole codes match theirs), and one zero
         # query
-        top = max(index._norms, key=index._norms.get)
+        top = max(index._rows, key=lambda c: index._rows[c].norm())
         xs = [random_sparse(rng, dim, 5) for _ in range(60)]
         xs += [index._rows[top].scaled(2.0)] * 3 + [SparseVector.zeros(dim)]
         exclude = [None if rng.random() < 0.3 else int(rng.integers(42))
@@ -494,7 +475,7 @@ class TestPrefixHashing:
             pool = [c for c in ids if c != e
                     and any(a == b for a, b in zip(rows_full[c], q))]
             want.append(pool or None)
-        assert index._candidates(xs, exclude) == want
+        assert index._candidates(as_block(xs, dim), exclude) == want
         assert sum(pool is not None for pool in want) >= 2
         if prefix < bits:
             # some prefix matches were confirmed and some rejected
@@ -502,11 +483,10 @@ class TestPrefixHashing:
         else:
             assert index.prefix_hit_count == 0
 
-    def test_query_batch_generates_prefix_planes_only(self, monkeypatch):
+    def test_query_batch_generates_prefix_planes_only(self, monkeypatch, as_block):
         dim = 20_000
         rng = np.random.default_rng(26)
-        index = SimpleLshIndex(dim)  # 64 x 32: planes generated on demand
-        assert index._planes is None
+        index = SimpleLshIndex(dim)
         index.update_rows([(c, random_sparse(rng, dim, 40)) for c in range(5)])
         xs = [random_sparse(rng, dim, 40) for _ in range(5)]
         generated = []
@@ -518,7 +498,7 @@ class TestPrefixHashing:
             return out
 
         monkeypatch.setattr(slsh.GaussianPlaneField, "columns", counting)
-        index.query_batch(xs, [None] * len(xs))
+        index.query_batch(as_block(xs, dim), [None] * len(xs))
         support = np.unique(np.concatenate([x.indices for x in xs])).size
         assert 0 < sum(generated) <= slsh.PREFIX_BITS * index.tables * support
         # ... because no prefix collided: no pass hashed the rest of a code

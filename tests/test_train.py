@@ -7,6 +7,7 @@ as a divergence.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -423,6 +424,23 @@ class TestTrainLog:
         train_l1(data, cfg, heldout=heldout)
         assert stacked_rows.count(len(data)) == 1
         assert stacked_rows.count(len(heldout)) == 1
+
+    @pytest.mark.parametrize("backend", ["exact", "simplelsh"])
+    def test_a_step_stacks_its_batch_once(self, monkeypatch, backend):
+        """The rival query, the exact re-scoring and the hinge product of a
+        step all read one CSR block of the batch."""
+        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
+        cfg = TrainConfig(lam=1.0, epochs=1, seed=5, batch_size=7, backend=backend)
+        stacked_rows = []
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("mipsvm") and "stack_csr" in vars(m)]:
+            def counting(indices, values, dim, stack_csr=module.stack_csr):
+                stacked_rows.append(len(indices))
+                return stack_csr(indices, values, dim)
+
+            monkeypatch.setattr(module, "stack_csr", counting)
+        train_l2(data, cfg)
+        assert stacked_rows.count(cfg.batch_size) == 1
 
     def test_early_stopping_breaks_out(self):
         toy = make_toy_dataset()
