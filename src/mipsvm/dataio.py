@@ -116,7 +116,8 @@ def parse_dataset(path, *, zero_based: bool = False, dim: int | None = None,
     mapping (as persisted from a training run); unseen labels extend it.
     """
     label_map = dict(label_map) if label_map else {}
-    examples: list[tuple[int, list[tuple[int, float]]]] = []
+    # (class id, indices, values) per example, explicit zeros dropped
+    examples: list[tuple[int, np.ndarray, np.ndarray]] = []
     max_index = -1
     dropped = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -142,7 +143,10 @@ def parse_dataset(path, *, zero_based: bool = False, dim: int | None = None,
                 max_index = max(max_index, feats[-1][0])
             if label not in label_map:
                 label_map[label] = len(label_map)
-            examples.append((label_map[label], feats))
+            idx = np.fromiter((i for i, _ in feats), np.int64, len(feats))
+            val = np.fromiter((v for _, v in feats), np.float64, len(feats))
+            keep = val != 0.0
+            examples.append((label_map[label], idx[keep], val[keep]))
     if not examples:
         raise DatasetFormatError("empty dataset")
     if dropped:
@@ -157,8 +161,10 @@ def parse_dataset(path, *, zero_based: bool = False, dim: int | None = None,
         final_classes = num_classes
     else:
         final_classes = observed_classes
-    built = [(y, SparseVector.from_pairs(feats, final_dim))
-             for y, feats in examples]
+    # every index is checked, sorted, distinct and below final_dim, and
+    # every value finite
+    built = [(y, SparseVector(idx, val, final_dim, check=False))
+             for y, idx, val in examples]
     return Dataset(built, final_dim, final_classes, label_map)
 
 

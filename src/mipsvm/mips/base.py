@@ -90,16 +90,21 @@ class MipsIndex(ABC):
         return stack_csr([r.indices for r in rows], [r.values for r in rows], self.dim)
 
     def _scan(self, X: sp.csr_matrix, exclude,
-              among: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+              pools: list[list[int]] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Best (class ids, exact scores) of the rows of the query block
-        ``X``, over every row or over ``among``.
+        ``X``, over every row or, row by row, over that row's ``pools``
+        entry.
 
         ``exclude`` holds one class id or None per row; an id outside the
-        scan masks nothing.  ``among`` holds sorted indexed class ids; their
-        rows are gathered into one CSR slice.  Either way the scores come
-        from one :func:`score_block` call, and ties go to the smallest id.
+        scan masks nothing.  ``pools`` holds one sorted list of indexed
+        class ids per row; the rows of their union are gathered into one
+        CSR slice, and each query is held to its own pool.  Either way the
+        scores come from one :func:`score_block` call, so re-ranking a
+        batch never costs more than a full scan of it, and ties go to the
+        smallest id.
         """
-        if among is None:
+        among = None
+        if pools is None:
             state = self._scan_state
             if state is None:
                 ids = sorted(self._rows)
@@ -107,12 +112,19 @@ class MipsIndex(ABC):
                                             scoring_operand(self._stack(ids)))
             ids, operand = state
         else:
-            ids, operand = np.array(among), scoring_operand(self._stack(among))
+            members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
+            ids = np.unique(members)
+            operand = scoring_operand(self._stack(ids.tolist()))
+            indptr = np.zeros(len(pools) + 1, dtype=np.int64)
+            np.cumsum([len(pool) for pool in pools], out=indptr[1:])
+            among = sp.csr_matrix((np.ones(members.size, dtype=bool),
+                                   np.searchsorted(ids, members), indptr),
+                                  shape=(len(pools), ids.size))
         given = np.array([e is not None for e in exclude], dtype=bool)
         wanted = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
         pos = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
         masked = np.where(given & (ids[pos] == wanted), pos, -1)
-        best, score, _ = score_block(X, operand, exclude=masked)
+        best, score, _ = score_block(X, operand, exclude=masked, among=among)
         return ids[best], score
 
     @abstractmethod

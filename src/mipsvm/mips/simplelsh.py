@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import partial
 
 import numpy as np
 from scipy import sparse as sp
@@ -44,7 +45,7 @@ from scipy.special import ndtri
 
 # dot is unused here; perfbench/tracing.py patches it by this name on this
 # module.
-from ..sparse import SparseVector, dot, row_sums  # noqa: F401
+from ..sparse import SparseVector, dot, piece_bounds, row_sums, run_pieces  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 # A hashing pass holds at most this many plane values at once (16 MB of
@@ -197,10 +198,10 @@ class SimpleLshIndex(MipsIndex):
     Each row lives in exactly one bucket per table, keyed by the first
     ``min(bits, PREFIX_BITS)`` bits of its code in that table.  A query
     collects the rows whose whole code matches its own in some table,
-    re-scores them exactly in one product and returns the best; when no
-    code matches, it falls back to a full scan, so a returned candidate is
-    never worse than any retrieved one.  A batch's fallbacks share one full
-    scan.
+    re-scores them exactly and returns the best; when no code matches, it
+    falls back to a full scan, so a returned candidate is never worse than
+    any retrieved one.  A batch's fallbacks share one full scan, and its
+    re-ranks one product over the union of their pools.
 
     The norm constant U is the largest row norm seen so far; a batch of
     updates whose largest norm exceeds it re-augments and re-hashes the
@@ -237,26 +238,46 @@ class SimpleLshIndex(MipsIndex):
 
     # -- hashing --------------------------------------------------------
 
-    def _hash(self, Z: sp.csr_matrix, tables=None, lo: int = 0,
-              hi: int | None = None) -> list[list[int]]:
-        """Codes of bits ``lo``..``hi`` of each of ``tables`` (by default the
-        whole code of every table) for every row of the augmented block
-        ``Z``, in one chunked pass."""
-        tables = range(self.tables) if tables is None else tables
-        hi = self.bits if hi is None else hi
-        bit_ids = (np.asarray(tables)[:, None] * self.bits
-                   + np.arange(lo, hi)).ravel()
+    def _project(self, Z: sp.csr_matrix, bit_ids: np.ndarray) -> np.ndarray:
+        """The n x len(bit_ids) projections of the rows of the augmented
+        block ``Z`` on the planes ``bit_ids``, in one chunked pass.
+
+        Each coordinate chunk's plane rows are cut into contiguous pieces
+        (:func:`~mipsvm.sparse.piece_bounds`) that run on the kernel pool;
+        a piece generates its planes' columns and adds its own columns of
+        the projection.  Every projection sums the same chunks in the same
+        order, so it does not depend on WORKERS, and the pieces of a chunk
+        together hold its PLANE_CHUNK_ENTRIES plane values at most.
+        """
         n = Z.shape[0]
         coords, cols = np.unique(Z.indices, return_inverse=True)
         Z = sp.csc_matrix(sp.csr_matrix((Z.data, cols, Z.indptr),
                                         shape=(n, coords.size)))
         proj = np.zeros((n, bit_ids.size))
         step = max(1, PLANE_CHUNK_ENTRIES // bit_ids.size)
+
+        def add_planes(chunk, Z_chunk, first, last):
+            planes = self._field.columns(chunk, bit_ids[first:last])
+            proj[:, first:last] += Z_chunk @ planes
+
         for start in range(0, coords.size, step):
-            planes = self._field.columns(coords[start:start + step], bit_ids)
-            proj += Z[:, start:start + step] @ planes
-            del planes  # freed before the next chunk is generated
-        return _pack_codes((proj >= 0.0).reshape(n, len(tables), hi - lo))
+            chunk, Z_chunk = coords[start:start + step], Z[:, start:start + step]
+            cuts = piece_bounds(bit_ids.size, chunk.size * bit_ids.size)
+            run_pieces([partial(add_planes, chunk, Z_chunk, first, last)
+                        for first, last in zip(cuts[:-1].tolist(), cuts[1:].tolist())])
+        return proj
+
+    def _hash(self, Z: sp.csr_matrix, tables=None, lo: int = 0,
+              hi: int | None = None) -> list[list[int]]:
+        """Codes of bits ``lo``..``hi`` of each of ``tables`` (by default the
+        whole code of every table) for every row of the augmented block
+        ``Z``, from one :meth:`_project` pass."""
+        tables = range(self.tables) if tables is None else tables
+        hi = self.bits if hi is None else hi
+        bit_ids = (np.asarray(tables)[:, None] * self.bits
+                   + np.arange(lo, hi)).ravel()
+        proj = self._project(Z, bit_ids)
+        return _pack_codes((proj >= 0.0).reshape(Z.shape[0], len(tables), hi - lo))
 
     def _augment(self, R: sp.csr_matrix) -> sp.csr_matrix:
         """The rows of ``R`` augmented at the current U, as
@@ -366,10 +387,10 @@ class SimpleLshIndex(MipsIndex):
         fell = [i for i, pool in enumerate(pools) if pool is None]
         if fell:
             ids[fell], scores[fell] = self._scan(X[fell], [exclude[i] for i in fell])
-        for i, pool in enumerate(pools):
-            if pool is not None:
-                got, score = self._scan(X[i:i + 1], [exclude[i]], pool)
-                ids[i], scores[i] = got[0], score[0]
+        pooled = [i for i, pool in enumerate(pools) if pool is not None]
+        if pooled:
+            ids[pooled], scores[pooled] = self._scan(
+                X[pooled], [exclude[i] for i in pooled], [pools[i] for i in pooled])
         with self._count_lock:
             self.query_count += len(pools)
             self.fallback_count += len(fell)

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..sparse import SparseVector, dot
+from ..sparse import SparseVector, dot, stack_csr
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 ENTRY_POINTS = 4
@@ -184,7 +184,8 @@ class SwGraphIndex(MipsIndex):
             if c != exclude:
                 return c, float(s)
         # traversal surfaced only the excluded class; scan the rest
-        ids, scores = self._scan([x], [exclude])
+        ids, scores = self._scan(stack_csr([x.indices], [x.values], self.dim),
+                                 [exclude])
         return int(ids[0]), float(scores[0])
 
     # -- introspection (used by tests and demos) ----------------------------

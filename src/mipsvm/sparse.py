@@ -5,12 +5,19 @@ structures: :class:`SparseVector` (sorted index/value pairs with an explicit
 dimension) and :class:`WeightMatrix` (one CSR of class rows behind a single
 scale multiplier, so that scaling the whole matrix is O(1)).
 :func:`score_block` is the one exact scoring kernel: it multiplies a CSR
-block of examples by a class matrix, chunk by chunk.
+block of examples by a class matrix, chunk by chunk.  It and SimpleLSH's
+plane pass cut their work into pieces that :func:`run_pieces` runs on one
+shared thread pool; scipy's sparse products and numpy's ufuncs release the
+interpreter lock, so the pieces run on every CPU the process may use.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 from scipy import sparse as sp
@@ -30,6 +37,53 @@ SCORE_BLOCK_ENTRIES = 1 << 22
 # ones as CSR.  Block scoring crossed over between 0.07 (40-nnz rows at
 # d = 20k, C = 1000) and 0.12 (dense rows at d = 300, C = 500).
 DENSE_SCORING_MIN_DENSITY = 0.1
+# A kernel call runs on the pool only when it holds at least WORKERS times
+# this many entries (scores, or plane values per chunk); smaller ones run
+# inline, where handing pieces to threads costs more than it saves.
+MIN_PIECE_ENTRIES = 1 << 15
+
+# The kernel pool has one thread per CPU this process may run on (every
+# CPU where the platform cannot tell).
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None  # created by the first pooled call
+_pool_lock = threading.Lock()
+
+
+def piece_bounds(n: int, entries: int, longest: int | None = None) -> np.ndarray:
+    """Bounds of near-equal contiguous pieces of ``range(n)`` for
+    :func:`run_pieces`.  A call holding fewer than WORKERS *
+    MIN_PIECE_ENTRIES ``entries`` is one piece; a larger one gets WORKERS
+    pieces (at most n), or more where that keeps each piece within
+    ``longest``."""
+    count = 1
+    if entries >= WORKERS * MIN_PIECE_ENTRIES:
+        count = max(WORKERS, -(-n // longest) if longest else 1)
+    return np.linspace(0, n, max(1, min(n, count)) + 1).astype(np.int64)
+
+
+def run_pieces(pieces) -> None:
+    """Call every zero-argument callable of ``pieces``, on the shared kernel
+    pool, and return once all have finished; the first failure is raised.
+    With one worker or one piece they run inline on the calling thread.
+
+    Pieces are leaves: nothing running on the pool submits to it, so the
+    callers that wait on it (several at once, say the trainer's query
+    slices) can never deadlock.
+    """
+    global _pool
+    if WORKERS == 1 or len(pieces) <= 1:
+        for piece in pieces:
+            piece()
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="mipsvm-kernel")
+        pool = _pool
+    futures = [pool.submit(piece) for piece in pieces]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 class SparseVector:
@@ -167,37 +221,70 @@ def scoring_operand(classes: sp.csr_matrix):
     return classes.T.tocsr()
 
 
-def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None):
+def row_view(X: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows ``lo``..``hi`` of the CSR block ``X``, sharing its data and
+    indices.  Row slicing, and the constructor given a short view, copy
+    them; so the arrays are set on an empty matrix instead."""
+    if lo == 0 and hi == X.shape[0]:
+        return X
+    a, b = X.indptr[lo], X.indptr[hi]
+    view = sp.csr_matrix((hi - lo, X.shape[1]), dtype=X.dtype)
+    view.data, view.indices = X.data[a:b], X.indices[a:b]
+    view.indptr = X.indptr[lo:hi + 1] - a
+    return view
+
+
+def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None):
     """Best class and its score for every row of ``X @ operand``.
 
     ``operand`` comes from :func:`scoring_operand`.  ``exclude`` optionally
     gives one class position per row that cannot be the best (a negative
-    position excludes nothing); ``at``
+    position excludes nothing); ``among`` optionally gives, as the nonzero
+    pattern of an n x C CSR matrix, the class positions each row may pick
+    from (a row with none gets position 0 and score -inf); ``at``
     optionally gives one class position per row whose score is returned
-    too.  Ties go to the smallest position.  Rows are scored in chunks of
-    SCORE_BLOCK_ENTRIES // C, so memory is O(chunk x C), never O(n x C).
-    Returns ``(best, best_scores, at_scores)``; ``at_scores`` is None when
-    ``at`` is.
+    too.  Ties go to the smallest position.
+
+    A small block is scored inline in chunks of SCORE_BLOCK_ENTRIES // C
+    rows.  A larger one is cut into pieces of at most SCORE_BLOCK_ENTRIES //
+    (C x WORKERS) rows (:func:`piece_bounds`) that run on the kernel pool,
+    each one a view of ``X`` writing its own slice of the results.  Either
+    way at most SCORE_BLOCK_ENTRIES scores are alive, never O(n x C), and
+    since a row's score never depends on its piece or chunk, the results
+    do not depend on WORKERS.  Returns ``(best, best_scores, at_scores)``;
+    ``at_scores`` is None when ``at`` is.
     """
-    n = X.shape[0]
-    chunk = max(1, SCORE_BLOCK_ENTRIES // max(operand.shape[1], 1))
+    n, C = X.shape[0], max(operand.shape[1], 1)
+    bounds = piece_bounds(n, n * C, max(1, SCORE_BLOCK_ENTRIES // (C * WORKERS)))
+    chunk = max(1, SCORE_BLOCK_ENTRIES // (C * min(WORKERS, bounds.size - 1)))
     best = np.empty(n, dtype=np.int64)
     best_scores = np.empty(n)
     at_scores = None if at is None else np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        scores = (X if hi - lo == n else X[lo:hi]) @ operand
-        if sp.issparse(scores):
-            scores = scores.toarray()
-        rows = np.arange(hi - lo)
-        if at is not None:
-            at_scores[lo:hi] = scores[rows, at[lo:hi]]
-        if exclude is not None:
-            masked = exclude[lo:hi] >= 0
-            scores[rows[masked], exclude[lo:hi][masked]] = -np.inf
-        top = scores.argmax(axis=1)
-        best[lo:hi] = top
-        best_scores[lo:hi] = scores[rows, top]
+
+    def score_rows(start, stop):
+        for lo in range(start, stop, chunk):
+            hi = min(stop, lo + chunk)
+            scores = row_view(X, lo, hi) @ operand
+            if sp.issparse(scores):
+                scores = scores.toarray()
+            rows = np.arange(hi - lo)
+            if at is not None:
+                at_scores[lo:hi] = scores[rows, at[lo:hi]]
+            if exclude is not None:
+                masked = exclude[lo:hi] >= 0
+                scores[rows[masked], exclude[lo:hi][masked]] = -np.inf
+            if among is not None:
+                allowed = row_view(among, lo, hi)
+                kept = np.full_like(scores, -np.inf)
+                r = np.repeat(rows, np.diff(allowed.indptr))
+                kept[r, allowed.indices] = scores[r, allowed.indices]
+                scores = kept
+            top = scores.argmax(axis=1)
+            best[lo:hi] = top
+            best_scores[lo:hi] = scores[rows, top]
+
+    run_pieces([partial(score_rows, lo, hi)
+                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
     return best, best_scores, at_scores
 
 

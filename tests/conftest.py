@@ -53,3 +53,24 @@ def kernel_cases(monkeypatch):
     assert cases[0][0].nnz() < sparse.DENSE_SCORING_MIN_DENSITY * C * d
     assert cases[1][0].nnz() > sparse.DENSE_SCORING_MIN_DENSITY * C * d
     return cases
+
+
+@pytest.fixture
+def kernel_workers():
+    """``kernel_workers(n)`` sets ``sparse.WORKERS`` to n and gives the test a
+    fresh kernel pool, made by the first pooled call.  The previous count and
+    pool come back afterwards, and a pool made meanwhile is shut down, so the
+    pooled paths run under test even on a one-CPU machine."""
+    saved = sparse.WORKERS, sparse._pool
+
+    def drop_fresh_pool():
+        if sparse._pool not in (None, saved[1]):
+            sparse._pool.shutdown()
+
+    def use(workers):
+        drop_fresh_pool()
+        sparse.WORKERS, sparse._pool = workers, None
+
+    yield use
+    drop_fresh_pool()
+    sparse.WORKERS, sparse._pool = saved

@@ -15,10 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mipsvm.mips.base as mips_base
 from mipsvm.cli import main as cli_main
 from mipsvm.dataio import Dataset, parse_dataset, write_dataset
 from mipsvm.metrics import PredictionSet, accuracy, evaluate, macro_f1
-from mipsvm.mips import audit_inexactness, build_index, recall_at_1, sign_bits
+from mipsvm.mips import (SimpleLshIndex, audit_inexactness, build_index, recall_at_1,
+                         sign_bits)
 from mipsvm.sparse import SparseVector, WeightMatrix, dot
 from mipsvm.synth import (make_synthetic, make_toy_dataset,
                           toy_reference_margins, train_test_split)
@@ -201,11 +203,26 @@ def test_criterion_6_and_7_inexact_degradation_and_projection_invariant():
 LSH6_MAX_FALLBACK_RATE = 0.5
 
 
-def test_criterion_6_split_with_lsh_bits_6_is_a_real_approximation():
+def test_criterion_6_split_with_lsh_bits_6_is_a_real_approximation(monkeypatch):
     """Criterion 6 at its 64-bit default falls back to the exact scan on
     every training query, so it compares exact with exact.  At 6 bits most
     rivals come from the buckets; the fallback rate, counted by the
-    training index, must stay below LSH6_MAX_FALLBACK_RATE."""
+    training index, must stay below LSH6_MAX_FALLBACK_RATE.  Each query
+    batch re-ranks all of its candidate pools in one kernel call."""
+    reranks = []  # re-rank kernel calls of each SimpleLSH query batch
+    score_block, query_batch = mips_base.score_block, SimpleLshIndex.query_batch
+
+    def counting_score_block(X, operand, **kwargs):
+        if kwargs.get("among") is not None:
+            reranks[-1] += 1
+        return score_block(X, operand, **kwargs)
+
+    def counting_query_batch(index, X, exclude):
+        reranks.append(0)
+        return query_batch(index, X, exclude)
+
+    monkeypatch.setattr(mips_base, "score_block", counting_score_block)
+    monkeypatch.setattr(SimpleLshIndex, "query_batch", counting_query_batch)
     with criterion("6b", "SimpleLSH at 6 bits falls back on < "
                    f"{LSH6_MAX_FALLBACK_RATE:.0%} of training queries", 300.0):
         train, test = _synthetic_split()
@@ -221,6 +238,7 @@ def test_criterion_6_split_with_lsh_bits_6_is_a_real_approximation():
               f"fallback={counts['fallbacks']}/{counts['queries']}={rate:.3f}")
         assert counts["queries"] == 25 * default_batch_size(train.num_classes)
         assert rate < LSH6_MAX_FALLBACK_RATE
+        assert reranks == [1] * 25
 
 
 def test_criterion_8_truncation_sparsity_monotonicity():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from mipsvm import sparse
 from mipsvm.mips import ExactIndex, NoCandidateError, build_index
 from mipsvm.sparse import SparseVector, dot
 
@@ -147,8 +148,11 @@ class TestUpdateRow:
 
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh"])
-def test_concurrent_first_queries_after_update(kind):
-    """Threads racing to build the scan state all see a whole, current one."""
+def test_concurrent_first_queries_after_update(kind, monkeypatch, kernel_workers):
+    """Threads racing to build the scan state all see a whole, current one,
+    with every kernel call's pieces on a 2-worker pool they share."""
+    monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+    kernel_workers(2)
     rng = np.random.default_rng(31)
     dim, C = 12, 40
     index = build_index([(c, random_sparse(rng, dim)) for c in range(C)], kind, dim=dim)

@@ -7,9 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 from scipy.special import ndtri
 
+import mipsvm.mips.base as mips_base
 import mipsvm.mips.simplelsh as slsh
+from mipsvm import sparse
 from mipsvm.mips import (ExactIndex, NoCandidateError, SimpleLshIndex,
                          build_index, hash_code, hashing_quality, recall_at_1,
                          sign_bits, simplelsh_transform)
@@ -312,6 +315,36 @@ class TestBatchedHashing:
               for _ in range(20)]
         assert index._hash(as_block(zs, dim + 1)) == [expected(z) for z in zs]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_plane_pieces_give_the_chunk_reference_floats(self, monkeypatch, as_block,
+                                                           kernel_workers, workers):
+        """The projections equal, bit for bit, one thread summing the same
+        coordinate chunks over every plane at once; so do the codes."""
+        rng = np.random.default_rng(27)
+        dim = 40
+        index = SimpleLshIndex(dim, bits=8, tables=3, seed=5)
+        Z = as_block([simplelsh_transform(random_sparse(rng, dim, 15), 1.0, query=True)
+                      for _ in range(9)], dim + 1)
+        bit_ids = np.arange(2, 15)  # 13 planes: pieces of 4-7 planes
+        # chunks of 4 coordinates, the last one shorter
+        monkeypatch.setattr(slsh, "PLANE_CHUNK_ENTRIES", 4 * bit_ids.size)
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+        coords, cols = np.unique(Z.indices, return_inverse=True)
+        assert coords.size % 4 != 0
+        Zc = sp.csc_matrix(sp.csr_matrix((Z.data, cols, Z.indptr),
+                                         shape=(Z.shape[0], coords.size)))
+        want = np.zeros((Z.shape[0], bit_ids.size))
+        for start in range(0, coords.size, 4):
+            want += Zc[:, start:start + 4] @ index._field.columns(
+                coords[start:start + 4], bit_ids)
+        kernel_workers(1)
+        codes = index._hash(Z)
+        kernel_workers(workers)
+        got = index._project(Z, bit_ids)
+        assert got.tobytes() == want.tobytes()
+        assert index._hash(Z) == codes
+        assert (sparse._pool is None) == (workers == 1)
+
     @pytest.mark.parametrize("grow", [False, True])
     def test_update_rows_equals_update_row_in_descending_norm_order(self, grow):
         rng = np.random.default_rng(21)
@@ -385,7 +418,11 @@ class TestBatchedHashing:
                                     "fallbacks": fallbacks + 1,
                                     "prefix_hits": 2 * hits}
 
-    def test_concurrent_query_batches_count_every_query(self, monkeypatch, as_block):
+    def test_concurrent_query_batches_count_every_query(self, monkeypatch, as_block,
+                                                        kernel_workers):
+        # every kernel call's pieces run on a 2-worker pool shared by the callers
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+        kernel_workers(2)
         monkeypatch.setattr(slsh, "PREFIX_BITS", 1)
         rng = np.random.default_rng(24)
         index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
@@ -482,6 +519,34 @@ class TestPrefixHashing:
             assert index.prefix_hit_count > full_pairs > 0
         else:
             assert index.prefix_hit_count == 0
+
+    def test_query_batch_reranks_every_pool_in_one_kernel_call(self, monkeypatch,
+                                                              as_block):
+        monkeypatch.setattr(slsh, "PREFIX_BITS", 1)
+        rng = np.random.default_rng(28)
+        index = build_index([(c, unit_row(rng, 6)) for c in range(40)],
+                            "simplelsh", dim=6, lsh_bits=2, lsh_tables=2, seed=2)
+        xs = [unit_row(rng, 6) for _ in range(30)] + [sv({}, 6)]
+        exclude = [int(c) for c in rng.integers(40, size=len(xs))]
+        pools = index._candidates(as_block(xs, 6), exclude)
+        pooled = [i for i, pool in enumerate(pools) if pool is not None]
+        assert 1 < len(pooled) < len(xs)
+        calls = []
+        score_block = mips_base.score_block
+
+        def counting(X, operand, **kwargs):
+            calls.append((X.shape[0], operand.shape[1], kwargs.get("among") is not None))
+            return score_block(X, operand, **kwargs)
+
+        monkeypatch.setattr(mips_base, "score_block", counting)
+        ids, scores = index.query_batch(as_block(xs, 6), exclude)
+        union = set().union(*(pools[i] for i in pooled))
+        assert sorted(calls) == sorted([(len(xs) - len(pooled), 40, False),
+                                        (len(pooled), len(union), True)])
+        for i in pooled:  # each query picks within its own pool
+            assert ids[i] in pools[i]
+            assert scores[i] == pytest.approx(
+                max(dot(xs[i], index._rows[c]) for c in pools[i]), rel=1e-12)
 
     def test_query_batch_generates_prefix_planes_only(self, monkeypatch, as_block):
         dim = 20_000

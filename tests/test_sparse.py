@@ -4,13 +4,16 @@ The randomized checks compare against a dense numpy mirror that applies the
 same logical operations literally, with no scale trick.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy import sparse as sp
 from hypothesis import strategies as st
 
-from mipsvm.sparse import SparseVector, WeightMatrix, dot
+from mipsvm import sparse
+from mipsvm.sparse import SparseVector, WeightMatrix, dot, score_block, scoring_operand
 
 
 def sv(pairs, dim):
@@ -388,6 +391,109 @@ class TestCsrView:
     def test_zero_matrix(self):
         W = WeightMatrix(3, 5)
         assert W.to_csr().nnz == 0
+
+
+def kernel_calls(W, data, rng):
+    """(X, operand, keyword sets) for score_block over one kernel case: no
+    options, exclude with at, and exclude with a random ``among`` pattern
+    that leaves some rows empty."""
+    X, operand = data.to_csr(), scoring_operand(W.to_csr())
+    labels = data.labels_array()
+    exclude = np.where(rng.random(len(data)) < 0.5, labels, -1)
+    among = sp.csr_matrix(rng.random((len(data), W.num_classes)) < 0.3)
+    return X, operand, [{}, {"exclude": exclude, "at": labels},
+                        {"exclude": exclude, "among": among}]
+
+
+def assert_same_floats(got, want):
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelPool:
+    """score_block's row pieces on the kernel pool: the floats of one
+    single-threaded block whatever WORKERS is, and no thread where a
+    block is small or there is one worker."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pieces_give_the_single_block_floats(self, monkeypatch, kernel_cases,
+                                                 kernel_workers, workers):
+        rng = np.random.default_rng(41)
+        for W, data in kernel_cases:
+            X, operand, calls = kernel_calls(W, data, rng)
+            C = W.num_classes
+            monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 1 << 22)
+            kernel_workers(1)
+            want = [score_block(X, operand, **kw) for kw in calls]
+            # at most 4 rows a piece: 41 rows make eleven pieces of 3-4 rows
+            monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 4 * C * workers + 1)
+            monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+            kernel_workers(workers)
+            for kw, expected in zip(calls, want):
+                assert_same_floats(score_block(X, operand, **kw), expected)
+            assert (sparse._pool is None) == (workers == 1)
+
+    def test_among_matches_scoring_each_row_against_its_own_pool(self, kernel_cases):
+        rng = np.random.default_rng(42)
+        for W, data in kernel_cases:
+            X, operand, calls = kernel_calls(W, data, rng)
+            exclude, among = calls[2]["exclude"], calls[2]["among"]
+            best, scores, _ = score_block(X, operand, exclude=exclude, among=among)
+            classes = W.to_csr()
+            for i in range(X.shape[0]):
+                pool = among.indices[among.indptr[i]:among.indptr[i + 1]]
+                pool = np.sort(pool[pool != exclude[i]])
+                if pool.size == 0:  # nothing allowed: position 0 at -inf
+                    assert (best[i], scores[i]) == (0, -np.inf)
+                    continue
+                top, score, _ = score_block(X[i], scoring_operand(classes[pool]))
+                assert (best[i], scores[i]) == (pool[top[0]], score[0])
+
+    def test_piece_bounds(self, monkeypatch, kernel_workers):
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 10)
+        kernel_workers(3)
+        assert sparse.piece_bounds(41, 29).tolist() == [0, 41]  # below 3 x 10
+        assert sparse.piece_bounds(41, 30).tolist() == [0, 13, 27, 41]
+        capped = sparse.piece_bounds(41, 30, longest=4)
+        assert capped.size == 12 and np.diff(capped).max() == 4
+        assert sparse.piece_bounds(2, 30).tolist() == [0, 1, 2]
+        assert sparse.piece_bounds(0, 30).tolist() == [0, 0]
+
+    def test_one_worker_or_a_small_block_starts_no_thread(self, monkeypatch,
+                                                          kernel_cases, kernel_workers):
+        W, data = kernel_cases[1]
+        X, operand = data.to_csr(), scoring_operand(W.to_csr())
+        entries = X.shape[0] * W.num_classes
+        before = threading.active_count()
+        for workers, least in ((1, 1), (2, entries // 2 + 1)):
+            monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", least)
+            kernel_workers(workers)
+            score_block(X, operand)
+            assert sparse._pool is None
+            assert threading.active_count() == before
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", entries // 2)
+        score_block(X, operand)  # at the threshold: two pieces on the pool
+        assert sparse._pool is not None
+
+    def test_a_piece_failure_is_raised(self, monkeypatch, kernel_cases, kernel_workers):
+        W, data = kernel_cases[0]
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+        kernel_workers(2)
+        at = np.zeros(len(data), dtype=np.int64)
+        at[-1] = W.num_classes  # out of range in the last piece only
+        with pytest.raises(IndexError):
+            score_block(data.to_csr(), scoring_operand(W.to_csr()), at=at)
+
+    def test_row_view_shares_the_block(self, kernel_cases):
+        X = kernel_cases[0][1].to_csr()
+        for lo, hi in ((0, X.shape[0]), (3, 17), (40, 41), (5, 5)):
+            view = sparse.row_view(X, lo, hi)
+            assert (view != X[lo:hi]).nnz == 0 and view.shape == (hi - lo, X.shape[1])
+            if view.nnz:
+                assert np.shares_memory(view.data, X.data)
+                assert np.shares_memory(view.indices, X.indices)
 
 
 @settings(max_examples=60, deadline=None)

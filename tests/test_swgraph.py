@@ -86,6 +86,21 @@ class TestQuery:
             assert index.query(x, exclude=0)[0] == 1
             assert index.query(x, exclude=1)[0] == 0
 
+    def test_traversal_left_with_the_excluded_class_scans_the_rest(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        rows = [(c, unit_row(rng, 6)) for c in range(12)]
+        graph = build_index(rows, "swgraph", dim=6, seed=9)
+        oracle = build_index(rows, "exact", dim=6)
+        search = graph._search
+        # the traversal surfaces only its best node, whose class is excluded
+        monkeypatch.setattr(graph, "_search", lambda x, ef: search(x, ef)[:1])
+        for _ in range(20):
+            x = unit_row(rng, 6)
+            top = search(x, graph.ef_search)[0][1]
+            c, score = graph.query(x, exclude=top)
+            want = oracle.query(x, exclude=top)
+            assert c == want[0] and score == pytest.approx(want[1], rel=1e-12)
+
     def test_exhaustive_ef_matches_exact_oracle(self):
         # ef_search >= node count on a connected graph visits everything
         rng = np.random.default_rng(6)

@@ -12,7 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from mipsvm.dataio import Dataset
+import mipsvm.mips.simplelsh as slsh
+from mipsvm import sparse
+from mipsvm.dataio import Dataset, save_model
 from mipsvm.metrics import evaluate
 from mipsvm.sparse import SparseVector, WeightMatrix
 from mipsvm.synth import make_synthetic, make_toy_dataset, toy_reference_margins
@@ -380,6 +382,31 @@ class TestTrainL1:
         got = dense_rows(W)
         assert got[0][0] == pytest.approx(0.06 - tau, rel=1e-12)
         assert got[1][1] == pytest.approx(10.0 - tau, rel=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["exact", "simplelsh"])
+@pytest.mark.parametrize("algo", ["l2", "l1"])
+def test_model_bytes_do_not_depend_on_the_worker_count(algo, backend, monkeypatch,
+                                                       kernel_workers, tmp_path):
+    """Every kernel call runs as pieces on the pool (several score chunks
+    and plane chunks each); the models of 1 and 2 workers, and of 2 workers
+    shared by two query slices, are byte-identical."""
+    monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+    monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 600)
+    monkeypatch.setattr(slsh, "PLANE_CHUNK_ENTRIES", 128)  # 8 coordinates a chunk
+    data = make_synthetic(num_classes=12, dim=30, n=300, seed=3)
+    blobs = []
+    for workers, threads in ((1, 1), (2, 1), (2, 2)):
+        kernel_workers(workers)
+        cfg = TrainConfig(lam=1.0 if algo == "l2" else 1e-3, epochs=6, seed=5,
+                          backend=backend, lsh_bits=4, lsh_tables=4,
+                          threads=threads)
+        W, _ = (train_l2 if algo == "l2" else train_l1)(data, cfg)
+        path = tmp_path / f"w{workers}t{threads}.bin"
+        save_model(path, W, lam=cfg.lam, algorithm=algo)
+        blobs.append(path.read_bytes())
+        assert (sparse._pool is None) == (workers == 1)
+    assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
 
 
 class TestTrainLog:
