@@ -218,10 +218,10 @@ def _cmd_audit(args) -> int:
     label_map = {name: i for i, name in enumerate(names)} if names else None
     queries = parse_dataset(args.queries, zero_based=args.zero_based, dim=W.dim,
                             num_classes=None, label_map=label_map)
-    bad = [y for y, _ in queries.examples if y >= W.num_classes]
+    bad = int(np.count_nonzero(queries.labels_array() >= W.num_classes))
     if bad:
         raise DatasetFormatError(
-            f"{len(bad)} query label(s) are unknown to the model")
+            f"{bad} query label(s) are unknown to the model")
     index = index_from_matrix(W, args.backend, **_backend_params(args))
     report = audit_inexactness(index, W, queries, args.epsilon)
     out = report.to_dict()

@@ -24,7 +24,6 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse as sp
@@ -34,6 +33,8 @@ from .sparse import SparseVector, WeightMatrix, stack_csr
 TEXT_MAGIC = "MEMOIR1 text"
 BINARY_MAGIC = b"MEMOIR1\x00bin\x00"
 FORMAT_VERSION = 1
+# a binary row's class id and feature count
+_ROW_HEADER = struct.Struct("<QQ")
 
 
 class DatasetFormatError(ValueError):
@@ -44,23 +45,63 @@ class ModelFormatError(ValueError):
     """Corrupt, truncated or wrong-version model file."""
 
 
-@dataclass
 class Dataset:
-    """Labeled sparse examples with a fixed dimension and class count."""
+    """Labeled sparse examples: one label array and one canonical CSR block
+    (sorted, distinct indices below ``dim``, no explicit zeros), with a
+    fixed dimension and class count.
 
-    examples: list[tuple[int, SparseVector]]
-    dim: int
-    num_classes: int
-    label_map: dict[str, int] = field(default_factory=dict)
-    # the examples' CSR block, set only on the copies that stacked() makes
-    _block: sp.csr_matrix | None = field(default=None, init=False, repr=False,
-                                         compare=False)
+    ``Dataset(examples, dim, num_classes, label_map)`` stacks a list of
+    ``(class id, SparseVector)`` pairs once; :meth:`from_csr` takes the
+    arrays as they are.  :attr:`examples` is a view of the block, built on
+    first use at one SparseVector per row.
+    """
+
+    def __init__(self, examples, dim: int, num_classes: int,
+                 label_map: dict[str, int] | None = None):
+        examples = list(examples)
+        labels = np.fromiter((y for y, _ in examples), np.int64, len(examples))
+        block = stack_csr([x.indices for _, x in examples],
+                          [x.values for _, x in examples], dim)
+        self._init(labels, block, num_classes, label_map)
+        self._examples = examples
+
+    @classmethod
+    def from_csr(cls, labels: np.ndarray, block: sp.csr_matrix, num_classes: int,
+                 label_map: dict[str, int] | None = None) -> "Dataset":
+        """The examples whose class ids are ``labels`` and whose rows are
+        ``block``, both taken as they are (neither may be changed after)."""
+        data = cls.__new__(cls)
+        data._init(labels, block, num_classes, label_map)
+        return data
+
+    def _init(self, labels, block, num_classes, label_map) -> None:
+        self._labels = labels
+        # labels_array() hands this array out
+        labels.flags.writeable = False
+        self._block = block
+        self.dim = int(block.shape[1])
+        self.num_classes = num_classes
+        self.label_map = dict(label_map) if label_map else {}
+        self._examples = None
 
     def __len__(self):
-        return len(self.examples)
+        return self._labels.size
+
+    @property
+    def examples(self) -> list[tuple[int, SparseVector]]:
+        """``(class id, SparseVector)`` per row, viewing the block's arrays."""
+        if self._examples is None:
+            X = self._block
+            bounds = X.indptr.tolist()
+            indices = X.indices.astype(np.int64, copy=False)
+            self._examples = [
+                (y, SparseVector(indices[lo:hi], X.data[lo:hi], self.dim, check=False))
+                for y, lo, hi in zip(self._labels.tolist(), bounds[:-1], bounds[1:])]
+        return self._examples
 
     def labels_array(self) -> np.ndarray:
-        return np.array([y for y, _ in self.examples], dtype=np.int64)
+        """The class id of every row (a read-only array)."""
+        return self._labels
 
     def label_names(self) -> list[str]:
         """External labels ordered by dense id (dense ids without a name stringify)."""
@@ -68,24 +109,23 @@ class Dataset:
         return [inverse.get(c, str(c)) for c in range(self.num_classes)]
 
     def to_csr(self) -> sp.csr_matrix:
-        """The examples stacked into one CSR block (do not modify it: on a
-        :meth:`stacked` copy every call returns the same block)."""
-        if self._block is not None:
-            return self._block
-        return stack_csr([x.indices for _, x in self.examples],
-                         [x.values for _, x in self.examples], self.dim)
-
-    def stacked(self) -> "Dataset":
-        """A copy whose :meth:`to_csr` returns one block stacked now, for a
-        caller that scores the same examples again and again."""
-        copy = Dataset(list(self.examples), self.dim, self.num_classes,
-                       dict(self.label_map))
-        copy._block = self.to_csr()
-        return copy
+        """The examples' CSR block (do not modify it)."""
+        return self._block
 
     def subset(self, idx) -> "Dataset":
-        return Dataset([self.examples[i] for i in idx], self.dim,
-                       self.num_classes, dict(self.label_map))
+        """The rows ``idx``, in that order (repeats allowed), as one row take."""
+        rows = np.asarray(idx, dtype=np.int64)
+        return Dataset.from_csr(self._labels[rows], self._block[rows],
+                                self.num_classes, self.label_map)
+
+
+# Feature tokens are converted about this many characters of the file at a
+# time, so the parse's temporaries stay bounded by the chunk.
+PARSE_CHUNK_CHARS = 1 << 18
+# One ``index:value`` token as numpy's text reader converts it
+_FEATURE = np.dtype([("index", np.int64), ("value", np.float64)])
+# A feature index must leave the dimension it implies (index + 1) in int64
+_INDEX_END = np.iinfo(np.int64).max
 
 
 def _parse_feature(token: str, lineno: int, zero_based: bool) -> tuple[int, float]:
@@ -100,9 +140,84 @@ def _parse_feature(token: str, lineno: int, zero_based: bool) -> tuple[int, floa
     if not math.isfinite(value):
         raise DatasetFormatError(f"line {lineno}: non-finite value in {token!r}")
     index = raw if zero_based else raw - 1
-    if index < 0:
+    if not 0 <= index < _INDEX_END:
         raise DatasetFormatError(f"line {lineno}: feature index {raw} out of range")
     return index, value
+
+
+def _features_per_token(tokens, counts, linenos, zero_based):
+    """Index and value of every feature, each row sorted, one token at a
+    time: raises the exact error of the first bad line, and accepts what
+    Python's ``int`` and ``float`` accept."""
+    indices, values = [], []
+    pos = 0
+    for count, lineno in zip(counts, linenos):
+        feats = sorted(_parse_feature(t, lineno, zero_based)
+                       for t in tokens[pos:pos + count])
+        pos += count
+        for (i, _), (j, _) in zip(feats, feats[1:]):
+            if i == j:
+                raise DatasetFormatError(
+                    f"line {lineno}: duplicate feature index {i if zero_based else i + 1}")
+        indices.extend(i for i, _ in feats)
+        values.extend(v for _, v in feats)
+    return (np.array(indices, dtype=np.int64), np.array(values, dtype=np.float64))
+
+
+def _features_at_once(tokens, rows, zero_based):
+    """What :func:`_features_per_token` returns, from one numpy text-reader
+    call and vectorized checks; None where either rejects the chunk."""
+    try:
+        pairs = np.loadtxt(tokens, delimiter=":", dtype=_FEATURE, comments=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    raw, values = pairs["index"], pairs["value"]
+    lowest = 0 if zero_based else 1
+    if (raw.size != len(tokens) or not np.isfinite(values).all()
+            or raw.min() < lowest):
+        return None
+    indices = raw - lowest
+    if indices.max() >= _INDEX_END:
+        return None
+    same_row = rows[1:] == rows[:-1]
+    if (same_row & (indices[1:] <= indices[:-1])).any():
+        order = np.lexsort((indices, rows))
+        indices, values = indices[order], values[order]
+        if (same_row & (indices[1:] == indices[:-1])).any():
+            return None
+    return indices, values
+
+
+def _chunk_rows(tokens, counts, linenos, zero_based, dim):
+    """The CSR pieces of one chunk's rows: ``(row lengths, indices, values,
+    max index, features dropped at dim)``.  The max index counts explicit
+    zeros, which the pieces then drop."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    found = _features_at_once(tokens, rows, zero_based) if tokens else None
+    if found is None:
+        found = _features_per_token(tokens, counts, linenos, zero_based)
+    indices, values = found
+    dropped = 0
+    if dim is not None:
+        kept = indices < dim
+        dropped = indices.size - int(np.count_nonzero(kept))
+        if dropped:
+            rows, indices, values = rows[kept], indices[kept], values[kept]
+    max_index = int(indices.max()) if indices.size else -1
+    nonzero = values != 0.0
+    lengths = np.bincount(rows[nonzero], minlength=len(counts))
+    return lengths, indices[nonzero], values[nonzero], max_index, dropped
+
+
+def _undecodable(line: str) -> bool:
+    """Whether ``line``, read with ``surrogateescape``, held bytes that are
+    not UTF-8 (each became a lone surrogate, which cannot be encoded)."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def parse_dataset(path, *, zero_based: bool = False, dim: int | None = None,
@@ -114,40 +229,51 @@ def parse_dataset(path, *, zero_based: bool = False, dim: int | None = None,
     with one counted warning).  ``num_classes`` forces the class count and
     rejects labels beyond it.  ``label_map`` seeds the external-label
     mapping (as persisted from a training run); unseen labels extend it.
+
+    Lines are read about PARSE_CHUNK_CHARS characters at a time.  A line's
+    label is mapped as it is read; the feature tokens of the chunk are
+    converted together into CSR pieces, joined into one block at the end.
+    An error names the first bad line in file order.
     """
     label_map = dict(label_map) if label_map else {}
-    # (class id, indices, values) per example, explicit zeros dropped
-    examples: list[tuple[int, np.ndarray, np.ndarray]] = []
+    labels: list[int] = []
+    pieces = []  # one (row lengths, indices, values) per chunk
     max_index = -1
     dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            label = tokens[0]
-            if ":" in label:
-                raise DatasetFormatError(f"line {lineno}: missing label")
-            feats = [_parse_feature(t, lineno, zero_based) for t in tokens[1:]]
-            feats.sort()
-            for (i, _), (j, _) in zip(feats, feats[1:]):
-                if i == j:
-                    raise DatasetFormatError(
-                        f"line {lineno}: duplicate feature index {i if zero_based else i + 1}")
-            if dim is not None:
-                kept = [(i, v) for i, v in feats if i < dim]
-                dropped += len(feats) - len(kept)
-                feats = kept
-            if feats:
-                max_index = max(max_index, feats[-1][0])
-            if label not in label_map:
-                label_map[label] = len(label_map)
-            idx = np.fromiter((i for i, _ in feats), np.int64, len(feats))
-            val = np.fromiter((v for _, v in feats), np.float64, len(feats))
-            keep = val != 0.0
-            examples.append((label_map[label], idx[keep], val[keep]))
-    if not examples:
+    lineno = 0
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while lines := fh.readlines(PARSE_CHUNK_CHARS):
+            tokens, counts, linenos = [], [], []
+            error = None
+            for line in lines:
+                lineno += 1
+                if not line.isascii() and _undecodable(line):
+                    error = DatasetFormatError(f"line {lineno}: not UTF-8 text")
+                    break
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                split = line.split()
+                label = split[0]
+                if ":" in label:
+                    error = DatasetFormatError(f"line {lineno}: missing label")
+                    break
+                if label not in label_map:
+                    label_map[label] = len(label_map)
+                labels.append(label_map[label])
+                tokens += split[1:]
+                counts.append(len(split) - 1)
+                linenos.append(lineno)
+            # the rows read before a bad line go first: an error among
+            # them comes earlier in the file
+            lengths, indices, values, top, cut = _chunk_rows(
+                tokens, counts, linenos, zero_based, dim)
+            if error is not None:
+                raise error
+            pieces.append((lengths, indices, values))
+            max_index = max(max_index, top)
+            dropped += cut
+    if not labels:
         raise DatasetFormatError("empty dataset")
     if dropped:
         warnings.warn(f"dropped {dropped} feature(s) at or beyond forced dim {dim}")
@@ -161,11 +287,14 @@ def parse_dataset(path, *, zero_based: bool = False, dim: int | None = None,
         final_classes = num_classes
     else:
         final_classes = observed_classes
+    lengths, indices, values = (np.concatenate(part) for part in zip(*pieces))
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
     # every index is checked, sorted, distinct and below final_dim, and
-    # every value finite
-    built = [(y, SparseVector(idx, val, final_dim, check=False))
-             for y, idx, val in examples]
-    return Dataset(built, final_dim, final_classes, label_map)
+    # every value finite and nonzero
+    block = sp.csr_matrix((values, indices, indptr), shape=(len(labels), final_dim))
+    return Dataset.from_csr(np.array(labels, dtype=np.int64), block, final_classes,
+                            label_map)
 
 
 def write_dataset(path, data: Dataset, *, zero_based: bool = False) -> None:
@@ -267,28 +396,57 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
         raise ModelFormatError(f"algorithm tag is not UTF-8: {exc}") from exc
     _check_dim(dim)
     _check_class_claim(fh, num_classes, 16)
-    rows = []
+    body = fh.read()
+    # walk the row headers: row k's nnz indices start at word starts[k]
+    starts = np.empty(num_classes, dtype=np.int64)
+    counts = np.empty(num_classes, dtype=np.int64)
+    pos, rows, failure = 0, num_classes, None
     for k in range(num_classes):
-        c, nnz = struct.unpack("<QQ", _read_exact(fh, 16, f"row {k} header"))
-        if c != k:
-            raise ModelFormatError(f"row {k} carries class id {c}")
-        # checked before reading, so a forged count cannot size a read
-        left = _bytes_left(fh)
-        if 16 * nnz > left:
-            raise ModelFormatError(f"row {k} is corrupt: claims {nnz} features "
-                                   f"but only {left} bytes follow")
-        idx = np.frombuffer(_read_exact(fh, 8 * nnz, f"row {k} indices"), dtype="<i8")
-        val = np.frombuffer(_read_exact(fh, 8 * nnz, f"row {k} values"), dtype="<f8")
+        left = len(body) - pos - 16
+        if left < 0:
+            failure = ModelFormatError(f"truncated model file while reading row {k} header")
+        else:
+            c, nnz = _ROW_HEADER.unpack_from(body, pos)
+            if c != k:
+                failure = ModelFormatError(f"row {k} carries class id {c}")
+            elif 16 * nnz > left:  # before the count sizes anything
+                failure = ModelFormatError(f"row {k} is corrupt: claims {nnz} features "
+                                           f"but only {left} bytes follow")
+        if failure is not None:
+            rows = k
+            break
+        starts[k], counts[k] = pos // 8 + 2, nnz
+        pos += 16 + 16 * nnz
+    # every row before a bad header is read and checked first: a corrupt
+    # one among them comes earlier in the file
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(counts[:rows], out=indptr[1:])
+    words = np.frombuffer(body, dtype="<i8", count=pos // 8)
+    at = np.repeat(starts[:rows] - indptr[:-1], counts[:rows]) + np.arange(indptr[-1])
+    indices = words[at].astype(np.int64, copy=False)
+    values = words.view("<f8")[at + np.repeat(counts[:rows], counts[:rows])]
+    values = values.astype(np.float64, copy=False)
+    row_of = np.repeat(np.arange(rows), counts[:rows])
+    bad = (indices < 0) | (indices >= dim) | ~np.isfinite(values)
+    bad[1:] |= (row_of[1:] == row_of[:-1]) & (indices[1:] <= indices[:-1])
+    if bad.any():
+        k = int(row_of[bad.argmax()])
+        lo, hi = indptr[k], indptr[k + 1]
         try:
-            rows.append((k, SparseVector(idx.astype(np.int64),
-                                         val.astype(np.float64), dim)))
+            SparseVector(indices[lo:hi], values[lo:hi], dim)
         except ValueError as exc:
             raise ModelFormatError(f"row {k} is corrupt: {exc}") from exc
-    if fh.read(1):
+    if failure is not None:
+        raise failure
+    if pos != len(body):
         raise ModelFormatError("trailing bytes after last row")
     header = {"format_version": version, "num_classes": int(num_classes),
               "dim": int(dim), "lambda": lam, "algorithm": algorithm}
-    return _matrix(rows, dim), header
+    if num_classes == 0:
+        return WeightMatrix(1, dim), header
+    W = WeightMatrix(num_classes, dim)
+    W._write(sp.csr_matrix((values, indices, indptr), shape=(num_classes, dim)))
+    return W, header
 
 
 def _number(kind, token: str, what: str):

@@ -1,16 +1,16 @@
 """Stochastic subgradient trainers for l2- and l1-regularized multi-class SVMs.
 
 Both trainers share one loop shape.  Per step: draw a batch uniformly with
-replacement and stack it into one CSR block, ask the MIPS index (a frozen
-snapshot) for every example's rival class with one ``query_batch`` call per
-slice of the block, re-score the true and rival classes exactly, then apply
-the hinge updates as one sparse product, eta * (Y - R)^T X over the
-hinge-active rows of the block (Y and R one-hot in the true and rival
-classes).  The l2 variant scales the matrix by (1 - lambda * eta_t) before
-the queries and projects it onto the Frobenius ball of radius
-1/sqrt(lambda) afterwards; the l1 variant skips both and instead
-soft-thresholds every row touched by the batch, which is where the whole
-l1 penalty lives.
+replacement as one row take of the data's CSR block, ask the MIPS index (a
+frozen snapshot) for every example's rival class with one ``query_batch``
+call per slice of the batch's block, re-score the true and rival classes
+exactly, then apply the hinge updates as one sparse product,
+eta * (Y - R)^T X over the hinge-active rows of the block (Y and R one-hot
+in the true and rival classes).  The l2 variant scales the matrix by
+(1 - lambda * eta_t) before the queries and projects it onto the Frobenius
+ball of radius 1/sqrt(lambda) afterwards; the l1 variant skips both and
+instead soft-thresholds every row touched by the batch, which is where the
+whole l1 penalty lives.
 
 The index is kept in the matrix's stored (unscaled) units: global scaling
 multiplies every logical row by the same positive factor and cannot change
@@ -44,14 +44,15 @@ def learning_rate(t: int, eta0: float, eta_step: float) -> float:
     return eta0 / (1.0 + eta_step * t)
 
 
-def sample_batch(data: Dataset, size: int, rng: np.random.Generator):
-    """Uniform sample with replacement; deterministic under a seeded rng."""
+def sample_batch(data: Dataset, size: int, rng: np.random.Generator) -> Dataset:
+    """Uniform sample with replacement, as a row take of ``data``;
+    deterministic under a seeded rng."""
     if len(data) == 0:
         raise ValueError("empty dataset")
     if size < 1:
         raise ValueError("batch size must be positive")
     picks = rng.integers(len(data), size=size)
-    return [data.examples[i] for i in picks]
+    return data.subset(picks)
 
 
 def truncate(w: SparseVector, xi: int, lam: float, eta: float,
@@ -182,7 +183,7 @@ def _query_phase(index, W, batch: Dataset, threads):
 
     One thread scores the batch's own block with one
     :func:`inexact_margins_batch` call.  More cut it into that many slices,
-    each stacked again and scored on a pool thread; every example is scored
+    each a row take scored on a pool thread; every example is scored
     on its own, so the cut cannot change the results."""
     cuts = np.linspace(0, len(batch), min(threads, len(batch)) + 1).astype(int)
     if cuts.size == 2:
@@ -205,10 +206,6 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
     if len(data) == 0:
         raise ValueError("empty dataset")
     objective = objective_l2 if mode == "l2" else objective_l1
-    # every step scores the whole training split (objective) and the heldout
-    # split: stack each once
-    data = data.stacked()
-    heldout = heldout.stacked() if heldout is not None else None
 
     if initial is not None:
         if (initial.num_classes, initial.dim) != (data.num_classes, data.dim):
@@ -226,8 +223,7 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
     for t in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         eta = learning_rate(t, cfg.eta0, cfg.eta_step)
-        batch = Dataset(sample_batch(data, batch_size, rng), data.dim,
-                        data.num_classes).stacked()
+        batch = sample_batch(data, batch_size, rng)
         fold_before = W.fold_count
 
         if mode == "l2":

@@ -1,10 +1,15 @@
 """LIBSVM-style parsing and model round-trips."""
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mipsvm import dataio
 from mipsvm.dataio import (DatasetFormatError, ModelFormatError, load_label_names,
                            load_model, parse_dataset, save_model, write_dataset)
 from mipsvm.sparse import SparseVector, WeightMatrix
@@ -121,14 +126,226 @@ class TestParse:
             assert y1 == y2
             assert x1 == x2
 
-    def test_stacked_copy_returns_one_block(self, tmp_path):
+    def test_to_csr_returns_the_held_block(self, tmp_path):
         data = parse_dataset(write(tmp_path, "a 1:1 3:2\nb 2:-1\na 3:0.5\n"))
-        copy = data.stacked()
-        block = copy.to_csr()
-        assert copy.to_csr() is block
-        assert (block != data.to_csr()).nnz == 0 and block.shape == (3, 3)
-        assert copy == data and data._block is None
-        assert copy.subset([0])._block is None
+        block = data.to_csr()
+        assert data.to_csr() is block and block.shape == (3, 3)
+        np.testing.assert_array_equal(block.toarray(),
+                                      [[1, 0, 2], [0, -1, 0], [0, 0, 0.5]])
+        assert data.labels_array().tolist() == [0, 1, 0]
+        assert data.examples[1] == (1, SparseVector([1], [-1.0], 3))
+        taken = data.subset([2, 0, 2])
+        assert taken.labels_array().tolist() == [0, 0, 0]
+        np.testing.assert_array_equal(taken.to_csr().toarray(),
+                                      block.toarray()[[2, 0, 2]])
+        assert taken.label_map == data.label_map and taken.dim == 3
+
+    def test_index_beyond_int64_is_out_of_range(self, tmp_path):
+        # an index whose dimension (index + 1) would not fit int64
+        for text, zero_based in (("1 99999999999999999999:1.0\n", False),
+                                 ("1 1:1\n1 9223372036854775807:1\n", True),
+                                 ("1 1:1\n1 -99999999999999999999:1\n", False)):
+            line = text.count("\n")
+            with pytest.raises(DatasetFormatError,
+                               match=f"line {line}: feature index .* out of range"):
+                parse_dataset(write(tmp_path, text), zero_based=zero_based)
+        ds = parse_dataset(write(tmp_path, "1 9223372036854775807:1\n"))
+        assert ds.dim == 2**63 - 1
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for blob, message in ((b"1 1:1\n1 2:\xff\n", "line 2: not UTF-8"),
+                              (b"1 1:1\n# caf\xe9\n1 1:2\n", "line 2: not UTF-8"),
+                              (b"1 1:x\n\xff 1:1\n", "line 1: malformed")):
+            path.write_bytes(blob)
+            with pytest.raises(DatasetFormatError, match=message):
+                parse_dataset(path)
+
+    @pytest.mark.parametrize("chunk", [4, 1 << 18])
+    def test_first_bad_line_is_reported(self, tmp_path, monkeypatch, chunk):
+        """An error found while reading a line waits for the earlier lines
+        of its chunk, which may hold an earlier error."""
+        monkeypatch.setattr(dataio, "PARSE_CHUNK_CHARS", chunk)
+        for text, message in (("1 1:1\n1 1:x\n1:2 3:4\n", "line 2: malformed"),
+                              ("1 2:1 2:3\n\xff 1:1\n", "line 1: duplicate"),
+                              ("1 1:1\n1 3:1\n1:2\n", "line 3: missing label"),
+                              ("1 1:1\n1 3:1e999 1:1\n1 1:x\n", "line 2: non-finite")):
+            with pytest.raises(DatasetFormatError, match=message):
+                parse_dataset(write(tmp_path, text))
+
+    def test_parse_memory_is_bounded_by_the_chunk(self, tmp_path):
+        rng = np.random.default_rng(0)
+        lines = [f"{y} " + " ".join(f"{i + 1}:{v!r}" for i, v in
+                                    enumerate(rng.standard_normal(50).tolist()))
+                 for y in rng.integers(20, size=4000).tolist()]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            data = parse_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        X = data.to_csr()
+        held = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        # the final arrays (2.4 MB), every chunk's int64 pieces and their
+        # concatenation took 7.5 MB; converting the whole 4.5 MB text at
+        # once took 31 MB
+        assert peak < 4 * held
+
+
+# -- the parser against a per-token reference --------------------------------
+
+
+def reference_parse(path, *, zero_based=False, dim=None, num_classes=None,
+                    label_map=None):
+    """The parser one Python call per feature token: ``(labels, indptr,
+    indices, values, dim, num_classes, label map)``, raising
+    DatasetFormatError as :func:`parse_dataset` does."""
+    def feature(token, lineno):
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise DatasetFormatError(f"line {lineno}: malformed token {token!r}")
+        try:
+            raw, value = int(head), float(tail)
+        except ValueError:
+            raise DatasetFormatError(
+                f"line {lineno}: malformed token {token!r}") from None
+        if not math.isfinite(value):
+            raise DatasetFormatError(f"line {lineno}: non-finite value in {token!r}")
+        index = raw if zero_based else raw - 1
+        if not 0 <= index < 2**63 - 1:
+            raise DatasetFormatError(f"line {lineno}: feature index {raw} out of range")
+        return index, value
+
+    label_map = dict(label_map) if label_map else {}
+    labels, indptr, indices, values = [], [0], [], []
+    max_index, dropped = -1, 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if ":" in tokens[0]:
+                raise DatasetFormatError(f"line {lineno}: missing label")
+            feats = sorted(feature(t, lineno) for t in tokens[1:])
+            for (i, _), (j, _) in zip(feats, feats[1:]):
+                if i == j:
+                    raise DatasetFormatError(
+                        f"line {lineno}: duplicate feature index "
+                        f"{i if zero_based else i + 1}")
+            if dim is not None:
+                kept = [(i, v) for i, v in feats if i < dim]
+                dropped += len(feats) - len(kept)
+                feats = kept
+            if feats:
+                max_index = max(max_index, feats[-1][0])
+            labels.append(label_map.setdefault(tokens[0], len(label_map)))
+            for i, v in feats:
+                if v != 0.0:
+                    indices.append(i)
+                    values.append(v)
+            indptr.append(len(indices))
+    if not labels:
+        raise DatasetFormatError("empty dataset")
+    if dropped:
+        warnings.warn(f"dropped {dropped} feature(s) at or beyond forced dim {dim}")
+    if num_classes is not None and len(label_map) > num_classes:
+        raise DatasetFormatError(
+            f"found {len(label_map)} classes but num_classes={num_classes}")
+    return (labels, indptr, indices, values,
+            max(dim if dim is not None else max_index + 1, 1),
+            num_classes if num_classes is not None else len(label_map), label_map)
+
+
+def parsed(parse, path, options):
+    """``(result or error message, warning messages)`` of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(path, **options)
+        except DatasetFormatError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@st.composite
+def libsvm_files(draw):
+    """A LIBSVM-style text and the parse options to read it with.
+
+    A clean text holds only lines Python's ``int`` and ``float`` accept
+    (unsorted rows, explicit zeros, ``+3``, ``007``, ``1_0``); a messy one
+    also holds duplicates and malformed, non-finite and out-of-range
+    tokens."""
+    messy = draw(st.booleans())
+    zero_based = draw(st.booleans())
+    low = 0 if zero_based else 1
+    heads = st.one_of(st.integers(low, 40).map(str),
+                      st.integers(low, 40).map(lambda i: f"+{i}"),
+                      st.integers(low, 40).map(lambda i: f"00{i}"),
+                      st.integers(10, 40).map(lambda i: f"{i // 10}_{i % 10}"))
+    floats = st.floats(-1e6, 1e6).map(repr)
+    tails = st.one_of(floats, floats, floats,
+                      st.sampled_from(["0", "-0.0", "0.0", "1e-400", "2", "1_0.5"]))
+    if messy:
+        heads = st.one_of(heads, st.sampled_from(
+            ["0", "-1", "x", "", "1.0", "99999999999999999999", "9223372036854775807",
+             "-9223372036854775808"]))
+        tails = st.one_of(tails, st.sampled_from(
+            ["1e999", "-inf", "nan", "1#x", "", "x", "1:2", "0x1p3"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["features"] * 8 + ["comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# c", "#", "  # 1 1:x"])))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        labels = ["1", "2", "a", "b", "+3", "007"] * 3 + (["x:1", ":"] if messy else [])
+        indices = draw(st.lists(st.integers(low, 40), max_size=6, unique=not messy))
+        tokens = [draw(st.sampled_from(["nocolon", "3:1#x", ":"])) if messy
+                  and draw(st.integers(0, 9)) == 0 else
+                  f"{draw(heads) if draw(st.booleans()) else i}:{draw(tails)}"
+                  for i in indices]
+        gap = draw(st.sampled_from([" ", "\t", "  "]))
+        lines.append(gap.join([draw(st.sampled_from(labels))] + tokens))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    options = {"zero_based": zero_based,
+               "dim": draw(st.none() | st.integers(1, 45)),
+               "num_classes": draw(st.none() | st.integers(1, 6)),
+               "label_map": draw(st.none() | st.just({"a": 0, "b": 1}))}
+    return end.join(lines) + draw(st.sampled_from(["", end])), options
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=libsvm_files(), chunk=st.sampled_from([8, 64, 1 << 18]))
+@example(file=("1 99999999999999999999:1.0\n", {}), chunk=1 << 18)
+@example(file=("1 1_0:2 3:1\n1 1:x\n", {}), chunk=1 << 18)
+@example(file=("1 1:1\n1 1:x\n1:2\n", {}), chunk=8)
+def test_parser_matches_the_per_token_reference(tmp_path_factory, file, chunk):
+    text, options = file
+    path = tmp_path_factory.getbasetemp() / "oracle.txt"
+    path.write_text(text, newline="")
+    expected, expected_warnings = parsed(reference_parse, path, options)
+    saved = dataio.PARSE_CHUNK_CHARS
+    dataio.PARSE_CHUNK_CHARS = chunk
+    try:
+        got, got_warnings = parsed(parse_dataset, path, options)
+    finally:
+        dataio.PARSE_CHUNK_CHARS = saved
+    assert got_warnings == expected_warnings
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    labels, indptr, indices, values, dim, num_classes, label_map = expected
+    assert not isinstance(got, str), got
+    X = got.to_csr()
+    assert got.labels_array().tolist() == labels
+    assert X.indptr.tolist() == indptr and X.indices.tolist() == indices
+    assert X.data.tolist() == values
+    assert X.shape == (len(labels), dim) == (len(got), got.dim)
+    assert (got.num_classes, got.label_map) == (num_classes, label_map)
 
 
 class TestModelIO:
@@ -282,6 +499,10 @@ class TestModelIO:
 # version, dimension and row-0 feature-count tokens.
 BIN_TAG, BIN_ROW0_NNZ_TOP = 12 + 28 + 1, 12 + 28 + 1 + 2 + 8 + 7
 TEXT_VERSION, TEXT_DIM, TEXT_ROW0_NNZ = 13, 17, 28
+# The binary model's first stored index of row 0, and row 2's header (after
+# row 0's two features and row 1's empty row).
+BIN_ROW0_INDEX = BIN_TAG + 2 + 16
+BIN_ROW2 = BIN_ROW0_INDEX + 32 + 16
 
 
 @pytest.fixture(scope="module")
@@ -343,3 +564,95 @@ def test_corruption_fails_closed(fuzz_models, tmp_path_factory, fmt, at, patch):
             load_model(path)
     except ModelFormatError:
         pass
+
+
+def reference_load_binary(path):
+    """The binary model loader one row at a time: ``(header, rows)`` with one
+    SparseVector per class, raising ModelFormatError as :func:`load_model`
+    does."""
+    import os
+    import struct
+
+    with open(path, "rb") as fh:
+        def read(n, what):
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise ModelFormatError(f"truncated model file while reading {what}")
+            return buf
+
+        def left():
+            return os.fstat(fh.fileno()).st_size - fh.tell()
+
+        if fh.read(12) != b"MEMOIR1\x00bin\x00":
+            raise ModelFormatError("not a binary model")
+        version, num_classes, dim, lam = struct.unpack("<IQQd", read(28, "header"))
+        if version != 1:
+            raise ModelFormatError(f"unsupported model version {version}")
+        (tag_len,) = struct.unpack("<B", read(1, "header"))
+        try:
+            algorithm = read(tag_len, "header").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"algorithm tag is not UTF-8: {exc}") from exc
+        if not 1 <= dim <= 2**63 - 1:
+            raise ModelFormatError(f"header claims dimension {dim}")
+        if 16 * num_classes > left():
+            raise ModelFormatError(
+                f"header claims {num_classes} classes but only {left()} bytes follow "
+                f"(each row takes at least 16)")
+        rows = []
+        for k in range(num_classes):
+            c, nnz = struct.unpack("<QQ", read(16, f"row {k} header"))
+            if c != k:
+                raise ModelFormatError(f"row {k} carries class id {c}")
+            if 16 * nnz > left():
+                raise ModelFormatError(f"row {k} is corrupt: claims {nnz} features "
+                                       f"but only {left()} bytes follow")
+            idx = np.frombuffer(read(8 * nnz, f"row {k} indices"), dtype="<i8")
+            val = np.frombuffer(read(8 * nnz, f"row {k} values"), dtype="<f8")
+            try:
+                rows.append(SparseVector(idx.astype(np.int64), val.astype(np.float64), dim))
+            except ValueError as exc:
+                raise ModelFormatError(f"row {k} is corrupt: {exc}") from exc
+        if fh.read(1):
+            raise ModelFormatError("trailing bytes after last row")
+    return (num_classes, dim, lam, algorithm), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(at=st.integers(0, 1 << 16), patch=st.binary(min_size=1, max_size=12),
+       cut=st.none() | st.integers(0, 1 << 16))
+@example(at=BIN_ROW0_INDEX, patch=b"\xff" * 8, cut=None)  # index -1 in row 0
+@example(at=BIN_ROW0_INDEX, patch=b"\x05", cut=None)  # row 0 indices 5, 4
+# a bad row 0 before a cut inside row 2's indices, and inside its header
+@example(at=BIN_ROW0_INDEX, patch=b"\xff" * 8, cut=BIN_ROW2 + 23)
+@example(at=BIN_ROW0_INDEX, patch=b"\x05", cut=BIN_ROW2 + 3)
+def test_binary_loader_matches_the_per_row_reference(fuzz_models, tmp_path_factory,
+                                                      at, patch, cut):
+    """A corrupted or cut binary model gives the reference's error message,
+    or loads the reference's rows."""
+    blob = bytearray(fuzz_models["binary"][0])
+    at %= len(blob)
+    blob[at:at + len(patch)] = patch[:len(blob) - at]
+    if cut is not None:
+        blob = blob[:cut % len(blob)]
+    path = tmp_path_factory.getbasetemp() / "fuzzed-binary-model"
+    path.write_bytes(bytes(blob))
+    with np.errstate(over="ignore"):
+        try:
+            expected = reference_load_binary(path)
+        except ModelFormatError as exc:
+            expected = str(exc)
+        try:
+            got = load_model(path)
+        except ModelFormatError as exc:
+            got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected or expected == "not a binary model"
+        return
+    (num_classes, dim, lam, algorithm), rows = expected
+    W, header = got
+    assert (header["num_classes"], header["dim"]) == (num_classes, dim)
+    assert (header["lambda"], header["algorithm"]) == (lam, algorithm) or lam != lam
+    for c, row in enumerate(rows):
+        assert W.materialize_row(c) == SparseVector(row.indices[row.values != 0],
+                                                    row.values[row.values != 0], dim)

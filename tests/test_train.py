@@ -58,20 +58,31 @@ class TestSampleBatch:
     def test_singleton(self):
         data = Dataset([(0, sv({0: 1.0}, 1))], 1, 1)
         rng = np.random.default_rng(0)
-        assert sample_batch(data, 1, rng) == [data.examples[0]]
+        assert sample_batch(data, 1, rng).examples == [data.examples[0]]
 
     def test_deterministic(self):
         data = make_toy_dataset()
         b1 = sample_batch(data, 50, np.random.default_rng(42))
         b2 = sample_batch(data, 50, np.random.default_rng(42))
-        assert b1 == b2
+        np.testing.assert_array_equal(b1.labels_array(), b2.labels_array())
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(b1.to_csr(), name),
+                                          getattr(b2.to_csr(), name))
+
+    def test_batch_is_a_row_take_of_the_draw(self):
+        data = make_toy_dataset()
+        batch = sample_batch(data, 50, np.random.default_rng(42))
+        picks = np.random.default_rng(42).integers(len(data), size=50)
+        np.testing.assert_array_equal(batch.labels_array(), data.labels_array()[picks])
+        np.testing.assert_array_equal(batch.to_csr().toarray(),
+                                      data.to_csr().toarray()[picks])
+        assert (batch.dim, batch.num_classes) == (data.dim, data.num_classes)
 
     def test_uniform_frequencies(self):
         data = Dataset([(i, sv({0: 1.0}, 1)) for i in range(10)], 1, 10)
         rng = np.random.default_rng(1)
-        counts = np.zeros(10)
-        for y, _ in sample_batch(data, 100_000, rng):
-            counts[y] += 1
+        counts = np.bincount(sample_batch(data, 100_000, rng).labels_array(),
+                             minlength=10)
         sigma = math.sqrt(100_000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - 10_000) <= 3 * sigma)
 
@@ -424,40 +435,9 @@ class TestTrainLog:
         assert first[0] == "1"
         assert 0.0 <= float(first[2]) <= 1.0
 
-    def test_splits_are_stacked_once_per_training(self, monkeypatch):
-        import mipsvm.dataio as dataio_module
-
-        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
-        heldout = make_synthetic(num_classes=4, dim=12, n=30, seed=4)
-        cfg = TrainConfig(lam=1.0, epochs=4, seed=5, batch_size=7)
-        W, log = train_l1(data, cfg, heldout=heldout)
-        # the same run with every to_csr call stacking afresh
-        monkeypatch.setattr(Dataset, "stacked", lambda self: self)
-        W_fresh, log_fresh = train_l1(data, cfg, heldout=heldout)
-        np.testing.assert_array_equal(dense_rows(W), dense_rows(W_fresh))
-        assert log.objective == log_fresh.objective
-        assert log.heldout_accuracy == log_fresh.heldout_accuracy
-        assert log.heldout_macro_f1 == log_fresh.heldout_macro_f1
-
-        monkeypatch.undo()
-        stacked_rows = []
-        stack_csr = dataio_module.stack_csr
-
-        def counting(indices, values, dim):
-            stacked_rows.append(len(indices))
-            return stack_csr(indices, values, dim)
-
-        monkeypatch.setattr(dataio_module, "stack_csr", counting)
-        train_l1(data, cfg, heldout=heldout)
-        assert stacked_rows.count(len(data)) == 1
-        assert stacked_rows.count(len(heldout)) == 1
-
-    @pytest.mark.parametrize("backend", ["exact", "simplelsh"])
-    def test_a_step_stacks_its_batch_once(self, monkeypatch, backend):
-        """The rival query, the exact re-scoring and the hinge product of a
-        step all read one CSR block of the batch."""
-        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
-        cfg = TrainConfig(lam=1.0, epochs=1, seed=5, batch_size=7, backend=backend)
+    @staticmethod
+    def count_stacked_rows(monkeypatch):
+        """Row counts of every stack_csr call in the package from now on."""
         stacked_rows = []
         for module in [m for name, m in sys.modules.items()
                        if name.startswith("mipsvm") and "stack_csr" in vars(m)]:
@@ -466,8 +446,69 @@ class TestTrainLog:
                 return stack_csr(indices, values, dim)
 
             monkeypatch.setattr(module, "stack_csr", counting)
+        return stacked_rows
+
+    @staticmethod
+    def forbid_examples(monkeypatch):
+        def examples(self):
+            raise AssertionError("training read the per-example view")
+
+        monkeypatch.setattr(Dataset, "examples", property(examples))
+
+    def test_splits_are_stacked_once_per_training(self, monkeypatch):
+        """No split is stacked from per-example arrays: training reads the
+        CSR block each split holds, and never builds its examples."""
+        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
+        heldout = make_synthetic(num_classes=4, dim=12, n=30, seed=4)
+        cfg = TrainConfig(lam=1.0, epochs=4, seed=5, batch_size=7)
+        W, log = train_l1(data, cfg, heldout=heldout)
+        stacked_rows = self.count_stacked_rows(monkeypatch)
+        self.forbid_examples(monkeypatch)
+        # the same splits as row takes, which hold no example objects
+        W_taken, log_taken = train_l1(data.subset(range(len(data))), cfg,
+                                      heldout=heldout.subset(range(len(heldout))))
+        np.testing.assert_array_equal(dense_rows(W), dense_rows(W_taken))
+        assert log.objective == log_taken.objective
+        assert log.heldout_accuracy == log_taken.heldout_accuracy
+        assert log.heldout_macro_f1 == log_taken.heldout_macro_f1
+        assert len(data) not in stacked_rows and len(heldout) not in stacked_rows
+
+    @pytest.mark.parametrize("backend", ["exact", "simplelsh"])
+    def test_a_step_stacks_its_batch_once(self, monkeypatch, backend):
+        """No batch is stacked from per-example arrays: a step takes its
+        batch's rows from the training block, and the rival query, the exact
+        re-scoring and the hinge product all read that one block."""
+        import mipsvm.train as train_module
+
+        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
+        cfg = TrainConfig(lam=1.0, epochs=1, seed=5, batch_size=7, backend=backend)
+        blocks = []
+        to_csr = Dataset.to_csr
+
+        def recording(self):
+            block = to_csr(self)
+            if len(self) == cfg.batch_size:
+                blocks.append(block)
+            return block
+
+        monkeypatch.setattr(Dataset, "to_csr", recording)
+        stacked_rows = self.count_stacked_rows(monkeypatch)
+        batches = []
+        draw = train_module.sample_batch
+
+        def recording_draw(*args):
+            batches.append(draw(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(train_module, "sample_batch", recording_draw)
+        self.forbid_examples(monkeypatch)
         train_l2(data, cfg)
-        assert stacked_rows.count(cfg.batch_size) == 1
+        assert cfg.batch_size not in stacked_rows
+        picks = np.random.default_rng(cfg.seed).integers(len(data), size=cfg.batch_size)
+        (batch,) = batches
+        np.testing.assert_array_equal(batch.to_csr().toarray(),
+                                      data.to_csr().toarray()[picks])
+        assert len(blocks) >= 2 and all(b is blocks[0] for b in blocks)
 
     def test_early_stopping_breaks_out(self):
         toy = make_toy_dataset()
