@@ -207,6 +207,8 @@ def _chunk_rows(tokens, counts, linenos, zero_based, dim):
     max_index = int(indices.max()) if indices.size else -1
     nonzero = values != 0.0
     lengths = np.bincount(rows[nonzero], minlength=len(counts))
+    if max_index < np.iinfo(np.int32).max:  # pieces that all fit join as int32
+        indices = indices.astype(np.int32)
     return lengths, indices[nonzero], values[nonzero], max_index, dropped
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..sparse import stack_csr
 from .audit import AuditReport, audit_inexactness, recall_at_1
 from .base import BACKEND_DEFAULTS, MipsIndex, NoCandidateError
 from .exact import ExactIndex
@@ -46,14 +47,18 @@ def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
                              ef_search=swg_ef_search, seed=seed)
     else:
         raise ValueError(f"unknown backend {kind!r}; expected one of {BACKENDS}")
-    index.update_rows(rows)
+    index.update_rows([c for c, _ in rows], stack_csr([r.indices for _, r in rows],
+                                                      [r.values for _, r in rows], dim))
     return index
 
 
 def index_from_matrix(W: "WeightMatrix", kind: str, **params) -> MipsIndex:
-    """Index over the materialized logical rows of a weight matrix."""
-    rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
-    return build_index(rows, kind, dim=W.dim, **params)
+    """Index over W's logical rows, as ``materialize_row`` gives them, in one block."""
+    logical = W.to_csr()
+    logical.eliminate_zeros()
+    index = build_index([], kind, dim=W.dim, **params)
+    index.update_rows(range(W.num_classes), logical)
+    return index
 
 
 __all__ = [

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 from scipy import sparse as sp
 
@@ -24,15 +22,16 @@ class NoCandidateError(LookupError):
     """Raised when a query has no candidate left after exclusion."""
 
 
-class MipsIndex(ABC):
+class MipsIndex:
     """Incremental index over class rows answering argmax inner product.
 
     Contract shared by all backends:
 
     * ``query`` never returns the excluded class, and ``query_batch``
       answers every row of a CSR query block exactly as ``query`` would;
-    * after ``update_row(c, row)`` or ``update_rows(items)`` the index
-      reflects the new rows before the next query;
+    * after ``update_rows(ids, rows)`` (row i of the CSR block ``rows``
+      becomes class ``ids[i]``) or ``update_row(c, row)`` the index reflects
+      the new rows before the next query; a bad block changes nothing;
     * queries are read-only and may run concurrently against a frozen index;
       updates are exclusive.  The one thing a query writes is the scan state
       (sorted ids and their scoring operand), built on the first full scan
@@ -40,8 +39,8 @@ class MipsIndex(ABC):
       racing each other build identical values and each reads a whole pair.
       A backend's work counters (:meth:`counters`) are bumped under a lock.
 
-    The base class keeps the row snapshots and does every exact scan: the
-    full scan of a batch and the re-ranking of a candidate pool.
+    The base class keeps the rows in one CSR block and does every exact
+    scan: the full scan of a batch and the re-ranking of a candidate pool.
     """
 
     kind: str = "abstract"
@@ -50,44 +49,60 @@ class MipsIndex(ABC):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = int(dim)
-        self._rows: dict[int, SparseVector] = {}
+        self._ids = np.empty(0, dtype=np.int64)  # sorted; row i of _block is class _ids[i]
+        self._block = sp.csr_matrix((0, self.dim))  # canonical CSR, written by _write
         self._scan_state = None  # None until the first full scan after an update
 
-    def _check_row(self, row: SparseVector):
-        if row.dim != self.dim:
-            raise ValueError(f"row dim {row.dim} does not match index dim {self.dim}")
-
-    def _check_batch(self, X, exclude):
-        """``X`` as canonical CSR, once it is known to hold ``dim`` columns,
-        finite values, one exclude per row and a candidate for each."""
+    def _canonical(self, X, what: str) -> sp.csr_matrix:
+        """The ``what`` block ``X`` as canonical CSR of ``dim`` finite columns."""
         X = X.tocsr()
         if not X.has_canonical_format:  # row views need sorted, distinct indices
             X = X.tocoo().tocsr()
         if X.shape[1] != self.dim:
-            raise ValueError(f"query block width {X.shape[1]} does not match "
+            raise ValueError(f"{what} block width {X.shape[1]} does not match "
                              f"index dim {self.dim}")
         if not np.isfinite(X.data).all():
-            raise ValueError("query block holds a non-finite value")
+            raise ValueError(f"{what} block holds a non-finite value")
+        return X
+
+    def _checked(self, ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
+        """``ids`` as int64 and ``rows`` as canonical CSR: one distinct id per row."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = self._canonical(rows, "row")
+        if ids.size != rows.shape[0]:
+            raise ValueError(f"{ids.size} class ids for {rows.shape[0]} rows")
+        if np.unique(ids).size != ids.size:
+            raise ValueError("duplicate class id in one batch of updates")
+        return ids, rows
+
+    def _write(self, ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
+        """The one writer: store row i of ``rows`` as class ``ids[i]`` once
+        :meth:`_checked` passes them, and clear the scan state."""
+        ids, rows = self._checked(ids, rows)
+        kept = np.flatnonzero(~np.isin(self._ids, ids))
+        order = np.argsort(np.concatenate([self._ids[kept], ids]))
+        take = np.concatenate([kept, self._ids.size + np.arange(ids.size)])[order]
+        self._block = sp.vstack([self._block, rows], format="csr")[take]
+        self._ids, self._scan_state = np.concatenate([self._ids, ids])[take], None
+        return ids, rows
+
+    def _check_batch(self, X, exclude):
+        """``X`` as canonical CSR, once it is known to hold ``dim`` columns,
+        finite values, one exclude per row and a candidate for each."""
+        X = self._canonical(X, "query")
         if len(exclude) != X.shape[0]:
             raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
         for e in set(exclude):
             self._require_candidate(e)
         return X
 
-    def _store(self, c: int, row: SparseVector) -> None:
-        """Keep ``row`` as the snapshot of class ``c``."""
-        self._check_row(row)
-        self._rows[c] = row
-        self._scan_state = None
-
     def _require_candidate(self, exclude: int | None) -> None:
-        if not self._rows or (len(self._rows) == 1 and exclude in self._rows):
+        if not len(self) or (len(self) == 1 and self._ids[0] == exclude):
             raise NoCandidateError("no candidate class after exclusion")
 
     def _stack(self, ids) -> sp.csr_matrix:
-        """The rows of ``ids``, in that order, as one CSR block."""
-        rows = [self._rows[c] for c in ids]
-        return stack_csr([r.indices for r in rows], [r.values for r in rows], self.dim)
+        """The stored rows of ``ids``, in that order, as one CSR block."""
+        return self._block[np.searchsorted(self._ids, ids)]
 
     def _scan(self, X: sp.csr_matrix, exclude,
               pools: list[list[int]] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -107,14 +122,12 @@ class MipsIndex(ABC):
         if pools is None:
             state = self._scan_state
             if state is None:
-                ids = sorted(self._rows)
-                state = self._scan_state = (np.array(ids, dtype=np.int64),
-                                            scoring_operand(self._stack(ids)))
+                state = self._scan_state = (self._ids, scoring_operand(self._block))
             ids, operand = state
         else:
             members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
             ids = np.unique(members)
-            operand = scoring_operand(self._stack(ids.tolist()))
+            operand = scoring_operand(self._stack(ids))
             indptr = np.zeros(len(pools) + 1, dtype=np.int64)
             np.cumsum([len(pool) for pool in pools], out=indptr[1:])
             among = sp.csr_matrix((np.ones(members.size, dtype=bool),
@@ -127,12 +140,9 @@ class MipsIndex(ABC):
         best, score, _ = score_block(X, operand, exclude=masked, among=among)
         return ids[best], score
 
-    @abstractmethod
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        """Best (class_id, exact score of that class) with ``exclude`` removed."""
-
-    def _query_one(self, x: SparseVector, exclude: int | None) -> tuple[int, float]:
-        """:meth:`query` as a :meth:`query_batch` of one row."""
+        """Best (class_id, exact score of that class) with ``exclude`` removed,
+        as a :meth:`query_batch` of one row; a backend overrides one of them."""
         ids, scores = self.query_batch(stack_csr([x.indices], [x.values], x.dim),
                                        [exclude])
         return int(ids[0]), float(scores[0])
@@ -153,30 +163,19 @@ class MipsIndex(ABC):
         return (np.array([c for c, _ in found], dtype=np.int64),
                 np.array([s for _, s in found], dtype=np.float64))
 
-    @abstractmethod
     def update_row(self, c: int, new_row: SparseVector) -> None:
-        """Insert or replace the row of class ``c``."""
+        """Insert or replace the row of class ``c``: an update of one row."""
+        self.update_rows([c], stack_csr([new_row.indices], [new_row.values], new_row.dim))
 
-    @staticmethod
-    def _distinct(items) -> list[tuple[int, SparseVector]]:
-        """``items`` as a list of (int class id, row); duplicate ids raise."""
-        items = [(int(c), row) for c, row in items]
-        if len({c for c, _ in items}) != len(items):
-            raise ValueError("duplicate class id in one batch of updates")
-        return items
-
-    def update_rows(self, items) -> None:
-        """Insert or replace the row of every (class id, row) pair of ``items``.
-
-        This default makes one :meth:`update_row` call per pair, in the given
-        order; a backend that refreshes a whole batch at once overrides it.
-        """
-        for c, row in self._distinct(items):
-            self.update_row(c, row)
+    def update_rows(self, ids, rows) -> None:
+        """Make row i of the n x dim CSR block ``rows`` the row of class
+        ``ids[i]``, as one :meth:`update_row` per row in the given order
+        would; this default stores the block."""
+        self._write(ids, rows)
 
     def counters(self) -> dict[str, int]:
         """The work counts this backend keeps, by name (none by default)."""
         return {}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return int(self._ids.size)

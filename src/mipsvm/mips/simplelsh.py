@@ -213,6 +213,8 @@ class SimpleLshIndex(MipsIndex):
     """
 
     kind = "simplelsh"
+    # perfbench/tracing.py wraps these by name on each backend class
+    query, update_row = MipsIndex.query, MipsIndex.update_row
 
     def __init__(self, dim: int, *, bits: int = BACKEND_DEFAULTS["lsh_bits"],
                  tables: int = BACKEND_DEFAULTS["lsh_tables"], seed: int = 0):
@@ -291,51 +293,32 @@ class SimpleLshIndex(MipsIndex):
                               np.insert(R.indices, ends, self.dim),
                               R.indptr + np.arange(n + 1)), shape=(n, self.dim + 1))
 
-    # -- bucket maintenance ----------------------------------------------
-
-    def _remove_from_buckets(self, c: int):
-        for t, code in enumerate(self._codes.pop(c)):
-            bucket = self._buckets[t].get(code)
-            if bucket is not None:
-                bucket.discard(c)
-                if not bucket:
-                    del self._buckets[t][code]
-
     # -- MipsIndex interface ----------------------------------------------
 
-    def update_rows(self, items) -> None:
-        """Store every row, then re-hash in one pass.
+    def update_rows(self, ids, rows) -> None:
+        """Store the block, then hash it in one pass.
 
-        When the largest new norm exceeds U, U becomes the largest norm of
-        the index and every row is re-hashed (one rebuild); otherwise only
+        When the block's largest norm exceeds U, U becomes the largest norm
+        of the index and every row is re-hashed (one rebuild); otherwise only
         the given rows are.  Either way U and every code come out as one
         :meth:`update_row` per row in descending-norm order leaves them.
         """
-        items = self._distinct(items)
-        for _, row in items:  # a bad row must not leave stored rows unhashed
-            self._check_row(row)
-        for c, row in items:
-            self._store(c, row)
-        refresh = [c for c, _ in items]
-        R = self._stack(refresh)
-        if np.sqrt(row_sums(R.data * R.data, R.indptr)).max(initial=0.0) > self._U:
-            refresh = sorted(self._rows)
-            R = self._stack(refresh)
-            self._U = float(np.sqrt(row_sums(R.data * R.data, R.indptr)).max())
-            self._codes = {}
-            self._buckets = [{} for _ in range(self.tables)]
+        ids, rows = self._write(ids, rows)
+        if np.sqrt(row_sums(rows.data * rows.data, rows.indptr)).max(initial=0.0) > self._U:
+            ids, rows = self._ids, self._block
+            self._U = float(np.sqrt(row_sums(rows.data * rows.data, rows.indptr)).max())
+            self._codes, self._buckets = {}, [{} for _ in range(self.tables)]
             self.rebuild_count += 1
-        else:
-            for c in refresh:
-                if c in self._codes:
-                    self._remove_from_buckets(c)
-        for c, row_codes in zip(refresh, self._hash(self._augment(R), hi=self._prefix)):
+        for c in ids.tolist():
+            for t, code in enumerate(self._codes.pop(c, ())):
+                self._buckets[t][code].discard(c)
+                if not self._buckets[t][code]:
+                    del self._buckets[t][code]
+        codes = self._hash(self._augment(rows), hi=self._prefix)
+        for c, row_codes in zip(ids.tolist(), codes):
             self._codes[c] = row_codes
             for t, code in enumerate(row_codes):
                 self._buckets[t].setdefault(code, set()).add(c)
-
-    def update_row(self, c: int, new_row: SparseVector) -> None:
-        self.update_rows([(c, new_row)])
 
     def _candidates(self, X: sp.csr_matrix, exclude) -> list[list[int] | None]:
         """Sorted bucket-union candidates of each row of the query block
@@ -395,9 +378,6 @@ class SimpleLshIndex(MipsIndex):
             self.query_count += len(pools)
             self.fallback_count += len(fell)
         return ids, scores
-
-    def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        return self._query_one(x, exclude)
 
     def counters(self) -> dict[str, int]:
         return {"rebuilds": self.rebuild_count, "queries": self.query_count,

@@ -20,7 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ..sparse import SparseVector, dot, stack_csr
+# dot is unused here; perfbench/tracing.py patches it on this module
+from ..sparse import SparseVector, _dot_arrays, dot, row_view, stack_csr  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 ENTRY_POINTS = 4
@@ -28,6 +29,8 @@ ENTRY_POINTS = 4
 
 class SwGraphIndex(MipsIndex):
     kind = "swgraph"
+    # perfbench/tracing.py wraps update_row and query by name on each backend class
+    update_row = MipsIndex.update_row
 
     def __init__(self, dim: int, *,
                  max_neighbors: int = BACKEND_DEFAULTS["swg_max_neighbors"],
@@ -40,20 +43,26 @@ class SwGraphIndex(MipsIndex):
         self.ef_construction = int(ef_construction)
         self.ef_search = int(ef_search)
         self._adj: dict[int, set[int]] = {}
+        self._spans: dict[int, tuple[int, int]] = {}  # class id -> its row's store offsets
         self._entries: list[int] = []
         self._rng = np.random.default_rng(seed)
         self._inserted_total = 0
 
     # -- traversal --------------------------------------------------------
 
+    def _row(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index and value views of the stored row of class ``c``."""
+        lo, hi = self._spans[c]
+        return self._block.indices[lo:hi], self._block.data[lo:hi]
+
     def _search(self, x: SparseVector, ef: int) -> list[tuple[float, int]]:
         """Greedy best-first candidates, best first; scores are exact dots."""
-        entries = self._entries if self._entries else sorted(self._rows)[:1]
+        entries = self._entries if self._entries else self._ids[:1].tolist()
         visited = set(entries)
         frontier = []
         results: list[tuple[float, int]] = []
         for e in entries:
-            s = dot(self._rows[e], x)
+            s = _dot_arrays(*self._row(e), x.indices, x.values)
             heapq.heappush(frontier, (-s, e))
             heapq.heappush(results, (s, e))
         while frontier:
@@ -64,7 +73,7 @@ class SwGraphIndex(MipsIndex):
                 if v in visited:
                     continue
                 visited.add(v)
-                s = dot(self._rows[v], x)
+                s = _dot_arrays(*self._row(v), x.indices, x.values)
                 if len(results) < ef or s > results[0][0]:
                     heapq.heappush(results, (s, v))
                     if len(results) > ef:
@@ -91,9 +100,9 @@ class SwGraphIndex(MipsIndex):
             return
         # trim one below the cap so a later repair link cannot overshoot it
         target = max(1, self.max_neighbors - 1)
-        row_v = self._rows[v]
+        row_v = self._row(v)
         ranked = sorted(self._adj[v],
-                        key=lambda w: (-dot(self._rows[w], row_v), w))
+                        key=lambda w: (-_dot_arrays(*self._row(w), *row_v), w))
         must_keep = [w for w in ranked if len(self._adj[w]) <= 1]
         others = [w for w in ranked if len(self._adj[w]) > 1]
         keep = set((must_keep + others)[:max(target, len(must_keep))])
@@ -119,26 +128,29 @@ class SwGraphIndex(MipsIndex):
         most similar node of the main component, preferring partners below
         the degree cap.  Deterministic, so rebuilt indexes stay identical.
         """
-        if len(self._rows) <= 1:
+        if len(self._adj) <= 1:
             return
-        seen = self._component(min(self._rows))
-        while len(seen) < len(self._rows):
-            r = min(c for c in self._rows if c not in seen)
+        seen = self._component(min(self._adj))
+        while len(seen) < len(self._adj):
+            r = min(c for c in self._adj if c not in seen)
             comp = self._component(r)
-            row_r = self._rows[r]
+            row_r = self._row(r)
             pool = [u for u in seen if len(self._adj[u]) < self.max_neighbors]
             if not pool:
                 pool = list(seen)
             best = max(sorted(pool),
-                       key=lambda u: (dot(self._rows[u], row_r), -u))
+                       key=lambda u: (_dot_arrays(*self._row(u), *row_r), -u))
             self._link(r, best)
             seen |= comp
 
-    def _insert(self, c: int, row: SparseVector):
-        others_exist = bool(self._rows)
-        self._store(c, row)
+    def _insert(self, c: int, row):
+        others_exist = bool(self._adj)
+        self._write([c], row)
+        bounds = self._block.indptr.tolist()
+        self._spans = dict(zip(self._ids.tolist(), zip(bounds[:-1], bounds[1:])))
         self._adj[c] = set()
         if others_exist:
+            row = SparseVector(*self._row(c), self.dim, check=False)
             candidates = [v for _, v in self._search(row, self.ef_construction)
                           if v != c]
             for v in candidates[:self.max_neighbors]:
@@ -154,8 +166,8 @@ class SwGraphIndex(MipsIndex):
                 self._entries[j] = c
 
     def _delete(self, c: int):
+        """Unlink ``c``; the insert that follows overwrites its stored row."""
         neighbors = sorted(self._adj.pop(c))
-        del self._rows[c]
         for v in neighbors:
             self._adj[v].discard(c)
         for a, b in combinations(neighbors, 2):
@@ -164,21 +176,23 @@ class SwGraphIndex(MipsIndex):
             self._prune(v)
         if c in self._entries:
             self._entries.remove(c)
-        if not self._entries and self._rows:
-            self._entries.append(min(self._rows))
+        if not self._entries and self._adj:
+            self._entries.append(min(self._adj))
 
     # -- MipsIndex interface ------------------------------------------------
 
-    def update_row(self, c: int, new_row: SparseVector) -> None:
-        self._check_row(new_row)
-        c = int(c)
-        if c in self._rows:
-            self._delete(c)
-        self._insert(c, new_row)
-        self._repair_connectivity()
+    def update_rows(self, ids, rows) -> None:
+        """One delete and insert per row, in order, each writing its row."""
+        ids, rows = self._checked(ids, rows)
+        for k, c in enumerate(ids.tolist()):
+            if c in self._adj:
+                self._delete(c)
+            self._insert(c, row_view(rows, k, k + 1))
+            self._repair_connectivity()
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        self._check_row(x)
+        if x.dim != self.dim:
+            raise ValueError(f"query dim {x.dim} does not match index dim {self.dim}")
         self._require_candidate(exclude)
         for s, c in self._search(x, self.ef_search):
             if c != exclude:
@@ -192,9 +206,9 @@ class SwGraphIndex(MipsIndex):
 
     def connected(self) -> bool:
         """True when every inserted node is reachable from every other."""
-        if len(self._rows) <= 1:
+        if len(self._adj) <= 1:
             return True
-        return len(self._component(next(iter(self._rows)))) == len(self._rows)
+        return len(self._component(next(iter(self._adj)))) == len(self._adj)
 
     def degree(self, c: int) -> int:
         return len(self._adj[c])

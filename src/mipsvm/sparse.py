@@ -345,6 +345,13 @@ class WeightMatrix:
         if not 0 <= c < self.num_classes:
             raise IndexError(f"class id {c} out of range [0, {self.num_classes})")
 
+    def _check_classes(self, rows) -> np.ndarray:
+        """``rows`` as int64, once :meth:`_check_class` passes the first bad one."""
+        rows = np.asarray(rows, dtype=np.int64)
+        for c in rows[(rows < 0) | (rows >= self.num_classes)][:1]:
+            self._check_class(c)
+        return rows
+
     def _write(self, stored: sp.csr_matrix) -> None:
         """The one writer: canonicalise ``stored`` (a fresh matrix, changed in
         place), make it the store and recompute the norm caches from it.
@@ -413,9 +420,7 @@ class WeightMatrix:
 
     def truncate_rows(self, rows, tau: float) -> None:
         """Soft-threshold the logical rows ``rows`` at tau; drops the resulting zeros."""
-        rows = np.asarray(rows, dtype=np.int64)
-        for c in rows:
-            self._check_class(c)
+        rows = self._check_classes(rows)
         if tau < 0.0:
             raise ValueError("threshold must be nonnegative")
         if tau == 0.0 or rows.size == 0:
@@ -442,10 +447,9 @@ class WeightMatrix:
         keep = val != 0.0
         return SparseVector(idx[keep], val[keep], self.dim, check=False)
 
-    def stored_row(self, c: int) -> SparseVector:
-        """Stored (unscaled) row c; all rows share the same implicit scale."""
-        idx, val = self._row(c)
-        return SparseVector(idx.copy(), val.copy(), self.dim, check=False)
+    def stored_rows(self, rows) -> sp.csr_matrix:
+        """Stored (unscaled) rows ``rows``, in that order, as one CSR block."""
+        return self._store[self._check_classes(rows)]
 
     def row_dot(self, c: int, x: SparseVector) -> float:
         """Logical inner product of row c with x."""

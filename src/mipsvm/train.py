@@ -172,9 +172,10 @@ def objective_l1(W: WeightMatrix, data: Dataset, lam: float) -> float:
 
 
 def _build_training_index(W: WeightMatrix, cfg: TrainConfig) -> MipsIndex:
-    rows = [(c, W.stored_row(c)) for c in range(W.num_classes)]
-    return build_index(rows, cfg.backend, dim=W.dim, seed=cfg.seed,
-                       **{k: getattr(cfg, k) for k in BACKEND_DEFAULTS})
+    index = build_index([], cfg.backend, dim=W.dim, seed=cfg.seed,
+                        **{k: getattr(cfg, k) for k in BACKEND_DEFAULTS})
+    index.update_rows(range(W.num_classes), W.stored_rows(range(W.num_classes)))
+    return index
 
 
 def _query_phase(index, W, batch: Dataset, threads):
@@ -251,22 +252,18 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
                 tau = (data.num_classes / touched.size) * cfg.lam * eta
                 W.truncate_rows(touched, tau)
 
-        # refresh the index with one update_rows call; a fold rewrote every
-        # stored row.  The rows go in descending norm order: swgraph inserts
-        # them one by one in that order, and simplelsh, which hashes them
-        # in one pass, ends with the U and codes that order gives.
-        if W.fold_count != fold_before:
-            refresh = list(range(W.num_classes))
-        else:
-            refresh = touched.tolist()
-        row_sq = W.row_sq_norms
-        refresh.sort(key=lambda c: -row_sq[c])
-        index.update_rows([(c, W.stored_row(c)) for c in refresh])
-
         held = evaluate(W, heldout) if heldout is not None else None
         obj = objective(W, data, cfg.lam)
-        if not math.isfinite(obj):
+        if not math.isfinite(obj):  # before the index refresh rejects a non-finite W
             raise ValueError(f"training diverged at step {t}: objective is {obj}")
+
+        # refresh the index with one row take of W's store (all of it after a
+        # fold), in descending norm order, ties by id: swgraph inserts the
+        # rows one by one in that order, and simplelsh, which hashes them in
+        # one pass, ends with the U and codes that order gives.
+        refresh = np.arange(W.num_classes) if W.fold_count != fold_before else touched
+        refresh = refresh[np.argsort(-W.row_sq_norms[refresh], kind="stable")]
+        index.update_rows(refresh, W.stored_rows(refresh))
         log.append(objective=obj,
                    heldout_accuracy=held.accuracy if held else math.nan,
                    heldout_macro_f1=held.macro_f1 if held else math.nan,

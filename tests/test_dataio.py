@@ -152,6 +152,23 @@ class TestParse:
         ds = parse_dataset(write(tmp_path, "1 9223372036854775807:1\n"))
         assert ds.dim == 2**63 - 1
 
+    def test_indices_are_int32_where_they_fit(self, tmp_path, monkeypatch):
+        ds = parse_dataset(write(tmp_path, "a 1:0.5 3:1\nb 2:2 5:0\n"))
+        assert ds.to_csr().indices.dtype == np.int32
+        # ... already in each chunk's pieces, so the join needs no narrowing copy
+        _, indices, _, _, _ = dataio._chunk_rows(["1:0.5", "3:1"], [2], [1], False, None)
+        assert indices.dtype == np.int32
+        assert ds.to_csr().toarray().tolist() == [[0.5, 0, 1, 0, 0], [0, 2, 0, 0, 0]]
+        # one line per chunk: int32 pieces, then index 2^31 + 1 (column 2^31),
+        # which does not fit int32
+        monkeypatch.setattr(dataio, "PARSE_CHUNK_CHARS", 1)
+        big = "a 1:1\n" * 3 + f"b 2:3 {2**31 + 1}:4\n"
+        ds = parse_dataset(write(tmp_path, big))
+        X = ds.to_csr()
+        assert X.indices.dtype == np.int64 and ds.dim == 2**31 + 1
+        assert X.indices.tolist() == [0, 0, 0, 1, 2**31]
+        assert X.data.tolist() == [1.0, 1.0, 1.0, 3.0, 4.0]
+
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         for blob, message in ((b"1 1:1\n1 2:\xff\n", "line 2: not UTF-8"),

@@ -8,8 +8,13 @@ import pytest
 from scipy import sparse as sp
 
 from mipsvm import sparse
-from mipsvm.mips import ExactIndex, NoCandidateError, build_index
-from mipsvm.sparse import SparseVector, dot
+from mipsvm.mips import ExactIndex, NoCandidateError, build_index, index_from_matrix
+from mipsvm.sparse import SparseVector, WeightMatrix, dot
+
+# small graph and LSH settings, so that neither backend is an exact scan
+BACKEND_PARAMS = {"exact": {}, "simplelsh": {"lsh_bits": 5, "lsh_tables": 4},
+                  "swgraph": {"swg_max_neighbors": 3, "swg_ef_construction": 4,
+                              "swg_ef_search": 2}}
 
 
 def sv(pairs, dim):
@@ -231,3 +236,112 @@ def test_query_batch_rejects_a_bad_block(kind, as_block):
             index.query_batch(X, [None] * 3)
     with pytest.raises(ValueError, match="2 excludes for 3 queries"):
         index.query_batch(as_block(xs, 6), [None] * 2)
+
+
+def backend_state(index):
+    """Everything an update writes: the row store and the backend's own
+    structures (simplelsh's U, codes, buckets and rebuild count, swgraph's
+    adjacency and entry points)."""
+    B = index._block
+    state = [index._ids.tolist(), B.indptr.tolist(), B.indices.tolist(), B.data.tolist()]
+    if index.kind == "simplelsh":
+        state += [index._U, index._codes, index._buckets, index.rebuild_count]
+    if index.kind == "swgraph":
+        state += [index._adj, index._entries]
+    return state
+
+
+def assert_same_answers(a, b, X, exclude):
+    for got, want in zip(a.query_batch(X, exclude), b.query_batch(X, exclude)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grow", [False, True])
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_update_rows_equals_update_row_per_row(kind, grow, as_block):
+    """update_rows(ids, block) leaves an index as one update_row per row in
+    the given order does: the same store, structures and answers.  The block
+    replaces some classes and adds others, in descending norm order as the
+    trainer passes them; with ``grow`` its norms pass simplelsh's U, which
+    costs one rebuild.  simplelsh reaches the same state from the block in
+    any order."""
+    rng = np.random.default_rng(21)
+    dim = 9
+
+    def row(low, high):
+        v = rng.standard_normal(dim)
+        return SparseVector(np.arange(dim), v * rng.uniform(low, high) / np.linalg.norm(v),
+                            dim)
+
+    rows = [(c, row(0.5, 0.9)) for c in range(30)]
+    rows[4] = (4, row(1.0, 1.0))  # U = 1
+    top = 3.0 if grow else 0.95
+    items = [(int(c), row(0.1, top)) for c in rng.choice(30, size=12, replace=False)]
+    items += [(30 + k, row(0.1, top)) for k in range(3)]  # new classes
+    items.sort(key=lambda item: -item[1].norm())
+    shuffled = [items[k] for k in rng.permutation(len(items))]
+    batched, serial, unordered = (build_index(rows, kind, dim=dim, seed=3,
+                                              **BACKEND_PARAMS[kind]) for _ in range(3))
+    rebuilds = getattr(batched, "rebuild_count", 0)
+    batched.update_rows([c for c, _ in items], as_block([r for _, r in items], dim))
+    for c, r in items:
+        serial.update_row(c, r)
+    assert backend_state(batched) == backend_state(serial)
+    X = as_block([row(0.1, 1.0) for _ in range(40)], dim)
+    exclude = [None if k % 3 else int(rng.integers(33)) for k in range(40)]
+    assert_same_answers(batched, serial, X, exclude)
+    if kind == "simplelsh":
+        assert batched.rebuild_count - rebuilds == int(grow)
+        unordered.update_rows([c for c, _ in shuffled],
+                              as_block([r for _, r in shuffled], dim))
+        assert backend_state(unordered) == backend_state(serial)
+
+
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_update_rows_rejects_a_bad_block(kind, as_block):
+    """A block of the wrong width, with a non-finite value, with a duplicate
+    id or with another number of ids than rows changes nothing, on every
+    backend.  The bad part comes last, after rows that an update taken row
+    by row would already have written."""
+    rng = np.random.default_rng(33)
+    index = build_index([(c, random_sparse(rng, 6)) for c in range(5)], kind, dim=6,
+                        **BACKEND_PARAMS[kind])
+    before = backend_state(index)
+    good = as_block([random_sparse(rng, 6) for _ in range(3)], 6)
+    for bad in (np.nan, np.inf):
+        non_finite = good.copy()
+        non_finite.data[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            index.update_rows([7, 8, 9], non_finite)
+    wide = as_block([random_sparse(rng, 7) for _ in range(3)], 7)
+    with pytest.raises(ValueError, match="width 7 does not match index dim 6"):
+        index.update_rows([7, 8, 9], wide)
+    with pytest.raises(ValueError, match="duplicate class id"):
+        index.update_rows([7, 8, np.int64(7)], good)
+    with pytest.raises(ValueError, match="2 class ids for 3 rows"):
+        index.update_rows([7, 8], good)
+    with pytest.raises(ValueError, match="width 5 does not match index dim 6"):
+        index.update_row(7, random_sparse(rng, 5))
+    assert len(index) == 5
+    assert backend_state(index) == before
+
+
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_index_from_matrix_equals_the_materialized_rows(kind, as_block):
+    """index_from_matrix(W, kind) holds and answers exactly what build_index
+    over W.materialize_row does: the scale folded in, and a stored value that
+    the scale underflows to 0 dropped, not kept as an explicit zero."""
+    rng = np.random.default_rng(34)
+    dim = 10
+    rows = [(c, random_sparse(rng, dim)) for c in range(12)]
+    rows.append((12, SparseVector([2, 5], [5e-324, 1.0], dim)))
+    W = WeightMatrix.from_rows(rows, dim)
+    W.global_scale(0.4)
+    assert W.scale == 0.4 and W.materialize_row(12).nnz == 1  # 0.4 * 5e-324 is 0
+    got = index_from_matrix(W, kind, seed=2, **BACKEND_PARAMS[kind])
+    want = build_index([(c, W.materialize_row(c)) for c in range(W.num_classes)],
+                       kind, dim=dim, seed=2, **BACKEND_PARAMS[kind])
+    assert backend_state(got) == backend_state(want)
+    X = as_block([random_sparse(rng, dim) for _ in range(40)], dim)
+    exclude = [None if k % 3 else int(rng.integers(13)) for k in range(40)]
+    assert_same_answers(got, want, X, exclude)

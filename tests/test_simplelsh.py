@@ -279,6 +279,13 @@ def random_sparse(rng, dim, max_nnz):
     return SparseVector(idx, rng.standard_normal(nnz), dim)
 
 
+def stored(index):
+    """The rows of the index's CSR store, as {class id: SparseVector}."""
+    B = index._block
+    return {int(c): SparseVector(B.indices[lo:hi], B.data[lo:hi], index.dim)
+            for c, lo, hi in zip(index._ids, B.indptr[:-1], B.indptr[1:])}
+
+
 class TestBatchedHashing:
     def test_columns_are_the_transposed_block(self):
         field = slsh.GaussianPlaneField(13, 40)
@@ -345,37 +352,6 @@ class TestBatchedHashing:
         assert index._hash(Z) == codes
         assert (sparse._pool is None) == (workers == 1)
 
-    @pytest.mark.parametrize("grow", [False, True])
-    def test_update_rows_equals_update_row_in_descending_norm_order(self, grow):
-        rng = np.random.default_rng(21)
-        dim = 9
-        rows = [(c, unit_row(rng, dim).scaled(rng.uniform(0.5, 0.9)))
-                for c in range(30)]
-        rows[4] = (4, unit_row(rng, dim))  # U = 1
-        batched, serial = (build_index(rows, "simplelsh", dim=dim, lsh_bits=5,
-                                       lsh_tables=4, seed=3) for _ in range(2))
-        top = 3.0 if grow else 0.95
-        items = [(int(c), unit_row(rng, dim).scaled(rng.uniform(0.1, top)))
-                 for c in rng.choice(30, size=12, replace=False)]
-        items += [(30 + k, unit_row(rng, dim).scaled(rng.uniform(0.1, top)))
-                  for k in range(3)]  # new classes
-        rebuilds = batched.rebuild_count
-        batched.update_rows(items)
-        for c, row in sorted(items, key=lambda item: -item[1].norm()):
-            serial.update_row(c, row)
-        assert batched.rebuild_count - rebuilds == int(grow)
-        assert batched.rebuild_count == serial.rebuild_count
-        assert batched._U == serial._U
-        assert batched._codes == serial._codes
-        assert batched._buckets == serial._buckets
-
-    @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
-    def test_update_rows_rejects_duplicate_ids(self, kind):
-        index = build_index([], kind, dim=4)
-        with pytest.raises(ValueError, match="duplicate class id"):
-            index.update_rows([(1, sv({0: 1.0}, 4)), (np.int64(1), sv({1: 1.0}, 4))])
-        assert len(index) == 0
-
     def test_hashing_memory_is_bounded_by_the_chunk(self):
         dim = 20_000
         rng = np.random.default_rng(22)
@@ -400,7 +376,7 @@ class TestBatchedHashing:
         exclude = [int(c) for c in rng.integers(40, size=len(xs))]
         # (query, table) pairs whose 1-bit prefix bucket is occupied
         rows = full_codes(index, [simplelsh_transform(r, index._U)
-                                  for r in index._rows.values()])
+                                  for r in stored(index).values()])
         queries = full_codes(index, [simplelsh_transform(x, 1.0, query=True)
                                      for x in xs[:-1]])
         hits = sum(any(code_prefix(q[t], 2, 1) == code_prefix(r[t], 2, 1)
@@ -483,24 +459,25 @@ class TestPrefixHashing:
         index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
                             lsh_tables=tables, seed=6)
         rebuilds = index.rebuild_count
-        index.update_rows([(int(c), row(3.0 if grow else 0.9))
-                           for c in rng.choice(40, size=10, replace=False)]
-                          + [(41, row(0.9))])
+        refresh = rng.choice(40, size=10, replace=False).tolist()
+        new_rows = [row(3.0 if grow else 0.9) for _ in refresh] + [row(0.9)]
+        index.update_rows(refresh + [41], as_block(new_rows, dim))
         assert index.rebuild_count - rebuilds == int(grow)
 
         # queries: random vectors, copies of the longest row (its augmented
         # tail is about zero, so its whole codes match theirs), and one zero
         # query
-        top = max(index._rows, key=lambda c: index._rows[c].norm())
+        rows = stored(index)
+        top = max(rows, key=lambda c: rows[c].norm())
         xs = [random_sparse(rng, dim, 5) for _ in range(60)]
-        xs += [index._rows[top].scaled(2.0)] * 3 + [SparseVector.zeros(dim)]
+        xs += [rows[top].scaled(2.0)] * 3 + [SparseVector.zeros(dim)]
         exclude = [None if rng.random() < 0.3 else int(rng.integers(42))
                    for _ in xs]
         exclude[-2] = top
 
-        ids = sorted(index._rows)
+        ids = sorted(rows)
         rows_full = dict(zip(ids, full_codes(index, [
-            simplelsh_transform(index._rows[c], index._U) for c in ids])))
+            simplelsh_transform(rows[c], index._U) for c in ids])))
         want, full_pairs = [], 0
         for x, e in zip(xs, exclude):
             if x.norm() == 0.0:
@@ -541,18 +518,20 @@ class TestPrefixHashing:
         monkeypatch.setattr(mips_base, "score_block", counting)
         ids, scores = index.query_batch(as_block(xs, 6), exclude)
         union = set().union(*(pools[i] for i in pooled))
+        rows = stored(index)
         assert sorted(calls) == sorted([(len(xs) - len(pooled), 40, False),
                                         (len(pooled), len(union), True)])
         for i in pooled:  # each query picks within its own pool
             assert ids[i] in pools[i]
             assert scores[i] == pytest.approx(
-                max(dot(xs[i], index._rows[c]) for c in pools[i]), rel=1e-12)
+                max(dot(xs[i], rows[c]) for c in pools[i]), rel=1e-12)
 
     def test_query_batch_generates_prefix_planes_only(self, monkeypatch, as_block):
         dim = 20_000
         rng = np.random.default_rng(26)
         index = SimpleLshIndex(dim)
-        index.update_rows([(c, random_sparse(rng, dim, 40)) for c in range(5)])
+        index.update_rows(range(5), as_block([random_sparse(rng, dim, 40)
+                                              for _ in range(5)], dim))
         xs = [random_sparse(rng, dim, 40) for _ in range(5)]
         generated = []
         columns = slsh.GaussianPlaneField.columns

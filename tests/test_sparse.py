@@ -127,7 +127,7 @@ class TestWeightMatrixBasics:
         W.add_to_row(0, 2.0, sv({0: 1.0}, 1))
         W.global_scale(0.5)
         W.add_to_row(0, 1.0, sv({0: 1.0}, 1))
-        assert W.stored_row(0).values[0] == 4.0
+        assert W.stored_rows([0]).data[0] == 4.0
         assert W.materialize_row(0) == sv({0: 2.0}, 1)
 
     def test_nnz_counts_only_nonzeros(self):
@@ -142,10 +142,14 @@ class TestWeightMatrixBasics:
         W = WeightMatrix(2, 3)
         with pytest.raises(ValueError, match="shape"):
             W.add(sp.csr_matrix((2, 4)))
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"class id 2 out of range \[0, 2\)"):
             W.truncate_rows([0, 2], 0.1)
+        with pytest.raises(IndexError, match="class id -1 out of range"):
+            W.truncate_rows([1, -1, 5], 0.1)  # the first bad id is named
         with pytest.raises(ValueError):
             W.truncate_rows([0], -0.1)
+        with pytest.raises(IndexError, match="class id 3 out of range"):
+            W.stored_rows([1, 3])
 
     def test_class_out_of_range(self):
         W = WeightMatrix(2, 3)
@@ -162,13 +166,13 @@ class TestWeightMatrixBasics:
     def test_global_scale_identity_and_powers(self):
         W = WeightMatrix(1, 2)
         W.add_to_row(0, 1.0, sv({1: 3.0}, 2))
-        stored = W.stored_row(0).values.copy()
+        stored = W.stored_rows([0]).data
         W.global_scale(1.0)
         assert W.scale == 1.0
         for _ in range(3):
             W.global_scale(0.9)
         assert W.scale == pytest.approx(0.729, rel=1e-15)
-        np.testing.assert_array_equal(W.stored_row(0).values, stored)
+        np.testing.assert_array_equal(W.stored_rows([0]).data, stored)
 
     def test_global_scale_rejects_nonpositive(self):
         W = WeightMatrix(1, 1)
@@ -292,7 +296,7 @@ class TestLazyScaleTransparency:
     def test_cache_coherence(self):
         W, _ = random_op_sequence(seed=7, n_ops=400)
         recomputed = np.array([float(np.dot(v, v)) for v in
-                               (W.stored_row(c).values for c in range(W.num_classes))])
+                               (W.stored_rows([c]).data for c in range(W.num_classes))])
         np.testing.assert_allclose(W.row_sq_norms, recomputed,
                                    rtol=1e-9, atol=1e-15)
         assert W.frob_sq == pytest.approx(float(recomputed.sum()),
@@ -375,7 +379,7 @@ class TestBatchedWrites:
         assert M.has_canonical_format and not (M.data == 0.0).any()
         assert W.nnz() == M.nnz
         recomputed = np.array([float(np.dot(v, v)) for v in
-                               (W.stored_row(c).values for c in range(W.num_classes))])
+                               (W.stored_rows([c]).data for c in range(W.num_classes))])
         np.testing.assert_allclose(W.row_sq_norms, recomputed, rtol=1e-12, atol=0)
         assert W.frob_sq == pytest.approx(float(recomputed.sum()), rel=1e-12)
 

@@ -343,6 +343,14 @@ class TestTrainL2:
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="diverged at step 1"):
             train_l2(wide, TrainConfig(epochs=3, seed=0, batch_size=1))
+        # the first update overflows W itself to inf: the objective check
+        # names the step before the index refresh sees non-finite rows
+        huge = Dataset([(0, sv({0: 1.7e308}, 2)), (1, sv({1: 1.7e308}, 2))] * 2, 2, 2)
+        for trainer in (train_l2, train_l1):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(ValueError, match="diverged at step 1: objective is inf"):
+                trainer(huge, TrainConfig(epochs=3, seed=0, batch_size=8, lam=1e-3,
+                                          eta0=0.9, backend="simplelsh"))
 
 
 class TestTrainL1:
