@@ -14,7 +14,7 @@ from .dataio import (Dataset, DatasetFormatError, ModelFormatError,
                      load_label_names, load_model, parse_dataset, save_model,
                      write_dataset)
 from .metrics import evaluate
-from .mips import BACKEND_DEFAULTS, NoCandidateError, index_from_matrix
+from .mips import BACKEND_DEFAULTS, BACKENDS, NoCandidateError, index_from_matrix
 from .mips.audit import audit_inexactness
 from .train import TrainConfig, config_for_algo, train_l1, train_l2
 
@@ -41,8 +41,8 @@ _BACKEND_FLAGS = (
 
 
 def _add_backend_flags(p):
-    p.add_argument("--backend", choices=("exact", "simplelsh", "swgraph"),
-                   default="exact", help="MIPS backend for margin queries")
+    p.add_argument("--backend", choices=BACKENDS, default="exact",
+                   help="MIPS backend for margin queries")
     for flag, param, _, text in _BACKEND_FLAGS:
         p.add_argument(flag, dest=param, type=int, default=None,
                        help=f"{text} (default {BACKEND_DEFAULTS[param]})")
@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("data", help="training data file")
     p_train.add_argument("--algo", choices=("l2", "l1"), default="l2")
     p_train.add_argument("--lambda", dest="lam", type=float, default=None,
-                         help="regularization weight (default: 1 for l2, 1e-6 for l1)")
+                         help="regularization weight (default: "
+                         f"{config_for_algo('l2').lam:g} for l2, "
+                         f"{config_for_algo('l1').lam:g} for l1)")
     p_train.add_argument("--eta0", type=float, help=f"default {TrainConfig.eta0}")
     p_train.add_argument("--eta-step", type=float,
                          help=f"default {TrainConfig.eta_step}")

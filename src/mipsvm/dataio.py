@@ -303,49 +303,59 @@ def write_dataset(path, data: Dataset, *, zero_based: bool = False) -> None:
     """Write a Dataset back out in the same line format it is parsed from."""
     names = data.label_names()
     offset = 0 if zero_based else 1
+    X = data.to_csr()
+    bounds, indices, values = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for y, x in data.examples:
-            feats = " ".join(f"{int(i) + offset}:{float(v)!r}"
-                             for i, v in zip(x.indices, x.values))
+        for y, lo, hi in zip(data.labels_array().tolist(), bounds[:-1], bounds[1:]):
+            feats = " ".join(f"{i + offset}:{v!r}"
+                             for i, v in zip(indices[lo:hi], values[lo:hi]))
             fh.write(f"{names[y]} {feats}".rstrip() + "\n")
 
 
 # -- model files -----------------------------------------------------------
 
 
-def _model_rows(W: WeightMatrix):
-    for c in range(W.num_classes):
-        yield c, W.materialize_row(c)
-
-
 def save_model(path, W: WeightMatrix, *, lam: float, algorithm: str,
                fmt: str = "binary", label_names: list[str] | None = None) -> None:
-    """Serialize the logical weight matrix (scale folded in).
+    """Serialize the logical weight matrix (scale folded in, explicit zeros
+    dropped) from one CSR block.
 
     ``label_names`` optionally writes a ``<path>.labels`` sidecar with one
-    external label per line, ordered by dense class id.
+    external label per line, ordered by dense class id.  An algorithm tag
+    the loaders cannot read back raises ``ValueError`` before ``path`` opens.
     """
+    tag = algorithm.encode("utf-8")
+    if not tag:
+        raise ValueError("algorithm tag is empty")
+    if any(ch.isspace() for ch in algorithm):
+        raise ValueError(f"algorithm tag {algorithm!r} contains whitespace")
+    if len(tag) > 255:
+        raise ValueError(f"algorithm tag takes {len(tag)} UTF-8 bytes; at most 255 fit")
+    if fmt not in ("text", "binary"):
+        raise ValueError(f"unknown model format {fmt!r}")
+    logical = W.to_csr()
+    logical.eliminate_zeros()
+    rows = list(enumerate(zip(logical.indptr[:-1].tolist(), logical.indptr[1:].tolist())))
     if fmt == "text":
+        indices, values = logical.indices.tolist(), logical.data.tolist()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{TEXT_MAGIC} {FORMAT_VERSION}\n")
             fh.write(f"{W.num_classes} {W.dim} {float(lam)!r} {algorithm}\n")
-            for c, row in _model_rows(W):
-                feats = " ".join(f"{int(i)}:{float(v)!r}"
-                                 for i, v in zip(row.indices, row.values))
-                fh.write(f"{c} {row.nnz} {feats}".rstrip() + "\n")
-    elif fmt == "binary":
-        tag = algorithm.encode("utf-8")
+            for c, (lo, hi) in rows:
+                feats = " ".join(f"{i}:{v!r}"
+                                 for i, v in zip(indices[lo:hi], values[lo:hi]))
+                fh.write(f"{c} {hi - lo} {feats}".rstrip() + "\n")
+    else:
+        indices, values = logical.indices.astype("<i8"), logical.data.astype("<f8")
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
             fh.write(struct.pack("<IQQd", FORMAT_VERSION, W.num_classes, W.dim, lam))
             fh.write(struct.pack("<B", len(tag)))
             fh.write(tag)
-            for c, row in _model_rows(W):
-                fh.write(struct.pack("<QQ", c, row.nnz))
-                fh.write(row.indices.astype("<i8").tobytes())
-                fh.write(row.values.astype("<f8").tobytes())
-    else:
-        raise ValueError(f"unknown model format {fmt!r}")
+            for c, (lo, hi) in rows:
+                fh.write(_ROW_HEADER.pack(c, hi - lo))
+                fh.write(indices[lo:hi].tobytes())
+                fh.write(values[lo:hi].tobytes())
     if label_names is not None:
         with open(str(path) + ".labels", "w", encoding="utf-8") as fh:
             fh.writelines(name + "\n" for name in label_names)

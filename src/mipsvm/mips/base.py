@@ -28,7 +28,9 @@ class MipsIndex:
     Contract shared by all backends:
 
     * ``query`` never returns the excluded class, and ``query_batch``
-      answers every row of a CSR query block exactly as ``query`` would;
+      answers every row of a CSR query block exactly as ``query`` would:
+      ``query`` is a batch of one, and ``query_batch`` is the one method
+      a backend overrides (this default is the exact full scan);
     * after ``update_rows(ids, rows)`` (row i of the CSR block ``rows``
       becomes class ``ids[i]``) or ``update_row(c, row)`` the index reflects
       the new rows before the next query; a bad block changes nothing;
@@ -142,7 +144,7 @@ class MipsIndex:
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         """Best (class_id, exact score of that class) with ``exclude`` removed,
-        as a :meth:`query_batch` of one row; a backend overrides one of them."""
+        as a :meth:`query_batch` of one row."""
         ids, scores = self.query_batch(stack_csr([x.indices], [x.values], x.dim),
                                        [exclude])
         return int(ids[0]), float(scores[0])
@@ -150,18 +152,9 @@ class MipsIndex:
     def query_batch(self, X, exclude) -> tuple[np.ndarray, np.ndarray]:
         """(class ids, exact scores) that :meth:`query` gives for each row of
         the CSR query block ``X`` (n x dim, the operand :func:`score_block`
-        takes), with ``exclude`` holding one class id or None per row.
-
-        This default asks :meth:`query` once per row, viewing the row as a
-        :class:`SparseVector`; a backend that answers a whole batch at once
-        overrides it.
-        """
-        X = self._check_batch(X, exclude)
-        found = [self.query(SparseVector(X.indices[lo:hi], X.data[lo:hi], self.dim,
-                                         check=False), exclude=e)
-                 for lo, hi, e in zip(X.indptr[:-1], X.indptr[1:], exclude)]
-        return (np.array([c for c, _ in found], dtype=np.int64),
-                np.array([s for _, s in found], dtype=np.float64))
+        takes), with ``exclude`` holding one class id or None per row; this
+        default is the exact full scan."""
+        return self._scan(self._check_batch(X, exclude), exclude)
 
     def update_row(self, c: int, new_row: SparseVector) -> None:
         """Insert or replace the row of class ``c``: an update of one row."""

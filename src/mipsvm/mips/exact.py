@@ -6,8 +6,7 @@ from .base import MipsIndex
 
 
 class ExactIndex(MipsIndex):
-    """Full-scan index: a batch of queries is one exact scan of the base
-    class, and a single query is a batch of one.
+    """Full-scan index: the base class's exact scan, unchanged.
 
     Ties break toward the smallest class id.
     """
@@ -15,6 +14,3 @@ class ExactIndex(MipsIndex):
     kind = "exact"
     # perfbench/tracing.py wraps these by name on each backend class
     query, update_row = MipsIndex.query, MipsIndex.update_row
-
-    def query_batch(self, X, exclude):
-        return self._scan(self._check_batch(X, exclude), exclude)

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 # dot is unused here; perfbench/tracing.py patches it on this module
-from ..sparse import SparseVector, _dot_arrays, dot, row_view, stack_csr  # noqa: F401
+from ..sparse import _dot_arrays, dot, row_view  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 ENTRY_POINTS = 4
@@ -29,8 +29,8 @@ ENTRY_POINTS = 4
 
 class SwGraphIndex(MipsIndex):
     kind = "swgraph"
-    # perfbench/tracing.py wraps update_row and query by name on each backend class
-    update_row = MipsIndex.update_row
+    # perfbench/tracing.py wraps these by name on each backend class
+    query, update_row = MipsIndex.query, MipsIndex.update_row
 
     def __init__(self, dim: int, *,
                  max_neighbors: int = BACKEND_DEFAULTS["swg_max_neighbors"],
@@ -55,14 +55,15 @@ class SwGraphIndex(MipsIndex):
         lo, hi = self._spans[c]
         return self._block.indices[lo:hi], self._block.data[lo:hi]
 
-    def _search(self, x: SparseVector, ef: int) -> list[tuple[float, int]]:
-        """Greedy best-first candidates, best first; scores are exact dots."""
+    def _search(self, idx, val, ef: int) -> list[tuple[float, int]]:
+        """Greedy best-first candidates for the query ``(idx, val)``, best
+        first; scores are exact dots."""
         entries = self._entries if self._entries else self._ids[:1].tolist()
         visited = set(entries)
         frontier = []
         results: list[tuple[float, int]] = []
         for e in entries:
-            s = _dot_arrays(*self._row(e), x.indices, x.values)
+            s = _dot_arrays(*self._row(e), idx, val)
             heapq.heappush(frontier, (-s, e))
             heapq.heappush(results, (s, e))
         while frontier:
@@ -73,7 +74,7 @@ class SwGraphIndex(MipsIndex):
                 if v in visited:
                     continue
                 visited.add(v)
-                s = _dot_arrays(*self._row(v), x.indices, x.values)
+                s = _dot_arrays(*self._row(v), idx, val)
                 if len(results) < ef or s > results[0][0]:
                     heapq.heappush(results, (s, v))
                     if len(results) > ef:
@@ -150,8 +151,7 @@ class SwGraphIndex(MipsIndex):
         self._spans = dict(zip(self._ids.tolist(), zip(bounds[:-1], bounds[1:])))
         self._adj[c] = set()
         if others_exist:
-            row = SparseVector(*self._row(c), self.dim, check=False)
-            candidates = [v for _, v in self._search(row, self.ef_construction)
+            candidates = [v for _, v in self._search(*self._row(c), self.ef_construction)
                           if v != c]
             for v in candidates[:self.max_neighbors]:
                 self._link(c, v)
@@ -190,17 +190,22 @@ class SwGraphIndex(MipsIndex):
             self._insert(c, row_view(rows, k, k + 1))
             self._repair_connectivity()
 
-    def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
-        if x.dim != self.dim:
-            raise ValueError(f"query dim {x.dim} does not match index dim {self.dim}")
-        self._require_candidate(exclude)
-        for s, c in self._search(x, self.ef_search):
-            if c != exclude:
-                return c, float(s)
-        # traversal surfaced only the excluded class; scan the rest
-        ids, scores = self._scan(stack_csr([x.indices], [x.values], self.dim),
-                                 [exclude])
-        return int(ids[0]), float(scores[0])
+    def query_batch(self, X, exclude):
+        """One traversal per row; the rows whose traversal surfaced only
+        their excluded class share one exact scan of the rest."""
+        X = self._check_batch(X, exclude)
+        ids, scores = np.empty(X.shape[0], dtype=np.int64), np.empty(X.shape[0])
+        bounds, fell = X.indptr.tolist(), []
+        for k, (lo, hi, e) in enumerate(zip(bounds[:-1], bounds[1:], exclude)):
+            found = self._search(X.indices[lo:hi], X.data[lo:hi], self.ef_search)
+            best = next(((s, c) for s, c in found if c != e), None)
+            if best is None:
+                fell.append(k)
+            else:
+                scores[k], ids[k] = best
+        if fell:
+            ids[fell], scores[fell] = self._scan(X[fell], [exclude[k] for k in fell])
+        return ids, scores
 
     # -- introspection (used by tests and demos) ----------------------------
 

@@ -110,7 +110,7 @@ class SparseVector:
                     raise ValueError(
                         f"feature index {int(indices[-1])} out of range for dim {dim}"
                     )
-                if indices.size > 1 and np.any(np.diff(indices) <= 0):
+                if np.any(indices[1:] <= indices[:-1]):
                     raise ValueError("indices must be strictly increasing")
                 if not np.isfinite(values).all():
                     raise ValueError("non-finite value")

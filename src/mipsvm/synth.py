@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 
 from .dataio import Dataset
-from .sparse import SparseVector
-
-
-def _dense_example(vec: np.ndarray) -> SparseVector:
-    idx = np.flatnonzero(vec).astype(np.int64)
-    return SparseVector(idx, vec[idx], vec.size, check=False)
 
 
 def make_toy_dataset(points_per_class: int = 20, seed: int = 7) -> Dataset:
@@ -24,17 +19,15 @@ def make_toy_dataset(points_per_class: int = 20, seed: int = 7) -> Dataset:
     rng = np.random.default_rng(seed)
     angles = np.array([np.pi / 2, np.pi / 2 + 2 * np.pi / 3,
                        np.pi / 2 + 4 * np.pi / 3])
-    examples = []
-    for c, base in enumerate(angles):
+    points = []
+    for base in angles:
         theta = base + rng.uniform(-0.15, 0.15, size=points_per_class)
         radius = rng.uniform(0.7, 1.3, size=points_per_class)
-        for t, r in zip(theta, radius):
-            examples.append((c, _dense_example(np.array([r * np.cos(t),
-                                                         r * np.sin(t)]))))
-    order = rng.permutation(len(examples))
-    examples = [examples[i] for i in order]
-    label_map = {str(c): c for c in range(3)}
-    return Dataset(examples, dim=2, num_classes=3, label_map=label_map)
+        points.append(np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1))
+    order = rng.permutation(3 * points_per_class)
+    labels = np.repeat(np.arange(3), points_per_class)[order]
+    return Dataset.from_csr(labels, sp.csr_matrix(np.concatenate(points)[order]), 3,
+                            {str(c): c for c in range(3)})
 
 
 def toy_reference_margins(data: Dataset) -> np.ndarray:
@@ -64,9 +57,8 @@ def make_synthetic(num_classes: int = 50, dim: int = 100, n: int = 5000, *,
     noise_dirs = rng.standard_normal((n, dim)) / np.sqrt(dim)
     points = centers[labels] + noise * noise_dirs
     points /= np.linalg.norm(points, axis=1, keepdims=True)
-    examples = [(int(y), _dense_example(points[i])) for i, y in enumerate(labels)]
     label_map = {str(c): c for c in range(num_classes)}
-    return Dataset(examples, dim=dim, num_classes=num_classes, label_map=label_map)
+    return Dataset.from_csr(labels, sp.csr_matrix(points), num_classes, label_map)
 
 
 def train_test_split(data: Dataset, test_fraction: float = 0.2,

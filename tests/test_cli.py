@@ -1,5 +1,6 @@
 """End-to-end command-line runs."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from mipsvm.cli import _train_config, build_parser, main
 from mipsvm.dataio import load_label_names, load_model, parse_dataset, write_dataset
 from mipsvm.metrics import evaluate, predict_batch
+from mipsvm.mips import BACKENDS
 from mipsvm.synth import make_toy_dataset
 from mipsvm.train import config_for_algo
 
@@ -204,3 +206,13 @@ class TestHelp:
 
     def test_missing_subcommand(self, capsys):
         assert run(capsys)[0] != 0
+
+
+@pytest.mark.parametrize("command", ["train", "audit", "bench"])
+def test_backend_choices_are_the_library_backends(command):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    backend = next(a for a in subparsers.choices[command]._actions
+                   if a.dest == "backend")
+    assert tuple(backend.choices) == BACKENDS

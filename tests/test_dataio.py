@@ -508,6 +508,30 @@ class TestModelIO:
         assert load_label_names(path) == ["cat", "dog", "bird"]
         assert load_label_names(tmp_path / "missing.bin") is None
 
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    @pytest.mark.parametrize("tag, problem", [
+        ("", "is empty"),
+        ("my algo", "contains whitespace"),
+        ("l2\n", "contains whitespace"),
+        ("x" * 300, "takes 300 UTF-8 bytes"),
+        ("\u00e9" * 128, "takes 256 UTF-8 bytes"),
+    ], ids=["empty", "space", "newline", "300-ascii", "128-two-byte"])
+    def test_unloadable_algorithm_tag_is_rejected_first(self, tmp_path, fmt, tag,
+                                                         problem):
+        path = tmp_path / "model"
+        path.write_bytes(b"an earlier model")
+        with pytest.raises(ValueError, match=problem):
+            save_model(path, self.make_matrix(), lam=1.0, algorithm=tag, fmt=fmt)
+        assert path.read_bytes() == b"an earlier model"
+
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    def test_255_byte_algorithm_tag_roundtrips(self, tmp_path, fmt):
+        tag = "\u00e9" * 127 + "x"
+        assert len(tag.encode("utf-8")) == 255
+        path = tmp_path / "model"
+        save_model(path, self.make_matrix(), lam=1.0, algorithm=tag, fmt=fmt)
+        assert load_model(path)[1]["algorithm"] == tag
+
 
 # -- fuzzing both model formats ----------------------------------------------
 
@@ -640,6 +664,8 @@ def reference_load_binary(path):
        cut=st.none() | st.integers(0, 1 << 16))
 @example(at=BIN_ROW0_INDEX, patch=b"\xff" * 8, cut=None)  # index -1 in row 0
 @example(at=BIN_ROW0_INDEX, patch=b"\x05", cut=None)  # row 0 indices 5, 4
+# row 0 indices 1, -2^63: their int64 difference wraps to a positive one
+@example(at=BIN_ROW0_INDEX + 8, patch=b"\x00" * 7 + b"\x80", cut=None)
 # a bad row 0 before a cut inside row 2's indices, and inside its header
 @example(at=BIN_ROW0_INDEX, patch=b"\xff" * 8, cut=BIN_ROW2 + 23)
 @example(at=BIN_ROW0_INDEX, patch=b"\x05", cut=BIN_ROW2 + 3)
@@ -673,3 +699,54 @@ def test_binary_loader_matches_the_per_row_reference(fuzz_models, tmp_path_facto
     for c, row in enumerate(rows):
         assert W.materialize_row(c) == SparseVector(row.indices[row.values != 0],
                                                     row.values[row.values != 0], dim)
+
+
+def reference_save_model(path, W, *, lam, algorithm, fmt="binary"):
+    """The model writer one row at a time: each class's ``materialize_row``
+    written out in turn."""
+    import struct
+
+    rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
+    if fmt == "text":
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("MEMOIR1 text 1\n")
+            fh.write(f"{W.num_classes} {W.dim} {float(lam)!r} {algorithm}\n")
+            for c, row in rows:
+                feats = " ".join(f"{int(i)}:{float(v)!r}"
+                                 for i, v in zip(row.indices, row.values))
+                fh.write(f"{c} {row.nnz} {feats}".rstrip() + "\n")
+        return
+    tag = algorithm.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"MEMOIR1\x00bin\x00")
+        fh.write(struct.pack("<IQQd", 1, W.num_classes, W.dim, lam))
+        fh.write(struct.pack("<B", len(tag)))
+        fh.write(tag)
+        for c, row in rows:
+            fh.write(struct.pack("<QQ", c, row.nnz))
+            fh.write(row.indices.astype("<i8").tobytes())
+            fh.write(row.values.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("seed", range(5))
+def test_save_model_matches_the_per_row_writer(tmp_path, fmt, seed):
+    """One CSR block gives the bytes that writing each materialized row
+    gives: the scale folded in, a stored value the scale underflows to 0
+    dropped, empty rows kept."""
+    rng = np.random.default_rng(seed)
+    C, dim = int(rng.integers(2, 12)), int(rng.integers(1, 40))
+    rows = []
+    for c in range(C):
+        nnz = int(rng.integers(0, dim + 1))
+        idx = np.sort(rng.choice(dim, size=nnz, replace=False))
+        rows.append((c, SparseVector(idx, rng.standard_normal(nnz) * 10.0 ** seed, dim)))
+    rows[seed % C] = (seed % C, SparseVector([dim - 1], [5e-324], dim))
+    W = WeightMatrix.from_rows(rows, dim)
+    W.global_scale(0.4)
+    assert W.scale == 0.4 and W.materialize_row(seed % C).nnz == 0
+    got, want = tmp_path / "got", tmp_path / "want"
+    lam = float(rng.uniform(1e-7, 2.0))
+    save_model(got, W, lam=lam, algorithm="l1", fmt=fmt)
+    reference_save_model(want, W, lam=lam, algorithm="l1", fmt=fmt)
+    assert got.read_bytes() == want.read_bytes()

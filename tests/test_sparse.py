@@ -72,6 +72,8 @@ class TestSparseVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             SparseVector([2, 1], [1.0, 1.0], 4)  # not increasing
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseVector([1, -2**63], [1.0, 1.0], 4)  # their difference wraps to > 0
         with pytest.raises(ValueError):
             SparseVector([0, 4], [1.0, 1.0], 4)  # out of range
         with pytest.raises(ValueError):

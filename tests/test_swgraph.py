@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mipsvm.mips import NoCandidateError, SwGraphIndex, build_index, recall_at_1
-from mipsvm.sparse import SparseVector
+from mipsvm.sparse import SparseVector, stack_csr
 
 
 def sv(pairs, dim):
@@ -91,15 +91,28 @@ class TestQuery:
         rows = [(c, unit_row(rng, 6)) for c in range(12)]
         graph = build_index(rows, "swgraph", dim=6, seed=9)
         oracle = build_index(rows, "exact", dim=6)
-        search = graph._search
-        # the traversal surfaces only its best node, whose class is excluded
-        monkeypatch.setattr(graph, "_search", lambda x, ef: search(x, ef)[:1])
-        for _ in range(20):
-            x = unit_row(rng, 6)
-            top = search(x, graph.ef_search)[0][1]
-            c, score = graph.query(x, exclude=top)
-            want = oracle.query(x, exclude=top)
-            assert c == want[0] and score == pytest.approx(want[1], rel=1e-12)
+        search, scan = graph._search, graph._scan
+        # the traversal surfaces only its best node
+        monkeypatch.setattr(graph, "_search", lambda *args: search(*args)[:1])
+        scanned = []
+
+        def counted_scan(X, exclude, pools=None):
+            scanned.append(X.shape[0])
+            return scan(X, exclude, pools)
+
+        monkeypatch.setattr(graph, "_scan", counted_scan)
+        queries = [unit_row(rng, 6) for _ in range(20)]
+        # every other query excludes its best class, the traversal's best
+        # node at this size, so only the scan of the rest can answer it
+        exclude = [oracle.query(x)[0] if k % 2 else None for k, x in enumerate(queries)]
+        X = stack_csr([x.indices for x in queries], [x.values for x in queries], 6)
+        ids, scores = graph.query_batch(X, exclude)
+        assert scanned == [10]  # one scan for every row that fell back
+        want_ids, want_scores = oracle.query_batch(X, exclude)
+        assert ids.tolist() == want_ids.tolist()
+        np.testing.assert_allclose(scores, want_scores, rtol=1e-12)
+        per_row = [graph.query(x, exclude=e) for x, e in zip(queries, exclude)]
+        assert [(c, s) for c, s in zip(ids.tolist(), scores.tolist())] == per_row
 
     def test_exhaustive_ef_matches_exact_oracle(self):
         # ef_search >= node count on a connected graph visits everything
