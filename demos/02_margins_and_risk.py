@@ -43,7 +43,7 @@ data = Dataset([(int(rng.integers(C)),
                  SparseVector(np.arange(d), rng.standard_normal(d), d,
                               check=False)) for _ in range(400)], d, C)
 exact_risk = empirical_risk(W, data, rho=1.0)
-approx_risk = empirical_risk(W, data, rho=1.0, use_exact=False, index=weak)
+approx_risk = empirical_risk(W, data, rho=1.0, index=weak)
 print(f"\nexact  risk: hinge={exact_risk.empirical_hinge:.4f} "
       f"error={exact_risk.zero_one:.3f}")
 print(f"approx risk: hinge={approx_risk.empirical_hinge:.4f} "

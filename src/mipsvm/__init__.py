@@ -14,7 +14,8 @@ from .mips import (MipsIndex, NoCandidateError, build_index, ExactIndex,
                    SimpleLshIndex, SwGraphIndex, simplelsh_transform,
                    hash_code, sign_bits, hashing_quality, audit_inexactness,
                    recall_at_1)
-from .metrics import PredictionSet, predict, predict_batch, accuracy, macro_f1
+from .metrics import (PredictionSet, predict, predict_batch, accuracy, macro_f1,
+                      evaluate)
 from .train import (TrainConfig, TrainLog, learning_rate, sample_batch,
                     truncate, objective_l2, objective_l1, train_l2, train_l1)
 from .dataio import Dataset, parse_dataset, write_dataset, save_model, load_model
@@ -30,6 +31,7 @@ __all__ = [
     "SimpleLshIndex", "SwGraphIndex", "simplelsh_transform", "hash_code",
     "sign_bits", "hashing_quality", "audit_inexactness", "recall_at_1",
     "PredictionSet", "predict", "predict_batch", "accuracy", "macro_f1",
+    "evaluate",
     "TrainConfig", "TrainLog", "learning_rate", "sample_batch", "truncate",
     "objective_l2", "objective_l1", "train_l2", "train_l1",
     "Dataset", "parse_dataset", "write_dataset", "save_model", "load_model",

@@ -10,22 +10,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .dataio import (Dataset, DatasetFormatError, ModelFormatError,
+from .dataio import (DatasetFormatError, ModelFormatError,
                      load_label_names, load_model, parse_dataset, save_model,
                      write_dataset)
-from .metrics import evaluate
+from .metrics import evaluate, predict_batch
 from .mips import BACKEND_DEFAULTS, BACKENDS, NoCandidateError, index_from_matrix
 from .mips.audit import audit_inexactness
 from .train import TrainConfig, config_for_algo, train_l1, train_l2
-
-
-def _add_dataset_flags(p):
-    p.add_argument("--zero-based", action="store_true",
-                   help="feature indices in the file start at 0 (default: 1)")
-    p.add_argument("--dim", type=int, default=None,
-                   help="force the feature dimension")
-    p.add_argument("--classes", type=int, default=None,
-                   help="force the class count")
 
 
 # (flag, parameter it sets, the backend it applies to, help)
@@ -49,20 +40,28 @@ def _add_backend_flags(p):
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
+def _warn_unused(flag, context):
+    print(f"warning: {flag} has no effect {context}; ignored", file=sys.stderr)
+
+
 def _warn_unused_backend_flags(args):
     for flag, param, backend, _ in _BACKEND_FLAGS:
         if backend != args.backend and getattr(args, param) is not None:
-            print(f"warning: {flag} has no effect with --backend {args.backend}; "
-                  "ignored", file=sys.stderr)
+            _warn_unused(flag, f"with --backend {args.backend}")
+
+
+def _warn_unused_train_flags(args):
+    _warn_unused_backend_flags(args)
+    if args.early_stop and not args.heldout:
+        _warn_unused("--early-stop", "without --heldout")
+    if args.no_truncation and args.algo == "l2":
+        _warn_unused("--no-truncation", "with --algo l2")
 
 
 def _backend_params(args) -> dict:
-    """Seed plus every backend parameter, defaults filled in."""
-    params = {"seed": args.seed}
-    for _, param, _, _ in _BACKEND_FLAGS:
-        given = getattr(args, param)
-        params[param] = BACKEND_DEFAULTS[param] if given is None else given
-    return params
+    """Seed plus the backend parameters given; the builders fill in the rest."""
+    given = {param: getattr(args, param) for _, param, _, _ in _BACKEND_FLAGS}
+    return {"seed": args.seed, **{k: v for k, v in given.items() if v is not None}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, help=f"default {TrainConfig.epochs}")
     p_train.add_argument("--batch-size", type=int, default=None,
                          help="default: round(100*sqrt(C))")
-    p_train.add_argument("--threads", type=int, help="batch slices queried in "
-                         f"parallel (default {TrainConfig.threads})")
     p_train.add_argument("--no-truncation", action="store_true",
                          help="disable the l1 truncation step")
     p_train.add_argument("--early-stop", action="store_true",
@@ -98,19 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--format", choices=("binary", "text"), default="binary",
                          help="model file format")
     _add_backend_flags(p_train)
-    _add_dataset_flags(p_train)
+    p_train.add_argument("--dim", type=int, default=None,
+                         help="force the feature dimension")
+    p_train.add_argument("--classes", type=int, default=None,
+                         help="force the class count")
 
     p_pred = sub.add_parser("predict", help="predict labels for a data file")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--input", required=True)
     p_pred.add_argument("--output", default=None,
                         help="labels file (default: stdout)")
-    _add_dataset_flags(p_pred)
 
     p_eval = sub.add_parser("eval", help="accuracy and macro-F1 on a test file")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--test", required=True)
-    _add_dataset_flags(p_eval)
 
     p_audit = sub.add_parser(
         "audit", help="empirical (epsilon, delta) report for a backend")
@@ -119,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--epsilon", type=float, default=0.1,
                          help="gap threshold (inf allowed)")
     _add_backend_flags(p_audit)
-    _add_dataset_flags(p_audit)
+    for p in (p_train, p_pred, p_eval, p_audit):
+        p.add_argument("--zero-based", action="store_true",
+                       help="feature indices in the file start at 0 (default: 1)")
 
     p_bench = sub.add_parser(
         "bench", help="generate synthetic data and time a short run")
@@ -135,16 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(path, args, dim=None) -> Dataset:
-    """Parse with the dataset flags; ``--dim``, when given, overrides ``dim``."""
-    return parse_dataset(path, zero_based=args.zero_based,
-                         dim=dim if args.dim is None else args.dim,
-                         num_classes=args.classes)
+def _model_and_data(args, path):
+    """The model at ``--model``, the external labels of its ``.labels``
+    sidecar (None without one), and ``path`` parsed in the model's shape:
+    its dimension, and the label map of the sidecar."""
+    W, _ = load_model(args.model)
+    names = load_label_names(args.model)
+    label_map = {name: i for i, name in enumerate(names)} if names else None
+    data = parse_dataset(path, zero_based=args.zero_based, dim=W.dim,
+                         label_map=label_map)
+    return W, names, data
 
 
 def _train_config(args) -> TrainConfig:
-    given = {k: getattr(args, k) for k in ("lam", "eta0", "eta_step", "epochs",
-                                           "threads")
+    given = {k: getattr(args, k) for k in ("lam", "eta0", "eta_step", "epochs")
              if getattr(args, k) is not None}
     return config_for_algo(args.algo, batch_size=args.batch_size,
                            backend=args.backend, truncation=not args.no_truncation,
@@ -153,8 +157,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    _warn_unused_backend_flags(args)
-    data = _load_dataset(args.data, args)
+    _warn_unused_train_flags(args)
+    data = parse_dataset(args.data, zero_based=args.zero_based, dim=args.dim,
+                         num_classes=args.classes)
     heldout = None
     if args.heldout:
         heldout = parse_dataset(args.heldout, zero_based=args.zero_based,
@@ -187,10 +192,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    W, _ = load_model(args.model)
-    names = load_label_names(args.model)
-    data = _load_dataset(args.input, args, W.dim)
-    from .metrics import predict_batch
+    W, names, data = _model_and_data(args, args.input)
     pred = predict_batch(W, data)
     lines = [(names[c] if names and c < len(names) else str(c)) for c in pred]
     if args.output:
@@ -203,11 +205,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    W, _ = load_model(args.model)
-    names = load_label_names(args.model)
-    label_map = {name: i for i, name in enumerate(names)} if names else None
-    data = parse_dataset(args.test, zero_based=args.zero_based, dim=W.dim,
-                         num_classes=None, label_map=label_map)
+    W, _, data = _model_and_data(args, args.test)
     report = evaluate(W, data)
     print(json.dumps(report.to_dict()))
     return 0
@@ -215,11 +213,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_audit(args) -> int:
     _warn_unused_backend_flags(args)
-    W, _ = load_model(args.model)
-    names = load_label_names(args.model)
-    label_map = {name: i for i, name in enumerate(names)} if names else None
-    queries = parse_dataset(args.queries, zero_based=args.zero_based, dim=W.dim,
-                            num_classes=None, label_map=label_map)
+    W, _, queries = _model_and_data(args, args.queries)
     bad = int(np.count_nonzero(queries.labels_array() >= W.num_classes))
     if bad:
         raise DatasetFormatError(

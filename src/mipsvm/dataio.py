@@ -46,9 +46,10 @@ class ModelFormatError(ValueError):
 
 
 class Dataset:
-    """Labeled sparse examples: one label array and one canonical CSR block
-    (sorted, distinct indices below ``dim``, no explicit zeros), with a
-    fixed dimension and class count.
+    """Labeled sparse examples: one label array (every class id in
+    [0, num_classes), one per row) and one canonical CSR block (sorted,
+    distinct indices below ``dim``, no explicit zeros), with a fixed
+    dimension and class count.
 
     ``Dataset(examples, dim, num_classes, label_map)`` stacks a list of
     ``(class id, SparseVector)`` pairs once; :meth:`from_csr` takes the
@@ -75,6 +76,12 @@ class Dataset:
         return data
 
     def _init(self, labels, block, num_classes, label_map) -> None:
+        if labels.size != block.shape[0]:
+            raise ValueError(f"{labels.size} labels for {block.shape[0]} rows")
+        bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+        if bad.size:
+            raise ValueError(f"label {labels[bad[0]]} of row {bad[0]} is outside "
+                             f"[0, {num_classes})")
         self._labels = labels
         # labels_array() hands this array out
         labels.flags.writeable = False

@@ -111,9 +111,9 @@ def inexact_margins_batch(index: "MipsIndex", W: WeightMatrix,
 
 
 def empirical_risk(W: WeightMatrix, data: "Dataset", rho: float,
-                   use_exact: bool = True,
                    index: Optional["MipsIndex"] = None) -> RiskReport:
-    """Mean hinge rho-loss and error rate, with exact or approximate margins.
+    """Mean hinge rho-loss and error rate: exact margins when ``index`` is
+    None, else margins against the rivals ``index`` proposes.
 
     Margin exactly 0 counts as a misclassification.
     """
@@ -123,11 +123,9 @@ def empirical_risk(W: WeightMatrix, data: "Dataset", rho: float,
         raise ValueError("rho must be positive")
     if W.num_classes < 2:
         raise ValueError("need at least two classes")
-    if use_exact:
+    if index is None:
         margins = exact_margins_batch(W, data)
     else:
-        if index is None:
-            raise ValueError("approximate risk needs a MIPS index")
         margins, _ = inexact_margins_batch(index, W, data)
     hinge = np.maximum(0.0, 1.0 - margins / rho)
     return RiskReport(rho=rho,

@@ -3,7 +3,7 @@
 Both trainers share one loop shape.  Per step: draw a batch uniformly with
 replacement as one row take of the data's CSR block, ask the MIPS index (a
 frozen snapshot) for every example's rival class with one ``query_batch``
-call per slice of the batch's block, re-score the true and rival classes
+call on the batch's block, re-score the true and rival classes
 exactly, then apply the hinge updates as one sparse product,
 eta * (Y - R)^T X over the hinge-active rows of the block (Y and R one-hot
 in the true and rival classes).  The l2 variant scales the matrix by
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,7 +76,9 @@ class TrainConfig:
 
     The update guard inside both trainers is the literal
     ``1 + x.(w_rival - w_true) > 0`` test.  ``batch_size=None`` resolves to
-    round(100 * sqrt(C)) at train time.
+    round(100 * sqrt(C)) at train time.  ``threads`` is range-checked and
+    read by nothing: the rival phase runs on the calling thread, and the
+    kernel pool of :mod:`mipsvm.sparse` already uses every core.
     """
 
     lam: float = 1.0
@@ -160,13 +160,13 @@ class TrainLog:
 
 def objective_l2(W: WeightMatrix, data: Dataset, lam: float) -> float:
     """(lam/2) ||W||_F^2 + mean exact hinge loss at rho = 1."""
-    risk = empirical_risk(W, data, rho=1.0, use_exact=True)
+    risk = empirical_risk(W, data, rho=1.0)
     return 0.5 * lam * W.frob_norm() ** 2 + risk.empirical_hinge
 
 
 def objective_l1(W: WeightMatrix, data: Dataset, lam: float) -> float:
     """(lam/2) ||W||_1 + mean exact hinge loss at rho = 1."""
-    risk = empirical_risk(W, data, rho=1.0, use_exact=True)
+    risk = empirical_risk(W, data, rho=1.0)
     l1 = float(np.abs(W.to_csr().data).sum())
     return 0.5 * lam * l1 + risk.empirical_hinge
 
@@ -178,22 +178,11 @@ def _build_training_index(W: WeightMatrix, cfg: TrainConfig) -> MipsIndex:
     return index
 
 
-def _query_phase(index, W, batch: Dataset, threads):
+def _query_phase(index, W, batch: Dataset):
     """Margin and rival of every example of ``batch`` against the frozen
-    index, as one record array with ``margin`` and ``rival`` fields.
-
-    One thread scores the batch's own block with one
-    :func:`inexact_margins_batch` call.  More cut it into that many slices,
-    each a row take scored on a pool thread; every example is scored
-    on its own, so the cut cannot change the results."""
-    cuts = np.linspace(0, len(batch), min(threads, len(batch)) + 1).astype(int)
-    if cuts.size == 2:
-        found = [inexact_margins_batch(index, W, batch)]
-    else:
-        parts = [batch.subset(range(lo, hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            found = list(pool.map(partial(inexact_margins_batch, index, W), parts))
-    margins, rivals = (np.concatenate(arrays) for arrays in zip(*found))
+    index, as one record array with ``margin`` and ``rival`` fields, from
+    one :func:`inexact_margins_batch` call on the batch's own block."""
+    margins, rivals = inexact_margins_batch(index, W, batch)
     return np.rec.fromarrays([margins, rivals], names="margin,rival")
 
 
@@ -208,6 +197,9 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
         raise ValueError("empty dataset")
     objective = objective_l2 if mode == "l2" else objective_l1
 
+    if heldout is not None and heldout.dim != data.dim:
+        raise ValueError(f"heldout dimension {heldout.dim} does not match the "
+                         f"training dimension {data.dim}")
     if initial is not None:
         if (initial.num_classes, initial.dim) != (data.num_classes, data.dim):
             raise ValueError("initial weights do not match the dataset shape")
@@ -231,7 +223,7 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
             W.global_scale(1.0 - cfg.lam * eta)
 
         # phase 1: rivals and margins against the frozen snapshot
-        found = _query_phase(index, W, batch, cfg.threads)
+        found = _query_phase(index, W, batch)
 
         # phase 2: the hinge updates, one product over the hinge-active examples
         labels, rivals = batch.labels_array(), found.rival

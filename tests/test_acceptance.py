@@ -269,8 +269,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             model = tmp_path / name
             code = cli_main(["train", str(toy_file), "--algo", "l2",
                              "--backend", "exact", "--epochs", "20",
-                             "--seed", "9", "--threads", "1",
-                             "--model-out", str(model)])
+                             "--seed", "9", "--model-out", str(model)])
             assert code == 0
             blobs.append(model.read_bytes())
         assert blobs[0] == blobs[1]

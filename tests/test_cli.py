@@ -63,6 +63,25 @@ class TestTrain:
         assert code == 0
         assert "--lsh-bits" in err and "ignored" in err
 
+    @pytest.mark.parametrize("flags, warned", [
+        (["--early-stop"], "--early-stop has no effect without --heldout"),
+        (["--algo", "l2", "--no-truncation"],
+         "--no-truncation has no effect with --algo l2"),
+        (["--early-stop", "--heldout", "TOY"], None),
+        (["--algo", "l1", "--no-truncation"], None),
+    ])
+    def test_flags_that_do_nothing_warn(self, toy_file, capsys, flags, warned):
+        flags = [str(toy_file) if f == "TOY" else f for f in flags]
+        code, _, err = run(capsys, "train", str(toy_file), "--epochs", "2", *flags)
+        assert code == 0
+        if warned is None:
+            assert err == ""
+        else:
+            assert err.splitlines() == [f"warning: {warned}; ignored"]
+
+    def test_threads_flag_is_gone(self, toy_file, capsys):
+        assert run(capsys, "train", str(toy_file), "--threads", "1")[0] == 2
+
     def test_default_config_is_config_for_algo(self):
         for algo in ("l2", "l1"):
             args = build_parser().parse_args(["train", "data.txt", "--algo", algo])
@@ -163,6 +182,15 @@ class TestPredictEvalAudit:
         assert record["accuracy"] == expected.accuracy
         assert record["macro_f1"] == expected.macro_f1
         assert record["n"] == expected.n
+
+    @pytest.mark.parametrize("command, data_flag", [
+        ("predict", "--input"), ("eval", "--test"), ("audit", "--queries")])
+    @pytest.mark.parametrize("shape_flag", ["--dim", "--classes"])
+    def test_model_commands_take_their_shape_from_the_model(
+            self, toy_file, trained, capsys, command, data_flag, shape_flag):
+        code, out, _ = run(capsys, command, "--model", str(trained), data_flag,
+                           str(toy_file), shape_flag, "1")
+        assert code == 2 and out == ""
 
     def test_audit_exact_backend_zero_delta(self, toy_file, trained, capsys):
         code, out, _ = run(capsys, "audit", "--model", str(trained),

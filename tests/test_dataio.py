@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 
 from mipsvm import dataio
-from mipsvm.dataio import (DatasetFormatError, ModelFormatError, load_label_names,
-                           load_model, parse_dataset, save_model, write_dataset)
+from mipsvm.dataio import (Dataset, DatasetFormatError, ModelFormatError,
+                           load_label_names, load_model, parse_dataset, save_model,
+                           write_dataset)
 from mipsvm.sparse import SparseVector, WeightMatrix
 
 
@@ -208,6 +210,22 @@ class TestParse:
         # concatenation took 7.5 MB; converting the whole 4.5 MB text at
         # once took 31 MB
         assert peak < 4 * held
+
+
+class TestDatasetLabels:
+    @pytest.mark.parametrize("label", [-1, 3, 5])
+    def test_out_of_range_label_names_itself(self, label):
+        row = SparseVector(np.array([0]), np.array([1.0]), 2)
+        with pytest.raises(ValueError, match=rf"label {label} of row 1 is outside \[0, 3\)"):
+            Dataset([(0, row), (label, row), (-2, row)], 2, 3)
+        block = sp.csr_matrix(np.ones((3, 2)))
+        with pytest.raises(ValueError, match=rf"label {label} of row 1 "):
+            Dataset.from_csr(np.array([2, label, 7]), block, 3)
+
+    def test_label_count_must_match_the_rows(self):
+        block = sp.csr_matrix(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="2 labels for 3 rows"):
+            Dataset.from_csr(np.array([0, 1]), block, 2)
 
 
 # -- the parser against a per-token reference --------------------------------

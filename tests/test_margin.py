@@ -203,16 +203,10 @@ class TestEmpiricalRisk:
         index = build_index([(c, W.materialize_row(c)) for c in range(6)],
                             "simplelsh", dim=5, lsh_bits=3, lsh_tables=2, seed=1)
         exact = empirical_risk(W, data, rho=1.0)
-        approx = empirical_risk(W, data, rho=1.0, use_exact=False, index=index)
+        approx = empirical_risk(W, data, rho=1.0, index=index)
         assert approx.empirical_hinge <= exact.empirical_hinge + 1e-12
 
     def test_empty_dataset(self):
         W = WeightMatrix(2, 2)
         with pytest.raises(ValueError, match="empty"):
             empirical_risk(W, Dataset([], 2, 2), rho=1.0)
-
-    def test_inexact_requires_index(self):
-        W = WeightMatrix(2, 2)
-        data = dataset_from_dense([0, 1], np.eye(2))
-        with pytest.raises(ValueError):
-            empirical_risk(W, data, rho=1.0, use_exact=False)
