@@ -67,6 +67,18 @@ def accuracy(p: PredictionSet) -> float:
     return float((p.true_labels == p.predicted).mean())
 
 
+def _ratio_sum(numerators: np.ndarray, denominators: np.ndarray) -> Fraction:
+    """Exact sum of numerators[i] / denominators[i] over the positive
+    denominators.  The numerators are added per distinct denominator first,
+    so it builds one Fraction per distinct count, not one per class."""
+    keep = denominators > 0
+    distinct, group = np.unique(denominators[keep], return_inverse=True)
+    grouped = np.zeros(distinct.size, dtype=np.int64)
+    np.add.at(grouped, group, numerators[keep])
+    return sum((Fraction(t, n) for t, n in zip(grouped.tolist(), distinct.tolist())),
+               Fraction(0))
+
+
 def macro_f1(p: PredictionSet, *, mean_per_class: bool = False) -> float:
     """Macro-F1 over the classes present in the truth or the predictions.
 
@@ -79,18 +91,14 @@ def macro_f1(p: PredictionSet, *, mean_per_class: bool = False) -> float:
         raise ValueError("empty prediction set")
     present = np.union1d(p.true_labels, p.predicted)
     hit = p.true_labels[p.true_labels == p.predicted]
-    tp, pred_n, true_n = (np.bincount(labels, minlength=p.num_classes)[present].tolist()
+    tp, pred_n, true_n = (np.bincount(labels, minlength=p.num_classes)[present]
                           for labels in (hit, p.predicted, p.true_labels))
     k = len(present)
     if mean_per_class:
         # every present class has a true or a predicted example
-        total = sum((Fraction(2 * t, pn + tn) for t, pn, tn in zip(tp, pred_n, true_n)),
-                    Fraction(0))
-        return float(total / k)
-    map_sum = sum((Fraction(t, n) for t, n in zip(tp, pred_n) if n), Fraction(0))
-    mar_sum = sum((Fraction(t, n) for t, n in zip(tp, true_n) if n), Fraction(0))
-    ma_p = map_sum / k
-    ma_r = mar_sum / k
+        return float(_ratio_sum(2 * tp, pred_n + true_n) / k)
+    ma_p = _ratio_sum(tp, pred_n) / k
+    ma_r = _ratio_sum(tp, true_n) / k
     if ma_p + ma_r == 0:
         return 0.0
     return float(2 * ma_p * ma_r / (ma_p + ma_r))

@@ -4,11 +4,16 @@ Every trainer, search index and metric in this package works on two
 structures: :class:`SparseVector` (sorted index/value pairs with an explicit
 dimension) and :class:`WeightMatrix` (one CSR of class rows behind a single
 scale multiplier, so that scaling the whole matrix is O(1)).
-:func:`score_block` is the one exact scoring kernel: it multiplies a CSR
-block of examples by a class matrix, chunk by chunk.  It and SimpleLSH's
-plane pass cut their work into pieces that :func:`run_pieces` runs on one
-shared thread pool; scipy's sparse products and numpy's ufuncs release the
-interpreter lock, so the pieces run on every CPU the process may use.
+:func:`score_block` is the one exact scoring kernel: it scores a CSR block
+of examples against a class matrix, chunk by chunk, and every score it
+returns is the stored-order sum of the CSR product.  Dense blocks against a
+dense class matrix go through a BLAS screen (:class:`_Screen`): one GEMM
+per chunk proposes, within a proven rounding bound, the classes that can
+be a row's best, and only those are re-scored in stored order.  The CSR
+product and SimpleLSH's plane pass cut their work into pieces that
+:func:`run_pieces` runs on one shared thread pool; scipy's sparse products
+and numpy's ufuncs release the interpreter lock, so the pieces run on every
+CPU the process may use.
 """
 
 from __future__ import annotations
@@ -41,6 +46,19 @@ DENSE_SCORING_MIN_DENSITY = 0.1
 # this many entries (scores, or plane values per chunk); smaller ones run
 # inline, where handing pieces to threads costs more than it saves.
 MIN_PIECE_ENTRIES = 1 << 15
+# Blocks of examples at least this full, and with at least this many rows,
+# are scored against a dense operand through score_block's BLAS screen,
+# other blocks through the CSR product.  The screen's cost hardly depends
+# on the block's density, the CSR product's grows with it: with exclude and
+# at, on both cores of a 2-vCPU Xeon, the screen won from about 0.17 (4000
+# rows, d = 100, C = 1000), 0.27 (4000 rows, d = 300, C = 500) and 0.45
+# (2000 rows, d = 2000, C = 200), and was 3.5x faster on full rows at
+# d = 300.  Its fixed cost per call and per chunk (an O(d x C) set-up and
+# some twenty numpy calls) made one full row 4x slower than the CSR product;
+# it won from about 12 rows at those shapes, and in some runs BLAS's second
+# thread stalled for 8 to 16 ms on products of 8 to 32 rows.
+DENSE_SCREEN_MIN_DENSITY = 0.3
+DENSE_SCREEN_MIN_ROWS = 32
 
 # The kernel pool has one thread per CPU this process may run on (every
 # CPU where the platform cannot tell).
@@ -234,6 +252,116 @@ def row_view(X: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
     return view
 
 
+def _sorted_rows(X: sp.csr_matrix) -> bool:
+    """Whether every row of ``X`` stores strictly increasing column indices
+    (no duplicates), computed from the arrays rather than scipy's cached
+    flag, which a :func:`row_view` does not carry."""
+    starts = X.indptr[1:-1] - X.indptr[0]
+    step = np.diff(X.indices[X.indptr[0]:X.indptr[-1]]) > 0
+    step[starts[(starts > 0) & (starts <= step.size)] - 1] = True
+    return bool(step.all())
+
+
+class _Screen:
+    """The BLAS screen of :func:`score_block` against one dense operand.
+
+    One GEMM scores a densified chunk in whatever order BLAS sums.  Any
+    order is within gamma_d * sum_j |x_j w_jc| of the exact sum, with
+    gamma_d = d u / (1 - d u) and u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1), and that sum is at
+    most ||x|| max_c ||w_c||.  So the screen and the stored-order sum of
+    the CSR product each lie within E = 2 gamma_d ||x|| max_c ||w_c|| +
+    d 2^-1070 of the exact score: the factor 2 covers the rounding of the
+    norms and of the threshold below, the last term underflow.  Every
+    class whose stored-order score is the row's maximum therefore has a
+    screen score of at least max_c A_c - 4E.  Only those candidates are
+    re-scored, in stored order, so every returned float is the CSR
+    product's.
+
+    The bound assumes that nothing overflows: a chunk whose ||x|| max_c
+    ||w_c|| exceeds OVERFLOW_GUARD, or is not finite, is scored by the CSR
+    product instead, as is a chunk whose rows are not sorted, since the
+    densified row would lose their stored order.
+    """
+
+    OVERFLOW_GUARD = 2.0 ** 1000
+
+    def __init__(self, operand: np.ndarray, budget: int):
+        dim, num_classes = operand.shape
+        self.operand = operand
+        self.classes = np.ascontiguousarray(operand.T)
+        # every square of the norms is within 2^-1075 of x_j^2 (underflow)
+        self.tiny = dim * 2.0 ** -1074
+        self.w_norm = math.sqrt(float(np.einsum("ij,ij->j", operand, operand).max())
+                                + self.tiny)
+        self.gamma = dim * 2.0 ** -53 / (1.0 - dim * 2.0 ** -53)
+        self.floor = dim * 2.0 ** -1070
+        # a zero class scores +0.0 on every row: only the first one allowed
+        # in a row can be its best, so the others are never re-scored
+        self.zero_classes = ~operand.any(axis=0)
+        # stage 1 holds the densified rows, their C screen scores, the
+        # candidate mask and, at worst, C candidate positions per row;
+        # stage 2 holds two (pairs x dim) products.  Each gets half.
+        self.rows = max(1, budget // (2 * (dim + 2 * num_classes + num_classes // 8)))
+        self.pairs = max(1, budget // (4 * dim))
+
+    def rescore(self, Xd: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """The stored-order sums of rows ``rows`` of ``Xd`` against classes
+        ``classes`` (at most ``self.pairs`` pairs): the sequential,
+        left-to-right sums that ``csr_matvecs`` makes.  A densified row adds
+        ±0 terms, which change no nonzero partial sum, and the final
+        ``+ 0.0`` turns the -0.0 of an all-zero sum into the +0.0 that the
+        CSR product starts from."""
+        products = Xd[rows]
+        products *= self.classes[classes]
+        np.cumsum(products, axis=1, out=products)
+        return products[:, -1] + 0.0
+
+    def score(self, block: sp.csr_matrix, mask, at):
+        """``(best, best_scores, at_scores)`` of the chunk ``block``, as
+        :func:`score_block` gives them, with ``mask`` applying its exclude
+        and among to screen scores; None where the CSR product must score
+        the chunk instead."""
+        if not _sorted_rows(block):
+            return None
+        Xd = block.toarray()
+        x_norm = np.sqrt(np.einsum("ij,ij->i", Xd, Xd) + self.tiny)
+        if not (x_norm * self.w_norm <= self.OVERFLOW_GUARD).all():
+            return None
+        bound = 4.0 * (2.0 * self.gamma * self.w_norm * x_norm + self.floor)
+        rows = np.arange(Xd.shape[0])
+        at_scores = None
+        if at is not None:
+            at_scores = np.empty(rows.size)
+            for s in range(0, rows.size, self.pairs):
+                part = slice(s, s + self.pairs)
+                at_scores[part] = self.rescore(Xd, rows[part], at[part])
+        scores = mask(Xd @ self.operand)
+        top = scores.argmax(axis=1)
+        peak = scores[rows, top]
+        candidates = scores >= (peak - bound)[:, None]
+        candidates[peak == -np.inf] = False  # nothing allowed: (0, -inf)
+        if self.zero_classes.any():
+            zero = candidates[:, self.zero_classes]
+            first = zero.argmax(axis=1)
+            keep = np.zeros_like(zero)
+            keep[rows, first] = zero[rows, first]
+            candidates[:, self.zero_classes] = keep
+        # an example with no nonzeros scores +0.0 on every class
+        empty = ~Xd.any(axis=1) & (peak > -np.inf)
+        candidates[empty] = False
+        candidates[empty, top[empty]] = True
+        flat = np.flatnonzero(candidates)
+        del candidates
+        scores.fill(-np.inf)
+        values = scores.ravel()
+        for s in range(0, flat.size, self.pairs):
+            part = flat[s:s + self.pairs]
+            values[part] = self.rescore(Xd, *np.divmod(part, scores.shape[1]))
+        best = scores.argmax(axis=1)
+        return best, scores[rows, best], at_scores
+
+
 def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None):
     """Best class and its score for every row of ``X @ operand``.
 
@@ -245,18 +373,38 @@ def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None)
     optionally gives one class position per row whose score is returned
     too.  Ties go to the smallest position.
 
-    A small block is scored inline in chunks of SCORE_BLOCK_ENTRIES // C
-    rows.  A larger one is cut into pieces of at most SCORE_BLOCK_ENTRIES //
-    (C x WORKERS) rows (:func:`piece_bounds`) that run on the kernel pool,
-    each one a view of ``X`` writing its own slice of the results.  Either
-    way at most SCORE_BLOCK_ENTRIES scores are alive, never O(n x C), and
-    since a row's score never depends on its piece or chunk, the results
-    do not depend on WORKERS.  Returns ``(best, best_scores, at_scores)``;
-    ``at_scores`` is None when ``at`` is.
+    Every score is the CSR product's: row i against class c is the
+    sequential sum of x_ij w_jc over the row's stored entries, in stored
+    order.  A block of at least DENSE_SCREEN_MIN_ROWS rows and at least
+    DENSE_SCREEN_MIN_DENSITY full, against a dense operand, is screened by
+    :class:`_Screen`: one BLAS product per chunk of
+    rows proposes each row's candidates, and only those are re-scored in
+    stored order, so the floats are the same as the CSR product's.  The
+    screen runs inline, with BLAS's own threads, in chunks whose densified
+    rows, screen scores and re-score products together stay within
+    SCORE_BLOCK_ENTRIES.
+
+    Any other block is multiplied as CSR: a small one inline in chunks of
+    SCORE_BLOCK_ENTRIES // C rows, a larger one cut into pieces of at most
+    SCORE_BLOCK_ENTRIES // (C x WORKERS) rows (:func:`piece_bounds`) that
+    run on the kernel pool, each one a view of ``X`` writing its own slice
+    of the results.  Either way at most SCORE_BLOCK_ENTRIES scores are
+    alive, never O(n x C), and since a row's score never depends on its
+    path, piece or chunk, the results do not depend on WORKERS.  Returns
+    ``(best, best_scores, at_scores)``; ``at_scores`` is None when ``at``
+    is.
     """
     n, C = X.shape[0], max(operand.shape[1], 1)
-    bounds = piece_bounds(n, n * C, max(1, SCORE_BLOCK_ENTRIES // (C * WORKERS)))
-    chunk = max(1, SCORE_BLOCK_ENTRIES // (C * min(WORKERS, bounds.size - 1)))
+    screen = None
+    if (isinstance(operand, np.ndarray) and X.nnz and operand.shape[1]
+            and n >= DENSE_SCREEN_MIN_ROWS
+            and X.nnz >= DENSE_SCREEN_MIN_DENSITY * n * X.shape[1]):
+        screen = _Screen(operand, SCORE_BLOCK_ENTRIES)
+        # near-equal chunks: a short last one would waste a BLAS call
+        bounds, chunk = np.array([0, n]), -(-n // -(-n // screen.rows))
+    else:
+        bounds = piece_bounds(n, n * C, max(1, SCORE_BLOCK_ENTRIES // (C * WORKERS)))
+        chunk = max(1, SCORE_BLOCK_ENTRIES // (C * min(WORKERS, bounds.size - 1)))
     best = np.empty(n, dtype=np.int64)
     best_scores = np.empty(n)
     at_scores = None if at is None else np.empty(n)
@@ -264,24 +412,34 @@ def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None)
     def score_rows(start, stop):
         for lo in range(start, stop, chunk):
             hi = min(stop, lo + chunk)
-            scores = row_view(X, lo, hi) @ operand
-            if sp.issparse(scores):
-                scores = scores.toarray()
             rows = np.arange(hi - lo)
+
+            def mask(scores):
+                if exclude is not None:
+                    masked = exclude[lo:hi] >= 0
+                    scores[rows[masked], exclude[lo:hi][masked]] = -np.inf
+                if among is not None:
+                    allowed = row_view(among, lo, hi)
+                    kept = np.full_like(scores, -np.inf)
+                    r = np.repeat(rows, np.diff(allowed.indptr))
+                    kept[r, allowed.indices] = scores[r, allowed.indices]
+                    scores = kept
+                return scores
+
+            block = row_view(X, lo, hi)
+            at_rows = None if at is None else at[lo:hi]
+            result = None if screen is None else screen.score(block, mask, at_rows)
+            if result is None:
+                scores = block @ operand
+                if sp.issparse(scores):
+                    scores = scores.toarray()
+                at_part = None if at is None else scores[rows, at_rows]
+                scores = mask(scores)
+                top = scores.argmax(axis=1)
+                result = top, scores[rows, top], at_part
+            best[lo:hi], best_scores[lo:hi] = result[:2]
             if at is not None:
-                at_scores[lo:hi] = scores[rows, at[lo:hi]]
-            if exclude is not None:
-                masked = exclude[lo:hi] >= 0
-                scores[rows[masked], exclude[lo:hi][masked]] = -np.inf
-            if among is not None:
-                allowed = row_view(among, lo, hi)
-                kept = np.full_like(scores, -np.inf)
-                r = np.repeat(rows, np.diff(allowed.indptr))
-                kept[r, allowed.indices] = scores[r, allowed.indices]
-                scores = kept
-            top = scores.argmax(axis=1)
-            best[lo:hi] = top
-            best_scores[lo:hi] = scores[rows, top]
+                at_scores[lo:hi] = result[2]
 
     run_pieces([partial(score_rows, lo, hi)
                 for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipsvm.dataio import Dataset
 from mipsvm.metrics import (PredictionSet, accuracy, evaluate, macro_f1,
@@ -32,6 +34,24 @@ def random_dataset(rng, n, C, d):
         examples.append((int(rng.integers(C)),
                          SparseVector(idx, rng.standard_normal(nnz), d)))
     return Dataset(examples, dim=d, num_classes=C)
+
+
+def per_class_fraction_macro_f1(p, mean_per_class):
+    """Macro-F1 summed one Fraction per class: the oracle for macro_f1,
+    which adds the counts per distinct denominator first."""
+    present = np.union1d(p.true_labels, p.predicted)
+    hit = p.true_labels[p.true_labels == p.predicted]
+    tp, pred_n, true_n = (np.bincount(labels, minlength=p.num_classes)[present].tolist()
+                          for labels in (hit, p.predicted, p.true_labels))
+    k = len(present)
+    if mean_per_class:
+        return float(sum((Fraction(2 * t, pn + tn) for t, pn, tn in
+                          zip(tp, pred_n, true_n)), Fraction(0)) / k)
+    ma_p = sum((Fraction(t, n) for t, n in zip(tp, pred_n) if n), Fraction(0)) / k
+    ma_r = sum((Fraction(t, n) for t, n in zip(tp, true_n) if n), Fraction(0)) / k
+    if ma_p + ma_r == 0:
+        return 0.0
+    return float(2 * ma_p * ma_r / (ma_p + ma_r))
 
 
 class TestPredict:
@@ -145,6 +165,17 @@ class TestMacroF1:
             p = PredictionSet(rng.integers(C, size=n), rng.integers(C, size=n), C)
             assert 0.0 <= macro_f1(p) <= 1.0
             assert 0.0 <= accuracy(p) <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda C: st.tuples(
+        st.just(C), st.lists(st.tuples(st.integers(0, C - 1), st.integers(0, C - 1)),
+                             min_size=1, max_size=80))),
+        st.booleans())
+    def test_matches_the_per_class_fraction_oracle(self, case, mean_per_class):
+        C, pairs = case
+        p = PredictionSet([t for t, _ in pairs], [q for _, q in pairs], C)
+        assert macro_f1(p, mean_per_class=mean_per_class) == per_class_fraction_macro_f1(
+            p, mean_per_class)
 
     def test_validation(self):
         with pytest.raises(ValueError):

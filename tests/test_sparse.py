@@ -5,6 +5,7 @@ same logical operations literally, with no scale trick.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,6 +501,189 @@ class TestKernelPool:
             if view.nnz:
                 assert np.shares_memory(view.data, X.data)
                 assert np.shares_memory(view.indices, X.indices)
+
+
+def kernel_options(rng, n, C):
+    """The three keyword sets of the kernel oracles for an n-row block
+    against C classes, with some rows excluding nothing and some allowed
+    no class at all."""
+    exclude = np.where(rng.random(n) < 0.5, rng.integers(C, size=n), -1)
+    among = sp.csr_matrix(rng.random((n, C)) < 0.4)
+    return [{}, {"exclude": exclude, "at": rng.integers(C, size=n)},
+            {"exclude": exclude, "among": among}]
+
+
+def screened(X, operand, **kw):
+    """score_block with every block, whatever its density and size, offered
+    to the dense screen; its chunks still fall back where it declines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "DENSE_SCREEN_MIN_DENSITY", 0.0)
+        mp.setattr(sparse, "DENSE_SCREEN_MIN_ROWS", 0)
+        return score_block(X, operand, **kw)
+
+
+def screen_results(monkeypatch):
+    """The result of every _Screen.score call from now on: None where the
+    screen declined a chunk and the CSR product scored it."""
+    results = []
+    original = sparse._Screen.score
+
+    def score(self, *args):
+        results.append(original(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(sparse._Screen, "score", score)
+    return results
+
+
+def adversarial_block(rng, n=30, d=12, C=9):
+    """(X, W as d x C) with the cases a screen could get wrong: classes 1
+    and 2 a copy of class 0, one of them one ulp apart in one weight, class
+    3 all zero, 0.1-grid values (ties only after rounding), -0.0, a
+    subnormal, and examples that are empty, all explicit zeros or copies."""
+    W = np.round(rng.standard_normal((d, C)) * 3) / 10
+    W[:, 1] = W[:, 2] = W[:, 0]
+    W[0, 2] = np.nextafter(W[0, 2], np.inf)
+    W[:, 3] = 0.0
+    W[1, 4], W[2, 4] = -0.0, 5e-324
+    Xd = np.round(rng.standard_normal((n, d)) * 3) / 10
+    Xd[rng.random((n, d)) < 0.2] = 0.0
+    Xd[0] = 0.0
+    Xd[1] = Xd[2]
+    Xd[3, :4] = [-0.0, 5e-324, 1e-170, 2.2e-308]
+    X = sp.csr_matrix(Xd)
+    X.data[X.indptr[4]:X.indptr[5]] = 0.0  # stored, but all zero
+    return X, W
+
+
+class TestDenseScreen:
+    """score_block's BLAS screen returns the CSR product's floats: the same
+    block against the same class matrix held as CSR is the oracle."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_adversarial_block_gives_the_csr_operand_floats(self, monkeypatch,
+                                                           kernel_workers, workers):
+        rng = np.random.default_rng(51)
+        kernel_workers(workers)
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+        X, W = adversarial_block(rng)
+        for budget in (1 << 22, 5 * W.shape[1]):  # one chunk; one row a chunk
+            monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
+            for kw in kernel_options(rng, X.shape[0], W.shape[1]):
+                assert_same_floats(screened(X, W, **kw),
+                                   score_block(X, sp.csr_matrix(W), **kw))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(6, 14), st.integers(4, 10),
+           st.integers(1, 8), st.sampled_from([1.0, 1e-160, 1e150]),
+           st.booleans(), st.sampled_from([7, 1 << 22]))
+    def test_fuzz_gives_the_csr_operand_floats(self, seed, n, d, C, magnitude,
+                                               shuffle, budget):
+        # magnitude 1e150 puts ||x|| max ||w|| past the overflow guard, so
+        # those chunks fall back; shuffled rows are not sorted, so they do too
+        rng = np.random.default_rng(seed)
+        X, W = adversarial_block(rng, n, d, max(C, 5))
+        W = W[:, :C] * magnitude
+        X = X * magnitude
+        if shuffle:
+            for i in range(n):
+                lo, hi = X.indptr[i], X.indptr[i + 1]
+                order = lo + rng.permutation(hi - lo)
+                X.indices[lo:hi], X.data[lo:hi] = X.indices[order], X.data[order]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
+            for kw in kernel_options(rng, n, C):
+                assert_same_floats(screened(X, W, **kw),
+                                   score_block(X, sp.csr_matrix(W), **kw))
+
+    def test_near_overflow_falls_back_to_the_csr_product(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        n = sparse.DENSE_SCREEN_MIN_ROWS
+        X = sp.csr_matrix(rng.standard_normal((n, 5)) * 1e150)
+        W = rng.standard_normal((5, 4)) * 1e150  # scores near 1e300, some overflow
+        calls = screen_results(monkeypatch)
+        for kw in kernel_options(rng, n, 4):
+            assert_same_floats(score_block(X, W, **kw),
+                               score_block(X, sp.csr_matrix(W), **kw))
+        assert calls and all(result is None for result in calls)
+
+    def test_the_path_each_block_takes(self, monkeypatch, kernel_cases):
+        """A dense block against a dense operand is screened: no CSR product.
+        Sparse rows, few rows or a CSR operand go through the CSR product."""
+        screens, products = screen_results(monkeypatch), []
+        original_product = sp.csr_matrix.__matmul__
+
+        def product(self, other):
+            products.append(other)
+            return original_product(self, other)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", product)
+        rng = np.random.default_rng(53)
+        dense_rows = sp.csr_matrix(rng.standard_normal((40, 30)))
+        W = rng.standard_normal((30, 20))
+
+        def path(X, operand):
+            screens.clear()
+            products.clear()
+            score_block(X, operand, exclude=np.zeros(X.shape[0], dtype=np.int64),
+                        at=np.ones(X.shape[0], dtype=np.int64))
+            return bool(screens), all(r is not None for r in screens), bool(products)
+
+        assert path(dense_rows, W) == (True, True, False)
+        assert path(dense_rows[:sparse.DENSE_SCREEN_MIN_ROWS - 1], W) == (False, True, True)
+        assert path(dense_rows, sp.csr_matrix(W)) == (False, True, True)
+        sparse_rows = sp.random(40, 30, density=sparse.DENSE_SCREEN_MIN_DENSITY / 2,
+                                format="csr", random_state=54)
+        assert path(sparse_rows, W) == (False, True, True)
+        Wk, data = kernel_cases[1]  # a dense operand, rows about 0.12 full
+        assert path(data.to_csr(), scoring_operand(Wk.to_csr())) == (False, True, True)
+
+    def test_ties_of_zeros_rescore_one_pair(self, monkeypatch):
+        """An empty example, or a row of all-zero classes, scores +0.0 on
+        each: only its first allowed one is re-scored, not all C."""
+        rng = np.random.default_rng(55)
+        n, d, C = 40, 16, 30
+        Xd = rng.standard_normal((n, d))
+        Xd[::2] = 0.0
+        W = rng.standard_normal((d, C))
+        W[:, 5:] = 0.0
+        X = sp.csr_matrix(Xd)
+        pairs = []
+        original = sparse._Screen.rescore
+
+        def rescore(self, Xd, rows, classes):
+            pairs.append(rows.size)
+            return original(self, Xd, rows, classes)
+
+        monkeypatch.setattr(sparse._Screen, "rescore", rescore)
+        for kw in kernel_options(rng, n, C):
+            pairs.clear()
+            assert_same_floats(screened(X, W, **kw), score_block(X, sp.csr_matrix(W), **kw))
+            # at most the best nonzero class and the first zero class of
+            # each nonempty row, one class of each empty row, and the at pairs
+            assert sum(pairs) <= 2 * (n // 2) + n // 2 + ("at" in kw) * n
+
+    def test_all_equal_classes_stay_within_the_block_budget(self, monkeypatch):
+        """Every class ties on every row, so every class is a candidate:
+        n x C x d re-score products unless the passes are capped."""
+        rng = np.random.default_rng(56)
+        n, d, C = 300, 32, 96
+        X = sp.csr_matrix(rng.standard_normal((n, d)))
+        W = np.repeat(rng.standard_normal((d, 1)), C, axis=1)
+        labels = rng.integers(C, size=n)
+        monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 1 << 14)
+        tracemalloc.start()
+        try:
+            got = score_block(X, W, exclude=labels, at=labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_floats(got, score_block(X, sp.csr_matrix(W), exclude=labels, at=labels))
+        assert (got[0] == np.where(labels == 0, 1, 0)).all()
+        # the block's budget, the operand's transposed copy, the three
+        # result arrays and 64 KiB for numpy's buffers and Python objects;
+        # uncapped, the products alone would take n * C * d * 8 = 7.4 MB
+        assert peak <= 8 * sparse.SCORE_BLOCK_ENTRIES + W.nbytes + 24 * n + (64 << 10)
 
 
 @settings(max_examples=60, deadline=None)
