@@ -17,7 +17,7 @@ from .mips import (MipsIndex, NoCandidateError, build_index, ExactIndex,
 from .metrics import (PredictionSet, predict, predict_batch, accuracy, macro_f1,
                       evaluate)
 from .train import (TrainConfig, TrainLog, learning_rate, sample_batch,
-                    truncate, objective_l2, objective_l1, train_l2, train_l1)
+                    objective_l2, objective_l1, train_l2, train_l1)
 from .dataio import Dataset, parse_dataset, write_dataset, save_model, load_model
 from .synth import make_toy_dataset, make_synthetic, train_test_split
 
@@ -32,7 +32,7 @@ __all__ = [
     "sign_bits", "hashing_quality", "audit_inexactness", "recall_at_1",
     "PredictionSet", "predict", "predict_batch", "accuracy", "macro_f1",
     "evaluate",
-    "TrainConfig", "TrainLog", "learning_rate", "sample_batch", "truncate",
+    "TrainConfig", "TrainLog", "learning_rate", "sample_batch",
     "objective_l2", "objective_l1", "train_l2", "train_l1",
     "Dataset", "parse_dataset", "write_dataset", "save_model", "load_model",
     "make_toy_dataset", "make_synthetic", "train_test_split",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import SparseVector, score_block, scoring_operand, stack_csr
+from ..sparse import SparseVector, dense_screen, score_block, scoring_operand, stack_csr
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -36,9 +36,10 @@ class MipsIndex:
       the new rows before the next query; a bad block changes nothing;
     * queries are read-only and may run concurrently against a frozen index;
       updates are exclusive.  The one thing a query writes is the scan state
-      (sorted ids and their scoring operand), built on the first full scan
-      after an update and kept in a single attribute: two first queries
-      racing each other build identical values and each reads a whole pair.
+      (sorted ids, their scoring operand and its dense screen), built on
+      the first full scan after an update and kept in a single attribute:
+      two first queries racing each other build identical values and each
+      reads a whole state.  The screen makes its own set-up the same way.
       A backend's work counters (:meth:`counters`) are bumped under a lock.
 
     The base class keeps the rows in one CSR block and does every exact
@@ -120,12 +121,13 @@ class MipsIndex:
         batch never costs more than a full scan of it, and ties go to the
         smallest id.
         """
-        among = None
+        among = screen = None
         if pools is None:
             state = self._scan_state
             if state is None:
-                state = self._scan_state = (self._ids, scoring_operand(self._block))
-            ids, operand = state
+                operand = scoring_operand(self._block)
+                state = self._scan_state = (self._ids, operand, dense_screen(operand))
+            ids, operand, screen = state
         else:
             members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
             ids = np.unique(members)
@@ -139,7 +141,7 @@ class MipsIndex:
         wanted = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
         pos = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
         masked = np.where(given & (ids[pos] == wanted), pos, -1)
-        best, score, _ = score_block(X, operand, exclude=masked, among=among)
+        best, score, _ = score_block(X, operand, exclude=masked, among=among, screen=screen)
         return ids[best], score
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:

@@ -32,11 +32,14 @@ from scipy import sparse as sp
 SCALE_FOLD_LOW = 1e-8
 SCALE_FOLD_HIGH = 1e8
 
-# score_block keeps at most this many scores alive at once (32 MB of
-# float64): examples are scored SCORE_BLOCK_ENTRIES // C rows at a time.
-# Against an l1-trained sparse C = 1000 model, the CSR product over 4000
-# test rows took about 15 % longer in chunks of 524 rows (a 2^19 cap) than
-# in one piece, and dense scoring was no slower in larger chunks either.
+# The chunks that score_block scores at once keep at most 8 x this many
+# bytes (32 MiB) alive: their dense scores, 8 bytes each, and with them the
+# CSR product's output and among's mask (see score_block).  Against the
+# l1-trained sparse-lsh-l1 model (C = 1000, a CSR operand), on both cores
+# of a 2-vCPU Xeon, its 4000 test rows took 17-20 ms in chunks of 699 rows
+# (13 MiB traced), as long as in chunks of 2097 rows (33 MiB), but 37 ms
+# in chunks of 174 rows (a 2^20 cap); its 20000 training rows took 91-105
+# ms from 2^21 to 2^23 and 103-147 ms below.
 SCORE_BLOCK_ENTRIES = 1 << 22
 # Class matrices at least this full are multiplied as a dense array, sparser
 # ones as CSR.  Block scoring crossed over between 0.07 (40-nnz rows at
@@ -282,28 +285,52 @@ class _Screen:
     ||w_c|| exceeds OVERFLOW_GUARD, or is not finite, is scored by the CSR
     product instead, as is a chunk whose rows are not sorted, since the
     densified row would lose their stored order.
+
+    The O(d x C) set-up (:meth:`set_up`) is made by the first chunk
+    screened, so a screen kept with its operand (:func:`dense_screen`)
+    makes it once for every block scored against that operand.
     """
 
     OVERFLOW_GUARD = 2.0 ** 1000
 
-    def __init__(self, operand: np.ndarray, budget: int):
-        dim, num_classes = operand.shape
+    def __init__(self, operand: np.ndarray):
         self.operand = operand
-        self.classes = np.ascontiguousarray(operand.T)
+        self.dim, self.num_classes = operand.shape
         # every square of the norms is within 2^-1075 of x_j^2 (underflow)
-        self.tiny = dim * 2.0 ** -1074
-        self.w_norm = math.sqrt(float(np.einsum("ij,ij->j", operand, operand).max())
-                                + self.tiny)
-        self.gamma = dim * 2.0 ** -53 / (1.0 - dim * 2.0 ** -53)
-        self.floor = dim * 2.0 ** -1070
-        # a zero class scores +0.0 on every row: only the first one allowed
-        # in a row can be its best, so the others are never re-scored
-        self.zero_classes = ~operand.any(axis=0)
-        # stage 1 holds the densified rows, their C screen scores, the
-        # candidate mask and, at worst, C candidate positions per row;
-        # stage 2 holds two (pairs x dim) products.  Each gets half.
-        self.rows = max(1, budget // (2 * (dim + 2 * num_classes + num_classes // 8)))
-        self.pairs = max(1, budget // (4 * dim))
+        self.tiny = self.dim * 2.0 ** -1074
+        self.gamma = self.dim * 2.0 ** -53 / (1.0 - self.dim * 2.0 ** -53)
+        self.floor = self.dim * 2.0 ** -1070
+        self._setup = None
+
+    def set_up(self):
+        """``(classes, w_norm, zero_classes)``: the operand's class-major
+        copy, max_c ||w_c|| and the mask of its all-zero classes.  Made by
+        the first call and kept in one attribute, so chunks racing to make
+        it each read a whole, identical value."""
+        setup = self._setup
+        if setup is None:
+            operand = self.operand
+            w_sq = float(np.einsum("ij,ij->j", operand, operand).max())
+            # a zero class scores +0.0 on every row: only the first one
+            # allowed in a row can be its best, so the others are never
+            # re-scored
+            setup = self._setup = (np.ascontiguousarray(operand.T),
+                                   math.sqrt(w_sq + self.tiny), ~operand.any(axis=0))
+        return setup
+
+    @property
+    def rows(self) -> int:
+        """Rows a chunk: stage 1 holds the densified rows, their C screen
+        scores, the candidate mask and, at worst, C candidate positions per
+        row, in half of SCORE_BLOCK_ENTRIES."""
+        C = self.num_classes
+        return max(1, SCORE_BLOCK_ENTRIES // (2 * (self.dim + 2 * C + C // 8)))
+
+    @property
+    def pairs(self) -> int:
+        """Pairs a re-score pass: stage 2 holds two (pairs x dim) products,
+        in the other half of SCORE_BLOCK_ENTRIES."""
+        return max(1, SCORE_BLOCK_ENTRIES // (4 * self.dim))
 
     def rescore(self, Xd: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
         """The stored-order sums of rows ``rows`` of ``Xd`` against classes
@@ -313,40 +340,42 @@ class _Screen:
         ``+ 0.0`` turns the -0.0 of an all-zero sum into the +0.0 that the
         CSR product starts from."""
         products = Xd[rows]
-        products *= self.classes[classes]
+        products *= self.set_up()[0][classes]
         np.cumsum(products, axis=1, out=products)
         return products[:, -1] + 0.0
 
     def score(self, block: sp.csr_matrix, mask, at):
         """``(best, best_scores, at_scores)`` of the chunk ``block``, as
         :func:`score_block` gives them, with ``mask`` applying its exclude
-        and among to screen scores; None where the CSR product must score
-        the chunk instead."""
+        and among to screen scores in place; None where the CSR product
+        must score the chunk instead."""
         if not _sorted_rows(block):
             return None
+        _, w_norm, zero_classes = self.set_up()
         Xd = block.toarray()
         x_norm = np.sqrt(np.einsum("ij,ij->i", Xd, Xd) + self.tiny)
-        if not (x_norm * self.w_norm <= self.OVERFLOW_GUARD).all():
+        if not (x_norm * w_norm <= self.OVERFLOW_GUARD).all():
             return None
-        bound = 4.0 * (2.0 * self.gamma * self.w_norm * x_norm + self.floor)
-        rows = np.arange(Xd.shape[0])
+        bound = 4.0 * (2.0 * self.gamma * w_norm * x_norm + self.floor)
+        rows, pairs = np.arange(Xd.shape[0]), self.pairs
         at_scores = None
         if at is not None:
             at_scores = np.empty(rows.size)
-            for s in range(0, rows.size, self.pairs):
-                part = slice(s, s + self.pairs)
+            for s in range(0, rows.size, pairs):
+                part = slice(s, s + pairs)
                 at_scores[part] = self.rescore(Xd, rows[part], at[part])
-        scores = mask(Xd @ self.operand)
+        scores = Xd @ self.operand
+        mask(scores)
         top = scores.argmax(axis=1)
         peak = scores[rows, top]
         candidates = scores >= (peak - bound)[:, None]
         candidates[peak == -np.inf] = False  # nothing allowed: (0, -inf)
-        if self.zero_classes.any():
-            zero = candidates[:, self.zero_classes]
+        if zero_classes.any():
+            zero = candidates[:, zero_classes]
             first = zero.argmax(axis=1)
             keep = np.zeros_like(zero)
             keep[rows, first] = zero[rows, first]
-            candidates[:, self.zero_classes] = keep
+            candidates[:, zero_classes] = keep
         # an example with no nonzeros scores +0.0 on every class
         empty = ~Xd.any(axis=1) & (peak > -np.inf)
         candidates[empty] = False
@@ -355,21 +384,30 @@ class _Screen:
         del candidates
         scores.fill(-np.inf)
         values = scores.ravel()
-        for s in range(0, flat.size, self.pairs):
-            part = flat[s:s + self.pairs]
+        for s in range(0, flat.size, pairs):
+            part = flat[s:s + pairs]
             values[part] = self.rescore(Xd, *np.divmod(part, scores.shape[1]))
         best = scores.argmax(axis=1)
         return best, scores[rows, best], at_scores
 
 
-def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None):
+def dense_screen(operand):
+    """:func:`score_block`'s BLAS screen against ``operand``, or None for a
+    CSR operand.  Passed as ``screen`` to every call against that operand,
+    it makes its O(d x C) set-up once, not once a call."""
+    return _Screen(operand) if isinstance(operand, np.ndarray) else None
+
+
+def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None,
+                screen=None):
     """Best class and its score for every row of ``X @ operand``.
 
-    ``operand`` comes from :func:`scoring_operand`.  ``exclude`` optionally
-    gives one class position per row that cannot be the best (a negative
-    position excludes nothing); ``among`` optionally gives, as the nonzero
-    pattern of an n x C CSR matrix, the class positions each row may pick
-    from (a row with none gets position 0 and score -inf); ``at``
+    ``operand`` comes from :func:`scoring_operand`, and ``screen``
+    optionally from :func:`dense_screen` of that operand.  ``exclude``
+    optionally gives one class position per row that cannot be the best (a
+    negative position excludes nothing); ``among`` optionally gives, as the
+    nonzero pattern of an n x C CSR matrix, the class positions each row
+    may pick from (a row with none gets position 0 and score -inf); ``at``
     optionally gives one class position per row whose score is returned
     too.  Ties go to the smallest position.
 
@@ -377,69 +415,79 @@ def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None)
     sequential sum of x_ij w_jc over the row's stored entries, in stored
     order.  A block of at least DENSE_SCREEN_MIN_ROWS rows and at least
     DENSE_SCREEN_MIN_DENSITY full, against a dense operand, is screened by
-    :class:`_Screen`: one BLAS product per chunk of
-    rows proposes each row's candidates, and only those are re-scored in
-    stored order, so the floats are the same as the CSR product's.  The
-    screen runs inline, with BLAS's own threads, in chunks whose densified
-    rows, screen scores and re-score products together stay within
-    SCORE_BLOCK_ENTRIES.
+    :class:`_Screen`: one BLAS product per chunk of rows proposes each
+    row's candidates, and only those are re-scored in stored order, so the
+    floats are the same as the CSR product's.  The screen runs inline, with
+    BLAS's own threads, in chunks whose densified rows, screen scores and
+    re-score products together stay within the budget below.
 
-    Any other block is multiplied as CSR: a small one inline in chunks of
-    SCORE_BLOCK_ENTRIES // C rows, a larger one cut into pieces of at most
-    SCORE_BLOCK_ENTRIES // (C x WORKERS) rows (:func:`piece_bounds`) that
-    run on the kernel pool, each one a view of ``X`` writing its own slice
-    of the results.  Either way at most SCORE_BLOCK_ENTRIES scores are
-    alive, never O(n x C), and since a row's score never depends on its
-    path, piece or chunk, the results do not depend on WORKERS.  Returns
-    ``(best, best_scores, at_scores)``; ``at_scores`` is None when ``at``
-    is.
+    Any other block is multiplied as CSR, a small one inline, a larger one
+    cut into row pieces (:func:`piece_bounds`) that run on the kernel pool,
+    each one a view of ``X`` writing its own slice of the results.  Each
+    piece scores its rows in chunks, and a chunk's arrays are freed before
+    the next one's product starts.  A chunk holds its dense scores, 8 bytes
+    a class a row; with a CSR operand, also the sparse product's output
+    (up to 16 bytes a score) while it is densified, and with ``among``, the
+    gathered allowed scores and their positions (16 bytes an allowed
+    class) while the rest are set to -inf in place; so a chunk with either
+    gets a third of the rows.  Either way the chunks alive at once take at
+    most 8 x SCORE_BLOCK_ENTRIES bytes (32 MiB), never O(n x C), and since
+    a row's score never depends on its path, piece or chunk, the results do
+    not depend on WORKERS.  Returns ``(best, best_scores, at_scores)``;
+    ``at_scores`` is None when ``at`` is.
     """
     n, C = X.shape[0], max(operand.shape[1], 1)
-    screen = None
     if (isinstance(operand, np.ndarray) and X.nnz and operand.shape[1]
             and n >= DENSE_SCREEN_MIN_ROWS
             and X.nnz >= DENSE_SCREEN_MIN_DENSITY * n * X.shape[1]):
-        screen = _Screen(operand, SCORE_BLOCK_ENTRIES)
+        if screen is None:
+            screen = _Screen(operand)
         # near-equal chunks: a short last one would waste a BLAS call
         bounds, chunk = np.array([0, n]), -(-n // -(-n // screen.rows))
     else:
-        bounds = piece_bounds(n, n * C, max(1, SCORE_BLOCK_ENTRIES // (C * WORKERS)))
-        chunk = max(1, SCORE_BLOCK_ENTRIES // (C * min(WORKERS, bounds.size - 1)))
+        screen = None
+        row_entries = C * (3 if sp.issparse(operand) or among is not None else 1)
+        bounds = piece_bounds(n, n * C,
+                              max(1, SCORE_BLOCK_ENTRIES // (row_entries * WORKERS)))
+        chunk = max(1, SCORE_BLOCK_ENTRIES // (row_entries * min(WORKERS, bounds.size - 1)))
     best = np.empty(n, dtype=np.int64)
     best_scores = np.empty(n)
     at_scores = None if at is None else np.empty(n)
 
+    def score_chunk(lo, hi):
+        rows = np.arange(hi - lo)
+
+        def mask(scores):
+            """Set -inf, in place, where exclude or among rule a class out."""
+            if exclude is not None:
+                masked = exclude[lo:hi] >= 0
+                scores[rows[masked], exclude[lo:hi][masked]] = -np.inf
+            if among is not None:
+                allowed = row_view(among, lo, hi)
+                flat = np.repeat(rows * scores.shape[1], np.diff(allowed.indptr))
+                flat += allowed.indices
+                kept = scores.take(flat)
+                scores.fill(-np.inf)
+                scores.put(flat, kept)
+
+        block = row_view(X, lo, hi)
+        at_rows = None if at is None else at[lo:hi]
+        result = None if screen is None else screen.score(block, mask, at_rows)
+        if result is None:
+            scores = block @ operand
+            if sp.issparse(scores):
+                scores = scores.toarray()
+            at_part = None if at is None else scores[rows, at_rows]
+            mask(scores)
+            top = scores.argmax(axis=1)
+            result = top, scores[rows, top], at_part
+        best[lo:hi], best_scores[lo:hi] = result[:2]
+        if at is not None:
+            at_scores[lo:hi] = result[2]
+
     def score_rows(start, stop):
         for lo in range(start, stop, chunk):
-            hi = min(stop, lo + chunk)
-            rows = np.arange(hi - lo)
-
-            def mask(scores):
-                if exclude is not None:
-                    masked = exclude[lo:hi] >= 0
-                    scores[rows[masked], exclude[lo:hi][masked]] = -np.inf
-                if among is not None:
-                    allowed = row_view(among, lo, hi)
-                    kept = np.full_like(scores, -np.inf)
-                    r = np.repeat(rows, np.diff(allowed.indptr))
-                    kept[r, allowed.indices] = scores[r, allowed.indices]
-                    scores = kept
-                return scores
-
-            block = row_view(X, lo, hi)
-            at_rows = None if at is None else at[lo:hi]
-            result = None if screen is None else screen.score(block, mask, at_rows)
-            if result is None:
-                scores = block @ operand
-                if sp.issparse(scores):
-                    scores = scores.toarray()
-                at_part = None if at is None else scores[rows, at_rows]
-                scores = mask(scores)
-                top = scores.argmax(axis=1)
-                result = top, scores[rows, top], at_part
-            best[lo:hi], best_scores[lo:hi] = result[:2]
-            if at is not None:
-                at_scores[lo:hi] = result[2]
+            score_chunk(lo, min(stop, lo + chunk))
 
     run_pieces([partial(score_rows, lo, hi)
                 for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])

@@ -34,7 +34,7 @@ from .dataio import Dataset
 from .margin import empirical_risk, inexact_margin, inexact_margins_batch  # noqa: F401
 from .metrics import evaluate
 from .mips import BACKEND_DEFAULTS, BACKENDS, MipsIndex, build_index
-from .sparse import SparseVector, WeightMatrix
+from .sparse import WeightMatrix
 
 
 def learning_rate(t: int, eta0: float, eta_step: float) -> float:
@@ -51,19 +51,6 @@ def sample_batch(data: Dataset, size: int, rng: np.random.Generator) -> Dataset:
         raise ValueError("batch size must be positive")
     picks = rng.integers(len(data), size=size)
     return data.subset(picks)
-
-
-def truncate(w: SparseVector, xi: int, lam: float, eta: float,
-             num_classes: int) -> SparseVector:
-    """Soft-threshold w at tau = (num_classes / xi) * lam * eta; drops zeros."""
-    if xi < 1:
-        raise ValueError("xi must be a positive integer")
-    tau = (num_classes / xi) * lam * eta
-    if tau == 0.0:
-        return w
-    shrunk = np.sign(w.values) * np.maximum(np.abs(w.values) - tau, 0.0)
-    keep = shrunk != 0.0
-    return SparseVector(w.indices[keep], shrunk[keep], w.dim, check=False)
 
 
 def default_batch_size(num_classes: int) -> int:

@@ -1,5 +1,7 @@
 """Fixtures shared by the oracle tests of the exact scoring kernel and the
-MIPS indexes."""
+MIPS indexes, and by the memory bounds."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,3 +76,19 @@ def kernel_workers():
     yield use
     drop_fresh_pool()
     sparse.WORKERS, sparse._pool = saved
+
+
+@pytest.fixture
+def peak_traced_bytes():
+    """``peak_traced_bytes(fn)`` calls ``fn`` and gives ``(fn(), peak)``:
+    its result and the peak of the memory that Python and numpy allocated
+    while it ran, in every thread, as ``tracemalloc`` traces it."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+    return measure

@@ -1,7 +1,6 @@
 """LIBSVM-style parsing and model round-trips."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,18 +191,13 @@ class TestParse:
             with pytest.raises(DatasetFormatError, match=message):
                 parse_dataset(write(tmp_path, text))
 
-    def test_parse_memory_is_bounded_by_the_chunk(self, tmp_path):
+    def test_parse_memory_is_bounded_by_the_chunk(self, tmp_path, peak_traced_bytes):
         rng = np.random.default_rng(0)
         lines = [f"{y} " + " ".join(f"{i + 1}:{v!r}" for i, v in
                                     enumerate(rng.standard_normal(50).tolist()))
                  for y in rng.integers(20, size=4000).tolist()]
         path = write(tmp_path, "\n".join(lines) + "\n")
-        tracemalloc.start()
-        try:
-            data = parse_dataset(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        data, peak = peak_traced_bytes(lambda: parse_dataset(path))
         X = data.to_csr()
         held = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
         # the final arrays (2.4 MB), every chunk's int64 pieces and their

@@ -187,6 +187,74 @@ def test_concurrent_first_queries_after_update(kind, monkeypatch, kernel_workers
         sys.setswitchinterval(old)
 
 
+def test_screen_set_up_is_made_once_per_index_state(monkeypatch):
+    """Dense query blocks against a dense index go through score_block's
+    BLAS screen.  Its O(d x C) set-up is kept with the scan state: made by
+    the first query_batch after an update, reused by the next ones, and
+    the answers are the CSR operand's, bit for bit."""
+    rng = np.random.default_rng(34)
+    dim, C, n = 16, 30, 40
+    made = []
+    original = sparse._Screen.set_up
+
+    def set_up(self):
+        made.append(self._setup is None)
+        return original(self)
+
+    monkeypatch.setattr(sparse._Screen, "set_up", set_up)
+    W = rng.standard_normal((C, dim))
+    index = build_index([(c, SparseVector(np.arange(dim), W[c], dim)) for c in range(C)],
+                        "exact", dim=dim)
+    X = sp.csr_matrix(rng.standard_normal((n, dim)))
+    exclude = rng.integers(C, size=n)
+    for state in (1, 2):
+        want = sparse.score_block(X, sp.csr_matrix(W.T), exclude=exclude)
+        for _ in range(3):
+            ids, scores = index.query_batch(X, exclude.tolist())
+            assert ids.tobytes() == want[0].tobytes()
+            assert scores.tobytes() == want[1].tobytes()
+        assert sum(made) == state and len(made) > state
+        W[3] = rng.standard_normal(dim)
+        index.update_row(3, SparseVector(np.arange(dim), W[3], dim))
+
+
+def test_concurrent_first_dense_queries_share_the_screen():
+    """Threads racing to make the cached screen's set-up each read a whole
+    one: every dense query_batch gives the CSR operand's answers."""
+    rng = np.random.default_rng(35)
+    dim, C, n = 16, 30, 40
+    W = rng.standard_normal((C, dim))
+    index = build_index([(c, SparseVector(np.arange(dim), W[c], dim)) for c in range(C)],
+                        "exact", dim=dim)
+    blocks = [sp.csr_matrix(rng.standard_normal((n, dim))) for _ in range(4)]
+    exclude = rng.integers(C, size=n)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for step in range(5):
+            W[step] = rng.standard_normal(dim)
+            index.update_row(step, SparseVector(np.arange(dim), W[step], dim))
+            results = [None] * 4
+            start = threading.Barrier(4)
+
+            def work(i):
+                start.wait(timeout=60)
+                results[i] = index.query_batch(blocks[i], exclude.tolist())
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for X, (ids, scores) in zip(blocks, results):
+                want = sparse.score_block(X, sp.csr_matrix(W.T), exclude=exclude)
+                assert ids.tobytes() == want[0].tobytes()
+                assert scores.tobytes() == want[1].tobytes()
+    finally:
+        sys.setswitchinterval(old)
+
+
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
 def test_query_batch_matches_query(kind, kernel_cases, as_block):
     """One query_batch call gives every row's query answer, bit for bit,

@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,17 +351,12 @@ class TestBatchedHashing:
         assert index._hash(Z) == codes
         assert (sparse._pool is None) == (workers == 1)
 
-    def test_hashing_memory_is_bounded_by_the_chunk(self):
+    def test_hashing_memory_is_bounded_by_the_chunk(self, peak_traced_bytes):
         dim = 20_000
         rng = np.random.default_rng(22)
         row = SparseVector(np.arange(dim), rng.standard_normal(dim), dim)
         index = SimpleLshIndex(dim)
-        tracemalloc.start()
-        try:
-            index.update_row(0, row)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_traced_bytes(lambda: index.update_row(0, row))
         # the chunk's plane values plus one scratch array of the same size;
         # one block over the row's whole support would be 328 MB
         assert peak < 3 * slsh.PLANE_CHUNK_ENTRIES * 8

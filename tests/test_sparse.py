@@ -5,7 +5,6 @@ same logical operations literally, with no scale trick.
 """
 
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,6 +492,30 @@ class TestKernelPool:
         with pytest.raises(IndexError):
             score_block(data.to_csr(), scoring_operand(W.to_csr()), at=at)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csr_operand_stays_within_the_block_budget(self, monkeypatch, kernel_workers,
+                                                       peak_traced_bytes, workers):
+        """About 85 % of the product is nonzero, so each chunk's CSR output
+        (12 to 16 bytes a score) outweighs the dense scores it becomes, and
+        among's mask touches 40 % of them: both count against the budget."""
+        rng = np.random.default_rng(57)
+        n, d, C = 600, 200, 120
+        X = sp.random(n, d, density=0.12, format="csr", random_state=rng)
+        operand = sp.random(d, C, density=0.08, format="csr", random_state=rng)
+        assert (X @ operand).nnz > 0.8 * n * C
+        kernel_workers(1)
+        calls = kernel_options(rng, n, C)[1:]  # exclude with at, exclude with among
+        want = [score_block(X, operand, **kw) for kw in calls]
+        monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 1 << 14)
+        kernel_workers(workers)
+        for kw, expected in zip(calls, want):
+            score_block(X, operand, **kw)  # makes the pool outside the trace
+            got, peak = peak_traced_bytes(lambda: score_block(X, operand, **kw))
+            assert_same_floats(got, expected)
+            # the block's budget, the three result arrays and 64 KiB for
+            # numpy's buffers and Python objects
+            assert peak <= 8 * sparse.SCORE_BLOCK_ENTRIES + 24 * n + (64 << 10)
+
     def test_row_view_shares_the_block(self, kernel_cases):
         X = kernel_cases[0][1].to_csr()
         for lo, hi in ((0, X.shape[0]), (3, 17), (40, 41), (5, 5)):
@@ -663,7 +686,8 @@ class TestDenseScreen:
             # each nonempty row, one class of each empty row, and the at pairs
             assert sum(pairs) <= 2 * (n // 2) + n // 2 + ("at" in kw) * n
 
-    def test_all_equal_classes_stay_within_the_block_budget(self, monkeypatch):
+    def test_all_equal_classes_stay_within_the_block_budget(self, monkeypatch,
+                                                            peak_traced_bytes):
         """Every class ties on every row, so every class is a candidate:
         n x C x d re-score products unless the passes are capped."""
         rng = np.random.default_rng(56)
@@ -672,12 +696,7 @@ class TestDenseScreen:
         W = np.repeat(rng.standard_normal((d, 1)), C, axis=1)
         labels = rng.integers(C, size=n)
         monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 1 << 14)
-        tracemalloc.start()
-        try:
-            got = score_block(X, W, exclude=labels, at=labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = peak_traced_bytes(lambda: score_block(X, W, exclude=labels, at=labels))
         assert_same_floats(got, score_block(X, sp.csr_matrix(W), exclude=labels, at=labels))
         assert (got[0] == np.where(labels == 0, 1, 0)).all()
         # the block's budget, the operand's transposed copy, the three

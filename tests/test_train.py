@@ -21,11 +21,25 @@ from mipsvm.sparse import SparseVector, WeightMatrix
 from mipsvm.synth import make_synthetic, make_toy_dataset, toy_reference_margins
 from mipsvm.train import (TrainConfig, default_batch_size, learning_rate,
                           objective_l1, objective_l2, sample_batch, train_l1,
-                          train_l2, truncate)
+                          train_l2)
 
 
 def sv(pairs, dim):
     return SparseVector.from_pairs(pairs, dim)
+
+
+def truncate(w: SparseVector, xi: int, lam: float, eta: float,
+             num_classes: int) -> SparseVector:
+    """Oracle of the l1 trainer's truncation of one row: soft-threshold w
+    at tau = (num_classes / xi) * lam * eta and drop the zeros."""
+    if xi < 1:
+        raise ValueError("xi must be a positive integer")
+    tau = (num_classes / xi) * lam * eta
+    if tau == 0.0:
+        return w
+    shrunk = np.sign(w.values) * np.maximum(np.abs(w.values) - tau, 0.0)
+    keep = shrunk != 0.0
+    return SparseVector(w.indices[keep], shrunk[keep], w.dim, check=False)
 
 
 def matrix_from_dense(rows):
@@ -135,6 +149,29 @@ class TestTruncate:
     def test_xi_validation(self):
         with pytest.raises(ValueError):
             truncate(sv({}, 2), 0, 0.1, 0.1, 2)
+
+    def test_truncate_rows_matches_the_oracle(self):
+        """WeightMatrix.truncate_rows, as the l1 trainer calls it, gives
+        every chosen row the oracle's floats and leaves the others alone;
+        the power-of-two scale keeps the stored values exact."""
+        rng = np.random.default_rng(4)
+        C, dim = 9, 25
+        for _ in range(20):
+            W = WeightMatrix.from_rows(
+                [(c, SparseVector(np.sort(rng.choice(dim, size=8, replace=False)),
+                                  rng.standard_normal(8), dim)) for c in range(C)], dim)
+            W.global_scale(0.5)
+            before = [W.materialize_row(c) for c in range(C)]
+            rows = np.sort(rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False))
+            lam, eta = rng.uniform(0, 0.5), rng.uniform(0, 0.5)
+            W.truncate_rows(rows, (C / rows.size) * lam * eta)
+            for c in range(C):
+                want = before[c]
+                if c in rows:
+                    want = truncate(want, rows.size, lam, eta, C)
+                got = W.materialize_row(c)
+                assert got.indices.tolist() == want.indices.tolist()
+                assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestConfig:
