@@ -4,9 +4,9 @@ The margin of a labeled example (x, y) under a weight matrix W is the score
 of the true class minus the best competing score.  The exact version scans
 all classes; the approximate version asks a MIPS index for a competing class
 and re-scores that single candidate exactly against W, so the approximation
-error lives entirely in the candidate choice.  Because the exact rival
-maximizes the subtracted term, the approximate margin is always >= the exact
-one.
+error lives entirely in the candidate choice.  Both take every score as the
+stored-order sum of :mod:`mipsvm.sparse`, and the exact rival maximizes the
+subtracted term, so the approximate margin is never below the exact one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix, score_block, scoring_operand
+from .sparse import (SparseVector, WeightMatrix, score_block, score_pairs, scoring_operand,
+                     stack_csr)
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -40,42 +41,49 @@ class RiskReport:
     zero_one: float
 
 
-def exact_margin(W: WeightMatrix, x: SparseVector, y: int) -> MarginResult:
-    """Margin with the true best rival, found by scanning every class.
+def _check_labels(labels, num_classes: int) -> np.ndarray:
+    """``labels`` as int64; the IndexError names the first outside [0, num_classes)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    for y in labels[(labels < 0) | (labels >= num_classes)][:1]:
+        raise IndexError(f"label {y} out of range [0, {num_classes})")
+    return labels
 
-    Ties in the rival argmax break toward the smallest class id.  A margin
-    <= 0 means the example is misclassified.
-    """
+
+def _margins(W: WeightMatrix, X, labels, index: Optional["MipsIndex"] = None):
+    """``(rivals, true scores, rival scores)`` of the CSR block ``X``: the
+    exact rivals from one :func:`score_block` pass, or those ``index``
+    proposes in one ``query_batch`` call, re-scored by :func:`score_pairs`."""
     if W.num_classes < 2:
         raise ValueError("need at least two classes to compute a margin")
-    if not 0 <= y < W.num_classes:
-        raise IndexError(f"label {y} out of range [0, {W.num_classes})")
-    best_c = -1
-    best_s = -np.inf
-    for c in range(W.num_classes):
-        if c == y:
-            continue
-        s = W.row_dot(c, x)
-        if s > best_s:
-            best_s = s
-            best_c = c
-    s_true = W.row_dot(y, x)
-    return MarginResult(s_true - best_s, best_c, s_true, best_s)
+    labels = _check_labels(labels, W.num_classes)
+    M = W.to_csr()
+    if index is None:
+        rivals, s_rival, s_true = score_block(X, scoring_operand(M), exclude=labels, at=labels)
+    else:
+        rivals, _ = index.query_batch(X, labels)
+        s_true, s_rival = score_pairs(X, M[labels]), score_pairs(X, M[rivals])
+    return rivals, s_true, s_rival
+
+
+def _margin_of_one(W: WeightMatrix, x: SparseVector, y: int,
+                   index: Optional["MipsIndex"] = None) -> MarginResult:
+    """:func:`_margins` of the one example ``(x, y)``."""
+    found = _margins(W, stack_csr([x.indices], [x.values], x.dim), [y], index)
+    rival, s_true, s_rival = (a[0].item() for a in found)
+    return MarginResult(s_true - s_rival, rival, s_true, s_rival)
+
+
+def exact_margin(W: WeightMatrix, x: SparseVector, y: int) -> MarginResult:
+    """Margin against the best rival, ties toward the smallest class id (a
+    margin <= 0 misclassifies): :func:`exact_margins_batch` of one example."""
+    return _margin_of_one(W, x, y)
 
 
 def inexact_margin(index: "MipsIndex", W: WeightMatrix, x: SparseVector,
                    y: int) -> MarginResult:
-    """Margin against the rival proposed by a MIPS index.
-
-    The candidate is re-scored exactly against W (one sparse dot), so the
-    returned scores are exact; only the rival selection is approximate.
-    """
-    if not 0 <= y < W.num_classes:
-        raise IndexError(f"label {y} out of range [0, {W.num_classes})")
-    rival, _ = index.query(x, exclude=y)
-    s_true = W.row_dot(y, x)
-    s_rival = W.row_dot(rival, x)
-    return MarginResult(s_true - s_rival, rival, s_true, s_rival)
+    """Margin against the rival proposed by a MIPS index, re-scored exactly
+    against W: :func:`inexact_margins_batch` of one example."""
+    return _margin_of_one(W, x, y, index)
 
 
 def hinge_loss(margin: float, rho: float) -> float:
@@ -87,9 +95,7 @@ def hinge_loss(margin: float, rho: float) -> float:
 
 def exact_margins_batch(W: WeightMatrix, data: "Dataset") -> np.ndarray:
     """Exact margins for a whole dataset, scored by :func:`score_block`."""
-    labels = data.labels_array()
-    _, s_rival, s_true = score_block(data.to_csr(), scoring_operand(W.to_csr()),
-                                     exclude=labels, at=labels)
+    _, s_true, s_rival = _margins(W, data.to_csr(), data.labels_array())
     return s_true - s_rival
 
 
@@ -99,14 +105,9 @@ def inexact_margins_batch(index: "MipsIndex", W: WeightMatrix,
 
     One ``query_batch`` call on the dataset's CSR block proposes every
     rival; the true and the rival class of every example are then re-scored
-    exactly against W from the same block, each in one row-wise sparse
-    product, so only the rival selection is approximate.
+    exactly by :func:`score_pairs`, so only the rival selection is approximate.
     """
-    labels = data.labels_array()
-    X, M = data.to_csr(), W.to_csr()
-    rivals, _ = index.query_batch(X, labels)
-    s_true, s_rival = (np.asarray(X.multiply(M[c]).sum(axis=1)).ravel()
-                       for c in (labels, rivals))
+    rivals, s_true, s_rival = _margins(W, data.to_csr(), data.labels_array(), index)
     return s_true - s_rival, rivals
 
 
@@ -121,8 +122,6 @@ def empirical_risk(W: WeightMatrix, data: "Dataset", rho: float,
         raise ValueError("empty dataset")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if W.num_classes < 2:
-        raise ValueError("need at least two classes")
     if index is None:
         margins = exact_margins_batch(W, data)
     else:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix, score_block, scoring_operand
+from .sparse import SparseVector, WeightMatrix, score_block, scoring_operand, stack_csr
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -44,21 +44,20 @@ class PredictionSet:
         return int(self.true_labels.size)
 
 
+def _predict(W: WeightMatrix, X) -> np.ndarray:
+    """Best class of every row of the CSR block ``X``, from :func:`score_block`."""
+    return score_block(X, scoring_operand(W.to_csr()))[0]
+
+
 def predict(W: WeightMatrix, x: SparseVector) -> int:
-    """argmax over all class scores, ties toward the smallest class id."""
-    best_c = 0
-    best_s = -np.inf
-    for c in range(W.num_classes):
-        s = W.row_dot(c, x)
-        if s > best_s:
-            best_s = s
-            best_c = c
-    return best_c
+    """argmax over all class scores, ties toward the smallest class id: a
+    :func:`predict_batch` of one example."""
+    return int(_predict(W, stack_csr([x.indices], [x.values], x.dim))[0])
+
 
 def predict_batch(W: WeightMatrix, data: "Dataset") -> np.ndarray:
     """Vectorized prediction for a whole dataset (same tie-breaking as predict)."""
-    best, _, _ = score_block(data.to_csr(), scoring_operand(W.to_csr()))
-    return best
+    return _predict(W, data.to_csr())
 
 
 def accuracy(p: PredictionSet) -> float:

@@ -1,9 +1,9 @@
 """Audit of the gap between approximate and exact margins.
 
 The approximate margin can only exceed the exact one (the exact rival
-maximizes the subtracted score), so the audited quantity is the fraction of
-queries whose gap exceeds a chosen epsilon: an empirical delta for the
-(epsilon, delta) contract of a backend.
+maximizes the subtracted score, every score the same stored-order sum), so
+the audited quantity is the fraction of queries whose gap exceeds a chosen
+epsilon: an empirical delta for the (epsilon, delta) contract of a backend.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 # exact_margin and inexact_margin are unused here; perfbench/tracing.py
 # patches them by these names on this module.
-from ..margin import exact_margin, inexact_margin  # noqa: F401
+from ..margin import _check_labels, exact_margin, inexact_margin  # noqa: F401
 from ..sparse import score_block, scoring_operand, stack_csr
 from .base import MipsIndex
 
@@ -62,7 +62,7 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
         raise ValueError("epsilon must be nonnegative")
     if len(queries) == 0:
         raise ValueError("empty query set")
-    labels = queries.labels_array()
+    labels = _check_labels(queries.labels_array(), W.num_classes)
     X = queries.to_csr()
     rivals, _ = index.query_batch(X, labels)
     _, best, proposed = score_block(X, scoring_operand(W.to_csr()),

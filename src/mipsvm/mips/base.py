@@ -27,6 +27,8 @@ class MipsIndex:
 
     Contract shared by all backends:
 
+    * every returned score is the exact score (the stored-order sum of
+      :mod:`mipsvm.sparse`) of the returned class's stored row;
     * ``query`` never returns the excluded class, and ``query_batch``
       answers every row of a CSR query block exactly as ``query`` would:
       ``query`` is a batch of one, and ``query_batch`` is the one method

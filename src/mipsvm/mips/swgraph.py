@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 # dot is unused here; perfbench/tracing.py patches it on this module
-from ..sparse import _dot_arrays, dot, row_view  # noqa: F401
+from ..sparse import _dot_arrays, dot, row_view, score_pairs  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 ENTRY_POINTS = 4
@@ -57,7 +57,7 @@ class SwGraphIndex(MipsIndex):
 
     def _search(self, idx, val, ef: int) -> list[tuple[float, int]]:
         """Greedy best-first candidates for the query ``(idx, val)``, best
-        first; scores are exact dots."""
+        first, ranked by their BLAS dots (not the exact scores)."""
         entries = self._entries if self._entries else self._ids[:1].tolist()
         visited = set(entries)
         frontier = []
@@ -191,21 +191,21 @@ class SwGraphIndex(MipsIndex):
             self._repair_connectivity()
 
     def query_batch(self, X, exclude):
-        """One traversal per row; the rows whose traversal surfaced only
-        their excluded class share one exact scan of the rest."""
+        """One traversal per row picks its class; the rows whose traversal
+        surfaced only their excluded class share one exact scan of the
+        rest.  Every score is :func:`score_pairs`'s, against the stored row."""
         X = self._check_batch(X, exclude)
-        ids, scores = np.empty(X.shape[0], dtype=np.int64), np.empty(X.shape[0])
-        bounds, fell = X.indptr.tolist(), []
+        ids, bounds, fell = np.empty(X.shape[0], dtype=np.int64), X.indptr.tolist(), []
         for k, (lo, hi, e) in enumerate(zip(bounds[:-1], bounds[1:], exclude)):
             found = self._search(X.indices[lo:hi], X.data[lo:hi], self.ef_search)
-            best = next(((s, c) for s, c in found if c != e), None)
+            best = next((c for _, c in found if c != e), None)
             if best is None:
                 fell.append(k)
             else:
-                scores[k], ids[k] = best
+                ids[k] = best
         if fell:
-            ids[fell], scores[fell] = self._scan(X[fell], [exclude[k] for k in fell])
-        return ids, scores
+            ids[fell] = self._scan(X[fell], [exclude[k] for k in fell])[0]
+        return ids, score_pairs(X, self._stack(ids))
 
     # -- introspection (used by tests and demos) ----------------------------
 

@@ -4,16 +4,17 @@ Every trainer, search index and metric in this package works on two
 structures: :class:`SparseVector` (sorted index/value pairs with an explicit
 dimension) and :class:`WeightMatrix` (one CSR of class rows behind a single
 scale multiplier, so that scaling the whole matrix is O(1)).
-:func:`score_block` is the one exact scoring kernel: it scores a CSR block
-of examples against a class matrix, chunk by chunk, and every score it
-returns is the stored-order sum of the CSR product.  Dense blocks against a
-dense class matrix go through a BLAS screen (:class:`_Screen`): one GEMM
-per chunk proposes, within a proven rounding bound, the classes that can
-be a row's best, and only those are re-scored in stored order.  The CSR
-product and SimpleLSH's plane pass cut their work into pieces that
-:func:`run_pieces` runs on one shared thread pool; scipy's sparse products
-and numpy's ufuncs release the interpreter lock, so the pieces run on every
-CPU the process may use.
+An exact score is the stored-order sum of the CSR product: row i against
+class c sums x_ij w_jc over the row's stored entries, in stored order.
+:func:`score_block` finds argmaxes, chunk by chunk, and :func:`score_pairs`
+scores given (row, class) pairs; every exact score comes from one of them.
+Dense blocks against a dense class matrix go through a BLAS screen
+(:class:`_Screen`): one GEMM per chunk proposes, within a proven rounding
+bound, the classes that can be a row's best, and only those are re-scored
+in stored order.  The CSR product and SimpleLSH's plane pass cut their work
+into pieces that :func:`run_pieces` runs on one shared thread pool; scipy's
+sparse products and numpy's ufuncs release the interpreter lock, so the
+pieces run on every CPU the process may use.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def run_pieces(pieces) -> None:
     With one worker or one piece they run inline on the calling thread.
 
     Pieces are leaves: nothing running on the pool submits to it, so the
-    callers that wait on it (several at once, say the trainer's query
-    slices) can never deadlock.
+    callers that wait on it (several at once, say concurrent queries
+    against one frozen index) can never deadlock.
     """
     global _pool
     if WORKERS == 1 or len(pieces) <= 1:
@@ -155,11 +156,6 @@ class SparseVector:
             val = np.empty(0, dtype=np.float64)
         return cls(idx, val, dim)
 
-    @classmethod
-    def zeros(cls, dim):
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), dim,
-                   check=False)
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
@@ -171,9 +167,6 @@ class SparseVector:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
         return out
-
-    def scaled(self, alpha) -> "SparseVector":
-        return SparseVector(self.indices, alpha * self.values, self.dim, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, SparseVector):
@@ -226,6 +219,13 @@ def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     not depend on the other rows of its block."""
     rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
     return np.bincount(rows, weights=values, minlength=indptr.size - 1)
+
+
+def score_pairs(X: sp.csr_matrix, rows: sp.csr_matrix) -> np.ndarray:
+    """Exact score of row i of ``X`` (sorted rows) against row i of
+    ``rows``, for every i: :func:`score_block`'s ``at`` floats.  The product
+    keeps ``X``'s order, dropping zeros, and ``csr_matvec`` sums from +0.0."""
+    return X.multiply(rows) @ np.ones(X.shape[1])
 
 
 def scoring_operand(classes: sp.csr_matrix):

@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from mipsvm import sparse
 from mipsvm.dataio import Dataset
 from mipsvm.sparse import SparseVector, WeightMatrix
+from mipsvm.synth import make_synthetic
+from mipsvm.train import TrainConfig, train_l1, train_l2
 
 
 def _random_rows(rng, count, dim, nnz):
@@ -45,11 +48,11 @@ def kernel_cases(monkeypatch):
     for row_nnz in (3, d):  # densities 0.05 and 1
         rows = _random_rows(rng, C, d, row_nnz)
         rows[4] = rows[1]
-        rows[6] = SparseVector.zeros(d)
+        rows[6] = SparseVector([], [], d)
         W = WeightMatrix.from_rows(enumerate(rows), d)
         W.global_scale(0.37)
         xs = _random_rows(rng, n, d, 8)
-        xs[::10] = [SparseVector.zeros(d)] * len(xs[::10])
+        xs[::10] = [SparseVector([], [], d)] * len(xs[::10])
         labels = rng.integers(C, size=n)
         cases.append((W, Dataset(list(zip(labels.tolist(), xs)), d, C)))
     assert cases[0][0].nnz() < sparse.DENSE_SCORING_MIN_DENSITY * C * d
@@ -92,3 +95,36 @@ def peak_traced_bytes():
             tracemalloc.stop()
         return result, peak
     return measure
+
+
+@pytest.fixture(scope="session")
+def assert_same_floats():
+    """``assert_same_floats(got, want)`` asserts that two sequences of
+    arrays (or Nones) hold the same dtypes and bytes, pair by pair."""
+    def check(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return check
+
+
+@pytest.fixture(scope="session")
+def trained_models():
+    """Seeded trained models with their training sets, by name, whose exact
+    scores take each path of ``sparse.score_block``: ``dense_l2`` (50
+    classes, scale not 1) through the BLAS screen, ``sparse_l1`` (30
+    classes, d = 5000, 20 nonzeros an example) through the CSR product."""
+    dense = make_synthetic(num_classes=50, dim=100, n=600, seed=3)
+    W2, _ = train_l2(dense, TrainConfig(lam=1e-3, epochs=4, batch_size=100, seed=1))
+    rng = np.random.default_rng(4)
+    n, d, C = 600, 5000, 30
+    block = sp.random(n, d, density=0.004, format="csr", random_state=rng)
+    scattered = Dataset.from_csr(rng.integers(C, size=n), block, C)
+    W1, _ = train_l1(scattered, TrainConfig(lam=1e-4, epochs=4, batch_size=100, seed=1))
+    assert W2.scale != 1.0
+    assert W2.nnz() >= sparse.DENSE_SCORING_MIN_DENSITY * 50 * 100
+    assert W1.nnz() < sparse.DENSE_SCORING_MIN_DENSITY * C * d
+    assert block.nnz < sparse.DENSE_SCREEN_MIN_DENSITY * n * d
+    return {"dense_l2": (W2, dense), "sparse_l1": (W1, scattered)}

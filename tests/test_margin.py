@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipsvm.dataio import Dataset
-from mipsvm.margin import (empirical_risk, exact_margin, exact_margins_batch,
+from mipsvm.margin import (MarginResult, empirical_risk, exact_margin, exact_margins_batch,
                            hinge_loss, inexact_margin, inexact_margins_batch)
-from mipsvm.mips import BACKENDS, build_index
+from mipsvm.mips import BACKENDS, build_index, index_from_matrix
 from mipsvm.sparse import SparseVector, WeightMatrix
+
+# small graph and LSH settings, so that neither backend is an exact scan
+BACKEND_PARAMS = {"exact": {}, "simplelsh": {"lsh_bits": 5, "lsh_tables": 4},
+                  "swgraph": {"swg_max_neighbors": 3, "swg_ef_construction": 4,
+                              "swg_ef_search": 2}}
 
 
 def sv(pairs, dim):
@@ -30,6 +35,31 @@ def dataset_from_dense(labels, points):
                 for y, p in zip(labels, points)]
     return Dataset(examples, dim=points.shape[1],
                    num_classes=int(max(labels)) + 1)
+
+
+def loop_exact_margin(W, x, y):
+    """Reference exact margin: one row_dot per class, best rival by a
+    strict > scan, so ties go to the smallest class id."""
+    best_c = -1
+    best_s = -np.inf
+    for c in range(W.num_classes):
+        if c == y:
+            continue
+        s = W.row_dot(c, x)
+        if s > best_s:
+            best_s = s
+            best_c = c
+    s_true = W.row_dot(y, x)
+    return MarginResult(s_true - best_s, best_c, s_true, best_s)
+
+
+def loop_inexact_margin(index, W, x, y):
+    """Reference inexact margin: the index's rival, then one row_dot each
+    for the true and the rival class."""
+    rival, _ = index.query(x, exclude=y)
+    s_true = W.row_dot(y, x)
+    s_rival = W.row_dot(rival, x)
+    return MarginResult(s_true - s_rival, rival, s_true, s_rival)
 
 
 @pytest.fixture
@@ -182,7 +212,7 @@ class TestEmpiricalRisk:
                                   rng.standard_normal((40, 5)))
         for W, data in [(W, data)] + kernel_cases:
             batch = exact_margins_batch(W, data)
-            loop = np.array([exact_margin(W, x, y).margin for y, x in data.examples])
+            loop = np.array([loop_exact_margin(W, x, y).margin for y, x in data.examples])
             np.testing.assert_allclose(batch, loop, rtol=1e-12, atol=1e-14)
             rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
             for kind in BACKENDS:
@@ -190,7 +220,7 @@ class TestEmpiricalRisk:
                                     lsh_tables=2, swg_ef_search=2,
                                     swg_max_neighbors=3)
                 margins, rivals = inexact_margins_batch(index, W, data)
-                loop = [inexact_margin(index, W, x, y) for y, x in data.examples]
+                loop = [loop_inexact_margin(index, W, x, y) for y, x in data.examples]
                 assert rivals.tolist() == [m.rival for m in loop]
                 np.testing.assert_allclose(margins, [m.margin for m in loop],
                                            rtol=1e-12, atol=1e-14)
@@ -210,3 +240,58 @@ class TestEmpiricalRisk:
         W = WeightMatrix(2, 2)
         with pytest.raises(ValueError, match="empty"):
             empirical_risk(W, Dataset([], 2, 2), rho=1.0)
+
+
+@pytest.mark.parametrize("model", ["dense_l2", "sparse_l1"])
+class TestOneExactScore:
+    """Every margin is the kernel's stored-order sum: the exact backend's
+    approximate margins are the exact ones, and each per-example function
+    is its batch function of one example, bit for bit.  ``dense_l2`` is
+    scored through the BLAS screen, ``sparse_l1`` through the CSR product."""
+
+    def test_exact_backend_margins_are_the_exact_margins(self, model, trained_models,
+                                                         assert_same_floats):
+        W, data = trained_models[model]
+        margins, _ = inexact_margins_batch(index_from_matrix(W, "exact"), W, data)
+        assert_same_floats([margins], [exact_margins_batch(W, data)])
+
+    def test_per_example_margins_are_batches_of_one(self, model, trained_models,
+                                                    assert_same_floats):
+        W, data = trained_models[model]
+        data = data.subset(np.arange(200))
+        exact = [exact_margin(W, x, y) for y, x in data.examples]
+        assert_same_floats([np.array([m.margin for m in exact])],
+                           [exact_margins_batch(W, data)])
+        for kind in BACKENDS:
+            index = index_from_matrix(W, kind, seed=1, **BACKEND_PARAMS[kind])
+            margins, rivals = inexact_margins_batch(index, W, data)
+            one = [inexact_margin(index, W, x, y) for y, x in data.examples]
+            assert [m.rival for m in one] == rivals.tolist()
+            assert_same_floats([np.array([m.margin for m in one])], [margins])
+
+
+class TestLabelsOutOfRange:
+    """A label outside [0, C) fails closed, naming the first one."""
+
+    @pytest.fixture
+    def four_classes(self):
+        W = matrix_from_dense(np.arange(12.0).reshape(4, 3))
+        data = dataset_from_dense([0, 5, 2, 7], np.ones((4, 3)))
+        return W, data, build_index([(c, W.materialize_row(c)) for c in range(4)],
+                                    "exact", dim=3)
+
+    def test_exact_margins_batch(self, four_classes):
+        W, data, _ = four_classes
+        with pytest.raises(IndexError, match=r"label 5 out of range \[0, 4\)"):
+            exact_margins_batch(W, data)
+
+    def test_inexact_margins_batch(self, four_classes):
+        W, data, index = four_classes
+        with pytest.raises(IndexError, match=r"label 5 out of range \[0, 4\)"):
+            inexact_margins_batch(index, W, data)
+
+    def test_empirical_risk(self, four_classes):
+        W, data, index = four_classes
+        for by in (None, index):
+            with pytest.raises(IndexError, match=r"label 5 out of range \[0, 4\)"):
+                empirical_risk(W, data, rho=1.0, index=by)

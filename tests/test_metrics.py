@@ -36,6 +36,19 @@ def random_dataset(rng, n, C, d):
     return Dataset(examples, dim=d, num_classes=C)
 
 
+def loop_predict(W, x):
+    """Reference prediction: one row_dot per class, best by a strict > scan,
+    so ties go to the smallest class id."""
+    best_c = 0
+    best_s = -np.inf
+    for c in range(W.num_classes):
+        s = W.row_dot(c, x)
+        if s > best_s:
+            best_s = s
+            best_c = c
+    return best_c
+
+
 def per_class_fraction_macro_f1(p, mean_per_class):
     """Macro-F1 summed one Fraction per class: the oracle for macro_f1,
     which adds the counts per distinct denominator first."""
@@ -77,8 +90,24 @@ class TestPredict:
         data = random_dataset(rng, 200, 7, 5)
         for W, data in [(W, data)] + kernel_cases:
             batch = predict_batch(W, data)
-            singles = [predict(W, x) for _, x in data.examples]
+            singles = [loop_predict(W, x) for _, x in data.examples]
             assert batch.tolist() == singles
+
+    def test_predict_is_a_batch_of_one(self, trained_models):
+        """Rounding ties: every class row is a permutation of one vector,
+        so x = 2^k (1, ..., 1) scores them all alike, up to the order each
+        sum is taken in; predict must sum in the batch's order to agree."""
+        rng = np.random.default_rng(3)
+        ties = []
+        for _ in range(10):
+            base = rng.standard_normal(64)
+            W = matrix_from_dense([rng.permutation(base) for _ in range(12)])
+            ones = [(0, SparseVector(np.arange(64), np.full(64, 2.0 ** k), 64))
+                    for k in range(-20, 20)]
+            ties.append((W, Dataset(ones, dim=64, num_classes=12)))
+        for W, data in ties + list(trained_models.values()):
+            singles = [predict(W, x) for _, x in data.examples]
+            assert predict_batch(W, data).tolist() == singles
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)

@@ -65,6 +65,15 @@ class TestAudit:
         assert deltas == sorted(deltas, reverse=True)
         assert deltas[-1] == 0.0
 
+    def test_labels_out_of_range_fail_closed(self, setup):
+        W, queries, rows = setup
+        index = build_index(rows, "exact", dim=W.dim)
+        examples = queries.examples[:3]
+        bad = Dataset([examples[0], (27, examples[1][1]), (30, examples[2][1])],
+                      dim=W.dim, num_classes=31)
+        with pytest.raises(IndexError, match=r"label 27 out of range \[0, 25\)"):
+            audit_inexactness(index, W, bad, epsilon=0.0)
+
     def test_epsilon_validation(self, setup):
         W, queries, rows = setup
         index = build_index(rows, "exact", dim=W.dim)

@@ -288,6 +288,20 @@ def test_query_batch_matches_query(kind, kernel_cases, as_block):
         assert [a.size for a in empty] == [0, 0]
 
 
+@pytest.mark.parametrize("model", ["dense_l2", "sparse_l1"])
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_query_batch_scores_are_the_kernel_floats(kind, model, trained_models,
+                                                  assert_same_floats):
+    """Every backend returns its classes' exact scores: score_block's
+    floats for those classes over the index's own stored rows."""
+    W, data = trained_models[model]
+    index = index_from_matrix(W, kind, seed=1, **BACKEND_PARAMS[kind])
+    X = data.to_csr()
+    ids, scores = index.query_batch(X, data.labels_array())
+    _, _, want = sparse.score_block(X, sparse.scoring_operand(W.to_csr()), at=ids)
+    assert_same_floats([scores], [want])
+
+
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
 def test_query_batch_rejects_a_bad_block(kind, as_block):
     """A block of the wrong width, with a non-finite value or with another

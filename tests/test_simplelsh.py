@@ -29,6 +29,10 @@ def unit_row(rng, dim):
     return SparseVector(idx, v, dim, check=False)
 
 
+def scaled(v, alpha):
+    return SparseVector(v.indices, alpha * v.values, v.dim)
+
+
 class TestTransform:
     def test_last_coordinate_tops_up_norm(self):
         w = sv({0: 0.6}, 3)
@@ -62,8 +66,8 @@ class TestTransform:
         rng = np.random.default_rng(0)
         for _ in range(100):
             dim = int(rng.integers(2, 12))
-            w = unit_row(rng, dim).scaled(rng.uniform(0.1, 1.0))
-            x = unit_row(rng, dim).scaled(rng.uniform(0.1, 3.0))
+            w = scaled(unit_row(rng, dim), rng.uniform(0.1, 1.0))
+            x = scaled(unit_row(rng, dim), rng.uniform(0.1, 3.0))
             U = rng.uniform(1.0, 2.0)
             zd = simplelsh_transform(w, U)
             zq = simplelsh_transform(x, U, query=True)
@@ -199,11 +203,11 @@ class TestIndex:
 
     def test_update_row_grows_u_and_rebuilds(self):
         rng = np.random.default_rng(9)
-        rows = [(c, unit_row(rng, 6).scaled(0.5)) for c in range(10)]
+        rows = [(c, scaled(unit_row(rng, 6), 0.5)) for c in range(10)]
         index = build_index(rows, "simplelsh", dim=6, lsh_bits=6,
                             lsh_tables=2, seed=5)
         rebuilds = index.rebuild_count
-        big = unit_row(rng, 6).scaled(2.0)
+        big = scaled(unit_row(rng, 6), 2.0)
         index.update_row(3, big)
         assert index.rebuild_count > rebuilds
         assert index._U == pytest.approx(2.0)
@@ -302,7 +306,7 @@ class TestBatchedHashing:
         rng = np.random.default_rng(20)
         dim = 30
         rows = [(c, random_sparse(rng, dim, 12)) for c in range(25)]
-        rows.append((25, SparseVector.zeros(dim)))
+        rows.append((25, SparseVector([], [], dim)))
         index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
                             lsh_tables=tables, seed=4)
         planes = index._field.columns(np.arange(dim + 1, dtype=np.uint64)).T
@@ -447,9 +451,9 @@ class TestPrefixHashing:
 
         def row(top):
             r = random_sparse(rng, dim, 5)
-            return r.scaled(rng.uniform(0.1, top) / r.norm())
+            return scaled(r, rng.uniform(0.1, top) / r.norm())
 
-        rows = [(c, row(1.0)) for c in range(40)] + [(40, SparseVector.zeros(dim))]
+        rows = [(c, row(1.0)) for c in range(40)] + [(40, SparseVector([], [], dim))]
         index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
                             lsh_tables=tables, seed=6)
         rebuilds = index.rebuild_count
@@ -464,7 +468,7 @@ class TestPrefixHashing:
         rows = stored(index)
         top = max(rows, key=lambda c: rows[c].norm())
         xs = [random_sparse(rng, dim, 5) for _ in range(60)]
-        xs += [rows[top].scaled(2.0)] * 3 + [SparseVector.zeros(dim)]
+        xs += [scaled(rows[top], 2.0)] * 3 + [SparseVector([], [], dim)]
         exclude = [None if rng.random() < 0.3 else int(rng.integers(42))
                    for _ in xs]
         exclude[-2] = top

@@ -13,7 +13,8 @@ from scipy import sparse as sp
 from hypothesis import strategies as st
 
 from mipsvm import sparse
-from mipsvm.sparse import SparseVector, WeightMatrix, dot, score_block, scoring_operand
+from mipsvm.sparse import (SparseVector, WeightMatrix, dot, score_block, score_pairs,
+                           scoring_operand)
 
 
 def sv(pairs, dim):
@@ -411,13 +412,6 @@ def kernel_calls(W, data, rng):
                         {"exclude": exclude, "among": among}]
 
 
-def assert_same_floats(got, want):
-    for a, b in zip(got, want):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestKernelPool:
     """score_block's row pieces on the kernel pool: the floats of one
     single-threaded block whatever WORKERS is, and no thread where a
@@ -425,7 +419,8 @@ class TestKernelPool:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pieces_give_the_single_block_floats(self, monkeypatch, kernel_cases,
-                                                 kernel_workers, workers):
+                                                 kernel_workers, assert_same_floats,
+                                                 workers):
         rng = np.random.default_rng(41)
         for W, data in kernel_cases:
             X, operand, calls = kernel_calls(W, data, rng)
@@ -494,7 +489,8 @@ class TestKernelPool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_csr_operand_stays_within_the_block_budget(self, monkeypatch, kernel_workers,
-                                                       peak_traced_bytes, workers):
+                                                       peak_traced_bytes, assert_same_floats,
+                                                       workers):
         """About 85 % of the product is nonzero, so each chunk's CSR output
         (12 to 16 bytes a score) outweighs the dense scores it becomes, and
         among's mask touches 40 % of them: both count against the budget."""
@@ -585,7 +581,8 @@ class TestDenseScreen:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_adversarial_block_gives_the_csr_operand_floats(self, monkeypatch,
-                                                           kernel_workers, workers):
+                                                           kernel_workers,
+                                                           assert_same_floats, workers):
         rng = np.random.default_rng(51)
         kernel_workers(workers)
         monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
@@ -600,8 +597,8 @@ class TestDenseScreen:
     @given(st.integers(0, 2**32 - 1), st.integers(6, 14), st.integers(4, 10),
            st.integers(1, 8), st.sampled_from([1.0, 1e-160, 1e150]),
            st.booleans(), st.sampled_from([7, 1 << 22]))
-    def test_fuzz_gives_the_csr_operand_floats(self, seed, n, d, C, magnitude,
-                                               shuffle, budget):
+    def test_fuzz_gives_the_csr_operand_floats(self, assert_same_floats, seed, n, d, C,
+                                               magnitude, shuffle, budget):
         # magnitude 1e150 puts ||x|| max ||w|| past the overflow guard, so
         # those chunks fall back; shuffled rows are not sorted, so they do too
         rng = np.random.default_rng(seed)
@@ -619,7 +616,8 @@ class TestDenseScreen:
                 assert_same_floats(screened(X, W, **kw),
                                    score_block(X, sp.csr_matrix(W), **kw))
 
-    def test_near_overflow_falls_back_to_the_csr_product(self, monkeypatch):
+    def test_near_overflow_falls_back_to_the_csr_product(self, monkeypatch,
+                                                         assert_same_floats):
         rng = np.random.default_rng(52)
         n = sparse.DENSE_SCREEN_MIN_ROWS
         X = sp.csr_matrix(rng.standard_normal((n, 5)) * 1e150)
@@ -661,7 +659,7 @@ class TestDenseScreen:
         Wk, data = kernel_cases[1]  # a dense operand, rows about 0.12 full
         assert path(data.to_csr(), scoring_operand(Wk.to_csr())) == (False, True, True)
 
-    def test_ties_of_zeros_rescore_one_pair(self, monkeypatch):
+    def test_ties_of_zeros_rescore_one_pair(self, monkeypatch, assert_same_floats):
         """An empty example, or a row of all-zero classes, scores +0.0 on
         each: only its first allowed one is re-scored, not all C."""
         rng = np.random.default_rng(55)
@@ -687,7 +685,8 @@ class TestDenseScreen:
             assert sum(pairs) <= 2 * (n // 2) + n // 2 + ("at" in kw) * n
 
     def test_all_equal_classes_stay_within_the_block_budget(self, monkeypatch,
-                                                            peak_traced_bytes):
+                                                            peak_traced_bytes,
+                                                            assert_same_floats):
         """Every class ties on every row, so every class is a candidate:
         n x C x d re-score products unless the passes are capped."""
         rng = np.random.default_rng(56)
@@ -703,6 +702,27 @@ class TestDenseScreen:
         # result arrays and 64 KiB for numpy's buffers and Python objects;
         # uncapped, the products alone would take n * C * d * 8 = 7.4 MB
         assert peak <= 8 * sparse.SCORE_BLOCK_ENTRIES + W.nbytes + 24 * n + (64 << 10)
+
+
+class TestScorePairs:
+    """score_pairs gives, pair by pair, score_block's ``at`` floats."""
+
+    def test_csr_product_pairs(self, kernel_cases, assert_same_floats):
+        rng = np.random.default_rng(58)
+        for W, data in kernel_cases:
+            X, classes = data.to_csr(), W.to_csr()
+            at = rng.integers(W.num_classes, size=len(data))
+            want = score_block(X, scoring_operand(classes), at=at)[2]
+            assert_same_floats([score_pairs(X, classes[at])], [want])
+
+    def test_screened_pairs(self, monkeypatch, assert_same_floats):
+        rng = np.random.default_rng(59)
+        X, W = adversarial_block(rng, n=sparse.DENSE_SCREEN_MIN_ROWS + 8)
+        at = rng.integers(W.shape[1], size=X.shape[0])
+        calls = screen_results(monkeypatch)
+        want = score_block(X, W, at=at)[2]
+        assert calls and all(result is not None for result in calls)
+        assert_same_floats([score_pairs(X, sp.csr_matrix(W.T)[at])], [want])
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,10 +11,10 @@ def sv(pairs, dim):
     return SparseVector.from_pairs(pairs, dim)
 
 
-def unit_row(rng, dim):
+def unit_row(rng, dim, scale=1.0):
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    return SparseVector(np.arange(dim, dtype=np.int64), v, dim, check=False)
+    return SparseVector(np.arange(dim, dtype=np.int64), scale * v, dim, check=False)
 
 
 def check_structure(index):
@@ -153,7 +153,7 @@ class TestQuery:
 
     def test_self_retrieval_after_update(self):
         rng = np.random.default_rng(9)
-        index = build_index([(c, unit_row(rng, 8).scaled(0.3))
+        index = build_index([(c, unit_row(rng, 8, 0.3))
                              for c in range(12)], "swgraph", dim=8, seed=10)
         spike = sv({0: 5.0}, 8)
         index.update_row(7, spike)
