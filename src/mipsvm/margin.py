@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .sparse import (SparseVector, WeightMatrix, score_block, score_pairs, scoring_operand,
-                     stack_csr)
+from .sparse import SparseVector, WeightMatrix, score_pairs, stack_csr
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -51,16 +50,16 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
 
 def _margins(W: WeightMatrix, X, labels, index: Optional["MipsIndex"] = None):
     """``(rivals, true scores, rival scores)`` of the CSR block ``X``: the
-    exact rivals from one :func:`score_block` pass, or those ``index``
+    exact rivals from one :meth:`WeightMatrix.score` pass, or those ``index``
     proposes in one ``query_batch`` call, re-scored by :func:`score_pairs`."""
     if W.num_classes < 2:
         raise ValueError("need at least two classes to compute a margin")
     labels = _check_labels(labels, W.num_classes)
-    M = W.to_csr()
     if index is None:
-        rivals, s_rival, s_true = score_block(X, scoring_operand(M), exclude=labels, at=labels)
+        rivals, s_rival, s_true = W.score(X, exclude=labels, at=labels)
     else:
         rivals, _ = index.query_batch(X, labels)
+        M = W.to_csr()
         s_true, s_rival = score_pairs(X, M[labels]), score_pairs(X, M[rivals])
     return rivals, s_true, s_rival
 

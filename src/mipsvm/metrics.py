@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix, score_block, scoring_operand, stack_csr
+from .sparse import SparseVector, WeightMatrix, stack_csr
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -45,8 +45,8 @@ class PredictionSet:
 
 
 def _predict(W: WeightMatrix, X) -> np.ndarray:
-    """Best class of every row of the CSR block ``X``, from :func:`score_block`."""
-    return score_block(X, scoring_operand(W.to_csr()))[0]
+    """Best class of every row of the CSR block ``X``, from :meth:`WeightMatrix.score`."""
+    return W.score(X)[0]
 
 
 def predict(W: WeightMatrix, x: SparseVector) -> int:

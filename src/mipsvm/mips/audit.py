@@ -16,7 +16,7 @@ import numpy as np
 # exact_margin and inexact_margin are unused here; perfbench/tracing.py
 # patches them by these names on this module.
 from ..margin import _check_labels, exact_margin, inexact_margin  # noqa: F401
-from ..sparse import score_block, scoring_operand, stack_csr
+from ..sparse import stack_csr
 from .base import MipsIndex
 
 if TYPE_CHECKING:
@@ -53,7 +53,7 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
     """Empirical P(approx_margin - exact_margin > epsilon) plus a gap histogram.
 
     One ``query_batch`` call on the queries' CSR block proposes every
-    rival; one :func:`score_block` pass over the same block then gives the
+    rival; one :meth:`WeightMatrix.score` pass over the same block gives the
     exact best rival and the proposed rival's score.  The true-class score
     cancels, so the gap is the exact best score minus the proposed one:
     never negative, and 0 wherever the index found a best rival.
@@ -65,8 +65,7 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
     labels = _check_labels(queries.labels_array(), W.num_classes)
     X = queries.to_csr()
     rivals, _ = index.query_batch(X, labels)
-    _, best, proposed = score_block(X, scoring_operand(W.to_csr()),
-                                    exclude=labels, at=rivals)
+    _, best, proposed = W.score(X, exclude=labels, at=rivals)
     gaps = best - proposed
     counts, edges = np.histogram(gaps, bins=bins)
     return AuditReport(

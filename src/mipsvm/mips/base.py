@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import SparseVector, dense_screen, score_block, scoring_operand, stack_csr
+from ..sparse import SparseVector, score_block, scoring_state, stack_csr
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -97,13 +97,9 @@ class MipsIndex:
         X = self._canonical(X, "query")
         if len(exclude) != X.shape[0]:
             raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
-        for e in set(exclude):
-            self._require_candidate(e)
-        return X
-
-    def _require_candidate(self, exclude: int | None) -> None:
-        if not len(self) or (len(self) == 1 and self._ids[0] == exclude):
+        if len(self) <= 1 and any(not len(self) or self._ids[0] == e for e in exclude):
             raise NoCandidateError("no candidate class after exclusion")
+        return X
 
     def _stack(self, ids) -> sp.csr_matrix:
         """The stored rows of ``ids``, in that order, as one CSR block."""
@@ -123,17 +119,16 @@ class MipsIndex:
         batch never costs more than a full scan of it, and ties go to the
         smallest id.
         """
-        among = screen = None
+        among = None
         if pools is None:
             state = self._scan_state
             if state is None:
-                operand = scoring_operand(self._block)
-                state = self._scan_state = (self._ids, operand, dense_screen(operand))
+                state = self._scan_state = (self._ids, *scoring_state(self._block))
             ids, operand, screen = state
         else:
             members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
             ids = np.unique(members)
-            operand = scoring_operand(self._stack(ids))
+            operand, screen = scoring_state(self._stack(ids))
             indptr = np.zeros(len(pools) + 1, dtype=np.int64)
             np.cumsum([len(pool) for pool in pools], out=indptr[1:])
             among = sp.csr_matrix((np.ones(members.size, dtype=bool),

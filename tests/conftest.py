@@ -82,6 +82,23 @@ def kernel_workers():
 
 
 @pytest.fixture
+def scoring_builds(monkeypatch):
+    """The class matrices that ``sparse.scoring_state`` builds a scoring
+    state from, in call order, from now on.  ``WeightMatrix.score`` looks
+    the builder up on the module; the MIPS indexes import it by name, so
+    their own scan states are not listed."""
+    built = []
+    original = sparse.scoring_state
+
+    def spy(classes):
+        built.append(classes)
+        return original(classes)
+
+    monkeypatch.setattr(sparse, "scoring_state", spy)
+    return built
+
+
+@pytest.fixture
 def peak_traced_bytes():
     """``peak_traced_bytes(fn)`` calls ``fn`` and gives ``(fn(), peak)``:
     its result and the peak of the memory that Python and numpy allocated

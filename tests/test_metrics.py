@@ -1,17 +1,20 @@
 """Prediction, accuracy and macro-F1."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 
 from mipsvm.dataio import Dataset
 from mipsvm.metrics import (PredictionSet, accuracy, evaluate, macro_f1,
                             predict, predict_batch)
 from mipsvm.mips import build_index
-from mipsvm.sparse import SparseVector, WeightMatrix
+from mipsvm.sparse import SparseVector, WeightMatrix, score_block
 
 
 def sv(pairs, dim):
@@ -92,6 +95,41 @@ class TestPredict:
             batch = predict_batch(W, data)
             singles = [loop_predict(W, x) for _, x in data.examples]
             assert batch.tolist() == singles
+
+    def test_concurrent_first_predictions_share_the_scoring_state(self):
+        """Threads racing the first predict_batch on a freshly changed dense
+        W each read a whole scoring state: every screened block gets the
+        CSR product's classes."""
+        rng = np.random.default_rng(36)
+        dim, C, n = 16, 30, 40
+        W = matrix_from_dense(rng.standard_normal((C, dim)))
+        sets = [Dataset.from_csr(rng.integers(C, size=n),
+                                 sp.csr_matrix(rng.standard_normal((n, dim))), C)
+                for _ in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for step in range(5):
+                W.add_to_row(step, 1.0, SparseVector(np.arange(dim),
+                                                     rng.standard_normal(dim), dim))
+                results = [None] * 4
+                start = threading.Barrier(4)
+
+                def work(i):
+                    start.wait(timeout=60)
+                    results[i] = predict_batch(W, sets[i])
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for data, got in zip(sets, results):
+                    want = score_block(data.to_csr(), sp.csr_matrix(W.to_csr().T))[0]
+                    assert got.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(old)
 
     def test_predict_is_a_batch_of_one(self, trained_models):
         """Rounding ties: every class row is a permutation of one vector,

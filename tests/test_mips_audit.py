@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mipsvm.dataio import Dataset
+from mipsvm.metrics import evaluate
 from mipsvm.mips import audit_inexactness, build_index, recall_at_1
 from mipsvm.sparse import SparseVector, WeightMatrix
 
@@ -73,6 +74,22 @@ class TestAudit:
                       dim=W.dim, num_classes=31)
         with pytest.raises(IndexError, match=r"label 27 out of range \[0, 25\)"):
             audit_inexactness(index, W, bad, epsilon=0.0)
+
+    def test_evaluations_and_audits_share_one_scoring_state(self, kernel_cases,
+                                                            scoring_builds):
+        """Three evaluations and three audits against one unchanged W build
+        its scoring state once; a scale change makes the next one rebuild it."""
+        for W, queries in kernel_cases:
+            rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
+            index = build_index(rows, "exact", dim=W.dim)
+            scoring_builds.clear()
+            reports = [(evaluate(W, queries).accuracy,
+                        audit_inexactness(index, W, queries, epsilon=0.0).delta_hat)
+                       for _ in range(3)]
+            assert len(scoring_builds) == 1 and len(set(reports)) == 1
+            W.global_scale(0.5)
+            evaluate(W, queries)
+            assert len(scoring_builds) == 2
 
     def test_epsilon_validation(self, setup):
         W, queries, rows = setup

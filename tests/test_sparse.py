@@ -317,8 +317,9 @@ class TestLazyScaleTransparency:
         assert W.nnz() <= len(touched)
 
 
-def random_batched_sequence(seed, num_classes=6, dim=10, n_ops=300):
-    """Multi-row deltas and truncations mixed with scaling, folds and projection."""
+def random_batched_sequence(seed, num_classes=6, dim=10, n_ops=300, after_op=None):
+    """Multi-row deltas and truncations mixed with scaling, folds and
+    projection; ``after_op(W, mirror)``, if given, is called after each op."""
     rng = np.random.default_rng(seed)
     W = WeightMatrix(num_classes, dim)
     mirror = DenseMirror(num_classes, dim)
@@ -355,6 +356,8 @@ def random_batched_sequence(seed, num_classes=6, dim=10, n_ops=300):
             W.truncate_rows(np.sort(rows), tau)
             for c in rows:
                 mirror.truncate_row(c, tau)
+        if after_op is not None:
+            after_op(W, mirror)
     return W, mirror
 
 
@@ -376,6 +379,38 @@ class TestBatchedWrites:
                                     [0.0, 0.0, 0.0, -0.2],
                                     [0.05, 0.0, 0.0, 0.0]], rtol=1e-15)
 
+    def test_cached_scoring_state_follows_every_op(self, assert_same_floats):
+        """W.score keeps one scoring state, and every write and scale change
+        drops it: after each op of the seeded sequence, and after an
+        add_to_row following every third op, scores through it are a fresh
+        operand's, bit for bit, for a screened dense block and a sparse one
+        scored by the CSR product."""
+        rng = np.random.default_rng(77)
+        C, d, n = 6, 10, 40
+        blocks = [sp.csr_matrix(rng.standard_normal((n, d))),
+                  sp.random(n, d, density=0.2, format="csr", random_state=rng)]
+        exclude, at = rng.integers(-1, C, size=n), rng.integers(C, size=n)
+        screened, ops = [], [0]
+
+        def check(W):
+            for X in blocks:
+                want = score_block(X, scoring_operand(W.to_csr()), exclude=exclude, at=at)
+                assert_same_floats(W.score(X, exclude=exclude, at=at), want)
+            screened.append(W._scoring[1] is not None)
+
+        def after_op(W, mirror):
+            check(W)
+            ops[0] += 1
+            if ops[0] % 3 == 0:
+                x, c, coeff = random_sparse(rng, d), int(rng.integers(C)), rng.uniform(-1, 1)
+                W.add_to_row(c, coeff, x)
+                mirror.add_to_row(c, coeff, x)
+                check(W)
+
+        W, mirror = random_batched_sequence(seed=2024, after_op=after_op)
+        assert W.fold_count >= 1 and any(screened) and not all(screened)
+        assert_matches_mirror(W, mirror)
+
     def test_store_stays_canonical_and_caches_exact(self):
         W, _ = random_batched_sequence(seed=5)
         M = W.to_csr()
@@ -385,6 +420,40 @@ class TestBatchedWrites:
                                (W.stored_rows([c]).data for c in range(W.num_classes))])
         np.testing.assert_allclose(W.row_sq_norms, recomputed, rtol=1e-12, atol=0)
         assert W.frob_sq == pytest.approx(float(recomputed.sum()), rel=1e-12)
+
+
+class TestScoringState:
+    """sparse.scoring_state, the one builder of a scoring operand and its screen."""
+
+    def test_dense_operand_is_the_transposed_array(self, monkeypatch, kernel_cases):
+        """The dense operand is the old ``classes.T.toarray(order="C")``,
+        bit for bit and C-ordered, and the screen's class-major array is
+        the ``toarray`` output the builder made: no third copy."""
+        monkeypatch.setattr(sparse, "DENSE_SCORING_MIN_DENSITY", 0.0)
+        made = []
+        toarray = sp.csr_matrix.toarray
+
+        def recording(self, *args, **kwargs):
+            made.append(toarray(self, *args, **kwargs))
+            return made[-1]
+
+        zero_rows = sp.csr_matrix(np.array([[0.0, 1.5, 0.0], [0.0] * 3, [-2.0, 0.0, 0.25],
+                                            [0.0] * 3]))
+        for classes in [W.to_csr() for W, _ in kernel_cases] + [zero_rows,
+                                                                 sp.csr_matrix((4, 5))]:
+            want = classes.T.toarray(order="C")
+            monkeypatch.setattr(sp.csr_matrix, "toarray", recording)
+            operand, screen = sparse.scoring_state(classes)
+            monkeypatch.setattr(sp.csr_matrix, "toarray", toarray)
+            assert operand.flags.c_contiguous and operand.dtype == want.dtype
+            assert operand.shape == want.shape and operand.tobytes() == want.tobytes()
+            assert scoring_operand(classes).tobytes() == want.tobytes()
+            assert np.shares_memory(screen.set_up()[0], made[-1])
+            assert screen.set_up()[0].tobytes() == operand.T.tobytes()
+
+    def test_sparse_operand_has_no_screen(self, kernel_cases):
+        operand, screen = sparse.scoring_state(kernel_cases[0][0].to_csr())
+        assert sp.issparse(operand) and screen is None
 
 
 class TestCsrView:

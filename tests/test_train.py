@@ -489,6 +489,16 @@ class TestTrainLog:
         assert first[0] == "1"
         assert 0.0 <= float(first[2]) <= 1.0
 
+    @pytest.mark.parametrize("fit", [train_l1, train_l2])
+    def test_objective_and_heldout_share_one_scoring_state(self, fit, scoring_builds):
+        """Each step's heldout evaluation and objective score through one
+        scoring state of W, built once a step; the index keeps its own."""
+        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
+        heldout = make_synthetic(num_classes=4, dim=12, n=30, seed=4)
+        _, log = fit(data, TrainConfig(lam=1e-3, epochs=3, seed=5, batch_size=7),
+                     heldout=heldout)
+        assert len(log.objective) == 3 and len(scoring_builds) == 3
+
     @staticmethod
     def count_stacked_rows(monkeypatch):
         """Row counts of every stack_csr call in the package from now on."""
