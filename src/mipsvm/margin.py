@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix, score_pairs, stack_csr
+from .sparse import SparseVector, WeightMatrix, stack_csr
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -51,7 +51,8 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
 def _margins(W: WeightMatrix, X, labels, index: Optional["MipsIndex"] = None):
     """``(rivals, true scores, rival scores)`` of the CSR block ``X``: the
     exact rivals from one :meth:`WeightMatrix.score` pass, or those ``index``
-    proposes in one ``query_batch`` call, re-scored by :func:`score_pairs`."""
+    proposes in one ``query_batch`` call, re-scored by
+    :meth:`WeightMatrix.score_pairs`."""
     if W.num_classes < 2:
         raise ValueError("need at least two classes to compute a margin")
     labels = _check_labels(labels, W.num_classes)
@@ -59,8 +60,7 @@ def _margins(W: WeightMatrix, X, labels, index: Optional["MipsIndex"] = None):
         rivals, s_rival, s_true = W.score(X, exclude=labels, at=labels)
     else:
         rivals, _ = index.query_batch(X, labels)
-        M = W.to_csr()
-        s_true, s_rival = score_pairs(X, M[labels]), score_pairs(X, M[rivals])
+        s_true, s_rival = W.score_pairs(X, labels), W.score_pairs(X, rivals)
     return rivals, s_true, s_rival
 
 
@@ -104,7 +104,8 @@ def inexact_margins_batch(index: "MipsIndex", W: WeightMatrix,
 
     One ``query_batch`` call on the dataset's CSR block proposes every
     rival; the true and the rival class of every example are then re-scored
-    exactly by :func:`score_pairs`, so only the rival selection is approximate.
+    exactly by :meth:`WeightMatrix.score_pairs`, so only the rival selection
+    is approximate.
     """
     rivals, s_true, s_rival = _margins(W, data.to_csr(), data.labels_array(), index)
     return s_true - s_rival, rivals

@@ -39,7 +39,8 @@ class MipsIndex:
     * queries are read-only and may run concurrently against a frozen index;
       updates are exclusive.  The one thing a query writes is the scan state
       (sorted ids, their scoring operand and its dense screen), built on
-      the first full scan after an update and kept in a single attribute:
+      the first use after an update (a full scan, or swgraph's exact
+      scores) and kept in a single attribute:
       two first queries racing each other build identical values and each
       reads a whole state.  The screen makes its own set-up the same way.
       A backend's work counters (:meth:`counters`) are bumped under a lock.
@@ -105,6 +106,14 @@ class MipsIndex:
         """The stored rows of ``ids``, in that order, as one CSR block."""
         return self._block[np.searchsorted(self._ids, ids)]
 
+    def _full_scan_state(self):
+        """``(sorted ids, operand, screen)`` of every stored row, built by
+        the first call after an update."""
+        state = self._scan_state
+        if state is None:
+            state = self._scan_state = (self._ids, *scoring_state(self._block))
+        return state
+
     def _scan(self, X: sp.csr_matrix, exclude,
               pools: list[list[int]] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Best (class ids, exact scores) of the rows of the query block
@@ -121,10 +130,7 @@ class MipsIndex:
         """
         among = None
         if pools is None:
-            state = self._scan_state
-            if state is None:
-                state = self._scan_state = (self._ids, *scoring_state(self._block))
-            ids, operand, screen = state
+            ids, operand, screen = self._full_scan_state()
         else:
             members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
             ids = np.unique(members)

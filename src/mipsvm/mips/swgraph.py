@@ -5,7 +5,10 @@ Nodes are class rows; links are undirected and kept to at most
 a small persistent entry set, keeping a candidate list of ``ef_search``
 nodes; inserts use the same traversal with ``ef_construction``.  Similarity
 is the raw inner product, which is what makes the graph usable as a MIPS
-backend even though it is not a metric.
+backend even though it is not a metric.  The traversal ranks by those
+dots, but every score a query returns is the exact kernel's: one
+:func:`~mipsvm.sparse.score_pairs` call over the query block against the
+index's scan state (its sorted ids, operand and screen).
 
 Deletion (the first half of an update) reconnects the removed node's
 neighbors pairwise before pruning, so the graph stays connected under the
@@ -193,7 +196,8 @@ class SwGraphIndex(MipsIndex):
     def query_batch(self, X, exclude):
         """One traversal per row picks its class; the rows whose traversal
         surfaced only their excluded class share one exact scan of the
-        rest.  Every score is :func:`score_pairs`'s, against the stored row."""
+        rest.  Every score is :func:`score_pairs`'s against the stored row,
+        through the scan state."""
         X = self._check_batch(X, exclude)
         ids, bounds, fell = np.empty(X.shape[0], dtype=np.int64), X.indptr.tolist(), []
         for k, (lo, hi, e) in enumerate(zip(bounds[:-1], bounds[1:], exclude)):
@@ -205,7 +209,8 @@ class SwGraphIndex(MipsIndex):
                 ids[k] = best
         if fell:
             ids[fell] = self._scan(X[fell], [exclude[k] for k in fell])[0]
-        return ids, score_pairs(X, self._stack(ids))
+        order, operand, screen = self._full_scan_state()
+        return ids, score_pairs(X, np.searchsorted(order, ids), operand, screen)
 
     # -- introspection (used by tests and demos) ----------------------------
 

@@ -8,10 +8,13 @@ An exact score is the stored-order sum of the CSR product: row i against
 class c sums x_ij w_jc over the row's stored entries, in stored order.
 :func:`score_block` finds argmaxes, chunk by chunk, and :func:`score_pairs`
 scores given (row, class) pairs; every exact score comes from one of them.
+:func:`score_pairs` makes no n x dim product: one ``csr_matvec`` runs over
+the rows' own stored values, each column index moved to the position of
+its weight in a flat array of the class matrix's values.
 Dense blocks against a dense class matrix go through a BLAS screen
 (:class:`_Screen`): one GEMM per chunk proposes, within a proven rounding
-bound, the classes that can be a row's best, and only those are re-scored
-in stored order.  :func:`scoring_state` builds a dense operand and its
+bound, the classes that can be a row's best, and only those are re-scored,
+by :func:`score_pairs`.  :func:`scoring_state` builds a dense operand and its
 screen from one dense copy of the class matrix (0.26-0.35 ms at C = 500,
 d = 300 on a 2-vCPU Xeon, against 1.0 ms through scipy's CSR to CSC
 conversion), and a :class:`WeightMatrix` keeps the pair for its current
@@ -220,16 +223,98 @@ def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
 
 def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum of each CSR row's ``values``, in stored order: a row's sum does
-    not depend on the other rows of its block."""
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    return np.bincount(rows, weights=values, minlength=indptr.size - 1)
+    not depend on the other rows of its block.  One ``csr_matvec`` against
+    a vector of one 1.0 sums each row from +0.0, left to right, the floats
+    ``np.bincount`` gives the same rows."""
+    block = sp.csr_array((indptr.size - 1, 1))
+    block.data, block.indptr = values, indptr
+    block.indices = np.zeros(values.size, dtype=indptr.dtype)
+    return block @ np.ones(1)
 
 
-def score_pairs(X: sp.csr_matrix, rows: sp.csr_matrix) -> np.ndarray:
-    """Exact score of row i of ``X`` (sorted rows) against row i of
-    ``rows``, for every i: :func:`score_block`'s ``at`` floats.  The product
-    keeps ``X``'s order, dropping zeros, and ``csr_matvec`` sums from +0.0."""
-    return X.multiply(rows) @ np.ones(X.shape[1])
+def score_pairs(X: sp.csr_matrix, classes, operand, screen=None, rows=None) -> np.ndarray:
+    """Exact score of row ``rows[k]`` of ``X`` (row k when ``rows`` is None)
+    against class position ``classes[k]`` of ``operand``, for every k:
+    :func:`score_block`'s ``at`` floats for those pairs.
+
+    ``operand`` and ``screen`` come from :func:`scoring_state`.  Each pass
+    is one ``csr_matvec`` over the rows' own stored values, with column j
+    of a row paired with class c moved to the position of w_jc in a flat
+    array of the class matrix's values: c * dim + j in the screen's
+    class-major array for a dense operand (a screen is made when none is
+    given), and for a CSR operand the position among its stored values
+    that ``searchsorted`` finds, or a trailing 0.0 where w_jc is not
+    stored.
+    ``csr_matvec`` sums each row from +0.0 in stored order, and a weight
+    that is not stored adds ±0, which changes no sum, so every float is the
+    CSR product's, whether or not the rows are sorted.
+
+    A pass gathers the stored entries of as many pairs' rows as hold at
+    most SCORE_BLOCK_ENTRIES / 8 entries (one row when a row holds more).
+    While it makes their values and positions it holds at most three
+    8-byte arrays an entry against a dense operand, five against a CSR one
+    (whose search keys, one a stored weight, it also makes): at most 3 or
+    5 x SCORE_BLOCK_ENTRIES bytes, never O(n x dim).
+    """
+    classes = np.asarray(classes, dtype=np.int64)
+    dim, C = operand.shape
+    if X.shape[1] != dim:
+        raise ValueError(f"block width {X.shape[1]} does not match the operand's {dim}")
+    if rows is None and classes.size != X.shape[0]:
+        raise ValueError(f"{classes.size} classes for {X.shape[0]} rows")
+    for c in classes[(classes < 0) | (classes >= C)][:1]:
+        raise IndexError(f"class position {c} out of range [0, {C})")
+    if sp.issparse(operand):
+        keys = np.repeat(np.arange(dim, dtype=np.int64) * C, np.diff(operand.indptr))
+        keys += operand.indices
+        values = np.append(operand.data, 0.0)
+
+        def positions(cols, pair_classes, count):
+            wanted = np.repeat(pair_classes, count)
+            wanted += cols * np.int64(C)
+            if not keys.size:
+                return np.zeros_like(wanted)
+            found = keys.searchsorted(wanted)
+            found[keys.take(found, mode="clip") != wanted] = keys.size
+            return found
+    else:
+        if screen is None:
+            screen = _Screen(operand, np.ascontiguousarray(operand.T))
+        # class-major: the weights of one pair are one contiguous run
+        values = screen._classes.ravel()
+
+        def positions(cols, pair_classes, count):
+            found = np.repeat(pair_classes * dim, count)
+            found += cols
+            return found
+
+    starts = X.indptr[:-1] if rows is None else X.indptr[rows]
+    lengths = (X.indptr[1:] if rows is None else X.indptr[rows + 1]) - starts
+    ends = np.cumsum(lengths, dtype=np.int64)
+    budget = max(1, SCORE_BLOCK_ENTRIES // 8)
+    scores = np.empty(classes.size)
+    lo = 0
+    while lo < classes.size:
+        first = ends[lo] - lengths[lo]
+        hi = max(lo + 1, int(ends.searchsorted(first + budget, side="right")))
+        indptr = np.empty(hi - lo + 1, dtype=np.int64)
+        indptr[0] = 0
+        np.subtract(ends[lo:hi], first, out=indptr[1:])
+        count = lengths[lo:hi]
+        if rows is None:
+            a = X.indptr[lo]
+            data, cols = X.data[a:a + indptr[-1]], X.indices[a:a + indptr[-1]]
+        else:
+            taken = np.repeat(starts[lo:hi] - indptr[:-1], count)
+            taken += np.arange(indptr[-1])
+            data, cols = X.data.take(taken), X.indices.take(taken)
+            del taken
+        pairs = sp.csr_array((hi - lo, values.size))
+        pairs.data, pairs.indptr = data, indptr
+        pairs.indices = positions(cols, classes[lo:hi], count)
+        scores[lo:hi] = pairs @ values
+        lo = hi
+    return scores
 
 
 def scoring_state(classes: sp.csr_matrix):
@@ -240,7 +325,9 @@ def scoring_state(classes: sp.csr_matrix):
     ``classes`` holds one class per row.  The operand is a C-ordered dense
     array when at least DENSE_SCORING_MIN_DENSITY of the class matrix is
     nonzero, and CSR otherwise.  Either way each score sums the example's
-    nonzeros in stored order, so both give the same floats.  The dense
+    nonzeros in stored order, so both give the same floats.  A CSR operand
+    transposes a canonical ``classes``, so each of its rows stores sorted
+    class positions, which :func:`score_pairs` searches.  The dense
     operand is a transposed copy of ``classes.toarray()``, and that array is
     the screen's class-major copy.  At C = 500, d = 300 on a 2-vCPU Xeon the
     two copies took 0.25 ms, against 1.0 ms (0.9-2.2 ms in other runs) for
@@ -296,8 +383,8 @@ class _Screen:
     norms and of the threshold below, the last term underflow.  Every
     class whose stored-order score is the row's maximum therefore has a
     screen score of at least max_c A_c - 4E.  Only those candidates are
-    re-scored, in stored order, so every returned float is the CSR
-    product's.
+    re-scored, by :func:`score_pairs` from the chunk's own stored entries,
+    so every returned float is the CSR product's.
 
     The bound assumes that nothing overflows: a chunk whose ||x|| max_c
     ||w_c|| exceeds OVERFLOW_GUARD, or is not finite, is scored by the CSR
@@ -347,21 +434,10 @@ class _Screen:
 
     @property
     def pairs(self) -> int:
-        """Pairs a re-score pass: stage 2 holds two (pairs x dim) products,
-        in the other half of SCORE_BLOCK_ENTRIES."""
-        return max(1, SCORE_BLOCK_ENTRIES // (4 * self.dim))
-
-    def rescore(self, Xd: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
-        """The stored-order sums of rows ``rows`` of ``Xd`` against classes
-        ``classes`` (at most ``self.pairs`` pairs): the sequential,
-        left-to-right sums that ``csr_matvecs`` makes.  A densified row adds
-        ±0 terms, which change no nonzero partial sum, and the final
-        ``+ 0.0`` turns the -0.0 of an all-zero sum into the +0.0 that the
-        CSR product starts from."""
-        products = Xd[rows]
-        products *= self.set_up()[0][classes]
-        np.cumsum(products, axis=1, out=products)
-        return products[:, -1] + 0.0
+        """Candidates a stage-2 pass: :func:`score_pairs` gathers at most dim
+        stored entries a pair and SCORE_BLOCK_ENTRIES / 8 a pass, three
+        8-byte arrays an entry, within the other half of the budget."""
+        return max(1, SCORE_BLOCK_ENTRIES // (8 * self.dim))
 
     def score(self, block: sp.csr_matrix, mask, at):
         """``(best, best_scores, at_scores)`` of the chunk ``block``, as
@@ -376,15 +452,12 @@ class _Screen:
         if not (x_norm * w_norm <= self.OVERFLOW_GUARD).all():
             return None
         bound = 4.0 * (2.0 * self.gamma * w_norm * x_norm + self.floor)
-        rows, pairs = np.arange(Xd.shape[0]), self.pairs
-        at_scores = None
-        if at is not None:
-            at_scores = np.empty(rows.size)
-            for s in range(0, rows.size, pairs):
-                part = slice(s, s + pairs)
-                at_scores[part] = self.rescore(Xd, rows[part], at[part])
         scores = Xd @ self.operand
+        # an example with no nonzeros scores +0.0 on every class
+        empty = ~Xd.any(axis=1)
+        del Xd  # stage 2 re-scores from the block's own entries
         mask(scores)
+        rows, C = np.arange(scores.shape[0]), scores.shape[1]
         top = scores.argmax(axis=1)
         peak = scores[rows, top]
         candidates = scores >= (peak - bound)[:, None]
@@ -395,18 +468,23 @@ class _Screen:
             keep = np.zeros_like(zero)
             keep[rows, first] = zero[rows, first]
             candidates[:, zero_classes] = keep
-        # an example with no nonzeros scores +0.0 on every class
-        empty = ~Xd.any(axis=1) & (peak > -np.inf)
+        empty &= peak > -np.inf
         candidates[empty] = False
         candidates[empty, top[empty]] = True
         flat = np.flatnonzero(candidates)
         del candidates
         scores.fill(-np.inf)
         values = scores.ravel()
-        for s in range(0, flat.size, pairs):
-            part = flat[s:s + pairs]
-            values[part] = self.rescore(Xd, *np.divmod(part, scores.shape[1]))
+        if flat.size == rows.size and np.array_equal(flat // C, rows):
+            # one candidate a row, in row order: no row is gathered
+            values[flat] = score_pairs(block, flat - rows * C, self.operand, self)
+        else:
+            for s in range(0, flat.size, self.pairs):
+                part = flat[s:s + self.pairs]
+                owners, classes = np.divmod(part, C)
+                values[part] = score_pairs(block, classes, self.operand, self, owners)
         best = scores.argmax(axis=1)
+        at_scores = None if at is None else score_pairs(block, at, self.operand, self)
         return best, scores[rows, best], at_scores
 
 
@@ -427,10 +505,11 @@ def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None,
     order.  A block of at least DENSE_SCREEN_MIN_ROWS rows and at least
     DENSE_SCREEN_MIN_DENSITY full, against a dense operand, is screened by
     :class:`_Screen`: one BLAS product per chunk of rows proposes each
-    row's candidates, and only those are re-scored in stored order, so the
-    floats are the same as the CSR product's.  The screen runs inline, with
-    BLAS's own threads, in chunks whose densified rows, screen scores and
-    re-score products together stay within the budget below.
+    row's candidates, and only those are re-scored by :func:`score_pairs`,
+    so the floats are the same as the CSR product's.  The screen runs
+    inline, with BLAS's own threads, in chunks whose densified rows and
+    screen scores, and then the re-score passes' gathered entries, stay
+    within the budget below.
 
     Any other block is multiplied as CSR, a small one inline, a larger one
     cut into row pieces (:func:`piece_bounds`) that run on the kernel pool,
@@ -518,11 +597,12 @@ class WeightMatrix:
     which recomputes the cached squared norms of the stored rows and their
     sum exactly from the new data, so the caches cannot drift.
 
-    :meth:`score` scores through the logical matrix's scoring state (the
-    :func:`scoring_state` operand and screen), built by the first call
-    after a change and kept in one attribute; :meth:`_write` and every scale
-    change drop it.  So predictions, exact margins and audits against an
-    unchanged matrix share one operand.
+    :meth:`score` and :meth:`score_pairs` score through the logical
+    matrix's scoring state (the :func:`scoring_state` operand and screen),
+    built by the first call after a change and kept in one attribute;
+    :meth:`_write` and every scale change drop it.  So predictions, exact
+    margins, re-scored pairs and audits against an unchanged matrix share
+    one operand.
 
     Single-writer: concurrent read-only access (scores and dot products
     against a frozen matrix) is safe, concurrent mutation is not.  Two
@@ -588,7 +668,7 @@ class WeightMatrix:
         stored.eliminate_zeros()
         self._row_sq = row_sums(stored.data ** 2, stored.indptr)
         self._frob_sq = float(self._row_sq.sum())
-        self._store, self._scoring = stored, None  # scoring: built by score()
+        self._store, self._scoring = stored, None  # built by _scoring_state()
 
     def _row(self, c: int):
         """Index and value views of stored row c."""
@@ -684,17 +764,33 @@ class WeightMatrix:
         idx, val = self._row(c)
         return self.scale * _dot_arrays(idx, val, x.indices, x.values)
 
-    def score(self, X: sp.csr_matrix, **options):
-        """:func:`score_block` of the CSR block ``X`` against the logical
-        matrix, with ``options`` (exclude, at, among) passed on."""
+    def _scoring_state(self):
+        """The logical matrix's :func:`scoring_state`, built by the first
+        call after a change."""
         state = self._scoring
         if state is None:
             state = self._scoring = scoring_state(self.to_csr())
-        operand, screen = state
+        return state
+
+    def score(self, X: sp.csr_matrix, **options):
+        """:func:`score_block` of the CSR block ``X`` against the logical
+        matrix, with ``options`` (exclude, at, among) passed on."""
+        operand, screen = self._scoring_state()
         return score_block(X, operand, screen=screen, **options)
+
+    def score_pairs(self, X: sp.csr_matrix, classes) -> np.ndarray:
+        """Exact score of row i of the CSR block ``X`` against logical class
+        ``classes[i]``, for every i: :func:`score_pairs` through the
+        matrix's scoring state."""
+        return score_pairs(X, classes, *self._scoring_state())
 
     def frob_norm(self) -> float:
         return self.scale * math.sqrt(self._frob_sq)
+
+    def l1_norm(self) -> float:
+        """Sum of |w| over the logical matrix: the scaled stored values, as
+        :meth:`to_csr` holds them, summed without building that matrix."""
+        return float(np.abs(self._store.data * self.scale).sum())
 
     @property
     def row_sq_norms(self) -> np.ndarray:

@@ -154,8 +154,7 @@ def objective_l2(W: WeightMatrix, data: Dataset, lam: float) -> float:
 def objective_l1(W: WeightMatrix, data: Dataset, lam: float) -> float:
     """(lam/2) ||W||_1 + mean exact hinge loss at rho = 1."""
     risk = empirical_risk(W, data, rho=1.0)
-    l1 = float(np.abs(W.to_csr().data).sum())
-    return 0.5 * lam * l1 + risk.empirical_hinge
+    return 0.5 * lam * W.l1_norm() + risk.empirical_hinge
 
 
 def _build_training_index(W: WeightMatrix, cfg: TrainConfig) -> MipsIndex:

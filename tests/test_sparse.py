@@ -739,13 +739,13 @@ class TestDenseScreen:
         W[:, 5:] = 0.0
         X = sp.csr_matrix(Xd)
         pairs = []
-        original = sparse._Screen.rescore
+        original = sparse.score_pairs
 
-        def rescore(self, Xd, rows, classes):
-            pairs.append(rows.size)
-            return original(self, Xd, rows, classes)
+        def rescore(X, classes, *args):
+            pairs.append(len(classes))
+            return original(X, classes, *args)
 
-        monkeypatch.setattr(sparse._Screen, "rescore", rescore)
+        monkeypatch.setattr(sparse, "score_pairs", rescore)
         for kw in kernel_options(rng, n, C):
             pairs.clear()
             assert_same_floats(screened(X, W, **kw), score_block(X, sp.csr_matrix(W), **kw))
@@ -773,25 +773,162 @@ class TestDenseScreen:
         assert peak <= 8 * sparse.SCORE_BLOCK_ENTRIES + W.nbytes + 24 * n + (64 << 10)
 
 
-class TestScorePairs:
-    """score_pairs gives, pair by pair, score_block's ``at`` floats."""
+def elementwise_pairs(X, rows):
+    """The pair scores that score_pairs made before it ran one csr_matvec
+    over gathered positions: row i of ``X`` (sorted rows) times row i of
+    the CSR block ``rows``, elementwise, summed from +0.0 in X's order."""
+    return X.multiply(rows) @ np.ones(X.shape[1])
 
-    def test_csr_product_pairs(self, kernel_cases, assert_same_floats):
-        rng = np.random.default_rng(58)
-        for W, data in kernel_cases:
-            X, classes = data.to_csr(), W.to_csr()
-            at = rng.integers(W.num_classes, size=len(data))
-            want = score_block(X, scoring_operand(classes), at=at)[2]
-            assert_same_floats([score_pairs(X, classes[at])], [want])
+
+def pair_case(rng, n, d, C, magnitude=1.0):
+    """(X, W): an n x d block and a WeightMatrix of C classes at a scale
+    other than 1, with mixed signs, -0.0 and subnormals stored in X, an
+    empty row, a row of explicit zeros and an all-zero class."""
+    Xd = rng.standard_normal((n, d)) * magnitude
+    Xd[rng.random((n, d)) < 0.4] = 0.0
+    Xd[0] = 0.0
+    X = sp.csr_matrix(Xd)
+    X.data[rng.random(X.nnz) < 0.1] = -0.0
+    X.data[rng.random(X.nnz) < 0.1] = 5e-324
+    if n > 1:
+        X.data[X.indptr[1]:X.indptr[2]] = 0.0  # stored, but all zero
+    Wd = rng.standard_normal((C, d)) * magnitude
+    Wd[rng.random((C, d)) < rng.uniform(0.0, 0.95)] = 0.0
+    Wd[0, :2] = [2.2e-308, -4e-320]
+    Wd[-1] = 0.0
+    W = WeightMatrix.from_rows([(c, SparseVector.from_pairs(
+        {j: v for j, v in enumerate(row) if v != 0.0}, d)) for c, row in enumerate(Wd)], d)
+    W.global_scale(rng.choice([0.37, 1e-5, 3.0]))
+    return X, W
+
+
+def both_states(monkeypatch, classes):
+    """The dense and the CSR scoring state of the class matrix ``classes``."""
+    states = []
+    for least in (0.0, 1.1):
+        monkeypatch.setattr(sparse, "DENSE_SCORING_MIN_DENSITY", least)
+        states.append(sparse.scoring_state(classes))
+    monkeypatch.undo()
+    assert states[0][1] is not None and sp.issparse(states[1][0])
+    return states
+
+
+def at_scores(X, operand, pairs_rows, classes):
+    """score_block's ``at`` floats of every (row, class) pair, one class
+    position at a time over the whole block (the CSR product's, for a CSR
+    ``operand``)."""
+    C = operand.shape[1]
+    table = np.stack([score_block(X, operand, at=np.full(X.shape[0], c))[2]
+                      for c in range(C)], axis=1)
+    return table[pairs_rows, classes]
+
+
+class TestScorePairs:
+    """score_pairs gives, pair by pair, the CSR product's floats: those of
+    the old elementwise product and of score_block's ``at``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 12),
+           st.integers(2, 9), st.sampled_from([1.0, 1e-160, 1e150]),
+           st.sampled_from([3, 1 << 22]))
+    def test_equals_the_elementwise_product(self, assert_same_floats, seed, n, d, C,
+                                            magnitude, budget):
+        rng = np.random.default_rng(seed)
+        X, W = pair_case(rng, n, d, C, magnitude)
+        classes = rng.integers(C, size=n)
+        want = elementwise_pairs(X, W.to_csr()[classes])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
+            assert_same_floats([W.score_pairs(X, classes)], [want])
+            for operand, screen in both_states(mp, W.to_csr()):
+                mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
+                assert_same_floats([score_pairs(X, classes, operand, screen)], [want])
+                assert_same_floats([score_pairs(X, classes, operand)], [want])
+
+    def test_csr_product_pairs(self, monkeypatch, assert_same_floats):
+        """Scale 0.37, 1e-5 or 3, mixed signs, -0.0, subnormals, empty rows
+        and an all-zero class, on the dense and the CSR state, and rows
+        paired with several classes each: the CSR product's ``at`` floats,
+        which score_block gives through either state too."""
+        rng = np.random.default_rng(60)
+        for _ in range(6):
+            X, W = pair_case(rng, 45, 14, 7)
+            classes = W.to_csr()
+            product = classes.T.tocsr()
+            for operand, screen in both_states(monkeypatch, classes):
+                at = rng.integers(W.num_classes, size=X.shape[0])
+                want = score_block(X, product, at=at)[2]
+                assert_same_floats([score_block(X, operand, at=at, screen=screen)[2]],
+                                   [want])
+                assert_same_floats([score_pairs(X, at, operand, screen)], [want])
+                rows = np.sort(rng.integers(X.shape[0], size=3 * X.shape[0]))
+                picked = rng.integers(W.num_classes, size=rows.size)
+                assert_same_floats([score_pairs(X, picked, operand, screen, rows)],
+                                   [at_scores(X, product, rows, picked)])
 
     def test_screened_pairs(self, monkeypatch, assert_same_floats):
         rng = np.random.default_rng(59)
         X, W = adversarial_block(rng, n=sparse.DENSE_SCREEN_MIN_ROWS + 8)
         at = rng.integers(W.shape[1], size=X.shape[0])
         calls = screen_results(monkeypatch)
-        want = score_block(X, W, at=at)[2]
+        want = score_block(X, sp.csr_matrix(W), at=at)[2]
+        assert_same_floats([score_block(X, W, at=at)[2]], [want])
         assert calls and all(result is not None for result in calls)
-        assert_same_floats([score_pairs(X, sp.csr_matrix(W.T)[at])], [want])
+        operand, screen = sparse.scoring_state(sp.csr_matrix(W.T))
+        assert screen is not None
+        assert_same_floats([score_pairs(X, at, operand, screen)], [want])
+        assert_same_floats([score_pairs(X, at, W)], [want])
+
+    def test_unsorted_rows_give_the_csr_product_floats(self, monkeypatch,
+                                                       assert_same_floats):
+        """Rows whose stored entries are shuffled: the pairs sum in their
+        stored order, as the CSR product does."""
+        rng = np.random.default_rng(61)
+        X, W = pair_case(rng, 40, 16, 6)
+        for i in range(X.shape[0]):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            order = lo + rng.permutation(hi - lo)
+            X.indices[lo:hi], X.data[lo:hi] = X.indices[order], X.data[order]
+        X.has_sorted_indices = False
+        classes = W.to_csr()
+        at = rng.integers(W.num_classes, size=X.shape[0])
+        want = score_block(X, classes.T.tocsr(), at=at)[2]
+        for operand, screen in both_states(monkeypatch, classes):
+            assert_same_floats([score_pairs(X, at, operand, screen)], [want])
+
+    def test_bad_pairs_fail_closed(self, kernel_cases):
+        W, data = kernel_cases[1]
+        X = data.to_csr()
+        for bad in (W.num_classes, -1):
+            with pytest.raises(IndexError, match="out of range"):
+                W.score_pairs(X, np.full(X.shape[0], bad))
+        with pytest.raises(ValueError, match="width"):
+            W.score_pairs(sp.csr_matrix((3, W.dim + 1)), [0, 1, 2])
+
+
+def bincount_row_sums(values, indptr):
+    """row_sums as it was before it ran one csr_matvec: one bincount over a
+    row id per stored value."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return np.bincount(rows, weights=values, minlength=indptr.size - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 60))
+def test_row_sums_match_bincount(seed, n):
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 12, size=n))])
+    values = rng.standard_normal(indptr[-1]) * 10.0 ** rng.integers(-320, 300, indptr[-1])
+    values[rng.random(values.size) < 0.2] = -0.0
+    for index_dtype in (np.int32, np.int64):
+        got = sparse.row_sums(values, indptr.astype(index_dtype))
+        assert got.tobytes() == bincount_row_sums(values, indptr).tobytes()
+
+
+def test_l1_norm_is_the_logical_matrix_sum():
+    W, _ = random_batched_sequence(seed=5)
+    W.global_scale(0.37)
+    assert W.l1_norm() == float(np.abs(W.to_csr().data).sum())
 
 
 @settings(max_examples=60, deadline=None)

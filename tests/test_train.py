@@ -490,14 +490,37 @@ class TestTrainLog:
         assert 0.0 <= float(first[2]) <= 1.0
 
     @pytest.mark.parametrize("fit", [train_l1, train_l2])
-    def test_objective_and_heldout_share_one_scoring_state(self, fit, scoring_builds):
+    def test_objective_and_heldout_share_one_scoring_state(self, monkeypatch, fit,
+                                                           scoring_builds):
         """Each step's heldout evaluation and objective score through one
-        scoring state of W, built once a step; the index keeps its own."""
+        scoring state of W, built once for both; the rival phase re-scores
+        its pairs through W's state too, which l2's scaling makes it build
+        each step and l1 takes over from the previous step's objective.
+        The index keeps its own."""
+        import mipsvm.train as train_module
+
+        builds_at = []
+        for name in ("evaluate", "_query_phase", f"objective_{fit.__name__[-2:]}"):
+            def counted(*args, original=getattr(train_module, name), name=name):
+                result = original(*args)
+                builds_at.append((name, len(scoring_builds)))
+                return result
+
+            monkeypatch.setattr(train_module, name, counted)
         data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
         heldout = make_synthetic(num_classes=4, dim=12, n=30, seed=4)
         _, log = fit(data, TrainConfig(lam=1e-3, epochs=3, seed=5, batch_size=7),
                      heldout=heldout)
-        assert len(log.objective) == 3 and len(scoring_builds) == 3
+        assert len(log.objective) == 3 and len(builds_at) == 9
+        rival_builds = 1 if fit is train_l1 else 3
+        assert len(scoring_builds) == 3 + rival_builds
+        before = 0
+        for (rival, after_rival), (_, after_heldout), (_, after_objective) in zip(
+                *[iter(builds_at)] * 3):
+            assert rival == "_query_phase"
+            assert after_rival - before == (1 if fit is train_l2 or before == 0 else 0)
+            assert (after_heldout - after_rival, after_objective - after_heldout) == (1, 0)
+            before = after_objective
 
     @staticmethod
     def count_stacked_rows(monkeypatch):
@@ -536,6 +559,31 @@ class TestTrainLog:
         assert log.heldout_accuracy == log_taken.heldout_accuracy
         assert log.heldout_macro_f1 == log_taken.heldout_macro_f1
         assert len(data) not in stacked_rows and len(heldout) not in stacked_rows
+
+    def test_no_elementwise_products(self, monkeypatch):
+        """Exact pair scores are gathered positions, never n x dim
+        elementwise products: no training step (exact or simplelsh),
+        predict_batch, audit_inexactness or swgraph query_batch calls
+        ``csr_matrix.multiply``."""
+        from mipsvm.metrics import predict_batch
+        from mipsvm.mips import audit_inexactness, build_index
+
+        def multiply(self, other):
+            raise AssertionError("an elementwise product was made")
+
+        monkeypatch.setattr(sparse.sp.csr_matrix, "multiply", multiply)
+        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
+        for backend in ("exact", "simplelsh"):
+            for fit in (train_l1, train_l2):
+                W, _ = fit(data, TrainConfig(lam=1e-3, epochs=2, seed=5, batch_size=40,
+                                             backend=backend), heldout=data)
+        predict_batch(W, data)
+        rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
+        for backend in ("exact", "swgraph"):
+            index = build_index(rows, backend, dim=W.dim)
+            audit_inexactness(index, W, data, epsilon=0.0)
+            ids, scores = index.query_batch(data.to_csr(), data.labels_array())
+            assert (scores == W.score(data.to_csr(), at=ids)[2]).all()
 
     @pytest.mark.parametrize("backend", ["exact", "simplelsh"])
     def test_a_step_stacks_its_batch_once(self, monkeypatch, backend):
