@@ -120,8 +120,11 @@ class Dataset:
         return self._block
 
     def subset(self, idx) -> "Dataset":
-        """The rows ``idx``, in that order (repeats allowed), as one row take."""
+        """The rows ``idx``, in that order (repeats allowed), as one row take;
+        the IndexError names the first index outside [0, len)."""
         rows = np.asarray(idx, dtype=np.int64)
+        for i in rows[(rows < 0) | (rows >= len(self))][:1]:
+            raise IndexError(f"row index {i} out of range [0, {len(self)})")
         return Dataset.from_csr(self._labels[rows], self._block[rows],
                                 self.num_classes, self.label_map)
 

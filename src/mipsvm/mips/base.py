@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import SparseVector, score_block, scoring_state, stack_csr
+from ..sparse import ScoringState, SparseVector, score_block, stack_csr
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -38,11 +38,12 @@ class MipsIndex:
       the new rows before the next query; a bad block changes nothing;
     * queries are read-only and may run concurrently against a frozen index;
       updates are exclusive.  The one thing a query writes is the scan state
-      (sorted ids, their scoring operand and its dense screen), built on
-      the first use after an update (a full scan, or swgraph's exact
-      scores) and kept in a single attribute:
+      (sorted ids and the :class:`~mipsvm.sparse.ScoringState` of their
+      rows), built on the first use after an update (a full scan, or
+      swgraph's exact scores) and kept in a single attribute:
       two first queries racing each other build identical values and each
-      reads a whole state.  The screen makes its own set-up the same way.
+      reads a whole state.  The scoring state makes its own derived pieces
+      the same way.
       A backend's work counters (:meth:`counters`) are bumped under a lock.
 
     The base class keeps the rows in one CSR block and does every exact
@@ -107,11 +108,11 @@ class MipsIndex:
         return self._block[np.searchsorted(self._ids, ids)]
 
     def _full_scan_state(self):
-        """``(sorted ids, operand, screen)`` of every stored row, built by
-        the first call after an update."""
+        """``(sorted ids, their rows' ScoringState)`` of every stored row,
+        built by the first call after an update."""
         state = self._scan_state
         if state is None:
-            state = self._scan_state = (self._ids, *scoring_state(self._block))
+            state = self._scan_state = (self._ids, ScoringState(self._block))
         return state
 
     def _scan(self, X: sp.csr_matrix, exclude,
@@ -130,11 +131,11 @@ class MipsIndex:
         """
         among = None
         if pools is None:
-            ids, operand, screen = self._full_scan_state()
+            ids, state = self._full_scan_state()
         else:
             members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
             ids = np.unique(members)
-            operand, screen = scoring_state(self._stack(ids))
+            state = ScoringState(self._stack(ids))
             indptr = np.zeros(len(pools) + 1, dtype=np.int64)
             np.cumsum([len(pool) for pool in pools], out=indptr[1:])
             among = sp.csr_matrix((np.ones(members.size, dtype=bool),
@@ -144,7 +145,7 @@ class MipsIndex:
         wanted = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
         pos = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
         masked = np.where(given & (ids[pos] == wanted), pos, -1)
-        best, score, _ = score_block(X, operand, exclude=masked, among=among, screen=screen)
+        best, score, _ = score_block(X, state, exclude=masked, among=among)
         return ids[best], score
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
@@ -156,7 +157,7 @@ class MipsIndex:
 
     def query_batch(self, X, exclude) -> tuple[np.ndarray, np.ndarray]:
         """(class ids, exact scores) that :meth:`query` gives for each row of
-        the CSR query block ``X`` (n x dim, the operand :func:`score_block`
+        the CSR query block ``X`` (n x dim, the block :func:`score_block`
         takes), with ``exclude`` holding one class id or None per row; this
         default is the exact full scan."""
         return self._scan(self._check_batch(X, exclude), exclude)

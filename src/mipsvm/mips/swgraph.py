@@ -8,7 +8,7 @@ is the raw inner product, which is what makes the graph usable as a MIPS
 backend even though it is not a metric.  The traversal ranks by those
 dots, but every score a query returns is the exact kernel's: one
 :func:`~mipsvm.sparse.score_pairs` call over the query block against the
-index's scan state (its sorted ids, operand and screen).
+index's scan state (its sorted ids and their rows' scoring state).
 
 Deletion (the first half of an update) reconnects the removed node's
 neighbors pairwise before pruning, so the graph stays connected under the
@@ -209,8 +209,8 @@ class SwGraphIndex(MipsIndex):
                 ids[k] = best
         if fell:
             ids[fell] = self._scan(X[fell], [exclude[k] for k in fell])[0]
-        order, operand, screen = self._full_scan_state()
-        return ids, score_pairs(X, np.searchsorted(order, ids), operand, screen)
+        order, state = self._full_scan_state()
+        return ids, score_pairs(X, np.searchsorted(order, ids), state)
 
     # -- introspection (used by tests and demos) ----------------------------
 

@@ -1,4 +1,5 @@
-"""Sparse vectors and the lazily-scaled per-class sparse weight matrix.
+"""Sparse vectors, the lazily-scaled per-class weight matrix and the exact
+scoring kernel.
 
 Every trainer, search index and metric in this package works on two
 structures: :class:`SparseVector` (sorted index/value pairs with an explicit
@@ -7,21 +8,14 @@ scale multiplier, so that scaling the whole matrix is O(1)).
 An exact score is the stored-order sum of the CSR product: row i against
 class c sums x_ij w_jc over the row's stored entries, in stored order.
 :func:`score_block` finds argmaxes, chunk by chunk, and :func:`score_pairs`
-scores given (row, class) pairs; every exact score comes from one of them.
-:func:`score_pairs` makes no n x dim product: one ``csr_matvec`` runs over
-the rows' own stored values, each column index moved to the position of
-its weight in a flat array of the class matrix's values.
-Dense blocks against a dense class matrix go through a BLAS screen
-(:class:`_Screen`): one GEMM per chunk proposes, within a proven rounding
-bound, the classes that can be a row's best, and only those are re-scored,
-by :func:`score_pairs`.  :func:`scoring_state` builds a dense operand and its
-screen from one dense copy of the class matrix (0.26-0.35 ms at C = 500,
-d = 300 on a 2-vCPU Xeon, against 1.0 ms through scipy's CSR to CSC
-conversion), and a :class:`WeightMatrix` keeps the pair for its current
-value.  The CSR product and SimpleLSH's plane pass cut their work into
-pieces that :func:`run_pieces` runs on one shared thread pool; scipy's
-sparse products and numpy's ufuncs release the interpreter lock, so the
-pieces run on every CPU the process may use.
+scores given (row, class) pairs, both against a :class:`ScoringState`: one
+copy of the class matrix, dense (densified blocks go through a BLAS screen
+that proposes, within a proven rounding bound, the classes that can be a
+row's best, and only those are re-scored) or, when sparse, CSR.  The CSR
+product and SimpleLSH's plane pass cut their work into pieces that
+:func:`run_pieces` runs on one shared thread pool; scipy's sparse products
+and numpy's ufuncs release the interpreter lock, so the pieces run on
+every CPU the process may use.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ DENSE_SCORING_MIN_DENSITY = 0.1
 # inline, where handing pieces to threads costs more than it saves.
 MIN_PIECE_ENTRIES = 1 << 15
 # Blocks of examples at least this full, and with at least this many rows,
-# are scored against a dense operand through score_block's BLAS screen,
+# are scored against a dense state through score_block's BLAS screen,
 # other blocks through the CSR product.  The screen's cost hardly depends
 # on the block's density, the CSR product's grows with it: with exclude and
 # at, on both cores of a 2-vCPU Xeon, the screen won from about 0.17 (4000
@@ -205,10 +199,23 @@ def _dot_arrays(ai, av, bi, bv) -> float:
 
 
 def dot(a: SparseVector, b: SparseVector) -> float:
-    """Exact sparse inner product by merge over the sorted index arrays."""
+    """Exact sparse inner product: the kernel's float for row ``a`` against
+    a class row ``b``, the same for ``b`` against ``a``.  The matches are
+    found as :func:`_dot_arrays` finds them (which ranks swgraph's
+    traversal in BLAS's order), but their products are added left to right
+    by ``add.accumulate``, and + 0.0 turns its one possible difference from
+    the kernel's sum, which starts from +0.0, a -0.0 total, into +0.0."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _dot_arrays(a.indices, a.values, b.indices, b.values)
+    ai, av, bi, bv = a.indices, a.values, b.indices, b.values
+    if ai.size > bi.size:
+        ai, av, bi, bv = bi, bv, ai, av
+    if ai.size == 0:
+        return 0.0
+    pos = bi.searchsorted(ai)
+    hit = bi.take(pos, mode="clip") == ai
+    products = av[hit] * bv[pos[hit]]
+    return float(np.add.accumulate(products)[-1]) + 0.0 if products.size else 0.0
 
 
 def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
@@ -232,42 +239,37 @@ def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return block @ np.ones(1)
 
 
-def score_pairs(X: sp.csr_matrix, classes, operand, screen=None, rows=None) -> np.ndarray:
+def score_pairs(X: sp.csr_matrix, classes, state: ScoringState, rows=None) -> np.ndarray:
     """Exact score of row ``rows[k]`` of ``X`` (row k when ``rows`` is None)
-    against class position ``classes[k]`` of ``operand``, for every k:
+    against class position ``classes[k]`` of ``state``, for every k:
     :func:`score_block`'s ``at`` floats for those pairs.
 
-    ``operand`` and ``screen`` come from :func:`scoring_state`.  Each pass
-    is one ``csr_matvec`` over the rows' own stored values, with column j
-    of a row paired with class c moved to the position of w_jc in a flat
-    array of the class matrix's values: c * dim + j in the screen's
-    class-major array for a dense operand (a screen is made when none is
-    given), and for a CSR operand the position among its stored values
-    that ``searchsorted`` finds, or a trailing 0.0 where w_jc is not
-    stored.
-    ``csr_matvec`` sums each row from +0.0 in stored order, and a weight
-    that is not stored adds ±0, which changes no sum, so every float is the
-    CSR product's, whether or not the rows are sorted.
+    Each pass is one ``csr_matvec`` over the rows' own stored values, with
+    column j of a row paired with class c moved to the position of w_jc in
+    a flat array of the class matrix's values: c * dim + j in a dense
+    state's class-major ``rows``, and for a CSR state the position of its
+    key among :meth:`ScoringState.pair_keys`, or the trailing 0.0 where
+    w_jc is not stored.  ``csr_matvec`` sums each row from +0.0 in stored
+    order, and a weight that is not stored adds ±0, which changes no sum,
+    so every float is the CSR product's, whether or not the rows are
+    sorted.
 
     A pass gathers the stored entries of as many pairs' rows as hold at
     most SCORE_BLOCK_ENTRIES / 8 entries (one row when a row holds more).
     While it makes their values and positions it holds at most three
-    8-byte arrays an entry against a dense operand, five against a CSR one
-    (whose search keys, one a stored weight, it also makes): at most 3 or
-    5 x SCORE_BLOCK_ENTRIES bytes, never O(n x dim).
+    8-byte arrays an entry against a dense state, five against a CSR one:
+    at most 3 or 5 x SCORE_BLOCK_ENTRIES bytes, never O(n x dim).
     """
     classes = np.asarray(classes, dtype=np.int64)
-    dim, C = operand.shape
+    dim, C = state.dim, state.num_classes
     if X.shape[1] != dim:
-        raise ValueError(f"block width {X.shape[1]} does not match the operand's {dim}")
+        raise ValueError(f"block width {X.shape[1]} does not match the state's {dim}")
     if rows is None and classes.size != X.shape[0]:
         raise ValueError(f"{classes.size} classes for {X.shape[0]} rows")
     for c in classes[(classes < 0) | (classes >= C)][:1]:
         raise IndexError(f"class position {c} out of range [0, {C})")
-    if sp.issparse(operand):
-        keys = np.repeat(np.arange(dim, dtype=np.int64) * C, np.diff(operand.indptr))
-        keys += operand.indices
-        values = np.append(operand.data, 0.0)
+    if not state.dense:
+        keys, values = state.pair_keys()
 
         def positions(cols, pair_classes, count):
             wanted = np.repeat(pair_classes, count)
@@ -278,10 +280,8 @@ def score_pairs(X: sp.csr_matrix, classes, operand, screen=None, rows=None) -> n
             found[keys.take(found, mode="clip") != wanted] = keys.size
             return found
     else:
-        if screen is None:
-            screen = _Screen(operand, np.ascontiguousarray(operand.T))
         # class-major: the weights of one pair are one contiguous run
-        values = screen._classes.ravel()
+        values = state.rows.ravel()
 
         def positions(cols, pair_classes, count):
             found = np.repeat(pair_classes * dim, count)
@@ -317,36 +317,6 @@ def score_pairs(X: sp.csr_matrix, classes, operand, screen=None, rows=None) -> n
     return scores
 
 
-def scoring_state(classes: sp.csr_matrix):
-    """``(operand, screen)``: the (dim x C) right-hand side that
-    :func:`score_block` multiplies by, and its BLAS screen (None for a CSR
-    operand), to be passed together to every call against ``classes``.
-
-    ``classes`` holds one class per row.  The operand is a C-ordered dense
-    array when at least DENSE_SCORING_MIN_DENSITY of the class matrix is
-    nonzero, and CSR otherwise.  Either way each score sums the example's
-    nonzeros in stored order, so both give the same floats.  A CSR operand
-    transposes a canonical ``classes``, so each of its rows stores sorted
-    class positions, which :func:`score_pairs` searches.  The dense
-    operand is a transposed copy of ``classes.toarray()``, and that array is
-    the screen's class-major copy.  At C = 500, d = 300 on a 2-vCPU Xeon the
-    two copies took 0.25 ms, against 1.0 ms (0.9-2.2 ms in other runs) for
-    the same floats through scipy's CSR to CSC conversion
-    (``classes.T.toarray(order="C")``).
-    """
-    num_classes, dim = classes.shape
-    if classes.nnz < DENSE_SCORING_MIN_DENSITY * num_classes * dim:
-        return classes.T.tocsr(), None
-    rows = classes.toarray()
-    operand = np.ascontiguousarray(rows.T)
-    return operand, _Screen(operand, rows)
-
-
-def scoring_operand(classes: sp.csr_matrix):
-    """The operand of :func:`scoring_state`, without its screen."""
-    return scoring_state(classes)[0]
-
-
 def row_view(X: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
     """Rows ``lo``..``hi`` of the CSR block ``X``, sharing its data and
     indices.  Row slicing, and the constructor given a short view, copy
@@ -370,89 +340,105 @@ def _sorted_rows(X: sp.csr_matrix) -> bool:
     return bool(step.all())
 
 
-class _Screen:
-    """The BLAS screen of :func:`score_block` against one dense operand.
+class ScoringState:
+    """One class matrix as :func:`score_block` and :func:`score_pairs`
+    multiply by it, holding exactly one copy of its weights.
 
-    One GEMM scores a densified chunk in whatever order BLAS sums.  Any
-    order is within gamma_d * sum_j |x_j w_jc| of the exact sum, with
-    gamma_d = d u / (1 - d u) and u = 2^-53 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, section 3.1), and that sum is at
-    most ||x|| max_c ||w_c||.  So the screen and the stored-order sum of
-    the CSR product each lie within E = 2 gamma_d ||x|| max_c ||w_c|| +
-    d 2^-1070 of the exact score: the factor 2 covers the rounding of the
-    norms and of the threshold below, the last term underflow.  Every
-    class whose stored-order score is the row's maximum therefore has a
-    screen score of at least max_c A_c - 4E.  Only those candidates are
-    re-scored, by :func:`score_pairs` from the chunk's own stored entries,
-    so every returned float is the CSR product's.
+    ``classes`` holds one class per row.  A matrix at least
+    DENSE_SCORING_MIN_DENSITY full is kept as its C x dim array ``rows``
+    (class-major), a sparser one as its transpose ``columns`` in CSR
+    (dim x C); a canonical ``classes`` gives each row of ``columns``
+    sorted class positions, which :func:`score_pairs` searches.  Either way
+    a score sums the example's stored entries in stored order, so both
+    give the same floats.
 
-    The bound assumes that nothing overflows: a chunk whose ||x|| max_c
-    ||w_c|| exceeds OVERFLOW_GUARD, or is not finite, is scored by the CSR
-    product instead, as is a chunk whose rows are not sorted, since the
-    densified row would lose their stored order.
+    Everything else is derived on first use and published in one
+    attribute, so readers racing to make it each read a whole, identical
+    value: the screen's set-up (:meth:`screen_setup`), a CSR state's
+    search keys (:meth:`pair_keys`) and a dense state's dim x C
+    :meth:`operand`, which only a chunk that the CSR product scores needs.
 
-    The O(d x C) set-up (:meth:`set_up`) is made by the first chunk
-    screened, so a screen kept with its operand (:func:`scoring_state`)
-    makes it once for every block scored against that operand.
+    The BLAS screen (:meth:`screen`) of a dense state scores a densified
+    chunk with one GEMM, in whatever order BLAS sums.  Any order is within
+    gamma_d * sum_j |x_j w_jc| of the exact sum, with gamma_d = d u /
+    (1 - d u) and u = 2^-53 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.1), and that sum is at most ||x|| max_c ||w_c||.
+    So the screen and the stored-order sum of the CSR product each lie
+    within E = 2 gamma_d ||x|| max_c ||w_c|| + d 2^-1070 of the exact
+    score: the factor 2 covers the rounding of the norms and of the
+    threshold below, the last term underflow.  Every class whose
+    stored-order score is the row's maximum therefore has a screen score
+    of at least max_c A_c - 4E.  Only those candidates are re-scored, by
+    :func:`score_pairs` from the chunk's own stored entries, so every
+    returned float is the CSR product's.  The bound assumes that nothing
+    overflows: a chunk whose ||x|| max_c ||w_c|| exceeds OVERFLOW_GUARD,
+    or is not finite, is scored by the CSR product instead, as is a chunk
+    whose rows are not sorted, since the densified row would lose their
+    stored order.
     """
 
     OVERFLOW_GUARD = 2.0 ** 1000
 
-    def __init__(self, operand: np.ndarray, classes: np.ndarray):
-        self.operand = operand
-        self._classes = classes  # operand.T, C-ordered
-        self.dim, self.num_classes = operand.shape
-        # every square of the norms is within 2^-1075 of x_j^2 (underflow)
-        self.tiny = self.dim * 2.0 ** -1074
-        self.gamma = self.dim * 2.0 ** -53 / (1.0 - self.dim * 2.0 ** -53)
-        self.floor = self.dim * 2.0 ** -1070
-        self._setup = None
+    def __init__(self, classes: sp.csr_matrix):
+        self.num_classes, self.dim = classes.shape
+        self.dense = classes.nnz >= DENSE_SCORING_MIN_DENSITY * self.num_classes * self.dim
+        self.rows = classes.toarray() if self.dense else None
+        self.columns = None if self.dense else classes.T.tocsr()
+        self._operand = self._setup = self._keys = None
 
-    def set_up(self):
-        """``(classes, w_norm, zero_classes)``: the operand's class-major
-        array, max_c ||w_c|| and the mask of its all-zero classes.  Made by
-        the first call and kept in one attribute, so chunks racing to make
-        it each read a whole, identical value."""
+    def operand(self):
+        """The dim x C right-hand side of the CSR product: ``columns``, or
+        for a dense state a C-ordered copy of ``rows.T`` made by the first
+        call."""
+        if not self.dense:
+            return self.columns
+        operand = self._operand
+        if operand is None:
+            operand = self._operand = np.ascontiguousarray(self.rows.T)
+        return operand
+
+    def pair_keys(self):
+        """``(keys, values)`` of a CSR state: the key j * C + c of every
+        stored weight w_jc, increasing, and the stored values with a
+        trailing 0.0, where :func:`score_pairs` points a weight that is not
+        stored.  Made by the first call."""
+        found = self._keys
+        if found is None:
+            columns = self.columns
+            keys = np.repeat(np.arange(self.dim, dtype=np.int64) * self.num_classes,
+                             np.diff(columns.indptr))
+            keys += columns.indices
+            found = self._keys = keys, np.append(columns.data, 0.0)
+        return found
+
+    def screen_setup(self):
+        """``(w_norm, zero_classes)``: max_c ||w_c|| (every square of the
+        norms is within 2^-1075 of w_j^2, underflow) and the mask of the
+        all-zero classes.  Made by the first call."""
         setup = self._setup
         if setup is None:
-            operand = self.operand
-            w_sq = float(np.einsum("ij,ij->j", operand, operand).max())
-            # a zero class scores +0.0 on every row: only the first one
-            # allowed in a row can be its best, so the others are never
-            # re-scored
-            setup = self._setup = (self._classes,
-                                   math.sqrt(w_sq + self.tiny), ~operand.any(axis=0))
+            rows = self.rows
+            w_sq = float(np.einsum("ij,ij->i", rows, rows).max())
+            setup = self._setup = (math.sqrt(w_sq + self.dim * 2.0 ** -1074),
+                                   ~rows.any(axis=1))
         return setup
 
-    @property
-    def rows(self) -> int:
-        """Rows a chunk: stage 1 holds the densified rows, their C screen
-        scores, the candidate mask and, at worst, C candidate positions per
-        row, in half of SCORE_BLOCK_ENTRIES."""
-        C = self.num_classes
-        return max(1, SCORE_BLOCK_ENTRIES // (2 * (self.dim + 2 * C + C // 8)))
-
-    @property
-    def pairs(self) -> int:
-        """Candidates a stage-2 pass: :func:`score_pairs` gathers at most dim
-        stored entries a pair and SCORE_BLOCK_ENTRIES / 8 a pass, three
-        8-byte arrays an entry, within the other half of the budget."""
-        return max(1, SCORE_BLOCK_ENTRIES // (8 * self.dim))
-
-    def score(self, block: sp.csr_matrix, mask, at):
+    def screen(self, block: sp.csr_matrix, mask, at):
         """``(best, best_scores, at_scores)`` of the chunk ``block``, as
         :func:`score_block` gives them, with ``mask`` applying its exclude
         and among to screen scores in place; None where the CSR product
         must score the chunk instead."""
         if not _sorted_rows(block):
             return None
-        _, w_norm, zero_classes = self.set_up()
+        w_norm, zero_classes = self.screen_setup()
+        d = self.dim
         Xd = block.toarray()
-        x_norm = np.sqrt(np.einsum("ij,ij->i", Xd, Xd) + self.tiny)
+        x_norm = np.sqrt(np.einsum("ij,ij->i", Xd, Xd) + d * 2.0 ** -1074)
         if not (x_norm * w_norm <= self.OVERFLOW_GUARD).all():
             return None
-        bound = 4.0 * (2.0 * self.gamma * w_norm * x_norm + self.floor)
-        scores = Xd @ self.operand
+        gamma = d * 2.0 ** -53 / (1.0 - d * 2.0 ** -53)
+        bound = 4.0 * (2.0 * gamma * w_norm * x_norm + d * 2.0 ** -1070)
+        scores = Xd @ self.rows.T
         # an example with no nonzeros scores +0.0 on every class
         empty = ~Xd.any(axis=1)
         del Xd  # stage 2 re-scores from the block's own entries
@@ -463,6 +449,9 @@ class _Screen:
         candidates = scores >= (peak - bound)[:, None]
         candidates[peak == -np.inf] = False  # nothing allowed: (0, -inf)
         if zero_classes.any():
+            # a zero class scores +0.0 on every row: only the first one
+            # allowed in a row can be its best, so the others are never
+            # re-scored
             zero = candidates[:, zero_classes]
             first = zero.argmax(axis=1)
             keep = np.zeros_like(zero)
@@ -477,66 +466,71 @@ class _Screen:
         values = scores.ravel()
         if flat.size == rows.size and np.array_equal(flat // C, rows):
             # one candidate a row, in row order: no row is gathered
-            values[flat] = score_pairs(block, flat - rows * C, self.operand, self)
+            values[flat] = score_pairs(block, flat - rows * C, self)
         else:
-            for s in range(0, flat.size, self.pairs):
-                part = flat[s:s + self.pairs]
+            # a pass of score_pairs gathers at most dim entries a pair and
+            # SCORE_BLOCK_ENTRIES / 8 in all: the other half of the budget
+            step = max(1, SCORE_BLOCK_ENTRIES // (8 * d))
+            for s in range(0, flat.size, step):
+                part = flat[s:s + step]
                 owners, classes = np.divmod(part, C)
-                values[part] = score_pairs(block, classes, self.operand, self, owners)
+                values[part] = score_pairs(block, classes, self, owners)
         best = scores.argmax(axis=1)
-        at_scores = None if at is None else score_pairs(block, at, self.operand, self)
+        at_scores = None if at is None else score_pairs(block, at, self)
         return best, scores[rows, best], at_scores
 
 
-def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None,
-                screen=None):
-    """Best class and its score for every row of ``X @ operand``.
+def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
+                among=None):
+    """Best class and its score for every row of ``X`` against the class
+    matrix of ``state``.
 
-    ``operand`` comes from :func:`scoring_state`, and ``screen`` optionally
-    from the same call.  ``exclude`` optionally gives one class position per
-    row that cannot be the best (a negative position excludes nothing);
-    ``among`` optionally gives, as the nonzero pattern of an n x C CSR
-    matrix, the class positions each row may pick from (a row with none gets
-    position 0 and score -inf); ``at`` optionally gives one class position
-    per row whose score is returned too.  Ties go to the smallest position.
+    ``exclude`` optionally gives one class position per row that cannot be
+    the best (a negative position excludes nothing); ``among`` optionally
+    gives, as the nonzero pattern of an n x C CSR matrix, the class
+    positions each row may pick from (a row with none gets position 0 and
+    score -inf); ``at`` optionally gives one class position per row whose
+    score is returned too.  Ties go to the smallest position.
 
     Every score is the CSR product's: row i against class c is the
     sequential sum of x_ij w_jc over the row's stored entries, in stored
     order.  A block of at least DENSE_SCREEN_MIN_ROWS rows and at least
-    DENSE_SCREEN_MIN_DENSITY full, against a dense operand, is screened by
-    :class:`_Screen`: one BLAS product per chunk of rows proposes each
-    row's candidates, and only those are re-scored by :func:`score_pairs`,
-    so the floats are the same as the CSR product's.  The screen runs
-    inline, with BLAS's own threads, in chunks whose densified rows and
-    screen scores, and then the re-score passes' gathered entries, stay
-    within the budget below.
+    DENSE_SCREEN_MIN_DENSITY full, against a dense state, is screened
+    (:meth:`ScoringState.screen`): one BLAS product per chunk of rows
+    proposes each row's candidates, and only those are re-scored by
+    :func:`score_pairs`, so the floats are the same as the CSR product's.
+    The screen runs inline, with BLAS's own threads, in chunks whose
+    densified rows and screen scores, and then the re-score passes'
+    gathered entries, stay within the budget below.
 
-    Any other block is multiplied as CSR, a small one inline, a larger one
-    cut into row pieces (:func:`piece_bounds`) that run on the kernel pool,
-    each one a view of ``X`` writing its own slice of the results.  Each
-    piece scores its rows in chunks, and a chunk's arrays are freed before
-    the next one's product starts.  A chunk holds its dense scores, 8 bytes
-    a class a row; with a CSR operand, also the sparse product's output
-    (up to 16 bytes a score) while it is densified, and with ``among``, the
-    gathered allowed scores and their positions (16 bytes an allowed
-    class) while the rest are set to -inf in place; so a chunk with either
-    gets a third of the rows.  Either way the chunks alive at once take at
-    most 8 x SCORE_BLOCK_ENTRIES bytes (32 MiB), never O(n x C), and since
-    a row's score never depends on its path, piece or chunk, the results do
-    not depend on WORKERS.  Returns ``(best, best_scores, at_scores)``;
+    Any other block is multiplied as CSR by :meth:`ScoringState.operand`, a
+    small one inline, a larger one cut into row pieces
+    (:func:`piece_bounds`) that run on the kernel pool, each one a view of
+    ``X`` writing its own slice of the results.  Each piece scores its rows
+    in chunks, and a chunk's arrays are freed before the next one's product
+    starts.  A chunk holds its dense scores, 8 bytes a class a row; with a
+    CSR state, also the sparse product's output (up to 16 bytes a score)
+    while it is densified, and with ``among``, the gathered allowed scores
+    and their positions (16 bytes an allowed class) while the rest are set
+    to -inf in place; so a chunk with either gets a third of the rows.
+    Either way the chunks alive at once take at most 8 x
+    SCORE_BLOCK_ENTRIES bytes (32 MiB), never O(n x C), and since a row's
+    score never depends on its path, piece or chunk, the results do not
+    depend on WORKERS.  Returns ``(best, best_scores, at_scores)``;
     ``at_scores`` is None when ``at`` is.
     """
-    n, C = X.shape[0], max(operand.shape[1], 1)
-    if (isinstance(operand, np.ndarray) and X.nnz and operand.shape[1]
-            and n >= DENSE_SCREEN_MIN_ROWS
-            and X.nnz >= DENSE_SCREEN_MIN_DENSITY * n * X.shape[1]):
-        if screen is None:
-            screen = _Screen(operand, np.ascontiguousarray(operand.T))
+    n, C = X.shape[0], max(state.num_classes, 1)
+    screened = (state.dense and X.nnz and state.num_classes
+                and n >= DENSE_SCREEN_MIN_ROWS
+                and X.nnz >= DENSE_SCREEN_MIN_DENSITY * n * X.shape[1])
+    if screened:
+        # a chunk's densified rows, screen scores, candidate mask and, at
+        # worst, C candidate positions a row take half of the budget, in
         # near-equal chunks: a short last one would waste a BLAS call
-        bounds, chunk = np.array([0, n]), -(-n // -(-n // screen.rows))
+        most = max(1, SCORE_BLOCK_ENTRIES // (2 * (X.shape[1] + 2 * C + C // 8)))
+        bounds, chunk = np.array([0, n]), -(-n // -(-n // most))
     else:
-        screen = None
-        row_entries = C * (3 if sp.issparse(operand) or among is not None else 1)
+        row_entries = C * (1 if state.dense and among is None else 3)
         bounds = piece_bounds(n, n * C,
                               max(1, SCORE_BLOCK_ENTRIES // (row_entries * WORKERS)))
         chunk = max(1, SCORE_BLOCK_ENTRIES // (row_entries * min(WORKERS, bounds.size - 1)))
@@ -562,9 +556,9 @@ def score_block(X: sp.csr_matrix, operand, *, exclude=None, at=None, among=None,
 
         block = row_view(X, lo, hi)
         at_rows = None if at is None else at[lo:hi]
-        result = None if screen is None else screen.score(block, mask, at_rows)
+        result = state.screen(block, mask, at_rows) if screened else None
         if result is None:
-            scores = block @ operand
+            scores = block @ state.operand()
             if sp.issparse(scores):
                 scores = scores.toarray()
             at_part = None if at is None else scores[rows, at_rows]
@@ -598,11 +592,10 @@ class WeightMatrix:
     sum exactly from the new data, so the caches cannot drift.
 
     :meth:`score` and :meth:`score_pairs` score through the logical
-    matrix's scoring state (the :func:`scoring_state` operand and screen),
-    built by the first call after a change and kept in one attribute;
-    :meth:`_write` and every scale change drop it.  So predictions, exact
-    margins, re-scored pairs and audits against an unchanged matrix share
-    one operand.
+    matrix's :class:`ScoringState`, built by the first call after a change
+    and kept in one attribute; :meth:`_write` and every scale change drop
+    it.  So predictions, exact margins, re-scored pairs and audits against
+    an unchanged matrix share one state.
 
     Single-writer: concurrent read-only access (scores and dot products
     against a frozen matrix) is safe, concurrent mutation is not.  Two
@@ -758,31 +751,31 @@ class WeightMatrix:
         return self._store[self._check_classes(rows)]
 
     def row_dot(self, c: int, x: SparseVector) -> float:
-        """Logical inner product of row c with x."""
+        """Logical inner product of row c with x: the float that
+        :meth:`score_pairs` gives for x against class c."""
         if x.dim != self.dim:
             raise ValueError(f"vector dim {x.dim} does not match matrix dim {self.dim}")
         idx, val = self._row(c)
-        return self.scale * _dot_arrays(idx, val, x.indices, x.values)
+        return dot(x, SparseVector(idx, val * self.scale, self.dim, check=False))
 
-    def _scoring_state(self):
-        """The logical matrix's :func:`scoring_state`, built by the first
+    def _scoring_state(self) -> ScoringState:
+        """The logical matrix's :class:`ScoringState`, built by the first
         call after a change."""
         state = self._scoring
         if state is None:
-            state = self._scoring = scoring_state(self.to_csr())
+            state = self._scoring = ScoringState(self.to_csr())
         return state
 
     def score(self, X: sp.csr_matrix, **options):
         """:func:`score_block` of the CSR block ``X`` against the logical
         matrix, with ``options`` (exclude, at, among) passed on."""
-        operand, screen = self._scoring_state()
-        return score_block(X, operand, screen=screen, **options)
+        return score_block(X, self._scoring_state(), **options)
 
     def score_pairs(self, X: sp.csr_matrix, classes) -> np.ndarray:
         """Exact score of row i of the CSR block ``X`` against logical class
         ``classes[i]``, for every i: :func:`score_pairs` through the
         matrix's scoring state."""
-        return score_pairs(X, classes, *self._scoring_state())
+        return score_pairs(X, classes, self._scoring_state())
 
     def frob_norm(self) -> float:
         return self.scale * math.sqrt(self._frob_sq)

@@ -83,19 +83,39 @@ def kernel_workers():
 
 @pytest.fixture
 def scoring_builds(monkeypatch):
-    """The class matrices that ``sparse.scoring_state`` builds a scoring
+    """The class matrices that ``sparse.ScoringState`` builds a scoring
     state from, in call order, from now on.  ``WeightMatrix.score`` looks
-    the builder up on the module; the MIPS indexes import it by name, so
+    the class up on the module; the MIPS indexes import it by name, so
     their own scan states are not listed."""
     built = []
-    original = sparse.scoring_state
+    original = sparse.ScoringState
 
     def spy(classes):
         built.append(classes)
         return original(classes)
 
-    monkeypatch.setattr(sparse, "scoring_state", spy)
+    monkeypatch.setattr(sparse, "ScoringState", spy)
     return built
+
+
+@pytest.fixture(scope="session")
+def state_of():
+    """``state_of(classes, dense)``: the ``sparse.ScoringState`` of the
+    C x dim class matrix ``classes`` (an array or CSR), a dense state when
+    ``dense`` is true and a CSR one otherwise, whatever its density.  A CSR
+    state, scored by the CSR product, is the oracle of a dense one.  An
+    array is stored entry by entry, so its -0.0 weights reach the state."""
+    def build(classes, dense):
+        if not sp.issparse(classes):
+            values = np.asarray(classes, dtype=np.float64)
+            classes = sp.csr_matrix(np.ones(values.shape))
+            classes.data = values.ravel().copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "DENSE_SCORING_MIN_DENSITY", 0.0 if dense else np.inf)
+            state = sparse.ScoringState(classes)
+        assert state.dense == dense
+        return state
+    return build
 
 
 @pytest.fixture

@@ -212,10 +212,10 @@ def test_criterion_6_split_with_lsh_bits_6_is_a_real_approximation(monkeypatch):
     reranks = []  # re-rank kernel calls of each SimpleLSH query batch
     score_block, query_batch = mips_base.score_block, SimpleLshIndex.query_batch
 
-    def counting_score_block(X, operand, **kwargs):
+    def counting_score_block(X, state, **kwargs):
         if kwargs.get("among") is not None:
             reranks[-1] += 1
-        return score_block(X, operand, **kwargs)
+        return score_block(X, state, **kwargs)
 
     def counting_query_batch(index, X, exclude):
         reranks.append(0)

@@ -141,6 +141,15 @@ class TestParse:
                                       block.toarray()[[2, 0, 2]])
         assert taken.label_map == data.label_map and taken.dim == 3
 
+    def test_subset_rejects_a_row_index_out_of_range(self, tmp_path):
+        """A negative index or one past the end fails closed, naming the
+        first bad index, instead of wrapping to the last rows."""
+        data = parse_dataset(write(tmp_path, "a 1:1 3:2\nb 2:-1\na 3:0.5\n"))
+        for bad, first in (([-1], -1), ([0, 5, -2], 5), ([3], 3)):
+            with pytest.raises(IndexError, match=rf"row index {first} out of range \[0, 3\)"):
+                data.subset(bad)
+        assert len(data.subset([])) == 0 and len(data.subset([2])) == 1
+
     def test_index_beyond_int64_is_out_of_range(self, tmp_path):
         # an index whose dimension (index + 1) would not fit int64
         for text, zero_based in (("1 99999999999999999999:1.0\n", False),

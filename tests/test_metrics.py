@@ -96,7 +96,7 @@ class TestPredict:
             singles = [loop_predict(W, x) for _, x in data.examples]
             assert batch.tolist() == singles
 
-    def test_concurrent_first_predictions_share_the_scoring_state(self):
+    def test_concurrent_first_predictions_share_the_scoring_state(self, state_of):
         """Threads racing the first predict_batch on a freshly changed dense
         W each read a whole scoring state: every screened block gets the
         CSR product's classes."""
@@ -126,7 +126,7 @@ class TestPredict:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 for data, got in zip(sets, results):
-                    want = score_block(data.to_csr(), sp.csr_matrix(W.to_csr().T))[0]
+                    want = score_block(data.to_csr(), state_of(W.to_csr(), False))[0]
                     assert got.tobytes() == want.tobytes()
         finally:
             sys.setswitchinterval(old)

@@ -187,28 +187,28 @@ def test_concurrent_first_queries_after_update(kind, monkeypatch, kernel_workers
         sys.setswitchinterval(old)
 
 
-def test_screen_set_up_is_made_once_per_index_state(monkeypatch):
+def test_screen_set_up_is_made_once_per_index_state(monkeypatch, state_of):
     """Dense query blocks against a dense index go through score_block's
     BLAS screen.  Its O(d x C) set-up is kept with the scan state: made by
     the first query_batch after an update, reused by the next ones, and
-    the answers are the CSR operand's, bit for bit."""
+    the answers are the CSR state's, bit for bit."""
     rng = np.random.default_rng(34)
     dim, C, n = 16, 30, 40
     made = []
-    original = sparse._Screen.set_up
+    original = sparse.ScoringState.screen_setup
 
-    def set_up(self):
+    def screen_setup(self):
         made.append(self._setup is None)
         return original(self)
 
-    monkeypatch.setattr(sparse._Screen, "set_up", set_up)
+    monkeypatch.setattr(sparse.ScoringState, "screen_setup", screen_setup)
     W = rng.standard_normal((C, dim))
     index = build_index([(c, SparseVector(np.arange(dim), W[c], dim)) for c in range(C)],
                         "exact", dim=dim)
     X = sp.csr_matrix(rng.standard_normal((n, dim)))
     exclude = rng.integers(C, size=n)
     for state in (1, 2):
-        want = sparse.score_block(X, sp.csr_matrix(W.T), exclude=exclude)
+        want = sparse.score_block(X, state_of(W, False), exclude=exclude)
         for _ in range(3):
             ids, scores = index.query_batch(X, exclude.tolist())
             assert ids.tobytes() == want[0].tobytes()
@@ -218,9 +218,31 @@ def test_screen_set_up_is_made_once_per_index_state(monkeypatch):
         index.update_row(3, SparseVector(np.arange(dim), W[3], dim))
 
 
-def test_concurrent_first_dense_queries_share_the_screen():
-    """Threads racing to make the cached screen's set-up each read a whole
-    one: every dense query_batch gives the CSR operand's answers."""
+def race(work, threads=4):
+    """Run ``work(i)`` on ``threads`` threads released at once by a barrier
+    and return the results in thread order."""
+    results = [None] * threads
+    start = threading.Barrier(threads)
+
+    def run(i):
+        start.wait(timeout=60)
+        results[i] = work(i)
+
+    pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in pool)
+    return results
+
+
+def test_concurrent_first_dense_queries_share_the_screen(state_of):
+    """Threads racing to make a fresh state, or a fresh state's derived
+    pieces, each read a whole one: every dense query_batch, racing on the
+    index's scan state or (every other step) only on its screen's set-up,
+    gives the CSR state's answers, and every score_pairs against one fresh
+    CSR state, racing on its search keys, gives the CSR product's floats."""
     rng = np.random.default_rng(35)
     dim, C, n = 16, 30, 40
     W = rng.standard_normal((C, dim))
@@ -228,29 +250,34 @@ def test_concurrent_first_dense_queries_share_the_screen():
                         "exact", dim=dim)
     blocks = [sp.csr_matrix(rng.standard_normal((n, dim))) for _ in range(4)]
     exclude = rng.integers(C, size=n)
+    sparse_dim = 400
+    Ws = WeightMatrix.from_rows([(c, random_sparse(rng, sparse_dim, max_nnz=30))
+                                 for c in range(C)], sparse_dim)
+    sparse_blocks = [sp.random(n, sparse_dim, density=0.05, format="csr", random_state=rng)
+                     for _ in range(4)]
+    pairs = [rng.integers(C, size=n) for _ in range(4)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for step in range(5):
             W[step] = rng.standard_normal(dim)
             index.update_row(step, SparseVector(np.arange(dim), W[step], dim))
-            results = [None] * 4
-            start = threading.Barrier(4)
-
-            def work(i):
-                start.wait(timeout=60)
-                results[i] = index.query_batch(blocks[i], exclude.tolist())
-
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
+            if step % 2:
+                index._full_scan_state()
+            results = race(lambda i: index.query_batch(blocks[i], exclude.tolist()))
             for X, (ids, scores) in zip(blocks, results):
-                want = sparse.score_block(X, sp.csr_matrix(W.T), exclude=exclude)
+                want = sparse.score_block(X, state_of(W, False), exclude=exclude)
                 assert ids.tobytes() == want[0].tobytes()
                 assert scores.tobytes() == want[1].tobytes()
+
+            Ws.add_to_row(step, 1.0, random_sparse(rng, sparse_dim))
+            state = sparse.ScoringState(Ws.to_csr())
+            assert not state.dense and state._keys is None
+            results = race(lambda i: sparse.score_pairs(sparse_blocks[i], pairs[i], state))
+            product = state_of(Ws.to_csr(), False)
+            for X, classes, got in zip(sparse_blocks, pairs, results):
+                want = sparse.score_block(X, product, at=classes)[2]
+                assert got.tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(old)
 
@@ -298,7 +325,7 @@ def test_query_batch_scores_are_the_kernel_floats(kind, model, trained_models,
     index = index_from_matrix(W, kind, seed=1, **BACKEND_PARAMS[kind])
     X = data.to_csr()
     ids, scores = index.query_batch(X, data.labels_array())
-    _, _, want = sparse.score_block(X, sparse.scoring_operand(W.to_csr()), at=ids)
+    _, _, want = sparse.score_block(X, sparse.ScoringState(W.to_csr()), at=ids)
     assert_same_floats([scores], [want])
 
 

@@ -509,9 +509,9 @@ class TestPrefixHashing:
         calls = []
         score_block = mips_base.score_block
 
-        def counting(X, operand, **kwargs):
-            calls.append((X.shape[0], operand.shape[1], kwargs.get("among") is not None))
-            return score_block(X, operand, **kwargs)
+        def counting(X, state, **kwargs):
+            calls.append((X.shape[0], state.num_classes, kwargs.get("among") is not None))
+            return score_block(X, state, **kwargs)
 
         monkeypatch.setattr(mips_base, "score_block", counting)
         ids, scores = index.query_batch(as_block(xs, 6), exclude)

@@ -13,8 +13,8 @@ from scipy import sparse as sp
 from hypothesis import strategies as st
 
 from mipsvm import sparse
-from mipsvm.sparse import (SparseVector, WeightMatrix, dot, score_block, score_pairs,
-                           scoring_operand)
+from mipsvm.sparse import (ScoringState, SparseVector, WeightMatrix, dot, score_block,
+                           score_pairs)
 
 
 def sv(pairs, dim):
@@ -383,7 +383,7 @@ class TestBatchedWrites:
         """W.score keeps one scoring state, and every write and scale change
         drops it: after each op of the seeded sequence, and after an
         add_to_row following every third op, scores through it are a fresh
-        operand's, bit for bit, for a screened dense block and a sparse one
+        state's, bit for bit, for a screened dense block and a sparse one
         scored by the CSR product."""
         rng = np.random.default_rng(77)
         C, d, n = 6, 10, 40
@@ -394,9 +394,9 @@ class TestBatchedWrites:
 
         def check(W):
             for X in blocks:
-                want = score_block(X, scoring_operand(W.to_csr()), exclude=exclude, at=at)
+                want = score_block(X, ScoringState(W.to_csr()), exclude=exclude, at=at)
                 assert_same_floats(W.score(X, exclude=exclude, at=at), want)
-            screened.append(W._scoring[1] is not None)
+            screened.append(W._scoring.dense)
 
         def after_op(W, mirror):
             check(W)
@@ -422,38 +422,73 @@ class TestBatchedWrites:
         assert W.frob_sq == pytest.approx(float(recomputed.sum()), rel=1e-12)
 
 
+def float_bytes(state):
+    """Bytes of the float arrays that ``state`` holds, directly or in a
+    tuple of its derived pieces."""
+    held = [v for value in vars(state).values()
+            for v in (value if isinstance(value, tuple) else (value,))]
+    return sum(a.nbytes for a in held
+               if isinstance(a, np.ndarray) and a.dtype.kind == "f")
+
+
 class TestScoringState:
-    """sparse.scoring_state, the one builder of a scoring operand and its screen."""
+    """sparse.ScoringState: one copy of the class matrix's weights, and
+    every derived piece made once, on first use."""
 
-    def test_dense_operand_is_the_transposed_array(self, monkeypatch, kernel_cases):
-        """The dense operand is the old ``classes.T.toarray(order="C")``,
-        bit for bit and C-ordered, and the screen's class-major array is
-        the ``toarray`` output the builder made: no third copy."""
-        monkeypatch.setattr(sparse, "DENSE_SCORING_MIN_DENSITY", 0.0)
-        made = []
-        toarray = sp.csr_matrix.toarray
+    def test_dense_state_keeps_one_copy_of_the_weights(self, state_of,
+                                                       assert_same_floats):
+        """After scoring a screened block, a dense state's float arrays are
+        its C x d class-major rows: 8 C d bytes (the screen's set-up adds a
+        C-byte mask and one float), against 16 C d with a second, transposed
+        copy."""
+        rng = np.random.default_rng(70)
+        C, d, n = 50, 40, 64
+        classes = sp.csr_matrix(rng.standard_normal((C, d)))
+        X = sp.csr_matrix(rng.standard_normal((n, d)))
+        exclude, at = rng.integers(C, size=n), rng.integers(C, size=n)
+        state = ScoringState(classes)
+        assert state.dense and state.rows.flags.c_contiguous
+        assert state.rows.tobytes() == classes.toarray().tobytes()
+        got = score_block(X, state, exclude=exclude, at=at)
+        assert_same_floats(got, score_block(X, state_of(classes, False),
+                                            exclude=exclude, at=at))
+        assert state._setup is not None and state._operand is None
+        assert float_bytes(state) == 8 * C * d
+        assert state._setup[1].nbytes == C
 
-        def recording(self, *args, **kwargs):
-            made.append(toarray(self, *args, **kwargs))
-            return made[-1]
-
-        zero_rows = sp.csr_matrix(np.array([[0.0, 1.5, 0.0], [0.0] * 3, [-2.0, 0.0, 0.25],
-                                            [0.0] * 3]))
-        for classes in [W.to_csr() for W, _ in kernel_cases] + [zero_rows,
-                                                                 sp.csr_matrix((4, 5))]:
-            want = classes.T.toarray(order="C")
-            monkeypatch.setattr(sp.csr_matrix, "toarray", recording)
-            operand, screen = sparse.scoring_state(classes)
-            monkeypatch.setattr(sp.csr_matrix, "toarray", toarray)
-            assert operand.flags.c_contiguous and operand.dtype == want.dtype
-            assert operand.shape == want.shape and operand.tobytes() == want.tobytes()
-            assert scoring_operand(classes).tobytes() == want.tobytes()
-            assert np.shares_memory(screen.set_up()[0], made[-1])
-            assert screen.set_up()[0].tobytes() == operand.T.tobytes()
+    def test_dense_operand_is_made_by_the_first_csr_product_chunk(self, kernel_cases):
+        """A dense state makes the C-ordered d x C operand of the CSR
+        product, the old ``classes.T.toarray(order="C")`` bit for bit, only
+        when a chunk is not screened, and keeps it for the next one."""
+        W, data = kernel_cases[1]
+        state = ScoringState(W.to_csr())
+        assert state.dense and state._operand is None
+        X = data.to_csr()
+        score_block(X, state)
+        operand = state._operand
+        assert operand is not None and operand.flags.c_contiguous
+        assert operand.tobytes() == W.to_csr().T.toarray(order="C").tobytes()
+        score_block(X, state)
+        assert state._operand is operand
 
     def test_sparse_operand_has_no_screen(self, kernel_cases):
-        operand, screen = sparse.scoring_state(kernel_cases[0][0].to_csr())
-        assert sp.issparse(operand) and screen is None
+        state = ScoringState(kernel_cases[0][0].to_csr())
+        assert not state.dense and state.rows is None
+        assert sp.issparse(state.operand()) and state.operand() is state.columns
+
+    def test_csr_state_makes_its_keys_once(self, kernel_cases, assert_same_floats):
+        """Repeated W.score_pairs calls against one CSR state search one set
+        of keys, made by the first call."""
+        W, data = kernel_cases[0]
+        X, labels = data.to_csr(), data.labels_array()
+        want = W.score_pairs(X, labels)
+        state = W._scoring
+        keys = state._keys
+        assert not state.dense and keys is not None
+        for classes in (labels[::-1].copy(), labels):
+            got = W.score_pairs(X, classes)
+            assert W._scoring is state and state._keys is keys
+        assert_same_floats([got], [want])
 
 
 class TestCsrView:
@@ -470,14 +505,14 @@ class TestCsrView:
 
 
 def kernel_calls(W, data, rng):
-    """(X, operand, keyword sets) for score_block over one kernel case: no
+    """(X, state, keyword sets) for score_block over one kernel case: no
     options, exclude with at, and exclude with a random ``among`` pattern
     that leaves some rows empty."""
-    X, operand = data.to_csr(), scoring_operand(W.to_csr())
+    X, state = data.to_csr(), ScoringState(W.to_csr())
     labels = data.labels_array()
     exclude = np.where(rng.random(len(data)) < 0.5, labels, -1)
     among = sp.csr_matrix(rng.random((len(data), W.num_classes)) < 0.3)
-    return X, operand, [{}, {"exclude": exclude, "at": labels},
+    return X, state, [{}, {"exclude": exclude, "at": labels},
                         {"exclude": exclude, "among": among}]
 
 
@@ -492,25 +527,25 @@ class TestKernelPool:
                                                  workers):
         rng = np.random.default_rng(41)
         for W, data in kernel_cases:
-            X, operand, calls = kernel_calls(W, data, rng)
+            X, state, calls = kernel_calls(W, data, rng)
             C = W.num_classes
             monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 1 << 22)
             kernel_workers(1)
-            want = [score_block(X, operand, **kw) for kw in calls]
+            want = [score_block(X, state, **kw) for kw in calls]
             # at most 4 rows a piece: 41 rows make eleven pieces of 3-4 rows
             monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 4 * C * workers + 1)
             monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
             kernel_workers(workers)
             for kw, expected in zip(calls, want):
-                assert_same_floats(score_block(X, operand, **kw), expected)
+                assert_same_floats(score_block(X, state, **kw), expected)
             assert (sparse._pool is None) == (workers == 1)
 
     def test_among_matches_scoring_each_row_against_its_own_pool(self, kernel_cases):
         rng = np.random.default_rng(42)
         for W, data in kernel_cases:
-            X, operand, calls = kernel_calls(W, data, rng)
+            X, state, calls = kernel_calls(W, data, rng)
             exclude, among = calls[2]["exclude"], calls[2]["among"]
-            best, scores, _ = score_block(X, operand, exclude=exclude, among=among)
+            best, scores, _ = score_block(X, state, exclude=exclude, among=among)
             classes = W.to_csr()
             for i in range(X.shape[0]):
                 pool = among.indices[among.indptr[i]:among.indptr[i + 1]]
@@ -518,7 +553,7 @@ class TestKernelPool:
                 if pool.size == 0:  # nothing allowed: position 0 at -inf
                     assert (best[i], scores[i]) == (0, -np.inf)
                     continue
-                top, score, _ = score_block(X[i], scoring_operand(classes[pool]))
+                top, score, _ = score_block(X[i], ScoringState(classes[pool]))
                 assert (best[i], scores[i]) == (pool[top[0]], score[0])
 
     def test_piece_bounds(self, monkeypatch, kernel_workers):
@@ -534,17 +569,17 @@ class TestKernelPool:
     def test_one_worker_or_a_small_block_starts_no_thread(self, monkeypatch,
                                                           kernel_cases, kernel_workers):
         W, data = kernel_cases[1]
-        X, operand = data.to_csr(), scoring_operand(W.to_csr())
+        X, state = data.to_csr(), ScoringState(W.to_csr())
         entries = X.shape[0] * W.num_classes
         before = threading.active_count()
         for workers, least in ((1, 1), (2, entries // 2 + 1)):
             monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", least)
             kernel_workers(workers)
-            score_block(X, operand)
+            score_block(X, state)
             assert sparse._pool is None
             assert threading.active_count() == before
         monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", entries // 2)
-        score_block(X, operand)  # at the threshold: two pieces on the pool
+        score_block(X, state)  # at the threshold: two pieces on the pool
         assert sparse._pool is not None
 
     def test_a_piece_failure_is_raised(self, monkeypatch, kernel_cases, kernel_workers):
@@ -554,7 +589,7 @@ class TestKernelPool:
         at = np.zeros(len(data), dtype=np.int64)
         at[-1] = W.num_classes  # out of range in the last piece only
         with pytest.raises(IndexError):
-            score_block(data.to_csr(), scoring_operand(W.to_csr()), at=at)
+            score_block(data.to_csr(), ScoringState(W.to_csr()), at=at)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_csr_operand_stays_within_the_block_budget(self, monkeypatch, kernel_workers,
@@ -568,14 +603,16 @@ class TestKernelPool:
         X = sp.random(n, d, density=0.12, format="csr", random_state=rng)
         operand = sp.random(d, C, density=0.08, format="csr", random_state=rng)
         assert (X @ operand).nnz > 0.8 * n * C
+        state = ScoringState(sp.csr_matrix(operand.T))
+        assert not state.dense
         kernel_workers(1)
         calls = kernel_options(rng, n, C)[1:]  # exclude with at, exclude with among
-        want = [score_block(X, operand, **kw) for kw in calls]
+        want = [score_block(X, state, **kw) for kw in calls]
         monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 1 << 14)
         kernel_workers(workers)
         for kw, expected in zip(calls, want):
-            score_block(X, operand, **kw)  # makes the pool outside the trace
-            got, peak = peak_traced_bytes(lambda: score_block(X, operand, **kw))
+            score_block(X, state, **kw)  # makes the pool outside the trace
+            got, peak = peak_traced_bytes(lambda: score_block(X, state, **kw))
             assert_same_floats(got, expected)
             # the block's budget, the three result arrays and 64 KiB for
             # numpy's buffers and Python objects
@@ -601,26 +638,27 @@ def kernel_options(rng, n, C):
             {"exclude": exclude, "among": among}]
 
 
-def screened(X, operand, **kw):
+def screened(X, state, **kw):
     """score_block with every block, whatever its density and size, offered
-    to the dense screen; its chunks still fall back where it declines."""
+    to a dense state's screen; its chunks still fall back where it
+    declines."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse, "DENSE_SCREEN_MIN_DENSITY", 0.0)
         mp.setattr(sparse, "DENSE_SCREEN_MIN_ROWS", 0)
-        return score_block(X, operand, **kw)
+        return score_block(X, state, **kw)
 
 
 def screen_results(monkeypatch):
-    """The result of every _Screen.score call from now on: None where the
-    screen declined a chunk and the CSR product scored it."""
+    """The result of every ScoringState.screen call from now on: None where
+    the screen declined a chunk and the CSR product scored it."""
     results = []
-    original = sparse._Screen.score
+    original = sparse.ScoringState.screen
 
-    def score(self, *args):
+    def screen(self, *args):
         results.append(original(self, *args))
         return results[-1]
 
-    monkeypatch.setattr(sparse._Screen, "score", score)
+    monkeypatch.setattr(sparse.ScoringState, "screen", screen)
     return results
 
 
@@ -650,24 +688,24 @@ class TestDenseScreen:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_adversarial_block_gives_the_csr_operand_floats(self, monkeypatch,
-                                                           kernel_workers,
+                                                           kernel_workers, state_of,
                                                            assert_same_floats, workers):
         rng = np.random.default_rng(51)
         kernel_workers(workers)
         monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
         X, W = adversarial_block(rng)
+        dense, product = state_of(W.T, True), state_of(W.T, False)
         for budget in (1 << 22, 5 * W.shape[1]):  # one chunk; one row a chunk
             monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
             for kw in kernel_options(rng, X.shape[0], W.shape[1]):
-                assert_same_floats(screened(X, W, **kw),
-                                   score_block(X, sp.csr_matrix(W), **kw))
+                assert_same_floats(screened(X, dense, **kw), score_block(X, product, **kw))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(6, 14), st.integers(4, 10),
            st.integers(1, 8), st.sampled_from([1.0, 1e-160, 1e150]),
            st.booleans(), st.sampled_from([7, 1 << 22]))
-    def test_fuzz_gives_the_csr_operand_floats(self, assert_same_floats, seed, n, d, C,
-                                               magnitude, shuffle, budget):
+    def test_fuzz_gives_the_csr_operand_floats(self, assert_same_floats, state_of, seed,
+                                               n, d, C, magnitude, shuffle, budget):
         # magnitude 1e150 puts ||x|| max ||w|| past the overflow guard, so
         # those chunks fall back; shuffled rows are not sorted, so they do too
         rng = np.random.default_rng(seed)
@@ -682,10 +720,10 @@ class TestDenseScreen:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
             for kw in kernel_options(rng, n, C):
-                assert_same_floats(screened(X, W, **kw),
-                                   score_block(X, sp.csr_matrix(W), **kw))
+                assert_same_floats(screened(X, state_of(W.T, True), **kw),
+                                   score_block(X, state_of(W.T, False), **kw))
 
-    def test_near_overflow_falls_back_to_the_csr_product(self, monkeypatch,
+    def test_near_overflow_falls_back_to_the_csr_product(self, monkeypatch, state_of,
                                                          assert_same_floats):
         rng = np.random.default_rng(52)
         n = sparse.DENSE_SCREEN_MIN_ROWS
@@ -693,13 +731,13 @@ class TestDenseScreen:
         W = rng.standard_normal((5, 4)) * 1e150  # scores near 1e300, some overflow
         calls = screen_results(monkeypatch)
         for kw in kernel_options(rng, n, 4):
-            assert_same_floats(score_block(X, W, **kw),
-                               score_block(X, sp.csr_matrix(W), **kw))
+            assert_same_floats(score_block(X, state_of(W.T, True), **kw),
+                               score_block(X, state_of(W.T, False), **kw))
         assert calls and all(result is None for result in calls)
 
-    def test_the_path_each_block_takes(self, monkeypatch, kernel_cases):
-        """A dense block against a dense operand is screened: no CSR product.
-        Sparse rows, few rows or a CSR operand go through the CSR product."""
+    def test_the_path_each_block_takes(self, monkeypatch, kernel_cases, state_of):
+        """A dense block against a dense state is screened: no CSR product.
+        Sparse rows, few rows or a CSR state go through the CSR product."""
         screens, products = screen_results(monkeypatch), []
         original_product = sp.csr_matrix.__matmul__
 
@@ -710,25 +748,27 @@ class TestDenseScreen:
         monkeypatch.setattr(sp.csr_matrix, "__matmul__", product)
         rng = np.random.default_rng(53)
         dense_rows = sp.csr_matrix(rng.standard_normal((40, 30)))
-        W = rng.standard_normal((30, 20))
+        W = rng.standard_normal((20, 30))
 
-        def path(X, operand):
+        def path(X, state):
             screens.clear()
             products.clear()
-            score_block(X, operand, exclude=np.zeros(X.shape[0], dtype=np.int64),
+            score_block(X, state, exclude=np.zeros(X.shape[0], dtype=np.int64),
                         at=np.ones(X.shape[0], dtype=np.int64))
             return bool(screens), all(r is not None for r in screens), bool(products)
 
-        assert path(dense_rows, W) == (True, True, False)
-        assert path(dense_rows[:sparse.DENSE_SCREEN_MIN_ROWS - 1], W) == (False, True, True)
-        assert path(dense_rows, sp.csr_matrix(W)) == (False, True, True)
+        dense = ScoringState(sp.csr_matrix(W))
+        assert path(dense_rows, dense) == (True, True, False)
+        assert path(dense_rows[:sparse.DENSE_SCREEN_MIN_ROWS - 1], dense) == (False, True, True)
+        assert path(dense_rows, state_of(W, False)) == (False, True, True)
         sparse_rows = sp.random(40, 30, density=sparse.DENSE_SCREEN_MIN_DENSITY / 2,
                                 format="csr", random_state=54)
-        assert path(sparse_rows, W) == (False, True, True)
-        Wk, data = kernel_cases[1]  # a dense operand, rows about 0.12 full
-        assert path(data.to_csr(), scoring_operand(Wk.to_csr())) == (False, True, True)
+        assert path(sparse_rows, dense) == (False, True, True)
+        Wk, data = kernel_cases[1]  # a dense state, rows about 0.12 full
+        assert path(data.to_csr(), ScoringState(Wk.to_csr())) == (False, True, True)
 
-    def test_ties_of_zeros_rescore_one_pair(self, monkeypatch, assert_same_floats):
+    def test_ties_of_zeros_rescore_one_pair(self, monkeypatch, state_of,
+                                            assert_same_floats):
         """An empty example, or a row of all-zero classes, scores +0.0 on
         each: only its first allowed one is re-scored, not all C."""
         rng = np.random.default_rng(55)
@@ -748,12 +788,13 @@ class TestDenseScreen:
         monkeypatch.setattr(sparse, "score_pairs", rescore)
         for kw in kernel_options(rng, n, C):
             pairs.clear()
-            assert_same_floats(screened(X, W, **kw), score_block(X, sp.csr_matrix(W), **kw))
+            assert_same_floats(screened(X, state_of(W.T, True), **kw),
+                               score_block(X, state_of(W.T, False), **kw))
             # at most the best nonzero class and the first zero class of
             # each nonempty row, one class of each empty row, and the at pairs
             assert sum(pairs) <= 2 * (n // 2) + n // 2 + ("at" in kw) * n
 
-    def test_all_equal_classes_stay_within_the_block_budget(self, monkeypatch,
+    def test_all_equal_classes_stay_within_the_block_budget(self, monkeypatch, state_of,
                                                             peak_traced_bytes,
                                                             assert_same_floats):
         """Every class ties on every row, so every class is a candidate:
@@ -764,13 +805,16 @@ class TestDenseScreen:
         W = np.repeat(rng.standard_normal((d, 1)), C, axis=1)
         labels = rng.integers(C, size=n)
         monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 1 << 14)
-        got, peak = peak_traced_bytes(lambda: score_block(X, W, exclude=labels, at=labels))
-        assert_same_floats(got, score_block(X, sp.csr_matrix(W), exclude=labels, at=labels))
+        state = state_of(W.T, True)
+        got, peak = peak_traced_bytes(lambda: score_block(X, state, exclude=labels,
+                                                          at=labels))
+        assert_same_floats(got, score_block(X, state_of(W.T, False), exclude=labels,
+                                            at=labels))
         assert (got[0] == np.where(labels == 0, 1, 0)).all()
-        # the block's budget, the operand's transposed copy, the three
-        # result arrays and 64 KiB for numpy's buffers and Python objects;
+        # the block's budget, the three result arrays and 64 KiB for numpy's
+        # buffers and Python objects, with no copy of the class matrix;
         # uncapped, the products alone would take n * C * d * 8 = 7.4 MB
-        assert peak <= 8 * sparse.SCORE_BLOCK_ENTRIES + W.nbytes + 24 * n + (64 << 10)
+        assert peak <= 8 * sparse.SCORE_BLOCK_ENTRIES + 24 * n + (64 << 10)
 
 
 def elementwise_pairs(X, rows):
@@ -802,24 +846,12 @@ def pair_case(rng, n, d, C, magnitude=1.0):
     return X, W
 
 
-def both_states(monkeypatch, classes):
-    """The dense and the CSR scoring state of the class matrix ``classes``."""
-    states = []
-    for least in (0.0, 1.1):
-        monkeypatch.setattr(sparse, "DENSE_SCORING_MIN_DENSITY", least)
-        states.append(sparse.scoring_state(classes))
-    monkeypatch.undo()
-    assert states[0][1] is not None and sp.issparse(states[1][0])
-    return states
-
-
-def at_scores(X, operand, pairs_rows, classes):
+def at_scores(X, state, pairs_rows, classes):
     """score_block's ``at`` floats of every (row, class) pair, one class
     position at a time over the whole block (the CSR product's, for a CSR
-    ``operand``)."""
-    C = operand.shape[1]
-    table = np.stack([score_block(X, operand, at=np.full(X.shape[0], c))[2]
-                      for c in range(C)], axis=1)
+    ``state``)."""
+    table = np.stack([score_block(X, state, at=np.full(X.shape[0], c))[2]
+                      for c in range(state.num_classes)], axis=1)
     return table[pairs_rows, classes]
 
 
@@ -831,8 +863,8 @@ class TestScorePairs:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 12),
            st.integers(2, 9), st.sampled_from([1.0, 1e-160, 1e150]),
            st.sampled_from([3, 1 << 22]))
-    def test_equals_the_elementwise_product(self, assert_same_floats, seed, n, d, C,
-                                            magnitude, budget):
+    def test_equals_the_elementwise_product(self, assert_same_floats, state_of, seed, n,
+                                            d, C, magnitude, budget):
         rng = np.random.default_rng(seed)
         X, W = pair_case(rng, n, d, C, magnitude)
         classes = rng.integers(C, size=n)
@@ -840,12 +872,11 @@ class TestScorePairs:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
             assert_same_floats([W.score_pairs(X, classes)], [want])
-            for operand, screen in both_states(mp, W.to_csr()):
-                mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
-                assert_same_floats([score_pairs(X, classes, operand, screen)], [want])
-                assert_same_floats([score_pairs(X, classes, operand)], [want])
+            for dense in (True, False):
+                state = state_of(W.to_csr(), dense)
+                assert_same_floats([score_pairs(X, classes, state)], [want])
 
-    def test_csr_product_pairs(self, monkeypatch, assert_same_floats):
+    def test_csr_product_pairs(self, state_of, assert_same_floats):
         """Scale 0.37, 1e-5 or 3, mixed signs, -0.0, subnormals, empty rows
         and an all-zero class, on the dense and the CSR state, and rows
         paired with several classes each: the CSR product's ``at`` floats,
@@ -853,33 +884,31 @@ class TestScorePairs:
         rng = np.random.default_rng(60)
         for _ in range(6):
             X, W = pair_case(rng, 45, 14, 7)
-            classes = W.to_csr()
-            product = classes.T.tocsr()
-            for operand, screen in both_states(monkeypatch, classes):
+            product = state_of(W.to_csr(), False)
+            for dense in (True, False):
+                state = state_of(W.to_csr(), dense)
                 at = rng.integers(W.num_classes, size=X.shape[0])
                 want = score_block(X, product, at=at)[2]
-                assert_same_floats([score_block(X, operand, at=at, screen=screen)[2]],
-                                   [want])
-                assert_same_floats([score_pairs(X, at, operand, screen)], [want])
+                assert_same_floats([score_block(X, state, at=at)[2]], [want])
+                assert_same_floats([score_pairs(X, at, state)], [want])
                 rows = np.sort(rng.integers(X.shape[0], size=3 * X.shape[0]))
                 picked = rng.integers(W.num_classes, size=rows.size)
-                assert_same_floats([score_pairs(X, picked, operand, screen, rows)],
+                assert_same_floats([score_pairs(X, picked, state, rows)],
                                    [at_scores(X, product, rows, picked)])
 
-    def test_screened_pairs(self, monkeypatch, assert_same_floats):
+    def test_screened_pairs(self, monkeypatch, state_of, assert_same_floats):
         rng = np.random.default_rng(59)
         X, W = adversarial_block(rng, n=sparse.DENSE_SCREEN_MIN_ROWS + 8)
         at = rng.integers(W.shape[1], size=X.shape[0])
         calls = screen_results(monkeypatch)
-        want = score_block(X, sp.csr_matrix(W), at=at)[2]
-        assert_same_floats([score_block(X, W, at=at)[2]], [want])
+        want = score_block(X, state_of(W.T, False), at=at)[2]
+        dense = state_of(W.T, True)
+        assert_same_floats([score_block(X, dense, at=at)[2]], [want])
         assert calls and all(result is not None for result in calls)
-        operand, screen = sparse.scoring_state(sp.csr_matrix(W.T))
-        assert screen is not None
-        assert_same_floats([score_pairs(X, at, operand, screen)], [want])
-        assert_same_floats([score_pairs(X, at, W)], [want])
+        assert_same_floats([score_pairs(X, at, dense)], [want])
+        assert_same_floats([score_pairs(X, at, ScoringState(sp.csr_matrix(W.T)))], [want])
 
-    def test_unsorted_rows_give_the_csr_product_floats(self, monkeypatch,
+    def test_unsorted_rows_give_the_csr_product_floats(self, state_of,
                                                        assert_same_floats):
         """Rows whose stored entries are shuffled: the pairs sum in their
         stored order, as the CSR product does."""
@@ -890,11 +919,10 @@ class TestScorePairs:
             order = lo + rng.permutation(hi - lo)
             X.indices[lo:hi], X.data[lo:hi] = X.indices[order], X.data[order]
         X.has_sorted_indices = False
-        classes = W.to_csr()
         at = rng.integers(W.num_classes, size=X.shape[0])
-        want = score_block(X, classes.T.tocsr(), at=at)[2]
-        for operand, screen in both_states(monkeypatch, classes):
-            assert_same_floats([score_pairs(X, at, operand, screen)], [want])
+        want = score_block(X, state_of(W.to_csr(), False), at=at)[2]
+        for dense in (True, False):
+            assert_same_floats([score_pairs(X, at, state_of(W.to_csr(), dense))], [want])
 
     def test_bad_pairs_fail_closed(self, kernel_cases):
         W, data = kernel_cases[1]
@@ -931,6 +959,22 @@ def test_l1_norm_is_the_logical_matrix_sum():
     assert W.l1_norm() == float(np.abs(W.to_csr().data).sum())
 
 
+@pytest.mark.parametrize("model", ["dense_l2", "sparse_l1"])
+def test_row_dot_and_dot_give_the_kernel_floats(trained_models, model):
+    """W.row_dot(c, x), and dot of x with the materialized row c, is the
+    float W.score_pairs gives for x against class c, bit for bit: the
+    scale goes into each weight before the products are summed, in the
+    kernel's order."""
+    W, data = trained_models[model]
+    n = 40
+    X, examples = data.to_csr()[:n], data.examples[:n]
+    for c in range(W.num_classes):
+        want = W.score_pairs(X, np.full(n, c)).tobytes()
+        assert np.array([W.row_dot(c, x) for _, x in examples]).tobytes() == want
+        row = W.materialize_row(c)
+        assert np.array([dot(x, row) for _, x in examples]).tobytes() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 14),
                           st.floats(-5, 5, allow_nan=False)), max_size=8),
@@ -944,20 +988,13 @@ def test_dot_bilinear_against_dense(pa, pb):
 
 
 def merge_dot_reference(ai, av, bi, bv) -> float:
-    """The searchsorted merge that dot used before its per-call overhead was
-    cut, written out: the same pairs summed by one np.dot in the shorter
-    array's order."""
-    if ai.size == 0 or bi.size == 0:
-        return 0.0
-    if ai.size > bi.size:
-        ai, av, bi, bv = bi, bv, ai, av
-    pos = np.searchsorted(bi, ai)
-    in_range = pos < bi.size
-    hit = np.zeros(ai.size, dtype=bool)
-    hit[in_range] = bi[pos[in_range]] == ai[in_range]
-    if not hit.any():
-        return 0.0
-    return float(np.dot(av[hit], bv[pos[hit]]))
+    """The kernel's float for two sorted sparse vectors, written out: the
+    products over the shared indices added one by one to +0.0, in index
+    order, as ``csr_matvec`` adds a row's stored products."""
+    total = 0.0
+    for i in np.intersect1d(ai, bi):
+        total += float(av[ai.searchsorted(i)]) * float(bv[bi.searchsorted(i)])
+    return total
 
 
 sparse_pairs = st.dictionaries(

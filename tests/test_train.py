@@ -585,6 +585,28 @@ class TestTrainLog:
             ids, scores = index.query_batch(data.to_csr(), data.labels_array())
             assert (scores == W.score(data.to_csr(), at=ids)[2]).all()
 
+    def test_l2_rival_phase_makes_no_transposed_copy(self, monkeypatch):
+        """An l2 step's rival phase re-scores its pairs through W's dense
+        state and screens its query batch against the index's, and leaves
+        both states without a d x C copy of their class matrix: a dense
+        state makes the CSR product's operand only for a chunk that is not
+        screened."""
+        import mipsvm.train as train_module
+
+        copied = []
+        query_phase = train_module._query_phase
+
+        def phase(index, W, batch):
+            result = query_phase(index, W, batch)
+            copied.extend(state._operand is not None
+                          for state in (W._scoring, index._scan_state[1]) if state.dense)
+            return result
+
+        monkeypatch.setattr(train_module, "_query_phase", phase)
+        data = make_synthetic(num_classes=4, dim=12, n=90, seed=3)
+        train_l2(data, TrainConfig(lam=1e-3, epochs=3, seed=5, batch_size=40))
+        assert len(copied) >= 4 and not any(copied)
+
     @pytest.mark.parametrize("backend", ["exact", "simplelsh"])
     def test_a_step_stacks_its_batch_once(self, monkeypatch, backend):
         """No batch is stacked from per-example arrays: a step takes its
