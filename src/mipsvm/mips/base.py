@@ -39,11 +39,10 @@ class MipsIndex:
     * queries are read-only and may run concurrently against a frozen index;
       updates are exclusive.  The one thing a query writes is the scan state
       (sorted ids and the :class:`~mipsvm.sparse.ScoringState` of their
-      rows), built on the first use after an update (a full scan, or
-      swgraph's exact scores) and kept in a single attribute:
-      two first queries racing each other build identical values and each
-      reads a whole state.  The scoring state makes its own derived pieces
-      the same way.
+      rows), built by the first full scan after an update and kept in a
+      single attribute: two first queries racing each other build
+      identical values and each reads a whole state.  The scoring state
+      makes its own derived pieces the same way.
       A backend's work counters (:meth:`counters`) are bumped under a lock.
 
     The base class keeps the rows in one CSR block and does every exact

@@ -8,7 +8,7 @@ is the raw inner product, which is what makes the graph usable as a MIPS
 backend even though it is not a metric.  The traversal ranks by those
 dots, but every score a query returns is the exact kernel's: one
 :func:`~mipsvm.sparse.score_pairs` call over the query block against the
-index's scan state (its sorted ids and their rows' scoring state).
+index's stored rows.
 
 Deletion (the first half of an update) reconnects the removed node's
 neighbors pairwise before pruning, so the graph stays connected under the
@@ -196,8 +196,8 @@ class SwGraphIndex(MipsIndex):
     def query_batch(self, X, exclude):
         """One traversal per row picks its class; the rows whose traversal
         surfaced only their excluded class share one exact scan of the
-        rest.  Every score is :func:`score_pairs`'s against the stored row,
-        through the scan state."""
+        rest.  Every score is :func:`score_pairs`'s against the stored
+        rows, so a batch with no fallback builds no scan state."""
         X = self._check_batch(X, exclude)
         ids, bounds, fell = np.empty(X.shape[0], dtype=np.int64), X.indptr.tolist(), []
         for k, (lo, hi, e) in enumerate(zip(bounds[:-1], bounds[1:], exclude)):
@@ -209,8 +209,7 @@ class SwGraphIndex(MipsIndex):
                 ids[k] = best
         if fell:
             ids[fell] = self._scan(X[fell], [exclude[k] for k in fell])[0]
-        order, state = self._full_scan_state()
-        return ids, score_pairs(X, np.searchsorted(order, ids), state)
+        return ids, score_pairs(X, np.searchsorted(self._ids, ids), self._block)
 
     # -- introspection (used by tests and demos) ----------------------------
 

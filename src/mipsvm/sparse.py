@@ -7,11 +7,11 @@ dimension) and :class:`WeightMatrix` (one CSR of class rows behind a single
 scale multiplier, so that scaling the whole matrix is O(1)).
 An exact score is the stored-order sum of the CSR product: row i against
 class c sums x_ij w_jc over the row's stored entries, in stored order.
-:func:`score_block` finds argmaxes, chunk by chunk, and :func:`score_pairs`
-scores given (row, class) pairs, both against a :class:`ScoringState`: one
-copy of the class matrix, dense (densified blocks go through a BLAS screen
-that proposes, within a proven rounding bound, the classes that can be a
-row's best, and only those are re-scored) or, when sparse, CSR.  The CSR
+:func:`score_block` finds argmaxes, chunk by chunk, against a
+:class:`ScoringState`: one copy of the class matrix, dense (densified
+blocks go through a BLAS screen that proposes, within a proven rounding
+bound, the classes that can be a row's best, and only those are re-scored)
+or, when sparse, CSR; :func:`score_pairs` scores (row, class) pairs.  The CSR
 product and SimpleLSH's plane pass cut their work into pieces that
 :func:`run_pieces` runs on one shared thread pool; scipy's sparse products
 and numpy's ufuncs release the interpreter lock, so the pieces run on
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -86,9 +86,10 @@ def piece_bounds(n: int, entries: int, longest: int | None = None) -> np.ndarray
 
 
 def run_pieces(pieces) -> None:
-    """Call every zero-argument callable of ``pieces``, on the shared kernel
-    pool, and return once all have finished; the first failure is raised.
-    With one worker or one piece they run inline on the calling thread.
+    """Call every zero-argument callable of the list ``pieces`` on the
+    shared kernel pool, from at most WORKERS tasks that drain one iterator
+    of them, and return once all have finished; the first failing piece's
+    failure is raised.  With one worker or one piece they run inline.
 
     Pieces are leaves: nothing running on the pool submits to it, so the
     callers that wait on it (several at once, say concurrent queries
@@ -103,10 +104,23 @@ def run_pieces(pieces) -> None:
         if _pool is None:
             _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="mipsvm-kernel")
         pool = _pool
-    futures = [pool.submit(piece) for piece in pieces]
-    wait(futures)
-    for future in futures:
-        future.result()
+    shared, lock, failures = enumerate(pieces), threading.Lock(), []
+
+    def drain():
+        while True:
+            with lock:
+                k, piece = next(shared, (0, None))
+            if piece is None:
+                return
+            try:
+                piece()
+            except BaseException as exc:
+                failures.append((k, exc))
+
+    for task in [pool.submit(drain) for _ in range(min(WORKERS, len(pieces)))]:
+        task.result()
+    if failures:
+        raise min(failures)[1]  # piece numbers are distinct: no exception is compared
 
 
 class SparseVector:
@@ -239,55 +253,51 @@ def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return block @ np.ones(1)
 
 
-def score_pairs(X: sp.csr_matrix, classes, state: ScoringState, rows=None) -> np.ndarray:
+def scored_densely(classes) -> bool:
+    """Whether the scipy sparse class matrix ``classes`` is multiplied as a
+    dense array: it is at least DENSE_SCORING_MIN_DENSITY full."""
+    return classes.nnz >= DENSE_SCORING_MIN_DENSITY * classes.shape[0] * classes.shape[1]
+
+
+def score_pairs(X: sp.csr_matrix, classes, matrix, rows=None) -> np.ndarray:
     """Exact score of row ``rows[k]`` of ``X`` (row k when ``rows`` is None)
-    against class position ``classes[k]`` of ``state``, for every k:
-    :func:`score_block`'s ``at`` floats for those pairs.
+    against class ``classes[k]`` of the C x dim ``matrix`` (a dense array or
+    a canonical CSR), for every k: :func:`score_block`'s ``at`` floats.
 
     Each pass is one ``csr_matvec`` over the rows' own stored values, with
     column j of a row paired with class c moved to the position of w_jc in
-    a flat array of the class matrix's values: c * dim + j in a dense
-    state's class-major ``rows``, and for a CSR state the position of its
-    key among :meth:`ScoringState.pair_keys`, or the trailing 0.0 where
-    w_jc is not stored.  ``csr_matvec`` sums each row from +0.0 in stored
-    order, and a weight that is not stored adds ±0, which changes no sum,
-    so every float is the CSR product's, whether or not the rows are
-    sorted.
+    a flat array of the matrix's values: c * dim + j in a dense array, and
+    in a CSR the position of the key c * dim + j among its stored weights'
+    keys (made by the call; increasing, since the CSR is canonical), or a
+    trailing 0.0 where w_jc is not stored.  ``csr_matvec`` sums each row
+    from +0.0 in stored order, and a weight that is not stored adds ±0,
+    which changes no sum, so every float is the CSR product's, whether or
+    not the rows are sorted.
 
     A pass gathers the stored entries of as many pairs' rows as hold at
     most SCORE_BLOCK_ENTRIES / 8 entries (one row when a row holds more).
     While it makes their values and positions it holds at most three
-    8-byte arrays an entry against a dense state, five against a CSR one:
+    8-byte arrays an entry against a dense array, five against a CSR:
     at most 3 or 5 x SCORE_BLOCK_ENTRIES bytes, never O(n x dim).
     """
     classes = np.asarray(classes, dtype=np.int64)
-    dim, C = state.dim, state.num_classes
+    C, dim = matrix.shape
     if X.shape[1] != dim:
-        raise ValueError(f"block width {X.shape[1]} does not match the state's {dim}")
+        raise ValueError(f"block width {X.shape[1]} does not match the matrix's {dim}")
     if rows is None and classes.size != X.shape[0]:
         raise ValueError(f"{classes.size} classes for {X.shape[0]} rows")
     for c in classes[(classes < 0) | (classes >= C)][:1]:
         raise IndexError(f"class position {c} out of range [0, {C})")
-    if not state.dense:
-        keys, values = state.pair_keys()
-
-        def positions(cols, pair_classes, count):
-            wanted = np.repeat(pair_classes, count)
-            wanted += cols * np.int64(C)
-            if not keys.size:
-                return np.zeros_like(wanted)
-            found = keys.searchsorted(wanted)
-            found[keys.take(found, mode="clip") != wanted] = keys.size
-            return found
+    if sp.issparse(matrix):
+        # the last key, C * dim, stands for every unstored weight: the 0.0
+        keys = np.repeat(np.arange(C + 1, dtype=np.int64) * dim,
+                         np.append(np.diff(matrix.indptr), 1))
+        keys[:-1] += matrix.indices
+        if not (keys[1:] > keys[:-1]).all():
+            raise ValueError("class matrix is not canonical CSR")
+        values = np.append(matrix.data, 0.0)
     else:
-        # class-major: the weights of one pair are one contiguous run
-        values = state.rows.ravel()
-
-        def positions(cols, pair_classes, count):
-            found = np.repeat(pair_classes * dim, count)
-            found += cols
-            return found
-
+        keys, values = None, np.ravel(matrix)
     starts = X.indptr[:-1] if rows is None else X.indptr[rows]
     lengths = (X.indptr[1:] if rows is None else X.indptr[rows + 1]) - starts
     ends = np.cumsum(lengths, dtype=np.int64)
@@ -309,9 +319,13 @@ def score_pairs(X: sp.csr_matrix, classes, state: ScoringState, rows=None) -> np
             taken += np.arange(indptr[-1])
             data, cols = X.data.take(taken), X.indices.take(taken)
             del taken
+        found = np.repeat(classes[lo:hi] * dim, count)
+        found += cols
+        if keys is not None:
+            wanted, found = found, keys.searchsorted(found)
+            found[keys[found] != wanted] = keys.size - 1
         pairs = sp.csr_array((hi - lo, values.size))
-        pairs.data, pairs.indptr = data, indptr
-        pairs.indices = positions(cols, classes[lo:hi], count)
+        pairs.data, pairs.indptr, pairs.indices = data, indptr, found
         scores[lo:hi] = pairs @ values
         lo = hi
     return scores
@@ -341,22 +355,19 @@ def _sorted_rows(X: sp.csr_matrix) -> bool:
 
 
 class ScoringState:
-    """One class matrix as :func:`score_block` and :func:`score_pairs`
-    multiply by it, holding exactly one copy of its weights.
+    """One class matrix as :func:`score_block` multiplies by it, holding
+    exactly one copy of its weights.
 
-    ``classes`` holds one class per row.  A matrix at least
-    DENSE_SCORING_MIN_DENSITY full is kept as its C x dim array ``rows``
-    (class-major), a sparser one as its transpose ``columns`` in CSR
-    (dim x C); a canonical ``classes`` gives each row of ``columns``
-    sorted class positions, which :func:`score_pairs` searches.  Either way
-    a score sums the example's stored entries in stored order, so both
-    give the same floats.
+    ``classes`` holds one class per row.  A matrix that is
+    :func:`scored_densely` is kept as its C x dim array ``rows``
+    (class-major), a sparser one as its transpose in CSR (dim x C), the
+    :meth:`operand`.  Either way a score sums the example's stored entries
+    in stored order, so both give the same floats.
 
     Everything else is derived on first use and published in one
     attribute, so readers racing to make it each read a whole, identical
-    value: the screen's set-up (:meth:`screen_setup`), a CSR state's
-    search keys (:meth:`pair_keys`) and a dense state's dim x C
-    :meth:`operand`, which only a chunk that the CSR product scores needs.
+    value: the screen's set-up (:meth:`screen_setup`) and a dense state's
+    dim x C :meth:`operand`, which only an unscreened chunk needs.
 
     The BLAS screen (:meth:`screen`) of a dense state scores a densified
     chunk with one GEMM, in whatever order BLAS sums.  Any order is within
@@ -381,35 +392,19 @@ class ScoringState:
 
     def __init__(self, classes: sp.csr_matrix):
         self.num_classes, self.dim = classes.shape
-        self.dense = classes.nnz >= DENSE_SCORING_MIN_DENSITY * self.num_classes * self.dim
+        self.dense = scored_densely(classes)
         self.rows = classes.toarray() if self.dense else None
-        self.columns = None if self.dense else classes.T.tocsr()
-        self._operand = self._setup = self._keys = None
+        self._operand = None if self.dense else classes.T.tocsr()
+        self._setup = None
 
     def operand(self):
-        """The dim x C right-hand side of the CSR product: ``columns``, or
-        for a dense state a C-ordered copy of ``rows.T`` made by the first
-        call."""
-        if not self.dense:
-            return self.columns
+        """The dim x C right-hand side of the CSR product: a sparse state's
+        transposed CSR, or for a dense state a C-ordered copy of ``rows.T``
+        made by the first call."""
         operand = self._operand
         if operand is None:
             operand = self._operand = np.ascontiguousarray(self.rows.T)
         return operand
-
-    def pair_keys(self):
-        """``(keys, values)`` of a CSR state: the key j * C + c of every
-        stored weight w_jc, increasing, and the stored values with a
-        trailing 0.0, where :func:`score_pairs` points a weight that is not
-        stored.  Made by the first call."""
-        found = self._keys
-        if found is None:
-            columns = self.columns
-            keys = np.repeat(np.arange(self.dim, dtype=np.int64) * self.num_classes,
-                             np.diff(columns.indptr))
-            keys += columns.indices
-            found = self._keys = keys, np.append(columns.data, 0.0)
-        return found
 
     def screen_setup(self):
         """``(w_norm, zero_classes)``: max_c ||w_c|| (every square of the
@@ -466,7 +461,7 @@ class ScoringState:
         values = scores.ravel()
         if flat.size == rows.size and np.array_equal(flat // C, rows):
             # one candidate a row, in row order: no row is gathered
-            values[flat] = score_pairs(block, flat - rows * C, self)
+            values[flat] = score_pairs(block, flat - rows * C, self.rows)
         else:
             # a pass of score_pairs gathers at most dim entries a pair and
             # SCORE_BLOCK_ENTRIES / 8 in all: the other half of the budget
@@ -474,9 +469,9 @@ class ScoringState:
             for s in range(0, flat.size, step):
                 part = flat[s:s + step]
                 owners, classes = np.divmod(part, C)
-                values[part] = score_pairs(block, classes, self, owners)
+                values[part] = score_pairs(block, classes, self.rows, owners)
         best = scores.argmax(axis=1)
-        at_scores = None if at is None else score_pairs(block, at, self)
+        at_scores = None if at is None else score_pairs(block, at, self.rows)
         return best, scores[rows, best], at_scores
 
 
@@ -519,6 +514,8 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
     depend on WORKERS.  Returns ``(best, best_scores, at_scores)``;
     ``at_scores`` is None when ``at`` is.
     """
+    if X.shape[1] != state.dim:
+        raise ValueError(f"block width {X.shape[1]} does not match the state's {state.dim}")
     n, C = X.shape[0], max(state.num_classes, 1)
     screened = (state.dense and X.nnz and state.num_classes
                 and n >= DENSE_SCREEN_MIN_ROWS
@@ -591,11 +588,11 @@ class WeightMatrix:
     which recomputes the cached squared norms of the stored rows and their
     sum exactly from the new data, so the caches cannot drift.
 
-    :meth:`score` and :meth:`score_pairs` score through the logical
-    matrix's :class:`ScoringState`, built by the first call after a change
-    and kept in one attribute; :meth:`_write` and every scale change drop
-    it.  So predictions, exact margins, re-scored pairs and audits against
-    an unchanged matrix share one state.
+    :meth:`score`, and :meth:`score_pairs` when the matrix is scored
+    densely, read the logical matrix's :class:`ScoringState`, built by the
+    first call after a change and kept in one attribute; :meth:`_write` and
+    every scale change drop it.  So predictions, exact margins, re-scored
+    pairs and audits against an unchanged matrix share one state.
 
     Single-writer: concurrent read-only access (scores and dot products
     against a frozen matrix) is safe, concurrent mutation is not.  Two
@@ -773,9 +770,12 @@ class WeightMatrix:
 
     def score_pairs(self, X: sp.csr_matrix, classes) -> np.ndarray:
         """Exact score of row i of the CSR block ``X`` against logical class
-        ``classes[i]``, for every i: :func:`score_pairs` through the
-        matrix's scoring state."""
-        return score_pairs(X, classes, self._scoring_state())
+        ``classes[i]``, for every i: :func:`score_pairs` against the
+        scoring state's rows when the matrix is :func:`scored_densely`, and
+        against :meth:`to_csr` otherwise, which builds no state."""
+        if scored_densely(self._store):
+            return score_pairs(X, classes, self._scoring_state().rows)
+        return score_pairs(X, classes, self.to_csr())
 
     def frob_norm(self) -> float:
         return self.scale * math.sqrt(self._frob_sq)

@@ -241,8 +241,9 @@ def test_concurrent_first_dense_queries_share_the_screen(state_of):
     """Threads racing to make a fresh state, or a fresh state's derived
     pieces, each read a whole one: every dense query_batch, racing on the
     index's scan state or (every other step) only on its screen's set-up,
-    gives the CSR state's answers, and every score_pairs against one fresh
-    CSR state, racing on its search keys, gives the CSR product's floats."""
+    gives the CSR state's answers, and every W.score_pairs racing against
+    one fresh sparse W, which builds no state, gives the CSR product's
+    floats."""
     rng = np.random.default_rng(35)
     dim, C, n = 16, 30, 40
     W = rng.standard_normal((C, dim))
@@ -271,9 +272,8 @@ def test_concurrent_first_dense_queries_share_the_screen(state_of):
                 assert scores.tobytes() == want[1].tobytes()
 
             Ws.add_to_row(step, 1.0, random_sparse(rng, sparse_dim))
-            state = sparse.ScoringState(Ws.to_csr())
-            assert not state.dense and state._keys is None
-            results = race(lambda i: sparse.score_pairs(sparse_blocks[i], pairs[i], state))
+            results = race(lambda i: Ws.score_pairs(sparse_blocks[i], pairs[i]))
+            assert Ws._scoring is None
             product = state_of(Ws.to_csr(), False)
             for X, classes, got in zip(sparse_blocks, pairs, results):
                 want = sparse.score_block(X, product, at=classes)[2]

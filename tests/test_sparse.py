@@ -5,6 +5,7 @@ same logical operations literally, with no scale trick.
 """
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from scipy import sparse as sp
 from hypothesis import strategies as st
 
 from mipsvm import sparse
+from mipsvm.dataio import Dataset
+from mipsvm.margin import exact_margins_batch
+from mipsvm.metrics import evaluate, predict_batch
 from mipsvm.sparse import (ScoringState, SparseVector, WeightMatrix, dot, score_block,
                            score_pairs)
 
@@ -474,21 +478,20 @@ class TestScoringState:
     def test_sparse_operand_has_no_screen(self, kernel_cases):
         state = ScoringState(kernel_cases[0][0].to_csr())
         assert not state.dense and state.rows is None
-        assert sp.issparse(state.operand()) and state.operand() is state.columns
+        assert sp.issparse(state.operand()) and state.operand() is state._operand
 
-    def test_csr_state_makes_its_keys_once(self, kernel_cases, assert_same_floats):
-        """Repeated W.score_pairs calls against one CSR state search one set
-        of keys, made by the first call."""
-        W, data = kernel_cases[0]
-        X, labels = data.to_csr(), data.labels_array()
-        want = W.score_pairs(X, labels)
-        state = W._scoring
-        keys = state._keys
-        assert not state.dense and keys is not None
-        for classes in (labels[::-1].copy(), labels):
-            got = W.score_pairs(X, classes)
-            assert W._scoring is state and state._keys is keys
-        assert_same_floats([got], [want])
+
+@pytest.mark.parametrize("entry", [predict_batch, exact_margins_batch, evaluate])
+def test_a_dataset_of_another_width_fails_closed(entry, kernel_cases):
+    """predict_batch, exact_margins_batch and evaluate against a dataset
+    one column wider than W name both widths."""
+    for W, data in kernel_cases:
+        wider = sp.csr_matrix((data.to_csr().data, data.to_csr().indices,
+                               data.to_csr().indptr), shape=(len(data), W.dim + 1))
+        other = Dataset.from_csr(data.labels_array(), wider, W.num_classes)
+        with pytest.raises(ValueError, match=f"block width {W.dim + 1} does not match "
+                                             f"the state's {W.dim}"):
+            entry(W, other)
 
 
 class TestCsrView:
@@ -590,6 +593,35 @@ class TestKernelPool:
         at[-1] = W.num_classes  # out of range in the last piece only
         with pytest.raises(IndexError):
             score_block(data.to_csr(), ScoringState(W.to_csr()), at=at)
+
+    def test_the_first_failing_piece_is_raised_after_every_piece_ran(self,
+                                                                     kernel_workers):
+        kernel_workers(2)
+        ran = []
+
+        def piece(k):
+            ran.append(k)
+            if k in (3, 7):
+                raise ValueError(f"piece {k}")
+
+        with pytest.raises(ValueError, match="piece 3"):
+            sparse.run_pieces([partial(piece, k) for k in range(10)])
+        assert sorted(ran) == list(range(10))
+
+    def test_pool_bookkeeping_does_not_grow_with_the_pieces(self, kernel_workers,
+                                                            peak_traced_bytes):
+        """At most WORKERS pool tasks run the pieces, so 100 trivial pieces
+        peak within a few KiB of 4, where a future and a work item per
+        piece would keep about 190 KB alive."""
+        kernel_workers(2)
+        sparse.run_pieces([int] * 2)  # makes the pool and its threads
+
+        def peak(count):
+            pieces = [int] * count
+            return min(peak_traced_bytes(lambda: sparse.run_pieces(pieces))[1]
+                       for _ in range(3))
+
+        assert peak(100) <= peak(4) + 4096
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_csr_operand_stays_within_the_block_budget(self, monkeypatch, kernel_workers,
@@ -846,6 +878,12 @@ def pair_case(rng, n, d, C, magnitude=1.0):
     return X, W
 
 
+def both_forms(classes):
+    """The two class-major forms score_pairs reads: the C x dim array and
+    the canonical CSR ``classes``."""
+    return classes.toarray(), classes
+
+
 def at_scores(X, state, pairs_rows, classes):
     """score_block's ``at`` floats of every (row, class) pair, one class
     position at a time over the whole block (the CSR product's, for a CSR
@@ -872,28 +910,28 @@ class TestScorePairs:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
             assert_same_floats([W.score_pairs(X, classes)], [want])
-            for dense in (True, False):
-                state = state_of(W.to_csr(), dense)
-                assert_same_floats([score_pairs(X, classes, state)], [want])
+            for matrix in both_forms(W.to_csr()):
+                assert_same_floats([score_pairs(X, classes, matrix)], [want])
 
     def test_csr_product_pairs(self, state_of, assert_same_floats):
         """Scale 0.37, 1e-5 or 3, mixed signs, -0.0, subnormals, empty rows
-        and an all-zero class, on the dense and the CSR state, and rows
-        paired with several classes each: the CSR product's ``at`` floats,
-        which score_block gives through either state too."""
+        and an all-zero class, in a dense state's rows and in the CSR, and
+        rows paired with several classes each: the CSR product's ``at``
+        floats, which score_block gives through either state too."""
         rng = np.random.default_rng(60)
         for _ in range(6):
             X, W = pair_case(rng, 45, 14, 7)
             product = state_of(W.to_csr(), False)
             for dense in (True, False):
                 state = state_of(W.to_csr(), dense)
+                matrix = state.rows if dense else W.to_csr()
                 at = rng.integers(W.num_classes, size=X.shape[0])
                 want = score_block(X, product, at=at)[2]
                 assert_same_floats([score_block(X, state, at=at)[2]], [want])
-                assert_same_floats([score_pairs(X, at, state)], [want])
+                assert_same_floats([score_pairs(X, at, matrix)], [want])
                 rows = np.sort(rng.integers(X.shape[0], size=3 * X.shape[0]))
                 picked = rng.integers(W.num_classes, size=rows.size)
-                assert_same_floats([score_pairs(X, picked, state, rows)],
+                assert_same_floats([score_pairs(X, picked, matrix, rows)],
                                    [at_scores(X, product, rows, picked)])
 
     def test_screened_pairs(self, monkeypatch, state_of, assert_same_floats):
@@ -905,8 +943,8 @@ class TestScorePairs:
         dense = state_of(W.T, True)
         assert_same_floats([score_block(X, dense, at=at)[2]], [want])
         assert calls and all(result is not None for result in calls)
-        assert_same_floats([score_pairs(X, at, dense)], [want])
-        assert_same_floats([score_pairs(X, at, ScoringState(sp.csr_matrix(W.T)))], [want])
+        assert_same_floats([score_pairs(X, at, dense.rows)], [want])
+        assert_same_floats([score_pairs(X, at, sp.csr_matrix(W.T))], [want])
 
     def test_unsorted_rows_give_the_csr_product_floats(self, state_of,
                                                        assert_same_floats):
@@ -921,8 +959,8 @@ class TestScorePairs:
         X.has_sorted_indices = False
         at = rng.integers(W.num_classes, size=X.shape[0])
         want = score_block(X, state_of(W.to_csr(), False), at=at)[2]
-        for dense in (True, False):
-            assert_same_floats([score_pairs(X, at, state_of(W.to_csr(), dense))], [want])
+        for matrix in both_forms(W.to_csr()):
+            assert_same_floats([score_pairs(X, at, matrix)], [want])
 
     def test_bad_pairs_fail_closed(self, kernel_cases):
         W, data = kernel_cases[1]
@@ -932,6 +970,69 @@ class TestScorePairs:
                 W.score_pairs(X, np.full(X.shape[0], bad))
         with pytest.raises(ValueError, match="width"):
             W.score_pairs(sp.csr_matrix((3, W.dim + 1)), [0, 1, 2])
+        unsorted = W.to_csr()
+        unsorted.indices[:2] = unsorted.indices[1::-1]
+        with pytest.raises(ValueError, match="not canonical"):
+            score_pairs(X, data.labels_array(), unsorted)
+
+    def test_sparse_matrix_pairs_build_no_state(self, kernel_cases, assert_same_floats):
+        """W.score_pairs on a matrix below DENSE_SCORING_MIN_DENSITY looks
+        the weights up in W's logical CSR: no scoring state is built, and
+        the floats are score_block's ``at`` floats."""
+        W, data = kernel_cases[0]
+        X, labels = data.to_csr(), data.labels_array()
+        for classes in (labels, labels[::-1].copy()):
+            got = W.score_pairs(X, classes)
+            assert W._scoring is None
+            assert_same_floats([got], [score_block(X, ScoringState(W.to_csr()),
+                                                   at=classes)[2]])
+
+    @pytest.mark.parametrize("case", ["all zero", "underflowed weights", "unstored weights",
+                                      "unsorted rows"])
+    def test_csr_lookup_is_the_at_floats(self, case, state_of, assert_same_floats):
+        """score_pairs against a class-major CSR gives score_block's ``at``
+        floats bit for bit, signed zeros included: against an all-zero
+        matrix, weights that a tiny scale turns into stored zeros (-0.0
+        among them), pairs whose weight is not stored, and query rows
+        whose entries are out of order."""
+        rng = np.random.default_rng(62)
+        n, d, C = 50, 20, 8
+        Xd = rng.standard_normal((n, d))
+        Xd[rng.random((n, d)) < 0.3] = 0.0
+        Xd[1] = -0.0
+        X = sp.csr_matrix(Xd)
+        X.data[::7] = -0.0
+        Wd = rng.standard_normal((C, d))
+        if case == "all zero":
+            Wd[:] = 0.0
+        elif case == "underflowed weights":
+            Wd[:, ::3] = rng.choice([4e-320, -4e-320, 1e-310, -1e-310], size=(C, 7))
+        else:
+            Wd[rng.random((C, d)) < 0.7] = 0.0
+        W = WeightMatrix.from_rows([(c, SparseVector.from_pairs(
+            {j: v for j, v in enumerate(row) if v != 0.0}, d)) for c, row in enumerate(Wd)],
+            d)
+        W.global_scale(1e-5)
+        classes = W.to_csr()
+        if case == "underflowed weights":
+            zeros = classes.data[classes.data == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        if case == "unstored weights":
+            assert classes.nnz < 0.5 * C * d
+        if case == "unsorted rows":
+            for i in range(n):
+                lo, hi = X.indptr[i], X.indptr[i + 1]
+                order = lo + rng.permutation(hi - lo)
+                X.indices[lo:hi], X.data[lo:hi] = X.indices[order], X.data[order]
+            X.has_sorted_indices = False
+        product = state_of(classes, False)
+        at = rng.integers(C, size=n)
+        want = score_block(X, product, at=at)[2]
+        assert_same_floats([score_pairs(X, at, classes)], [want])
+        rows = rng.integers(n, size=2 * n)
+        picked = rng.integers(C, size=rows.size)
+        assert_same_floats([score_pairs(X, picked, classes, rows)],
+                           [at_scores(X, product, rows, picked)])
 
 
 def bincount_row_sums(values, indptr):

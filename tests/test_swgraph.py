@@ -150,6 +150,9 @@ class TestQuery:
             c, s = index.query(x, exclude=3)
             assert c != 3
             assert s == pytest.approx(dot(rows[c], x), rel=1e-12)
+        # no traversal fell back, so the scores came from the stored rows
+        # without a scan state
+        assert index._scan_state is None
 
     def test_self_retrieval_after_update(self):
         rng = np.random.default_rng(9)

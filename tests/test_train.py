@@ -493,15 +493,18 @@ class TestTrainLog:
     def test_objective_and_heldout_share_one_scoring_state(self, monkeypatch, fit,
                                                            scoring_builds):
         """Each step's heldout evaluation and objective score through one
-        scoring state of W, built once for both; the rival phase re-scores
-        its pairs through W's state too, which l2's scaling makes it build
-        each step and l1 takes over from the previous step's objective.
+        scoring state of W, built once for both.  The rival phase re-scores
+        its pairs through W's state only when W is scored densely (the
+        first step's zero W is not): l2's scaling makes it build the state
+        then, and l1 takes it over from the previous step's objective.
         The index keeps its own."""
         import mipsvm.train as train_module
 
-        builds_at = []
+        builds_at, dense_at_rival = [], []
         for name in ("evaluate", "_query_phase", f"objective_{fit.__name__[-2:]}"):
             def counted(*args, original=getattr(train_module, name), name=name):
+                if name == "_query_phase":
+                    dense_at_rival.append(sparse.scored_densely(args[1]._store))
                 result = original(*args)
                 builds_at.append((name, len(scoring_builds)))
                 return result
@@ -512,13 +515,14 @@ class TestTrainLog:
         _, log = fit(data, TrainConfig(lam=1e-3, epochs=3, seed=5, batch_size=7),
                      heldout=heldout)
         assert len(log.objective) == 3 and len(builds_at) == 9
-        rival_builds = 1 if fit is train_l1 else 3
+        assert dense_at_rival == [False, True, True]
+        rival_builds = 0 if fit is train_l1 else 2
         assert len(scoring_builds) == 3 + rival_builds
         before = 0
-        for (rival, after_rival), (_, after_heldout), (_, after_objective) in zip(
-                *[iter(builds_at)] * 3):
+        for (rival, after_rival), (_, after_heldout), (_, after_objective), dense in zip(
+                *[iter(builds_at)] * 3, dense_at_rival):
             assert rival == "_query_phase"
-            assert after_rival - before == (1 if fit is train_l2 or before == 0 else 0)
+            assert after_rival - before == (1 if fit is train_l2 and dense else 0)
             assert (after_heldout - after_rival, after_objective - after_heldout) == (1, 0)
             before = after_objective
 
@@ -587,9 +591,10 @@ class TestTrainLog:
 
     def test_l2_rival_phase_makes_no_transposed_copy(self, monkeypatch):
         """An l2 step's rival phase re-scores its pairs through W's dense
-        state and screens its query batch against the index's, and leaves
-        both states without a d x C copy of their class matrix: a dense
-        state makes the CSR product's operand only for a chunk that is not
+        state (once W is scored densely; the first step's zero W has none)
+        and screens its query batch against the index's, and leaves both
+        states without a d x C copy of their class matrix: a dense state
+        makes the CSR product's operand only for a chunk that is not
         screened."""
         import mipsvm.train as train_module
 
@@ -599,7 +604,8 @@ class TestTrainLog:
         def phase(index, W, batch):
             result = query_phase(index, W, batch)
             copied.extend(state._operand is not None
-                          for state in (W._scoring, index._scan_state[1]) if state.dense)
+                          for state in (W._scoring, index._scan_state[1])
+                          if state is not None and state.dense)
             return result
 
         monkeypatch.setattr(train_module, "_query_phase", phase)
