@@ -24,6 +24,7 @@ import math
 import os
 import struct
 import warnings
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse as sp
@@ -64,7 +65,7 @@ class Dataset:
         block = stack_csr([x.indices for _, x in examples],
                           [x.values for _, x in examples], dim)
         self._init(labels, block, num_classes, label_map)
-        self._examples = examples
+        self.examples = examples
 
     @classmethod
     def from_csr(cls, labels: np.ndarray, block: sp.csr_matrix, num_classes: int,
@@ -89,22 +90,18 @@ class Dataset:
         self.dim = int(block.shape[1])
         self.num_classes = num_classes
         self.label_map = dict(label_map) if label_map else {}
-        self._examples = None
 
     def __len__(self):
         return self._labels.size
 
-    @property
+    @cached_property
     def examples(self) -> list[tuple[int, SparseVector]]:
         """``(class id, SparseVector)`` per row, viewing the block's arrays."""
-        if self._examples is None:
-            X = self._block
-            bounds = X.indptr.tolist()
-            indices = X.indices.astype(np.int64, copy=False)
-            self._examples = [
-                (y, SparseVector(indices[lo:hi], X.data[lo:hi], self.dim, check=False))
+        X = self._block
+        bounds = X.indptr.tolist()
+        indices = X.indices.astype(np.int64, copy=False)
+        return [(y, SparseVector(indices[lo:hi], X.data[lo:hi], self.dim, check=False))
                 for y, lo, hi in zip(self._labels.tolist(), bounds[:-1], bounds[1:])]
-        return self._examples
 
     def labels_array(self) -> np.ndarray:
         """The class id of every row (a read-only array)."""

@@ -11,6 +11,7 @@ subtracted term, so the approximate margin is never below the exact one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -86,9 +87,9 @@ def inexact_margin(index: "MipsIndex", W: WeightMatrix, x: SparseVector,
 
 
 def hinge_loss(margin: float, rho: float) -> float:
-    """(1 - margin/rho)_+ for rho > 0."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    """(1 - margin/rho)_+ for finite rho > 0."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, not {rho}")
     return max(0.0, 1.0 - margin / rho)
 
 
@@ -120,8 +121,8 @@ def empirical_risk(W: WeightMatrix, data: "Dataset", rho: float,
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, not {rho}")
     if index is None:
         margins = exact_margins_batch(W, data)
     else:

@@ -58,8 +58,8 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
     cancels, so the gap is the exact best score minus the proposed one:
     never negative, and 0 wherever the index found a best rival.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    if not epsilon >= 0.0:  # NaN too: no gap exceeds it, a false delta of 0
+        raise ValueError(f"epsilon must be nonnegative, not {epsilon}")
     if len(queries) == 0:
         raise ValueError("empty query set")
     labels = _check_labels(queries.labels_array(), W.num_classes)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse as sp
 
@@ -37,13 +39,8 @@ class MipsIndex:
       becomes class ``ids[i]``) or ``update_row(c, row)`` the index reflects
       the new rows before the next query; a bad block changes nothing;
     * queries are read-only and may run concurrently against a frozen index;
-      updates are exclusive.  The one thing a query writes is the scan state
-      (sorted ids and the :class:`~mipsvm.sparse.ScoringState` of their
-      rows), built by the first full scan after an update and kept in a
-      single attribute: two first queries racing each other build
-      identical values and each reads a whole state.  The scoring state
-      makes its own derived pieces the same way.
-      A backend's work counters (:meth:`counters`) are bumped under a lock.
+      updates are exclusive.  A backend's work counters (:meth:`counters`)
+      are bumped under a lock.
 
     The base class keeps the rows in one CSR block and does every exact
     scan: the full scan of a batch and the re-ranking of a candidate pool.
@@ -57,7 +54,6 @@ class MipsIndex:
         self.dim = int(dim)
         self._ids = np.empty(0, dtype=np.int64)  # sorted; row i of _block is class _ids[i]
         self._block = sp.csr_matrix((0, self.dim))  # canonical CSR, written by _write
-        self._scan_state = None  # None until the first full scan after an update
 
     def _canonical(self, X, what: str) -> sp.csr_matrix:
         """The ``what`` block ``X`` as canonical CSR of ``dim`` finite columns."""
@@ -83,13 +79,14 @@ class MipsIndex:
 
     def _write(self, ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
         """The one writer: store row i of ``rows`` as class ``ids[i]`` once
-        :meth:`_checked` passes them, and clear the scan state."""
+        :meth:`_checked` passes them, and drop the full scan's state."""
         ids, rows = self._checked(ids, rows)
         kept = np.flatnonzero(~np.isin(self._ids, ids))
         order = np.argsort(np.concatenate([self._ids[kept], ids]))
         take = np.concatenate([kept, self._ids.size + np.arange(ids.size)])[order]
         self._block = sp.vstack([self._block, rows], format="csr")[take]
-        self._ids, self._scan_state = np.concatenate([self._ids, ids])[take], None
+        self._ids = np.concatenate([self._ids, ids])[take]
+        vars(self).pop("_full_scan_state", None)
         return ids, rows
 
     def _check_batch(self, X, exclude):
@@ -106,13 +103,10 @@ class MipsIndex:
         """The stored rows of ``ids``, in that order, as one CSR block."""
         return self._block[np.searchsorted(self._ids, ids)]
 
+    @cached_property
     def _full_scan_state(self):
-        """``(sorted ids, their rows' ScoringState)`` of every stored row,
-        built by the first call after an update."""
-        state = self._scan_state
-        if state is None:
-            state = self._scan_state = (self._ids, ScoringState(self._block))
-        return state
+        """``(sorted ids, their rows' ScoringState)`` of every stored row."""
+        return self._ids, ScoringState(self._block)
 
     def _scan(self, X: sp.csr_matrix, exclude,
               pools: list[list[int]] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +124,7 @@ class MipsIndex:
         """
         among = None
         if pools is None:
-            ids, state = self._full_scan_state()
+            ids, state = self._full_scan_state
         else:
             members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
             ids = np.unique(members)

@@ -24,7 +24,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse as sp
@@ -361,13 +361,8 @@ class ScoringState:
     ``classes`` holds one class per row.  A matrix that is
     :func:`scored_densely` is kept as its C x dim array ``rows``
     (class-major), a sparser one as its transpose in CSR (dim x C), the
-    :meth:`operand`.  Either way a score sums the example's stored entries
+    :attr:`operand`.  Either way a score sums the example's stored entries
     in stored order, so both give the same floats.
-
-    Everything else is derived on first use and published in one
-    attribute, so readers racing to make it each read a whole, identical
-    value: the screen's set-up (:meth:`screen_setup`) and a dense state's
-    dim x C :meth:`operand`, which only an unscreened chunk needs.
 
     The BLAS screen (:meth:`screen`) of a dense state scores a densified
     chunk with one GEMM, in whatever order BLAS sums.  Any order is within
@@ -394,29 +389,22 @@ class ScoringState:
         self.num_classes, self.dim = classes.shape
         self.dense = scored_densely(classes)
         self.rows = classes.toarray() if self.dense else None
-        self._operand = None if self.dense else classes.T.tocsr()
-        self._setup = None
+        if not self.dense:
+            self.operand = classes.T.tocsr()
 
+    @cached_property
     def operand(self):
         """The dim x C right-hand side of the CSR product: a sparse state's
-        transposed CSR, or for a dense state a C-ordered copy of ``rows.T``
-        made by the first call."""
-        operand = self._operand
-        if operand is None:
-            operand = self._operand = np.ascontiguousarray(self.rows.T)
-        return operand
+        transposed CSR, or for a dense state a C-ordered copy of ``rows.T``."""
+        return np.ascontiguousarray(self.rows.T)
 
+    @cached_property
     def screen_setup(self):
         """``(w_norm, zero_classes)``: max_c ||w_c|| (every square of the
         norms is within 2^-1075 of w_j^2, underflow) and the mask of the
-        all-zero classes.  Made by the first call."""
-        setup = self._setup
-        if setup is None:
-            rows = self.rows
-            w_sq = float(np.einsum("ij,ij->i", rows, rows).max())
-            setup = self._setup = (math.sqrt(w_sq + self.dim * 2.0 ** -1074),
-                                   ~rows.any(axis=1))
-        return setup
+        all-zero classes."""
+        w_sq = float(np.einsum("ij,ij->i", self.rows, self.rows).max())
+        return math.sqrt(w_sq + self.dim * 2.0 ** -1074), ~self.rows.any(axis=1)
 
     def screen(self, block: sp.csr_matrix, mask, at):
         """``(best, best_scores, at_scores)`` of the chunk ``block``, as
@@ -425,7 +413,7 @@ class ScoringState:
         must score the chunk instead."""
         if not _sorted_rows(block):
             return None
-        w_norm, zero_classes = self.screen_setup()
+        w_norm, zero_classes = self.screen_setup
         d = self.dim
         Xd = block.toarray()
         x_norm = np.sqrt(np.einsum("ij,ij->i", Xd, Xd) + d * 2.0 ** -1074)
@@ -498,12 +486,12 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
     densified rows and screen scores, and then the re-score passes'
     gathered entries, stay within the budget below.
 
-    Any other block is multiplied as CSR by :meth:`ScoringState.operand`, a
-    small one inline, a larger one cut into row pieces
-    (:func:`piece_bounds`) that run on the kernel pool, each one a view of
-    ``X`` writing its own slice of the results.  Each piece scores its rows
-    in chunks, and a chunk's arrays are freed before the next one's product
-    starts.  A chunk holds its dense scores, 8 bytes a class a row; with a
+    Any other block is multiplied as CSR by :attr:`ScoringState.operand`,
+    read before any piece runs, a small one inline, a larger one cut into
+    row pieces (:func:`piece_bounds`) that run on the kernel pool, each one
+    a view of ``X`` writing its own slice of the results.  Each piece
+    scores its rows in chunks, and a chunk's arrays are freed before the
+    next one's product starts.  A chunk holds its dense scores, 8 bytes a class a row; with a
     CSR state, also the sparse product's output (up to 16 bytes a score)
     while it is densified, and with ``among``, the gathered allowed scores
     and their positions (16 bytes an allowed class) while the rest are set
@@ -531,6 +519,9 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
         bounds = piece_bounds(n, n * C,
                               max(1, SCORE_BLOCK_ENTRIES // (row_entries * WORKERS)))
         chunk = max(1, SCORE_BLOCK_ENTRIES // (row_entries * min(WORKERS, bounds.size - 1)))
+    # read on this thread, so that no piece on the pool makes a dense
+    # state's operand; a screened block runs inline
+    operand = None if screened else state.operand
     best = np.empty(n, dtype=np.int64)
     best_scores = np.empty(n)
     at_scores = None if at is None else np.empty(n)
@@ -555,7 +546,7 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
         at_rows = None if at is None else at[lo:hi]
         result = state.screen(block, mask, at_rows) if screened else None
         if result is None:
-            scores = block @ state.operand()
+            scores = block @ (state.operand if operand is None else operand)
             if sp.issparse(scores):
                 scores = scores.toarray()
             at_part = None if at is None else scores[rows, at_rows]
@@ -589,15 +580,13 @@ class WeightMatrix:
     sum exactly from the new data, so the caches cannot drift.
 
     :meth:`score`, and :meth:`score_pairs` when the matrix is scored
-    densely, read the logical matrix's :class:`ScoringState`, built by the
-    first call after a change and kept in one attribute; :meth:`_write` and
-    every scale change drop it.  So predictions, exact margins, re-scored
-    pairs and audits against an unchanged matrix share one state.
+    densely, read the logical matrix's :class:`ScoringState`;
+    :meth:`_write` and every scale change drop it.  So predictions, exact
+    margins, re-scored pairs and audits against an unchanged matrix share
+    one state.
 
     Single-writer: concurrent read-only access (scores and dot products
-    against a frozen matrix) is safe, concurrent mutation is not.  Two
-    first readers racing each other build identical states, and each reads
-    a whole one.
+    against a frozen matrix) is safe, concurrent mutation is not.
     """
 
     def __init__(self, num_classes: int, dim: int):
@@ -658,7 +647,8 @@ class WeightMatrix:
         stored.eliminate_zeros()
         self._row_sq = row_sums(stored.data ** 2, stored.indptr)
         self._frob_sq = float(self._row_sq.sum())
-        self._store, self._scoring = stored, None  # built by _scoring_state()
+        self._store = stored
+        vars(self).pop("_scoring_state", None)
 
     def _row(self, c: int):
         """Index and value views of stored row c."""
@@ -685,6 +675,8 @@ class WeightMatrix:
         self._check_class(c)
         if x.dim != self.dim:
             raise ValueError(f"vector dim {x.dim} does not match matrix dim {self.dim}")
+        if not math.isfinite(coeff):
+            raise ValueError(f"coefficient must be finite, not {coeff}")
         if coeff == 0.0 or x.indices.size == 0:
             return
         self.add(sp.csr_matrix((coeff * x.values, (np.full(x.nnz, c), x.indices)),
@@ -692,10 +684,10 @@ class WeightMatrix:
 
     def global_scale(self, alpha: float) -> None:
         """Logical W *= alpha in O(1); folds into rows on extreme scales."""
-        if alpha <= 0.0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, not {alpha}")
         self.scale *= alpha
-        self._scoring = None
+        vars(self).pop("_scoring_state", None)
         if not SCALE_FOLD_LOW <= self.scale <= SCALE_FOLD_HIGH:
             self._fold()
 
@@ -704,8 +696,8 @@ class WeightMatrix:
 
         An overflowed (non-finite) norm leaves W as it is and returns 1.0.
         """
-        if lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, not {lam}")
         fro = self.frob_norm()
         if lam == 0.0 or fro == 0.0 or not math.isfinite(fro):
             return 1.0
@@ -717,8 +709,8 @@ class WeightMatrix:
     def truncate_rows(self, rows, tau: float) -> None:
         """Soft-threshold the logical rows ``rows`` at tau; drops the resulting zeros."""
         rows = self._check_classes(rows)
-        if tau < 0.0:
-            raise ValueError("threshold must be nonnegative")
+        if not 0.0 <= tau < math.inf:
+            raise ValueError(f"threshold must be nonnegative and finite, not {tau}")
         if tau == 0.0 or rows.size == 0:
             return
         chosen = np.zeros(self.num_classes, dtype=bool)
@@ -755,18 +747,15 @@ class WeightMatrix:
         idx, val = self._row(c)
         return dot(x, SparseVector(idx, val * self.scale, self.dim, check=False))
 
+    @cached_property
     def _scoring_state(self) -> ScoringState:
-        """The logical matrix's :class:`ScoringState`, built by the first
-        call after a change."""
-        state = self._scoring
-        if state is None:
-            state = self._scoring = ScoringState(self.to_csr())
-        return state
+        """The logical matrix's :class:`ScoringState`."""
+        return ScoringState(self.to_csr())
 
     def score(self, X: sp.csr_matrix, **options):
         """:func:`score_block` of the CSR block ``X`` against the logical
         matrix, with ``options`` (exclude, at, among) passed on."""
-        return score_block(X, self._scoring_state(), **options)
+        return score_block(X, self._scoring_state, **options)
 
     def score_pairs(self, X: sp.csr_matrix, classes) -> np.ndarray:
         """Exact score of row i of the CSR block ``X`` against logical class
@@ -774,7 +763,7 @@ class WeightMatrix:
         scoring state's rows when the matrix is :func:`scored_densely`, and
         against :meth:`to_csr` otherwise, which builds no state."""
         if scored_densely(self._store):
-            return score_pairs(X, classes, self._scoring_state().rows)
+            return score_pairs(X, classes, self._scoring_state.rows)
         return score_pairs(X, classes, self.to_csr())
 
     def frob_norm(self) -> float:

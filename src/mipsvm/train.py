@@ -85,12 +85,12 @@ class TrainConfig:
     early_stop: bool = False
 
     def validate(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
-        if self.eta_step < 0:
-            raise ValueError("eta_step must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, not {self.lam}")
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be positive and finite, not {self.eta0}")
+        if not 0 <= self.eta_step < math.inf:
+            raise ValueError(f"eta_step must be nonnegative and finite, not {self.eta_step}")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if self.batch_size is not None and self.batch_size < 1:

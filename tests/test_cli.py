@@ -201,6 +201,12 @@ class TestPredictEvalAudit:
         assert record["delta_hat"] == 0.0
         assert record["backend"] == "exact"
 
+    def test_audit_rejects_a_nan_epsilon(self, toy_file, trained, capsys):
+        code, out, err = run(capsys, "audit", "--model", str(trained),
+                             "--queries", str(toy_file), "--epsilon", "nan")
+        assert code == 1 and out == ""
+        assert "epsilon must be nonnegative, not nan" in err
+
     def test_audit_lsh_backend_reports(self, toy_file, trained, capsys):
         code, out, _ = run(capsys, "audit", "--model", str(trained),
                            "--queries", str(toy_file), "--epsilon", "0.1",

@@ -1,5 +1,7 @@
 """Exact/approximate margins, hinge loss and empirical risk."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,10 +162,12 @@ class TestHingeLoss:
         assert hinge_loss(-1.0, 2.0) == pytest.approx(1.5)
 
     def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            hinge_loss(0.5, 0.0)
-        with pytest.raises(ValueError):
-            hinge_loss(0.5, -1.0)
+        data = Dataset([(0, sv({0: 1.0}, 4)), (2, sv({1: -1.0}, 4))], 4, 3)
+        for rho in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rho must be positive and finite"):
+                hinge_loss(0.5, rho)
+            with pytest.raises(ValueError, match="rho must be positive and finite"):
+                empirical_risk(WeightMatrix(3, 4), data, rho)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-10, 10, allow_nan=False), st.floats(-10, 10, allow_nan=False),

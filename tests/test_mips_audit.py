@@ -94,8 +94,11 @@ class TestAudit:
     def test_epsilon_validation(self, setup):
         W, queries, rows = setup
         index = build_index(rows, "exact", dim=W.dim)
-        with pytest.raises(ValueError):
-            audit_inexactness(index, W, queries, epsilon=-0.1)
+        for epsilon in (-0.1, math.nan):
+            # with a NaN epsilon no gap would exceed it: a false delta of 0
+            message = f"epsilon must be nonnegative, not {epsilon}"
+            with pytest.raises(ValueError, match=message):
+                audit_inexactness(index, W, queries, epsilon=epsilon)
 
     def test_report_serializes(self, setup):
         import json

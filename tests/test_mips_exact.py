@@ -187,35 +187,33 @@ def test_concurrent_first_queries_after_update(kind, monkeypatch, kernel_workers
         sys.setswitchinterval(old)
 
 
-def test_screen_set_up_is_made_once_per_index_state(monkeypatch, state_of):
+def test_screen_set_up_is_made_once_per_index_state(state_of):
     """Dense query blocks against a dense index go through score_block's
     BLAS screen.  Its O(d x C) set-up is kept with the scan state: made by
     the first query_batch after an update, reused by the next ones, and
     the answers are the CSR state's, bit for bit."""
     rng = np.random.default_rng(34)
     dim, C, n = 16, 30, 40
-    made = []
-    original = sparse.ScoringState.screen_setup
-
-    def screen_setup(self):
-        made.append(self._setup is None)
-        return original(self)
-
-    monkeypatch.setattr(sparse.ScoringState, "screen_setup", screen_setup)
+    setups = []
     W = rng.standard_normal((C, dim))
     index = build_index([(c, SparseVector(np.arange(dim), W[c], dim)) for c in range(C)],
                         "exact", dim=dim)
     X = sp.csr_matrix(rng.standard_normal((n, dim)))
     exclude = rng.integers(C, size=n)
-    for state in (1, 2):
+    for _ in range(2):
         want = sparse.score_block(X, state_of(W, False), exclude=exclude)
+        held = []
         for _ in range(3):
             ids, scores = index.query_batch(X, exclude.tolist())
             assert ids.tobytes() == want[0].tobytes()
             assert scores.tobytes() == want[1].tobytes()
-        assert sum(made) == state and len(made) > state
+            held.append(vars(vars(index)["_full_scan_state"][1])["screen_setup"])
+        assert held[1] is held[0] and held[2] is held[0]
+        setups.append(held[0])
         W[3] = rng.standard_normal(dim)
         index.update_row(3, SparseVector(np.arange(dim), W[3], dim))
+        assert "_full_scan_state" not in vars(index)
+    assert setups[0] is not setups[1]
 
 
 def race(work, threads=4):
@@ -264,7 +262,7 @@ def test_concurrent_first_dense_queries_share_the_screen(state_of):
             W[step] = rng.standard_normal(dim)
             index.update_row(step, SparseVector(np.arange(dim), W[step], dim))
             if step % 2:
-                index._full_scan_state()
+                index._full_scan_state  # the race is then on the screen's set-up
             results = race(lambda i: index.query_batch(blocks[i], exclude.tolist()))
             for X, (ids, scores) in zip(blocks, results):
                 want = sparse.score_block(X, state_of(W, False), exclude=exclude)
@@ -273,7 +271,7 @@ def test_concurrent_first_dense_queries_share_the_screen(state_of):
 
             Ws.add_to_row(step, 1.0, random_sparse(rng, sparse_dim))
             results = race(lambda i: Ws.score_pairs(sparse_blocks[i], pairs[i]))
-            assert Ws._scoring is None
+            assert "_scoring_state" not in vars(Ws)
             product = state_of(Ws.to_csr(), False)
             for X, classes, got in zip(sparse_blocks, pairs, results):
                 want = sparse.score_block(X, product, at=classes)[2]

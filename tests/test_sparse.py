@@ -400,7 +400,7 @@ class TestBatchedWrites:
             for X in blocks:
                 want = score_block(X, ScoringState(W.to_csr()), exclude=exclude, at=at)
                 assert_same_floats(W.score(X, exclude=exclude, at=at), want)
-            screened.append(W._scoring.dense)
+            screened.append(vars(W)["_scoring_state"].dense)
 
         def after_op(W, mirror):
             check(W)
@@ -456,9 +456,9 @@ class TestScoringState:
         got = score_block(X, state, exclude=exclude, at=at)
         assert_same_floats(got, score_block(X, state_of(classes, False),
                                             exclude=exclude, at=at))
-        assert state._setup is not None and state._operand is None
+        assert "screen_setup" in vars(state) and "operand" not in vars(state)
         assert float_bytes(state) == 8 * C * d
-        assert state._setup[1].nbytes == C
+        assert vars(state)["screen_setup"][1].nbytes == C
 
     def test_dense_operand_is_made_by_the_first_csr_product_chunk(self, kernel_cases):
         """A dense state makes the C-ordered d x C operand of the CSR
@@ -466,19 +466,48 @@ class TestScoringState:
         when a chunk is not screened, and keeps it for the next one."""
         W, data = kernel_cases[1]
         state = ScoringState(W.to_csr())
-        assert state.dense and state._operand is None
+        assert state.dense and "operand" not in vars(state)
         X = data.to_csr()
         score_block(X, state)
-        operand = state._operand
-        assert operand is not None and operand.flags.c_contiguous
+        operand = vars(state)["operand"]
+        assert operand.flags.c_contiguous
         assert operand.tobytes() == W.to_csr().T.toarray(order="C").tobytes()
         score_block(X, state)
-        assert state._operand is operand
+        assert vars(state)["operand"] is operand
+
+    def test_dense_operand_is_made_once_on_the_calling_thread(
+            self, monkeypatch, kernel_workers, state_of, assert_same_floats):
+        """A fresh dense state scoring a sparse block through the pooled CSR
+        product makes its operand once, on the calling thread, before any
+        piece runs on the pool, and scores the CSR state's floats."""
+        kernel_workers(2)
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+        rng = np.random.default_rng(74)
+        C, d, n = 40, 60, 50
+        classes = sp.csr_matrix(rng.standard_normal((C, d)))
+        X = sp.random(n, d, density=0.05, format="csr", random_state=rng)
+        made = []
+
+        class Transposes(np.ndarray):
+            """Records the thread of every ``.T`` read: only the operand reads it."""
+            @property
+            def T(self):
+                made.append(threading.current_thread())
+                return np.asarray(self).T
+
+        state = ScoringState(classes)
+        assert state.dense and sparse.piece_bounds(n, n * C).size > 2
+        state.rows = state.rows.view(Transposes)
+        want = score_block(X, state_of(classes, False))
+        for _ in range(2):
+            assert_same_floats(score_block(X, state), want)
+        assert made == [threading.current_thread()]
 
     def test_sparse_operand_has_no_screen(self, kernel_cases):
         state = ScoringState(kernel_cases[0][0].to_csr())
         assert not state.dense and state.rows is None
-        assert sp.issparse(state.operand()) and state.operand() is state._operand
+        operand = vars(state)["operand"]  # made by the constructor
+        assert sp.issparse(operand) and state.operand is operand
 
 
 @pytest.mark.parametrize("entry", [predict_batch, exact_margins_batch, evaluate])
@@ -983,7 +1012,7 @@ class TestScorePairs:
         X, labels = data.to_csr(), data.labels_array()
         for classes in (labels, labels[::-1].copy()):
             got = W.score_pairs(X, classes)
-            assert W._scoring is None
+            assert "_scoring_state" not in vars(W)
             assert_same_floats([got], [score_block(X, ScoringState(W.to_csr()),
                                                    at=classes)[2]])
 

@@ -152,7 +152,7 @@ class TestQuery:
             assert s == pytest.approx(dot(rows[c], x), rel=1e-12)
         # no traversal fell back, so the scores came from the stored rows
         # without a scan state
-        assert index._scan_state is None
+        assert "_full_scan_state" not in vars(index)
 
     def test_self_retrieval_after_update(self):
         rng = np.random.default_rng(9)

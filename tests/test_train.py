@@ -183,6 +183,27 @@ class TestConfig:
             with pytest.raises(ValueError):
                 TrainConfig(**bad).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("argument, call", [
+        ("lam", lambda W, v: TrainConfig(lam=v).validate()),
+        ("eta0", lambda W, v: TrainConfig(eta0=v).validate()),
+        ("eta_step", lambda W, v: TrainConfig(eta_step=v).validate()),
+        ("scale factor", lambda W, v: W.global_scale(v)),
+        ("threshold", lambda W, v: W.truncate_rows([0, 1], v)),
+        ("coefficient", lambda W, v: W.add_to_row(0, v, sv({1: 2.0}, 3))),
+        ("lam", lambda W, v: W.project_to_ball(v)),
+    ], ids=["lam", "eta0", "eta_step", "global_scale", "truncate_rows", "add_to_row",
+            "project_to_ball"])
+    def test_non_finite_scalars_fail_closed(self, argument, call, value):
+        """A non-finite scalar is rejected with a message that names it,
+        before the weights, their scale or their fold count change."""
+        W = WeightMatrix.from_rows([(0, sv({0: 1.0, 2: -3.0}, 3)), (1, sv({1: 0.5}, 3))], 3)
+        W.global_scale(0.5)
+        before = W.scale, W.fold_count, W.to_csr().toarray().tobytes()
+        with pytest.raises(ValueError, match=f"^{argument} must .* finite, not {value}$"):
+            call(W, value)
+        assert (W.scale, W.fold_count, W.to_csr().toarray().tobytes()) == before
+
     def test_schedule_guard_is_about_first_step(self):
         # lam*eta_1 = 10 * 0.1/1.02 < 1 passes even though lam*eta0 > 1
         TrainConfig(lam=10.0, eta0=0.1, eta_step=0.02).validate()
@@ -603,8 +624,9 @@ class TestTrainLog:
 
         def phase(index, W, batch):
             result = query_phase(index, W, batch)
-            copied.extend(state._operand is not None
-                          for state in (W._scoring, index._scan_state[1])
+            copied.extend("operand" in vars(state)
+                          for state in (vars(W).get("_scoring_state"),
+                                        vars(index)["_full_scan_state"][1])
                           if state is not None and state.dense)
             return result
 
