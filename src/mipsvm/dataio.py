@@ -398,11 +398,6 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def _matrix(rows, dim: int) -> WeightMatrix:
-    """The matrix of a model's checked rows; a header of 0 classes gives one zero row."""
-    return WeightMatrix.from_rows(rows, dim) if rows else WeightMatrix(1, dim)
-
-
 def _load_binary(fh) -> tuple[WeightMatrix, dict]:
     version, num_classes, dim, lam = struct.unpack(
         "<IQQd", _read_exact(fh, struct.calcsize("<IQQd"), "header"))
@@ -461,11 +456,8 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
         raise ModelFormatError("trailing bytes after last row")
     header = {"format_version": version, "num_classes": int(num_classes),
               "dim": int(dim), "lambda": lam, "algorithm": algorithm}
-    if num_classes == 0:
-        return WeightMatrix(1, dim), header
-    W = WeightMatrix(num_classes, dim)
-    W._write(sp.csr_matrix((values, indices, indptr), shape=(num_classes, dim)))
-    return W, header
+    block = sp.csr_matrix((values, indices, indptr), shape=(num_classes, dim))
+    return WeightMatrix.from_csr(block), header
 
 
 def _number(kind, token: str, what: str):
@@ -510,14 +502,15 @@ def _load_text(fh) -> tuple[WeightMatrix, dict]:
             for tok in parts[2:]:
                 i, _, v = tok.partition(":")
                 pairs.append((int(i), float(v)))
-            rows.append((k, SparseVector.from_pairs(pairs, dim)))
+            rows.append(SparseVector.from_pairs(pairs, dim))
         except (ValueError, OverflowError) as exc:
             raise ModelFormatError(f"row {k} is corrupt: {exc}") from exc
     if fh.readline().strip():
         raise ModelFormatError("trailing content after last row")
     header = {"format_version": version, "num_classes": num_classes,
               "dim": dim, "lambda": lam, "algorithm": algorithm}
-    return _matrix(rows, dim), header
+    block = stack_csr([r.indices for r in rows], [r.values for r in rows], dim)
+    return WeightMatrix.from_csr(block), header
 
 
 def load_model(path) -> tuple[WeightMatrix, dict]:

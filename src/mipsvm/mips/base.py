@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import ScoringState, SparseVector, score_block, stack_csr
+from ..sparse import ScoringState, SparseVector, score_block, splice_rows, stack_csr
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -42,8 +42,8 @@ class MipsIndex:
       updates are exclusive.  A backend's work counters (:meth:`counters`)
       are bumped under a lock.
 
-    The base class keeps the rows in one CSR block and does every exact
-    scan: the full scan of a batch and the re-ranking of a candidate pool.
+    The base class keeps the rows in one CSR block, into which :func:`splice_rows`
+    writes only an update's rows, and does every exact scan (full, or of a pool).
     """
 
     kind: str = "abstract"
@@ -78,14 +78,9 @@ class MipsIndex:
         return ids, rows
 
     def _write(self, ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
-        """The one writer: store row i of ``rows`` as class ``ids[i]`` once
-        :meth:`_checked` passes them, and drop the full scan's state."""
+        """The one writer: splice in :meth:`_checked` row i as class ``ids[i]``."""
         ids, rows = self._checked(ids, rows)
-        kept = np.flatnonzero(~np.isin(self._ids, ids))
-        order = np.argsort(np.concatenate([self._ids[kept], ids]))
-        take = np.concatenate([kept, self._ids.size + np.arange(ids.size)])[order]
-        self._block = sp.vstack([self._block, rows], format="csr")[take]
-        self._ids = np.concatenate([self._ids, ids])[take]
+        self._ids, self._block = splice_rows(self._ids, self._block, ids, rows)
         vars(self).pop("_full_scan_state", None)
         return ids, rows
 

@@ -242,6 +242,18 @@ def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
                          shape=(len(indices), dim))
 
 
+def splice_rows(ids, block, new_ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The store ``ids``, ``block`` with CSR row i of ``rows`` as id ``new_ids[i]``
+    (distinct), as (sorted ids, CSR): one row take of both blocks stacked."""
+    kept = np.flatnonzero(~np.isin(ids, new_ids))
+    take = np.argsort(np.concatenate([ids[kept], new_ids]))
+    if kept.size:  # else every stored row is replaced: take from the new rows alone
+        take = np.concatenate([kept, ids.size + np.arange(new_ids.size)])[take]
+        new_ids = np.concatenate([ids, new_ids])
+        rows = sp.vstack([block, rows], format="csr")
+    return new_ids[take], rows[take]
+
+
 def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum of each CSR row's ``values``, in stored order: a row's sum does
     not depend on the other rows of its block.  One ``csr_matvec`` against
@@ -575,9 +587,9 @@ class WeightMatrix:
     regularization step of the trainers O(1) instead of O(nnz).
 
     The stored rows are one canonical CSR (sorted indices, no duplicates,
-    no explicit zeros).  Every write replaces it through :meth:`_write`,
-    which recomputes the cached squared norms of the stored rows and their
-    sum exactly from the new data, so the caches cannot drift.
+    no explicit zeros).  Every write goes through :meth:`_write`, which
+    replaces only the rows it names (:func:`splice_rows`) and recomputes only
+    their cached squared norms, each from its row alone, so none can drift.
 
     :meth:`score`, and :meth:`score_pairs` when the matrix is scored
     densely, read the logical matrix's :class:`ScoringState`;
@@ -598,7 +610,8 @@ class WeightMatrix:
         self.dim = int(dim)
         self.scale = 1.0
         self.fold_count = 0
-        self._write(sp.csr_matrix((self.num_classes, self.dim)))
+        self._store = sp.csr_matrix((self.num_classes, self.dim))
+        self._row_sq = np.zeros(self.num_classes)
 
     # -- constructors -------------------------------------------------
 
@@ -609,18 +622,23 @@ class WeightMatrix:
         if not rows:
             raise ValueError("need at least one row")
         W = cls(max(c for c, _ in rows) + 1, dim)
-        indices = [np.empty(0, dtype=np.int64)] * W.num_classes
-        values = [np.empty(0, dtype=np.float64)] * W.num_classes
-        seen = set()
+        given = {}
         for c, r in rows:
             W._check_class(c)
-            if c in seen:
+            if c in given:
                 raise ValueError(f"duplicate class id {c}")
-            seen.add(c)
             if r.dim != dim:
                 raise ValueError(f"row {c} has dim {r.dim}, expected {dim}")
-            indices[c], values[c] = r.indices, r.values
-        W._write(stack_csr(indices, values, dim))
+            given[c] = r
+        W._write(np.array(list(given)), stack_csr([r.indices for r in given.values()],
+                                                   [r.values for r in given.values()], dim))
+        return W
+
+    @classmethod
+    def from_csr(cls, block: sp.csr_matrix):
+        """Build from the logical rows of a CSR, taken; no rows give one zero row."""
+        W = cls(max(block.shape[0], 1), block.shape[1])
+        W._write(np.arange(block.shape[0]), block)
         return W
 
     # -- internal helpers ---------------------------------------------
@@ -636,18 +654,13 @@ class WeightMatrix:
             self._check_class(c)
         return rows
 
-    def _write(self, stored: sp.csr_matrix) -> None:
-        """The one writer: canonicalise ``stored`` (a fresh matrix, changed in
-        place), make it the store and recompute the norm caches from it.
-
-        scipy's sums and products may leave indices unsorted, which
-        SparseVector rejects; ``sum_duplicates`` sorts them.
-        """
-        stored.sum_duplicates()
-        stored.eliminate_zeros()
-        self._row_sq = row_sums(stored.data ** 2, stored.indptr)
-        self._frob_sq = float(self._row_sq.sum())
-        self._store = stored
+    def _write(self, rows: np.ndarray, block: sp.csr_matrix) -> None:
+        """The one writer: the fresh CSR ``block``, made canonical in place, becomes
+        classes ``rows`` (distinct) by :func:`splice_rows`; only their norms are redone."""
+        block.sum_duplicates()
+        block.eliminate_zeros()
+        _, self._store = splice_rows(np.arange(self.num_classes), self._store, rows, block)
+        self._row_sq[rows] = row_sums(block.data ** 2, block.indptr)
         vars(self).pop("_scoring_state", None)
 
     def _row(self, c: int):
@@ -657,7 +670,7 @@ class WeightMatrix:
         return self._store.indices[lo:hi], self._store.data[lo:hi]
 
     def _fold(self):
-        self._write(self._store * self.scale)
+        self._write(np.arange(self.num_classes), self._store * self.scale)
         self.scale = 1.0
         self.fold_count += 1
 
@@ -668,7 +681,9 @@ class WeightMatrix:
         if delta.shape != (self.num_classes, self.dim):
             raise ValueError(f"delta shape {delta.shape} does not match the matrix")
         if delta.nnz:
-            self._write(self._store + delta * (1.0 / self.scale))
+            delta = sp.csr_matrix(delta * (1.0 / self.scale))  # scaled before duplicates sum
+            rows = np.flatnonzero(np.diff(delta.indptr))
+            self._write(rows, self._store[rows] + delta[rows])
 
     def add_to_row(self, c: int, coeff: float, x: SparseVector) -> None:
         """Logical row c += coeff * x."""
@@ -713,14 +728,11 @@ class WeightMatrix:
             raise ValueError(f"threshold must be nonnegative and finite, not {tau}")
         if tau == 0.0 or rows.size == 0:
             return
-        chosen = np.zeros(self.num_classes, dtype=bool)
-        chosen[rows] = True
-        at = np.repeat(chosen, np.diff(self._store.indptr))
-        stored = self._store.copy()
-        logical = self.scale * stored.data[at]
-        shrunk = np.sign(logical) * np.maximum(np.abs(logical) - tau, 0.0)
-        stored.data[at] = shrunk / self.scale
-        self._write(stored)
+        rows = np.unique(rows)
+        block = self._store[rows]
+        logical = self.scale * block.data
+        block.data = np.sign(logical) * np.maximum(np.abs(logical) - tau, 0.0) / self.scale
+        self._write(rows, block)
 
     def truncate_row(self, c: int, tau: float) -> None:
         """Soft-threshold logical row c at tau; drops the resulting zeros."""
@@ -767,7 +779,7 @@ class WeightMatrix:
         return score_pairs(X, classes, self.to_csr())
 
     def frob_norm(self) -> float:
-        return self.scale * math.sqrt(self._frob_sq)
+        return self.scale * math.sqrt(self.frob_sq)
 
     def l1_norm(self) -> float:
         """Sum of |w| over the logical matrix: the scaled stored values, as
@@ -781,8 +793,8 @@ class WeightMatrix:
 
     @property
     def frob_sq(self) -> float:
-        """Cached squared Frobenius norm of the stored (unscaled) matrix."""
-        return self._frob_sq
+        """Squared Frobenius norm of the stored (unscaled) rows: their norms' sum."""
+        return float(self._row_sq.sum())
 
     def nnz(self) -> int:
         return int(self._store.nnz)

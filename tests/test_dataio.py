@@ -592,6 +592,23 @@ def assert_same_model(loaded, W):
 
 
 @pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_a_model_of_no_classes_loads_as_one_zero_row(fuzz_models, tmp_path, fmt):
+    """A header of 0 classes and no rows loads, in either format, as one
+    empty class row of the header's dimension."""
+    blob = fuzz_models[fmt][0]
+    if fmt == "binary":
+        head = blob[:BIN_TAG + 2]
+        blob = head[:16] + (0).to_bytes(8, "little") + head[24:]
+    else:
+        blob = b"MEMOIR1 text 1\n0 6 0.5 l2\n"
+    path = tmp_path / "empty-model"
+    path.write_bytes(blob)
+    W, header = load_model(path)
+    assert header["num_classes"] == 0 and header["dim"] == 6
+    assert (W.num_classes, W.dim, W.nnz(), W.frob_sq) == (1, 6, 0, 0.0)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
 def test_every_truncation_fails_closed(fuzz_models, tmp_path, fmt):
     blob, W = fuzz_models[fmt]
     path = tmp_path / "model"

@@ -426,6 +426,177 @@ class TestBatchedWrites:
         assert W.frob_sq == pytest.approx(float(recomputed.sum()), rel=1e-12)
 
 
+class WholeStoreWriter:
+    """A whole-store writer, the byte oracle of WeightMatrix's row splice:
+    every write sums the scaled delta into the whole store, then
+    re-canonicalises it and recomputes every row's squared norm and their
+    sum."""
+
+    def __init__(self, num_classes, dim):
+        self.scale = 1.0
+        self.write(sp.csr_matrix((num_classes, dim)))
+
+    def write(self, stored):
+        stored.sum_duplicates()
+        stored.eliminate_zeros()
+        self.store = stored
+        self.row_sq = sparse.row_sums(stored.data ** 2, stored.indptr)
+        self.frob_sq = float(self.row_sq.sum())
+
+    def add(self, delta):
+        if delta.nnz:
+            self.write(self.store + delta * (1.0 / self.scale))
+
+    def global_scale(self, alpha):
+        self.scale *= alpha
+        if not sparse.SCALE_FOLD_LOW <= self.scale <= sparse.SCALE_FOLD_HIGH:
+            self.write(self.store * self.scale)
+            self.scale = 1.0
+
+    def truncate_rows(self, rows, tau):
+        if tau == 0.0 or len(rows) == 0:
+            return
+        chosen = np.zeros(self.store.shape[0], dtype=bool)
+        chosen[rows] = True
+        at = np.repeat(chosen, np.diff(self.store.indptr))
+        stored = self.store.copy()
+        logical = self.scale * stored.data[at]
+        shrunk = np.sign(logical) * np.maximum(np.abs(logical) - tau, 0.0)
+        stored.data[at] = shrunk / self.scale
+        self.write(stored)
+
+
+def unsorted_csr(data, rows, cols, shape):
+    """The COO entries as a CSR that keeps their duplicates and their order
+    within a row: not canonical, so scipy's sum takes its general path."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=shape)
+
+
+def assert_same_store(W, ref):
+    """Byte equality of the stores' arrays (indices compared as int64: their
+    dtype is scipy's choice), the cached row norms and their sum."""
+    S, R = W._store, ref.store
+    assert W.scale == ref.scale
+    for got, want in ((S.indptr, R.indptr), (S.indices, R.indices)):
+        assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
+    assert S.data.tobytes() == R.data.tobytes()
+    assert W.row_sq_norms.tobytes() == ref.row_sq.tobytes()
+    assert np.float64(W.frob_sq).tobytes() == np.float64(ref.frob_sq).tobytes()
+
+
+class TestRowSplice:
+    """WeightMatrix._write replaces only the rows it names: the store, the
+    cached norms and their sum stay byte-equal to a whole-store rewrite."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_byte_equal_to_the_whole_store_writer(self, seed):
+        rng = np.random.default_rng(seed)
+        C, d = 9, 14
+        W, ref = WeightMatrix(C, d), WholeStoreWriter(C, d)
+        kinds = dict.fromkeys(("coo", "csr", "cancel", "fold", "truncate", "project"), 0)
+        for _ in range(400):
+            r = rng.random()
+            if r < 0.4:
+                # few coordinates, so duplicates are common
+                n = int(rng.integers(1, 16))
+                rows, cols = rng.integers(C, size=n), rng.integers(4, size=n) * 3
+                data = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, size=n)
+                kind = "coo" if rng.random() < 0.7 else "csr"
+                if kind == "coo":
+                    delta = sp.coo_matrix((data, (rows, cols)), shape=(C, d))
+                else:
+                    delta = unsorted_csr(data, rows, cols, (C, d))
+                kinds[kind] += (n > np.unique(rows * d + cols).size)
+                W.add(delta)
+                ref.add(delta)
+            elif r < 0.5:
+                # empty a row, then add a delta and its negation: the row cancels
+                c = int(rng.integers(C))
+                for M in (W, ref):
+                    M.truncate_rows([c], 1e300)
+                assert_same_store(W, ref)
+                delta = sp.coo_matrix((rng.standard_normal(3), ([c] * 3, [1, 1, 5])),
+                                      shape=(C, d))
+                for step in (delta, -delta):
+                    W.add(step)
+                    ref.add(step)
+                    assert_same_store(W, ref)
+                assert W.stored_rows([c]).nnz == 0
+                kinds["cancel"] += 1
+            elif r < 0.7:
+                alpha = float(rng.uniform(0.2, 1.8) if rng.random() < 0.7
+                              else 10.0 ** rng.choice([-5.0, 5.0]))
+                folds = W.fold_count
+                W.global_scale(alpha)
+                ref.global_scale(alpha)
+                kinds["fold"] += W.fold_count - folds
+            elif r < 0.85:
+                # unsorted ids with repeats
+                rows = rng.integers(C, size=int(rng.integers(0, 2 * C)))
+                tau = float(rng.uniform(0.0, 0.5))
+                W.truncate_rows(rows, tau)
+                ref.truncate_rows(rows, tau)
+                kinds["truncate"] += rows.size > np.unique(rows).size
+            else:
+                phi = W.project_to_ball(float(rng.uniform(0.01, 4.0)))
+                if phi < 1.0:
+                    ref.global_scale(phi)
+                    kinds["project"] += 1
+            assert_same_store(W, ref)
+        assert all(kinds.values()), kinds
+
+    def test_a_one_row_write_norms_only_that_row(self, monkeypatch):
+        """A one-row add and a one-row truncation hand row_sums that row's
+        entries alone, and leave every other row's cached norm as it was."""
+        rng = np.random.default_rng(7)
+        C, d = 40, 30
+        W = WeightMatrix(C, d)
+        W.add(sp.random(C, d, density=0.3, random_state=3, format="csr"))
+        calls, row_sums = [], sparse.row_sums
+
+        def recorded(values, indptr):
+            calls.append((values.size, indptr.size))
+            return row_sums(values, indptr)
+
+        monkeypatch.setattr(sparse, "row_sums", recorded)
+        for c in (5, 17):
+            before = W.row_sq_norms
+            W.add_to_row(c, 0.5, random_sparse(rng, d, max_nnz=12))
+            assert calls.pop() == (W.stored_rows([c]).nnz, 2)
+            W.truncate_row(c, 0.05)
+            assert calls.pop() == (W.stored_rows([c]).nnz, 2)
+            assert not calls
+            others = np.arange(C) != c
+            assert W.row_sq_norms[others].tobytes() == before[others].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_splice_rows_replaces_and_inserts(self, seed):
+        """splice_rows keeps the untouched rows' bytes, replaces or inserts
+        the named ones and keeps the ids sorted, whatever their order, and
+        shares no array with its inputs."""
+        rng = np.random.default_rng(seed)
+        d = 8
+        ids = np.sort(rng.choice(30, size=int(rng.integers(0, 12)), replace=False))
+        block = sp.random(ids.size, d, density=0.4, random_state=rng, format="csr")
+        new_ids = rng.choice(30, size=int(rng.integers(0, 8)), replace=False)
+        if rng.random() < 0.3:  # every stored row replaced: the new rows are taken alone
+            new_ids = rng.permutation(np.union1d(ids, new_ids))
+        rows = sp.random(new_ids.size, d, density=0.4, random_state=rng, format="csr")
+        want = {c: block[i] for i, c in enumerate(ids.tolist())}
+        want.update({c: rows[i] for i, c in enumerate(new_ids.tolist())})
+        got_ids, got = sparse.splice_rows(ids, block, new_ids, rows)
+        assert got_ids.tolist() == sorted(want)
+        for i, c in enumerate(got_ids.tolist()):
+            assert got[i].indices.tolist() == want[c].indices.tolist()
+            assert got[i].data.tobytes() == want[c].data.tobytes()
+        for a in (got_ids, got.data, got.indices, got.indptr):
+            for b in (ids, new_ids, block.data, rows.data, block.indices, rows.indices):
+                assert not np.shares_memory(a, b)
+
+
 def float_bytes(state):
     """Bytes of the float arrays that ``state`` holds, directly or in a
     tuple of its derived pieces."""
