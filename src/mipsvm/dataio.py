@@ -61,6 +61,9 @@ class Dataset:
     def __init__(self, examples, dim: int, num_classes: int,
                  label_map: dict[str, int] | None = None):
         examples = list(examples)
+        for k, (_, x) in enumerate(examples):
+            if x.dim != dim:
+                raise ValueError(f"example {k} has dim {x.dim}, expected {dim}")
         labels = np.fromiter((y for y, _ in examples), np.int64, len(examples))
         block = stack_csr([x.indices for _, x in examples],
                           [x.values for _, x in examples], dim)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -33,14 +34,15 @@ class MipsIndex:
       :mod:`mipsvm.sparse`) of the returned class's stored row;
     * ``query`` never returns the excluded class, and ``query_batch``
       answers every row of a CSR query block exactly as ``query`` would:
-      ``query`` is a batch of one, and ``query_batch`` is the one method
-      a backend overrides (this default is the exact full scan);
+      ``query`` is a batch of one, and ``query_batch`` is the one query
+      path.  A backend only overrides ``_candidates``, which proposes a
+      pool of classes for each row or leaves the row to the full scan;
     * after ``update_rows(ids, rows)`` (row i of the CSR block ``rows``
       becomes class ``ids[i]``) or ``update_row(c, row)`` the index reflects
       the new rows before the next query; a bad block changes nothing;
     * queries are read-only and may run concurrently against a frozen index;
-      updates are exclusive.  A backend's work counters (:meth:`counters`)
-      are bumped under a lock.
+      updates are exclusive.  The queries answered and those left to the
+      full scan are counted (:meth:`counters`) under one lock.
 
     The base class keeps the rows in one CSR block, into which :func:`splice_rows`
     writes only an update's rows, and does every exact scan (full, or of a pool).
@@ -54,6 +56,9 @@ class MipsIndex:
         self.dim = int(dim)
         self._ids = np.empty(0, dtype=np.int64)  # sorted; row i of _block is class _ids[i]
         self._block = sp.csr_matrix((0, self.dim))  # canonical CSR, written by _write
+        self.query_count = 0
+        self.fallback_count = 0
+        self._count_lock = threading.Lock()
 
     def _canonical(self, X, what: str) -> sp.csr_matrix:
         """The ``what`` block ``X`` as canonical CSR of ``dim`` finite columns."""
@@ -143,12 +148,33 @@ class MipsIndex:
                                        [exclude])
         return int(ids[0]), float(scores[0])
 
+    def _candidates(self, X: sp.csr_matrix, exclude) -> list[list[int] | None]:
+        """For each row of the checked query block ``X``, a sorted pool of
+        indexed class ids without that row's excluded class, or None for
+        the full scan; this default asks for the full scan everywhere."""
+        return [None] * X.shape[0]
+
     def query_batch(self, X, exclude) -> tuple[np.ndarray, np.ndarray]:
         """(class ids, exact scores) that :meth:`query` gives for each row of
         the CSR query block ``X`` (n x dim, the block :func:`score_block`
-        takes), with ``exclude`` holding one class id or None per row; this
-        default is the exact full scan."""
-        return self._scan(self._check_batch(X, exclude), exclude)
+        takes), with ``exclude`` holding one class id or None per row: one
+        :meth:`_scan` of the rows :meth:`_candidates` leaves to the full
+        scan, and one of the pooled rows, each held to its pool."""
+        X = self._check_batch(X, exclude)
+        pools = self._candidates(X, exclude)
+        fell = [i for i, pool in enumerate(pools) if pool is None]
+        with self._count_lock:
+            self.query_count += len(pools)
+            self.fallback_count += len(fell)
+        if len(fell) == len(pools):
+            return self._scan(X, exclude)
+        ids, scores = np.empty(len(pools), dtype=np.int64), np.empty(len(pools))
+        if fell:
+            ids[fell], scores[fell] = self._scan(X[fell], [exclude[i] for i in fell])
+        pooled = [i for i, pool in enumerate(pools) if pool is not None]
+        ids[pooled], scores[pooled] = self._scan(
+            X[pooled], [exclude[i] for i in pooled], [pools[i] for i in pooled])
+        return ids, scores
 
     def update_row(self, c: int, new_row: SparseVector) -> None:
         """Insert or replace the row of class ``c``: an update of one row."""
@@ -161,8 +187,8 @@ class MipsIndex:
         self._write(ids, rows)
 
     def counters(self) -> dict[str, int]:
-        """The work counts this backend keeps, by name (none by default)."""
-        return {}
+        """The work counts this backend keeps, by name."""
+        return {"queries": self.query_count, "fallbacks": self.fallback_count}
 
     def __len__(self) -> int:
         return int(self._ids.size)

@@ -36,7 +36,6 @@ nothing, so they stay read-only.
 from __future__ import annotations
 
 import math
-import threading
 from functools import partial
 
 import numpy as np
@@ -200,16 +199,15 @@ class SimpleLshIndex(MipsIndex):
     collects the rows whose whole code matches its own in some table,
     re-scores them exactly and returns the best; when no code matches, it
     falls back to a full scan, so a returned candidate is never worse than
-    any retrieved one.  A batch's fallbacks share one full scan, and its
-    re-ranks one product over the union of their pools.
+    any retrieved one.  :meth:`_candidates` proposes the pools, and
+    :meth:`MipsIndex.query_batch` scores them.
 
     The norm constant U is the largest row norm seen so far; a batch of
     updates whose largest norm exceeds it re-augments and re-hashes the
     whole index once (rare once training projects the matrix into a fixed
-    ball).  ``rebuild_count``, ``query_count``, ``fallback_count`` and
-    ``prefix_hit_count`` count those rebuilds, the queries answered, the
-    queries that fell back and the (query, table) pairs that needed the
-    rest of their code hashed.
+    ball).  ``rebuild_count`` and ``prefix_hit_count`` count those
+    rebuilds and the (query, table) pairs that needed the rest of their
+    code hashed, beside the queries and fallbacks every index counts.
     """
 
     kind = "simplelsh"
@@ -232,11 +230,7 @@ class SimpleLshIndex(MipsIndex):
         self._buckets: list[dict[int, set[int]]] = [{} for _ in range(self.tables)]
         self._U = 0.0
         self.rebuild_count = 0
-        self.query_count = 0
-        self.fallback_count = 0
         self.prefix_hit_count = 0
-        # concurrent query batches bump the query counters under this lock
-        self._count_lock = threading.Lock()
 
     # -- hashing --------------------------------------------------------
 
@@ -362,24 +356,6 @@ class SimpleLshIndex(MipsIndex):
             pool.discard(e)
         return [sorted(pool) if pool else None for pool in found]
 
-    def query_batch(self, X, exclude):
-        X = self._check_batch(X, exclude)
-        pools = self._candidates(X, exclude)
-        ids = np.empty(len(pools), dtype=np.int64)
-        scores = np.empty(len(pools))
-        fell = [i for i, pool in enumerate(pools) if pool is None]
-        if fell:
-            ids[fell], scores[fell] = self._scan(X[fell], [exclude[i] for i in fell])
-        pooled = [i for i, pool in enumerate(pools) if pool is not None]
-        if pooled:
-            ids[pooled], scores[pooled] = self._scan(
-                X[pooled], [exclude[i] for i in pooled], [pools[i] for i in pooled])
-        with self._count_lock:
-            self.query_count += len(pools)
-            self.fallback_count += len(fell)
-        return ids, scores
-
     def counters(self) -> dict[str, int]:
-        return {"rebuilds": self.rebuild_count, "queries": self.query_count,
-                "fallbacks": self.fallback_count,
+        return {"rebuilds": self.rebuild_count, **super().counters(),
                 "prefix_hits": self.prefix_hit_count}

@@ -6,9 +6,8 @@ a small persistent entry set, keeping a candidate list of ``ef_search``
 nodes; inserts use the same traversal with ``ef_construction``.  Similarity
 is the raw inner product, which is what makes the graph usable as a MIPS
 backend even though it is not a metric.  The traversal ranks by those
-dots, but every score a query returns is the exact kernel's: one
-:func:`~mipsvm.sparse.score_pairs` call over the query block against the
-index's stored rows.
+dots and proposes its best node as a one-class pool, and
+:meth:`MipsIndex.query_batch` gives that class's exact kernel score.
 
 Deletion (the first half of an update) reconnects the removed node's
 neighbors pairwise before pruning, so the graph stays connected under the
@@ -24,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 # dot is unused here; perfbench/tracing.py patches it on this module
-from ..sparse import _dot_arrays, dot, row_view, score_pairs  # noqa: F401
+from ..sparse import _dot_arrays, dot, row_view  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 ENTRY_POINTS = 4
@@ -193,23 +192,17 @@ class SwGraphIndex(MipsIndex):
             self._insert(c, row_view(rows, k, k + 1))
             self._repair_connectivity()
 
-    def query_batch(self, X, exclude):
-        """One traversal per row picks its class; the rows whose traversal
-        surfaced only their excluded class share one exact scan of the
-        rest.  Every score is :func:`score_pairs`'s against the stored
-        rows, so a batch with no fallback builds no scan state."""
-        X = self._check_batch(X, exclude)
-        ids, bounds, fell = np.empty(X.shape[0], dtype=np.int64), X.indptr.tolist(), []
-        for k, (lo, hi, e) in enumerate(zip(bounds[:-1], bounds[1:], exclude)):
+    def _candidates(self, X, exclude):
+        """One traversal per row: its best node other than the excluded
+        class as a one-class pool, or None when the traversal surfaced only
+        the excluded class."""
+        bounds = X.indptr.tolist()
+        pools = []
+        for lo, hi, e in zip(bounds[:-1], bounds[1:], exclude):
             found = self._search(X.indices[lo:hi], X.data[lo:hi], self.ef_search)
             best = next((c for _, c in found if c != e), None)
-            if best is None:
-                fell.append(k)
-            else:
-                ids[k] = best
-        if fell:
-            ids[fell] = self._scan(X[fell], [exclude[k] for k in fell])[0]
-        return ids, score_pairs(X, np.searchsorted(self._ids, ids), self._block)
+            pools.append(None if best is None else [best])
+        return pools
 
     # -- introspection (used by tests and demos) ----------------------------
 

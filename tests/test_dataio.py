@@ -230,6 +230,15 @@ class TestDatasetLabels:
         with pytest.raises(ValueError, match="2 labels for 3 rows"):
             Dataset.from_csr(np.array([0, 1]), block, 2)
 
+    @pytest.mark.parametrize("width", [2, 10])
+    def test_example_of_another_dim_names_itself(self, width):
+        # the CSR constructor does not bounds-check, so a wider example
+        # would otherwise store a column past the block's width
+        good = SparseVector(np.array([0]), np.array([1.0]), 3)
+        other = SparseVector(np.array([1]), np.array([1.0]), width)
+        with pytest.raises(ValueError, match=rf"example 1 has dim {width}, expected 3"):
+            Dataset([(0, good), (0, other)], 3, 1)
+
 
 # -- the parser against a per-token reference --------------------------------
 

@@ -8,7 +8,8 @@ import pytest
 from scipy import sparse as sp
 
 from mipsvm import sparse
-from mipsvm.mips import ExactIndex, NoCandidateError, build_index, index_from_matrix
+from mipsvm.mips import (ExactIndex, MipsIndex, NoCandidateError, build_index,
+                         index_from_matrix)
 from mipsvm.sparse import SparseVector, WeightMatrix, dot
 
 # small graph and LSH settings, so that neither backend is an exact scan
@@ -343,6 +344,75 @@ def test_query_batch_rejects_a_bad_block(kind, as_block):
             index.query_batch(X, [None] * 3)
     with pytest.raises(ValueError, match="2 excludes for 3 queries"):
         index.query_batch(as_block(xs, 6), [None] * 2)
+
+
+class FixedPools(MipsIndex):
+    """A backend proposing ``plan[i % len(plan)]`` for row i: a pool of
+    class ids, or None for the full scan."""
+
+    kind = "fixed-pools"
+
+    def __init__(self, dim, plan):
+        super().__init__(dim)
+        self.plan = plan
+
+    def _candidates(self, X, exclude):
+        return [self.plan[i % len(self.plan)] for i in range(X.shape[0])]
+
+
+def test_query_batch_scores_each_proposal(kernel_cases, as_block):
+    """Through the _candidates hook alone, a None row gets the exact
+    backend's answer and a pooled row score_block's best of that pool, bit
+    for bit, and every row is counted.  The pools hold the kernel cases'
+    tied classes: rows 1 and 4 are one row, and row 6 is all zero."""
+    plan = [None, [2], [0, 3, 5], None, [1, 4], [6], [1, 4, 6]]
+    for W, data in kernel_cases:
+        rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
+        index, exact = FixedPools(W.dim, plan), build_index(rows, "exact", dim=W.dim)
+        index.update_rows(range(W.num_classes), W.to_csr())
+        X = as_block([x for _, x in data.examples], W.dim)
+        pools = index._candidates(X, [None] * X.shape[0])
+        # a row's label is excluded wherever its pool leaves it out
+        exclude = [y if pool is None or y not in pool else None
+                   for y, pool in zip(data.labels_array().tolist(), pools)]
+        ids, scores = index.query_batch(X, exclude)
+        state = sparse.ScoringState(W.to_csr())
+        for i, (pool, e) in enumerate(zip(pools, exclude)):
+            if pool is None:
+                want = exact.query_batch(X[i], [e])
+            else:
+                among = sp.csr_matrix(([True] * len(pool), pool, [0, len(pool)]),
+                                      shape=(1, W.num_classes))
+                want = sparse.score_block(X[i], state, among=among)[:2]
+            assert (ids[i], scores[i].tobytes()) == (want[0][0], want[1][0].tobytes())
+        assert index.counters() == {"queries": len(pools),
+                                    "fallbacks": sum(pool is None for pool in pools)}
+
+
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_every_backend_answers_through_the_base_query_batch(kind, monkeypatch, as_block):
+    """No backend keeps a query_batch of its own, and every one counts the
+    rows it is asked.  Exact leaves every row to one scan of the checked
+    block itself."""
+    rng = np.random.default_rng(33)
+    index = build_index([(c, random_sparse(rng, 6)) for c in range(12)], kind,
+                        dim=6, seed=1, **BACKEND_PARAMS[kind])
+    assert "query_batch" not in vars(type(index))
+    scan, scanned = index._scan, []
+
+    def recorded_scan(X, exclude, pools=None):
+        scanned.append((X, pools))
+        return scan(X, exclude, pools)
+
+    monkeypatch.setattr(index, "_scan", recorded_scan)
+    X = as_block([random_sparse(rng, 6) for _ in range(9)], 6)
+    index.query_batch(X, [None, 3] * 4 + [None])
+    index.query(random_sparse(rng, 6), exclude=5)
+    counts = index.counters()
+    assert counts["queries"] == 10
+    if kind == "exact":
+        assert counts["fallbacks"] == 10
+        assert scanned[0][0] is X and scanned[0][1] is None
 
 
 def backend_state(index):
