@@ -86,6 +86,11 @@ class Dataset:
         if bad.size:
             raise ValueError(f"label {labels[bad[0]]} of row {bad[0]} is outside "
                              f"[0, {num_classes})")
+        finite = np.isfinite(block.data)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise ValueError(f"row {np.searchsorted(block.indptr, k, 'right') - 1} holds "
+                             f"the non-finite feature value {float(block.data[k])!r}")
         self._labels = labels
         # labels_array() hands this array out
         labels.flags.writeable = False
@@ -332,8 +337,11 @@ def save_model(path, W: WeightMatrix, *, lam: float, algorithm: str,
 
     ``label_names`` optionally writes a ``<path>.labels`` sidecar with one
     external label per line, ordered by dense class id.  An algorithm tag
-    the loaders cannot read back raises ``ValueError`` before ``path`` opens.
+    the loaders cannot read back, or a λ that is not finite and >= 0, raises
+    ``ValueError`` before ``path`` opens.
     """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     tag = algorithm.encode("utf-8")
     if not tag:
         raise ValueError("algorithm tag is empty")
@@ -381,12 +389,20 @@ def _check_dim(dim: int) -> None:
         raise ModelFormatError(f"header claims dimension {dim}")
 
 
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ModelFormatError(f"header claims lambda {lam!r}; it must be finite and >= 0")
+
+
 def _check_class_claim(fh, num_classes: int, min_row_bytes: int) -> None:
-    """Reject a header claiming more rows than the rest of the file can hold.
+    """Reject a header claiming a negative class count, or more rows than
+    the rest of the file can hold.
 
     Runs before the matrix is allocated, so a short file cannot make the
     loader allocate in proportion to a forged class count.
     """
+    if num_classes < 0:
+        raise ModelFormatError(f"header claims {num_classes} classes")
     left = _bytes_left(fh)
     if num_classes * min_row_bytes > left:
         raise ModelFormatError(
@@ -412,6 +428,7 @@ def _load_binary(fh) -> tuple[WeightMatrix, dict]:
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"algorithm tag is not UTF-8: {exc}") from exc
     _check_dim(dim)
+    _check_lambda(lam)
     _check_class_claim(fh, num_classes, 16)
     body = fh.read()
     # walk the row headers: row k's nnz indices start at word starts[k]
@@ -485,6 +502,7 @@ def _load_text(fh) -> tuple[WeightMatrix, dict]:
     lam = _number(float, head[2], "lambda")
     algorithm = head[3]
     _check_dim(dim)
+    _check_lambda(lam)
     _check_class_claim(fh, num_classes, len("0 0\n"))
     rows = []
     for k in range(num_classes):

@@ -35,8 +35,9 @@ class MipsIndex:
     * ``query`` never returns the excluded class, and ``query_batch``
       answers every row of a CSR query block exactly as ``query`` would:
       ``query`` is a batch of one, and ``query_batch`` is the one query
-      path.  A backend only overrides ``_candidates``, which proposes a
-      pool of classes for each row or leaves the row to the full scan;
+      path.  A backend only overrides ``_candidates``, which proposes
+      every row's pool of classes as one ``(indptr, ids)`` pair, an empty
+      pool leaving its row to the full scan;
     * after ``update_rows(ids, rows)`` (row i of the CSR block ``rows``
       becomes class ``ids[i]``) or ``update_row(c, row)`` the index reflects
       the new rows before the next query; a bad block changes nothing;
@@ -91,17 +92,17 @@ class MipsIndex:
 
     def _check_batch(self, X, exclude):
         """``X`` as canonical CSR, once it is known to hold ``dim`` columns,
-        finite values, one exclude per row and a candidate for each."""
+        finite values, one exclude per row and a candidate for each; and
+        ``exclude`` as ``(classes, given)``: row i excludes ``classes[i]``
+        where ``given[i]`` (a mask, since any int64 is a class id)."""
         X = self._canonical(X, "query")
         if len(exclude) != X.shape[0]:
             raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
-        if len(self) <= 1 and any(not len(self) or self._ids[0] == e for e in exclude):
+        given = np.array([e is not None for e in exclude], dtype=bool)
+        classes = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
+        if len(self) <= 1 and (given & np.isin(classes, self._ids) | (not len(self))).any():
             raise NoCandidateError("no candidate class after exclusion")
-        return X
-
-    def _stack(self, ids) -> sp.csr_matrix:
-        """The stored rows of ``ids``, in that order, as one CSR block."""
-        return self._block[np.searchsorted(self._ids, ids)]
+        return X, (classes, given)
 
     @cached_property
     def _full_scan_state(self):
@@ -109,35 +110,30 @@ class MipsIndex:
         return self._ids, ScoringState(self._block)
 
     def _scan(self, X: sp.csr_matrix, exclude,
-              pools: list[list[int]] | None = None) -> tuple[np.ndarray, np.ndarray]:
+              pools=None) -> tuple[np.ndarray, np.ndarray]:
         """Best (class ids, exact scores) of the rows of the query block
-        ``X``, over every row or, row by row, over that row's ``pools``
-        entry.
+        ``X``, over every row or over each row's pool.
 
-        ``exclude`` holds one class id or None per row; an id outside the
-        scan masks nothing.  ``pools`` holds one sorted list of indexed
-        class ids per row; the rows of their union are gathered into one
-        CSR slice, and each query is held to its own pool.  Either way the
-        scores come from one :func:`score_block` call, so re-ranking a
-        batch never costs more than a full scan of it, and ties go to the
-        smallest id.
+        ``exclude`` is None or :meth:`_check_batch`'s pair; an id outside the
+        scan masks nothing.  ``pools`` is :meth:`_candidates`'s pair for
+        these rows: the rows of their union are gathered into one CSR slice,
+        and each query is held to its own pool.  Either way the scores come
+        from one :func:`score_block` call, so re-ranking a batch never costs
+        more than a full scan of it, and ties go to the smallest id.
         """
-        among = None
+        among = masked = None
         if pools is None:
             ids, state = self._full_scan_state
         else:
-            members = np.concatenate([np.asarray(pool, dtype=np.int64) for pool in pools])
-            ids = np.unique(members)
-            state = ScoringState(self._stack(ids))
-            indptr = np.zeros(len(pools) + 1, dtype=np.int64)
-            np.cumsum([len(pool) for pool in pools], out=indptr[1:])
-            among = sp.csr_matrix((np.ones(members.size, dtype=bool),
-                                   np.searchsorted(ids, members), indptr),
-                                  shape=(len(pools), ids.size))
-        given = np.array([e is not None for e in exclude], dtype=bool)
-        wanted = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
-        pos = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
-        masked = np.where(given & (ids[pos] == wanted), pos, -1)
+            indptr, members = pools
+            ids, cols = np.unique(members, return_inverse=True)
+            state = ScoringState(self._block[np.searchsorted(self._ids, ids)])
+            among = sp.csr_matrix((np.ones(members.size, dtype=bool), cols, indptr),
+                                  shape=(X.shape[0], ids.size))
+        if exclude is not None:
+            classes, given = exclude
+            pos = np.minimum(np.searchsorted(ids, classes), ids.size - 1)
+            masked = np.where(given & (ids[pos] == classes), pos, -1)
         best, score, _ = score_block(X, state, exclude=masked, among=among)
         return ids[best], score
 
@@ -148,11 +144,13 @@ class MipsIndex:
                                        [exclude])
         return int(ids[0]), float(scores[0])
 
-    def _candidates(self, X: sp.csr_matrix, exclude) -> list[list[int] | None]:
-        """For each row of the checked query block ``X``, a sorted pool of
-        indexed class ids without that row's excluded class, or None for
-        the full scan; this default asks for the full scan everywhere."""
-        return [None] * X.shape[0]
+    def _candidates(self, X: sp.csr_matrix, exclude) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, ids)``: row i of the checked query block ``X`` gets the
+        pool ``ids[indptr[i]:indptr[i+1]]``, sorted indexed class ids without
+        its excluded class (``exclude`` as :meth:`_check_batch` gives it), and
+        an empty pool asks for the full scan.  This default asks for the full
+        scan everywhere."""
+        return np.zeros(X.shape[0] + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     def query_batch(self, X, exclude) -> tuple[np.ndarray, np.ndarray]:
         """(class ids, exact scores) that :meth:`query` gives for each row of
@@ -160,20 +158,23 @@ class MipsIndex:
         takes), with ``exclude`` holding one class id or None per row: one
         :meth:`_scan` of the rows :meth:`_candidates` leaves to the full
         scan, and one of the pooled rows, each held to its pool."""
-        X = self._check_batch(X, exclude)
-        pools = self._candidates(X, exclude)
-        fell = [i for i, pool in enumerate(pools) if pool is None]
+        X, exclude = self._check_batch(X, exclude)
+        indptr, members = self._candidates(X, exclude)
+        fell = np.diff(indptr) == 0
         with self._count_lock:
-            self.query_count += len(pools)
-            self.fallback_count += len(fell)
-        if len(fell) == len(pools):
+            self.query_count += fell.size
+            self.fallback_count += int(fell.sum())
+        if fell.all():
             return self._scan(X, exclude)
-        ids, scores = np.empty(len(pools), dtype=np.int64), np.empty(len(pools))
-        if fell:
-            ids[fell], scores[fell] = self._scan(X[fell], [exclude[i] for i in fell])
-        pooled = [i for i, pool in enumerate(pools) if pool is not None]
-        ids[pooled], scores[pooled] = self._scan(
-            X[pooled], [exclude[i] for i in pooled], [pools[i] for i in pooled])
+        ids, scores = np.empty(fell.size, dtype=np.int64), np.empty(fell.size)
+        rows = np.flatnonzero(fell)
+        if rows.size:
+            ids[rows], scores[rows] = self._scan(X[rows], tuple(a[rows] for a in exclude))
+        # a pool holds no excluded class, so the pooled scan masks none; the
+        # empty pools hold no ids, so the pooled rows' ends are their indptr
+        rows = np.flatnonzero(~fell)
+        ids[rows], scores[rows] = self._scan(X[rows], None,
+                                             (np.append(0, indptr[1:][rows]), members))
         return ids, scores
 
     def update_row(self, c: int, new_row: SparseVector) -> None:

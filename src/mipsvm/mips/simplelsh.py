@@ -17,14 +17,15 @@ blocks.  One pass takes the sorted union of the block's supports and sweeps
 it in chunks of PLANE_CHUNK_ENTRIES // (planes hashed) coordinates.  Each
 chunk's plane columns are generated once, whatever the number of vectors
 sharing them, and one CSR x dense product adds the chunk's share to an
-n x (planes hashed) projection matrix; the sign bits are then packed in one
-vectorized step.  Memory is O(PLANE_CHUNK_ENTRIES + n * planes hashed),
-never O(bits * support).
+n x (planes hashed) projection matrix, whose signs are the bits.  Memory
+is O(PLANE_CHUNK_ENTRIES + n * planes hashed), never O(bits * support).
 
 A bucket hit needs a table's whole code, yet a short prefix already rules
 out almost every (query, table) pair.  So rows and queries are hashed to
 the first p = min(bits, PREFIX_BITS) bits of every table only (p * tables
-planes, not bits * tables), and rows are bucketed by that prefix.  Where a
+planes, not bits * tables).  The buckets are one sorted array of the
+(table, prefix) keys of every (row, table) pair, in which one
+``searchsorted`` pair finds every (query, table) pair's bucket.  Where a
 query's prefix bucket in table t is occupied, one pass per such table
 hashes the remaining bits - p bits of t for the queries that hit there and
 the rows of their buckets; a row is a candidate when those match too.  The
@@ -178,28 +179,27 @@ def hash_code(z, planes: np.ndarray) -> int:
     return pack_bits(sign_bits(z, planes))
 
 
-def _pack_codes(bits: np.ndarray) -> list[list[int]]:
-    """Pack a boolean (n, tables, bits) array into one int per (row, table),
-    each equal to :func:`pack_bits` of that table's bits."""
-    packed = np.packbits(bits, axis=-1)
-    pad = -packed.shape[-1] % 8
-    packed = np.pad(packed, [(0, 0), (0, 0), (pad, 0)])
-    words = packed.view(">u8").astype(object)  # big-endian 64-bit words
-    codes = words[..., 0]
-    for k in range(1, words.shape[-1]):
-        codes = (codes << 64) | words[..., k]
-    return codes.tolist()
+def _prefix_keys(bits: np.ndarray) -> np.ndarray:
+    """One bytes key per (row, table) of the boolean (n, tables, p) ``bits``:
+    the table's number, then its bits packed, so that keys are equal exactly
+    when prefixes of one table are, at any p (PREFIX_BITS may pass 63)."""
+    n, tables, p = bits.shape
+    packed = np.empty((n, tables, 4 + -(-p // 8)), dtype=np.uint8)
+    packed[..., :4] = np.arange(tables, dtype=">u4").view(np.uint8).reshape(tables, 4)
+    packed[..., 4:] = np.packbits(bits, axis=-1)
+    return packed.view(f"S{packed.shape[-1]}")[..., 0]
 
 
 class SimpleLshIndex(MipsIndex):
     """Multi-table sign-projection LSH with exact re-ranking.
 
     Each row lives in exactly one bucket per table, keyed by the first
-    ``min(bits, PREFIX_BITS)`` bits of its code in that table.  A query
-    collects the rows whose whole code matches its own in some table,
-    re-scores them exactly and returns the best; when no code matches, it
-    falls back to a full scan, so a returned candidate is never worse than
-    any retrieved one.  :meth:`_candidates` proposes the pools, and
+    ``min(bits, PREFIX_BITS)`` bits of its code in that table (row i of
+    ``_keys``, for class ``_ids[i]``).  A query collects the rows whose
+    whole code matches its own in some table, re-scores them exactly and
+    returns the best; when no code matches, it falls back to a full scan,
+    so a returned candidate is never worse than any retrieved one.
+    :meth:`_candidates` proposes the pools, and
     :meth:`MipsIndex.query_batch` scores them.
 
     The norm constant U is the largest row norm seen so far; a batch of
@@ -226,8 +226,8 @@ class SimpleLshIndex(MipsIndex):
         self.seed = int(seed)
         self._prefix = min(self.bits, PREFIX_BITS)
         self._field = GaussianPlaneField(seed, self.tables * self.bits)
-        self._codes: dict[int, list[int]] = {}  # code prefixes, one per table
-        self._buckets: list[dict[int, set[int]]] = [{} for _ in range(self.tables)]
+        self._keys = _prefix_keys(np.zeros((0, self.tables, self._prefix), dtype=bool))
+        self._buckets = self._keys.ravel(), np.empty(0, dtype=np.int64)
         self._U = 0.0
         self.rebuild_count = 0
         self.prefix_hit_count = 0
@@ -264,16 +264,16 @@ class SimpleLshIndex(MipsIndex):
         return proj
 
     def _hash(self, Z: sp.csr_matrix, tables=None, lo: int = 0,
-              hi: int | None = None) -> list[list[int]]:
-        """Codes of bits ``lo``..``hi`` of each of ``tables`` (by default the
-        whole code of every table) for every row of the augmented block
-        ``Z``, from one :meth:`_project` pass."""
+              hi: int | None = None) -> np.ndarray:
+        """Sign bits ``lo``..``hi`` of each of ``tables`` (by default the whole
+        code of every table) for every row of the augmented block ``Z``, as
+        a boolean (n, tables, hi - lo) array from one :meth:`_project` pass."""
         tables = range(self.tables) if tables is None else tables
         hi = self.bits if hi is None else hi
         bit_ids = (np.asarray(tables)[:, None] * self.bits
                    + np.arange(lo, hi)).ravel()
         proj = self._project(Z, bit_ids)
-        return _pack_codes((proj >= 0.0).reshape(Z.shape[0], len(tables), hi - lo))
+        return (proj >= 0.0).reshape(Z.shape[0], len(tables), hi - lo)
 
     def _augment(self, R: sp.csr_matrix) -> sp.csr_matrix:
         """The rows of ``R`` augmented at the current U, as
@@ -294,30 +294,27 @@ class SimpleLshIndex(MipsIndex):
 
         When the block's largest norm exceeds U, U becomes the largest norm
         of the index and every row is re-hashed (one rebuild); otherwise only
-        the given rows are.  Either way U and every code come out as one
-        :meth:`update_row` per row in descending-norm order leaves them.
+        the given rows are, and their keys spliced in.  Either way U and
+        every key come out as one :meth:`update_row` per row in
+        descending-norm order leaves them.
         """
+        old_ids, old_keys = self._ids, self._keys
         ids, rows = self._write(ids, rows)
         if np.sqrt(row_sums(rows.data * rows.data, rows.indptr)).max(initial=0.0) > self._U:
             ids, rows = self._ids, self._block
             self._U = float(np.sqrt(row_sums(rows.data * rows.data, rows.indptr)).max())
-            self._codes, self._buckets = {}, [{} for _ in range(self.tables)]
             self.rebuild_count += 1
-        for c in ids.tolist():
-            for t, code in enumerate(self._codes.pop(c, ())):
-                self._buckets[t][code].discard(c)
-                if not self._buckets[t][code]:
-                    del self._buckets[t][code]
-        codes = self._hash(self._augment(rows), hi=self._prefix)
-        for c, row_codes in zip(ids.tolist(), codes):
-            self._codes[c] = row_codes
-            for t, code in enumerate(row_codes):
-                self._buckets[t].setdefault(code, set()).add(c)
+        keys = _prefix_keys(self._hash(self._augment(rows), hi=self._prefix))
+        # the new keys come first, so that each class's first one is its newest
+        _, first = np.unique(np.concatenate([ids, old_ids]), return_index=True)
+        self._keys = np.concatenate([keys, old_keys])[first]
+        order = np.argsort(self._keys, axis=None)  # the sorted keys, and each one's row
+        self._buckets = self._keys.ravel()[order], order // self.tables
 
-    def _candidates(self, X: sp.csr_matrix, exclude) -> list[list[int] | None]:
-        """Sorted bucket-union candidates of each row of the query block
-        ``X``, or None where the exact-scan fallback fires (no bucket match,
-        or a zero query).
+    def _candidates(self, X: sp.csr_matrix, exclude) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket-union pools of the rows of the query block ``X``, empty
+        where the exact-scan fallback fires (no bucket match, or a zero
+        query).
 
         The queries are normalized as one block and hashed to their code
         prefixes in one pass.  Each table in which some query's prefix
@@ -330,31 +327,33 @@ class SimpleLshIndex(MipsIndex):
         Z = sp.csr_matrix((X.data / np.repeat(np.where(live, norms, 1.0),
                                               np.diff(X.indptr)), X.indices, X.indptr),
                           shape=(X.shape[0], self.dim + 1))
-        found: list[set[int]] = [set() for _ in range(X.shape[0])]
-        hits: dict[int, list[tuple[int, set[int]]]] = {}
-        for k, prefixes in enumerate(self._hash(Z, hi=self._prefix)):
-            if not live[k]:
-                continue
-            for t, prefix in enumerate(prefixes):
-                bucket = self._buckets[t].get(prefix)
-                if bucket and self._prefix == self.bits:
-                    found[k].update(bucket)  # the prefix is the whole code
-                elif bucket:
-                    hits.setdefault(t, []).append((k, bucket))
-        for t, pairs in hits.items():
-            rows = sorted(set().union(*(bucket for _, bucket in pairs)))
-            codes = self._hash(sp.vstack([Z[[k for k, _ in pairs]],
-                                          self._augment(self._stack(rows))],
-                                         format="csr"),
-                               tables=[t], lo=self._prefix)
-            rest = dict(zip(rows, codes[len(pairs):]))
-            for (k, bucket), code in zip(pairs, codes):
-                found[k].update(c for c in bucket if rest[c] == code)
-        with self._count_lock:
-            self.prefix_hit_count += sum(len(pairs) for pairs in hits.values())
-        for pool, e in zip(found, exclude):
-            pool.discard(e)
-        return [sorted(pool) if pool else None for pool in found]
+        keys, key_rows = self._buckets
+        wanted = _prefix_keys(self._hash(Z, hi=self._prefix))
+        lo, hi = np.searchsorted(keys, wanted), np.searchsorted(keys, wanted, "right")
+        hit = live[:, None] & (hi > lo)
+        # every (query, table, row) of an occupied bucket, query by query
+        sizes = (hi - lo)[hit]
+        starts = np.repeat(lo[hit] - np.cumsum(sizes) + sizes, sizes)
+        queries, tables = (np.repeat(a, sizes) for a in np.nonzero(hit))
+        rows = key_rows[starts + np.arange(starts.size)]
+        if self._prefix < self.bits:
+            with self._count_lock:
+                self.prefix_hit_count += int(hit.sum())
+            match = np.empty(rows.size, dtype=bool)
+            for t in np.unique(tables).tolist():
+                at = np.flatnonzero(tables == t)
+                qs, q_at = np.unique(queries[at], return_inverse=True)
+                rs, r_at = np.unique(rows[at], return_inverse=True)
+                block = sp.vstack([Z[qs], self._augment(self._block[rs])], format="csr")
+                rest = self._hash(block, tables=[t], lo=self._prefix)[:, 0]
+                match[at] = (rest[q_at] == rest[qs.size + r_at]).all(axis=1)
+            queries, rows = queries[match], rows[match]
+        classes, given = exclude
+        kept = ~(given[queries] & (self._ids[rows] == classes[queries]))
+        pairs = np.unique(queries[kept] * len(self) + rows[kept])  # sorted, each once
+        queries, rows = np.divmod(pairs, len(self))
+        # indptr[i] counts the pool entries of the queries before query i
+        return np.searchsorted(queries, np.arange(X.shape[0] + 1)), self._ids[rows]
 
     def counters(self) -> dict[str, int]:
         return {"rebuilds": self.rebuild_count, **super().counters(),

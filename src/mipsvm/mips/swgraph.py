@@ -194,15 +194,14 @@ class SwGraphIndex(MipsIndex):
 
     def _candidates(self, X, exclude):
         """One traversal per row: its best node other than the excluded
-        class as a one-class pool, or None when the traversal surfaced only
-        the excluded class."""
-        bounds = X.indptr.tolist()
-        pools = []
-        for lo, hi, e in zip(bounds[:-1], bounds[1:], exclude):
+        class as a one-class pool, or an empty pool when the traversal
+        surfaced only the excluded class."""
+        bounds, indptr, pools = X.indptr.tolist(), [0], []
+        for lo, hi, e, given in zip(bounds[:-1], bounds[1:], *(a.tolist() for a in exclude)):
             found = self._search(X.indices[lo:hi], X.data[lo:hi], self.ef_search)
-            best = next((c for _, c in found if c != e), None)
-            pools.append(None if best is None else [best])
-        return pools
+            pools += [c for _, c in found if not (given and c == e)][:1]
+            indptr.append(len(pools))
+        return np.array(indptr, dtype=np.int64), np.array(pools, dtype=np.int64)
 
     # -- introspection (used by tests and demos) ----------------------------
 

@@ -239,6 +239,19 @@ class TestDatasetLabels:
         with pytest.raises(ValueError, match=rf"example 1 has dim {width}, expected 3"):
             Dataset([(0, good), (0, other)], 3, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_value_names_its_row(self, bad):
+        # such a row used to be scored: a NaN score never wins an argmax, so
+        # evaluate() reported a row of a NaN feature as classified
+        good = SparseVector(np.array([0]), np.array([1.0]), 3)
+        row = SparseVector(np.array([0, 2]), np.array([1.0, bad]), 3, check=False)
+        with pytest.raises(ValueError, match=rf"row 1 holds the non-finite feature "
+                                             rf"value {bad!r}"):
+            Dataset([(0, good), (1, row), (0, good)], 3, 2)
+        block = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0], [bad, 3.0]]))
+        with pytest.raises(ValueError, match=r"row 2 holds the non-finite"):
+            Dataset.from_csr(np.array([0, 1, 0]), block, 2)
+
 
 # -- the parser against a per-token reference --------------------------------
 
@@ -521,6 +534,48 @@ class TestModelIO:
             with pytest.raises(ModelFormatError, match="claims dimension"):
                 load_model(path)
 
+    def test_negative_class_count_in_a_text_header_fails_closed(self, tmp_path):
+        # the binary count is unsigned; a text one used to load as one zero
+        # row under a header of -5 classes
+        path = tmp_path / "model.txt"
+        path.write_text("MEMOIR1 text 1\n-5 3 1.0 l2\n")
+        with pytest.raises(ModelFormatError, match="header claims -5 classes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.5])
+    def test_save_model_rejects_a_lambda_that_is_not_finite_and_nonnegative(
+            self, tmp_path, fmt, lam):
+        path = tmp_path / "model"
+        path.write_bytes(b"an earlier model")
+        with pytest.raises(ValueError, match=rf"lambda must be finite and >= 0, "
+                                             rf"got {lam!r}"):
+            save_model(path, self.make_matrix(), lam=lam, algorithm="l2", fmt=fmt)
+        assert path.read_bytes() == b"an earlier model"
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+    def test_binary_lambda_that_is_not_finite_and_nonnegative_fails_closed(
+            self, tmp_path, lam):
+        import struct
+        path = tmp_path / "model.bin"
+        save_model(path, WeightMatrix(2, 4), lam=1.0, algorithm="l2")
+        blob = bytearray(path.read_bytes())
+        # the f64 lambda follows the u64 dimension
+        struct.pack_into("<d", blob, 32, lam)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match=rf"header claims lambda {lam!r}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-0.5"])
+    def test_text_lambda_that_is_not_finite_and_nonnegative_fails_closed(
+            self, tmp_path, token):
+        path = tmp_path / "model.txt"
+        save_model(path, WeightMatrix(2, 4), lam=1.0, algorithm="l2", fmt="text")
+        path.write_text(path.read_text().replace("2 4 1.0 l2", f"2 4 {token} l2"))
+        with pytest.raises(ModelFormatError,
+                           match=rf"header claims lambda {float(token)!r}"):
+            load_model(path)
+
     def test_truncated_text_fails_closed(self, tmp_path):
         W = self.make_matrix(seed=6)
         path = tmp_path / "model.txt"
@@ -683,6 +738,9 @@ def reference_load_binary(path):
             raise ModelFormatError(f"algorithm tag is not UTF-8: {exc}") from exc
         if not 1 <= dim <= 2**63 - 1:
             raise ModelFormatError(f"header claims dimension {dim}")
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ModelFormatError(f"header claims lambda {lam!r}; it must be finite "
+                                   f"and >= 0")
         if 16 * num_classes > left():
             raise ModelFormatError(
                 f"header claims {num_classes} classes but only {left()} bytes follow "
@@ -742,7 +800,7 @@ def test_binary_loader_matches_the_per_row_reference(fuzz_models, tmp_path_facto
     (num_classes, dim, lam, algorithm), rows = expected
     W, header = got
     assert (header["num_classes"], header["dim"]) == (num_classes, dim)
-    assert (header["lambda"], header["algorithm"]) == (lam, algorithm) or lam != lam
+    assert (header["lambda"], header["algorithm"]) == (lam, algorithm)
     for c, row in enumerate(rows):
         assert W.materialize_row(c) == SparseVector(row.indices[row.values != 0],
                                                     row.values[row.values != 0], dim)

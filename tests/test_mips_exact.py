@@ -346,9 +346,21 @@ def test_query_batch_rejects_a_bad_block(kind, as_block):
         index.query_batch(as_block(xs, 6), [None] * 2)
 
 
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_negative_class_ids_are_answered_and_excluded(kind, as_block):
+    """Any int64 is a class id: an exclude of None masks no class, -1
+    included, and a negative exclude masks its class only."""
+    rows = [(-1, sv({0: 3.0}, 2)), (-3, sv({0: 2.0}, 2)), (2, sv({0: 1.0}, 2))]
+    index = build_index(rows, kind, dim=2, seed=1, **BACKEND_PARAMS[kind])
+    X = as_block([sv({0: 1.0}, 2)] * 4, 2)
+    ids, scores = index.query_batch(X, [None, -1, -3, 7])
+    assert ids.tolist() == [-1, -3, -1, -1]
+    assert scores.tolist() == [3.0, 2.0, 3.0, 3.0]
+
+
 class FixedPools(MipsIndex):
     """A backend proposing ``plan[i % len(plan)]`` for row i: a pool of
-    class ids, or None for the full scan."""
+    class ids, empty for the full scan."""
 
     kind = "fixed-pools"
 
@@ -357,28 +369,31 @@ class FixedPools(MipsIndex):
         self.plan = plan
 
     def _candidates(self, X, exclude):
-        return [self.plan[i % len(self.plan)] for i in range(X.shape[0])]
+        pools = [self.plan[i % len(self.plan)] for i in range(X.shape[0])]
+        return (np.cumsum([0] + [len(pool) for pool in pools]),
+                np.array([c for pool in pools for c in pool], dtype=np.int64))
 
 
 def test_query_batch_scores_each_proposal(kernel_cases, as_block):
-    """Through the _candidates hook alone, a None row gets the exact
+    """Through the _candidates hook alone, a row with an empty pool gets the exact
     backend's answer and a pooled row score_block's best of that pool, bit
     for bit, and every row is counted.  The pools hold the kernel cases'
     tied classes: rows 1 and 4 are one row, and row 6 is all zero."""
-    plan = [None, [2], [0, 3, 5], None, [1, 4], [6], [1, 4, 6]]
+    plan = [[], [2], [0, 3, 5], [], [1, 4], [6], [1, 4, 6]]
     for W, data in kernel_cases:
         rows = [(c, W.materialize_row(c)) for c in range(W.num_classes)]
         index, exact = FixedPools(W.dim, plan), build_index(rows, "exact", dim=W.dim)
         index.update_rows(range(W.num_classes), W.to_csr())
         X = as_block([x for _, x in data.examples], W.dim)
-        pools = index._candidates(X, [None] * X.shape[0])
+        indptr, members = index._candidates(*index._check_batch(X, [None] * X.shape[0]))
+        pools = [members[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
         # a row's label is excluded wherever its pool leaves it out
-        exclude = [y if pool is None or y not in pool else None
+        exclude = [y if y not in pool else None
                    for y, pool in zip(data.labels_array().tolist(), pools)]
         ids, scores = index.query_batch(X, exclude)
         state = sparse.ScoringState(W.to_csr())
         for i, (pool, e) in enumerate(zip(pools, exclude)):
-            if pool is None:
+            if not pool:
                 want = exact.query_batch(X[i], [e])
             else:
                 among = sp.csr_matrix(([True] * len(pool), pool, [0, len(pool)]),
@@ -386,7 +401,7 @@ def test_query_batch_scores_each_proposal(kernel_cases, as_block):
                 want = sparse.score_block(X[i], state, among=among)[:2]
             assert (ids[i], scores[i].tobytes()) == (want[0][0], want[1][0].tobytes())
         assert index.counters() == {"queries": len(pools),
-                                    "fallbacks": sum(pool is None for pool in pools)}
+                                    "fallbacks": sum(not pool for pool in pools)}
 
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
@@ -417,12 +432,12 @@ def test_every_backend_answers_through_the_base_query_batch(kind, monkeypatch, a
 
 def backend_state(index):
     """Everything an update writes: the row store and the backend's own
-    structures (simplelsh's U, codes, buckets and rebuild count, swgraph's
+    structures (simplelsh's U, bucket keys and rebuild count, swgraph's
     adjacency and entry points)."""
     B = index._block
     state = [index._ids.tolist(), B.indptr.tolist(), B.indices.tolist(), B.data.tolist()]
     if index.kind == "simplelsh":
-        state += [index._U, index._codes, index._buckets, index.rebuild_count]
+        state += [index._U, index._keys.tobytes(), index.rebuild_count]
     if index.kind == "swgraph":
         state += [index._adj, index._entries]
     return state

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse as sp
 from scipy.special import ndtri
 
@@ -15,6 +17,7 @@ from mipsvm import sparse
 from mipsvm.mips import (ExactIndex, NoCandidateError, SimpleLshIndex,
                          build_index, hash_code, hashing_quality, recall_at_1,
                          sign_bits, simplelsh_transform)
+from mipsvm.mips.simplelsh import pack_bits
 from mipsvm.sparse import SparseVector, dot
 
 
@@ -31,6 +34,13 @@ def unit_row(rng, dim):
 
 def scaled(v, alpha):
     return SparseVector(v.indices, alpha * v.values, v.dim)
+
+
+def pools_of(index, X, exclude):
+    """The pools ``_candidates`` proposes for the rows of the query block
+    ``X``, one sorted list of class ids per row (empty for the full scan)."""
+    indptr, ids = index._candidates(*index._check_batch(X, exclude))
+    return [ids[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
 
 class TestTransform:
@@ -152,9 +162,11 @@ class TestIndex:
         rng = np.random.default_rng(5)
         index = build_index([(c, unit_row(rng, 8)) for c in range(30)],
                             "simplelsh", dim=8, lsh_bits=4, lsh_tables=3, seed=1)
+        keys, rows = index._buckets
+        assert index._keys.shape == (30, 3) and (keys[:-1] <= keys[1:]).all()
         for t in range(3):
-            members = [c for bucket in index._buckets[t].values() for c in bucket]
-            assert sorted(members) == list(range(30))
+            members = index._ids[rows[np.isin(keys, index._keys[:, t])]]
+            assert sorted(members.tolist()) == list(range(30))
 
     def test_exclusion_and_errors(self):
         index = build_index([], "simplelsh", dim=4)
@@ -175,9 +187,9 @@ class TestIndex:
         for _ in range(100):
             x = unit_row(rng, 6)
             exclude = int(rng.integers(40))
-            pool = index._candidates(as_block([x], 6), [exclude])[0]
-            bucket_hits += pool is not None
-            cands = pool if pool is not None else [c for c in rows if c != exclude]
+            pool = pools_of(index, as_block([x], 6), [exclude])[0]
+            bucket_hits += bool(pool)
+            cands = pool or [c for c in rows if c != exclude]
             got_c, got_s = index.query(x, exclude=exclude)
             best = max(cands, key=lambda c: (dot(rows[c], x), -c))
             assert got_c == best
@@ -232,7 +244,7 @@ class TestIndex:
         rows2 = [(c, unit_row(rng2, 8)) for c in range(25)]
         i1 = build_index(rows1, "simplelsh", dim=8, seed=6, lsh_bits=6, lsh_tables=3)
         i2 = build_index(rows2, "simplelsh", dim=8, seed=6, lsh_bits=6, lsh_tables=3)
-        assert i1._codes == i2._codes
+        assert i1._keys.tobytes() == i2._keys.tobytes()
         qrng = np.random.default_rng(11)
         for _ in range(30):
             x = unit_row(qrng, 8)
@@ -276,6 +288,10 @@ def code_prefix(code, bits, p):
     return (code >> (-bits % 8 + bits - p)) << (-p % 8)
 
 
+def block(xs, dim):
+    return sparse.stack_csr([x.indices for x in xs], [x.values for x in xs], dim)
+
+
 def random_sparse(rng, dim, max_nnz):
     nnz = int(rng.integers(1, max_nnz + 1))
     idx = np.sort(rng.choice(dim, size=nnz, replace=False))
@@ -315,15 +331,20 @@ class TestBatchedHashing:
             return [hash_code(z, planes[t * bits:(t + 1) * bits])
                     for t in range(tables)]
 
-        # rows are stored by the prefixes of their codes
+        # row i is keyed by the prefixes of class _ids[i]'s codes
         p = min(bits, slsh.PREFIX_BITS)
+        assert index._ids.tolist() == [c for c, _ in rows]
         for c, row in rows:
-            assert index._codes[c] == [
-                code_prefix(code, bits, p)
-                for code in expected(simplelsh_transform(row, index._U))]
+            z = simplelsh_transform(row, index._U)
+            prefixes = [sign_bits(z, planes[t * bits:t * bits + p]) for t in range(tables)]
+            assert index._keys[c].tobytes() == slsh._prefix_keys(
+                np.array([prefixes])).tobytes()
+            assert [pack_bits(prefix) for prefix in prefixes] == [
+                code_prefix(code, bits, p) for code in expected(z)]
         zs = [simplelsh_transform(random_sparse(rng, dim, 12), 1.0, query=True)
               for _ in range(20)]
-        assert index._hash(as_block(zs, dim + 1)) == [expected(z) for z in zs]
+        assert [[pack_bits(code) for code in codes]
+                for codes in index._hash(as_block(zs, dim + 1))] == [expected(z) for z in zs]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_plane_pieces_give_the_chunk_reference_floats(self, monkeypatch, as_block,
@@ -352,7 +373,7 @@ class TestBatchedHashing:
         kernel_workers(workers)
         got = index._project(Z, bit_ids)
         assert got.tobytes() == want.tobytes()
-        assert index._hash(Z) == codes
+        assert index._hash(Z).tobytes() == codes.tobytes()
         assert (sparse._pool is None) == (workers == 1)
 
     def test_hashing_memory_is_bounded_by_the_chunk(self, peak_traced_bytes):
@@ -380,9 +401,9 @@ class TestBatchedHashing:
         hits = sum(any(code_prefix(q[t], 2, 1) == code_prefix(r[t], 2, 1)
                        for r in rows)
                    for q in queries for t in range(2))
-        pools = index._candidates(as_block(xs, 6), exclude)
-        fallbacks = sum(pool is None for pool in pools)
-        assert pools[-1] is None  # the zero query
+        pools = pools_of(index, as_block(xs, 6), exclude)
+        fallbacks = sum(not pool for pool in pools)
+        assert pools[-1] == []  # the zero query
         assert 0 < fallbacks < len(xs)
         index.query_batch(as_block(xs, 6), exclude)
         index.query(xs[-1], exclude=exclude[-1])
@@ -479,21 +500,90 @@ class TestPrefixHashing:
         want, full_pairs = [], 0
         for x, e in zip(xs, exclude):
             if x.norm() == 0.0:
-                want.append(None)
+                want.append([])
                 continue
             q = full_codes(index, [simplelsh_transform(x, 1.0, query=True)])[0]
             full_pairs += sum(any(r[t] == q[t] for r in rows_full.values())
                               for t in range(tables))
             pool = [c for c in ids if c != e
                     and any(a == b for a, b in zip(rows_full[c], q))]
-            want.append(pool or None)
-        assert index._candidates(as_block(xs, dim), exclude) == want
-        assert sum(pool is not None for pool in want) >= 2
+            want.append(pool)
+        assert pools_of(index, as_block(xs, dim), exclude) == want
+        assert sum(bool(pool) for pool in want) >= 2
         if prefix < bits:
             # some prefix matches were confirmed and some rejected
             assert index.prefix_hit_count > full_pairs > 0
         else:
             assert index.prefix_hit_count == 0
+
+    @pytest.mark.parametrize("prefix", [1, 4, 16])
+    def test_candidates_equal_whole_code_matches(self, prefix):
+        """Every row's (indptr, ids) pool is the sorted classes, other than
+        its excluded one, whose whole code matches its own in some table
+        (none for a zero query), and prefix_hits counts the (query, table)
+        pairs whose prefix bucket is occupied when the prefix is not the
+        whole code.  Class ids may be negative, and an exclude may name a
+        class the index does not hold."""
+        seen = []
+
+        @settings(max_examples=40, deadline=None, database=None)
+        @given(bits=st.integers(1, 24), tables=st.integers(1, 4),
+               seed=st.integers(0, 2**32 - 1), grow=st.booleans())
+        @example(bits=prefix, tables=1, seed=0, grow=False)
+        @example(bits=prefix + 5, tables=3, seed=1, grow=True)
+        def check(bits, tables, seed, grow):
+            rng = np.random.default_rng(seed)
+            dim = 6
+
+            def row(top):
+                r = random_sparse(rng, dim, 4)
+                return scaled(r, rng.uniform(0.1, top) / r.norm())
+
+            ids = rng.choice(np.arange(-40, 40), size=int(rng.integers(1, 30)),
+                             replace=False).tolist()
+            rows = [(c, row(1.0)) for c in ids]
+            if rng.random() < 0.5:
+                rows.append((-50, SparseVector([], [], dim)))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(slsh, "PREFIX_BITS", prefix)
+                index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
+                                    lsh_tables=tables, seed=seed % 1000)
+            # a partial update, which splices keys in or, growing U, rebuilds
+            refresh = rng.choice(ids, size=min(len(ids), 3), replace=False).tolist()
+            new_rows = [row(2.0 if grow else 0.9) for _ in refresh] + [row(0.5)]
+            index.update_rows(refresh + [-60], block(new_rows, dim))
+
+            stored_rows = stored(index)
+            classes = sorted(stored_rows)
+            codes = dict(zip(classes, full_codes(index, [
+                simplelsh_transform(stored_rows[c], index._U) for c in classes])))
+            copies = rng.choice(classes, size=4).tolist()
+            xs = [random_sparse(rng, dim, 4) for _ in range(12)]
+            xs += [scaled(stored_rows[c], 2.0) for c in copies] + [SparseVector([], [], dim)]
+            exclude = [None if rng.random() < 0.3
+                       else int(rng.choice(classes)) if rng.random() < 0.7
+                       else int(rng.choice([-1000, 1000])) for _ in xs]
+            exclude[12:16] = [copies[0], None, copies[2], None]
+            p = min(bits, prefix)
+            want, hits = [], 0
+            for x, e in zip(xs, exclude):
+                if x.norm() == 0.0:
+                    want.append([])
+                    continue
+                q = full_codes(index, [simplelsh_transform(x, 1.0, query=True)])[0]
+                want.append([c for c in classes if c != e
+                             and any(a == b for a, b in zip(codes[c], q))])
+                if p < bits:
+                    hits += sum(any(code_prefix(r[t], bits, p) == code_prefix(q[t], bits, p)
+                                    for r in codes.values()) for t in range(tables))
+            before = index.prefix_hit_count
+            assert pools_of(index, block(xs, dim), exclude) == want
+            assert index.prefix_hit_count - before == hits
+            seen.append((bits <= prefix, sum(bool(pool) for pool in want)))
+
+        check()
+        # both sides of the prefix width were drawn, each with pooled rows
+        assert {short for short, pooled in seen if pooled} == {True, False}
 
     def test_query_batch_reranks_every_pool_in_one_kernel_call(self, monkeypatch,
                                                               as_block):
@@ -503,8 +593,8 @@ class TestPrefixHashing:
                             "simplelsh", dim=6, lsh_bits=2, lsh_tables=2, seed=2)
         xs = [unit_row(rng, 6) for _ in range(30)] + [sv({}, 6)]
         exclude = [int(c) for c in rng.integers(40, size=len(xs))]
-        pools = index._candidates(as_block(xs, 6), exclude)
-        pooled = [i for i, pool in enumerate(pools) if pool is not None]
+        pools = pools_of(index, as_block(xs, 6), exclude)
+        pooled = [i for i, pool in enumerate(pools) if pool]
         assert 1 < len(pooled) < len(xs)
         calls = []
         score_block = mips_base.score_block
