@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from .sparse import SparseVector, WeightMatrix, stack_csr
+from .sparse import SparseVector, WeightMatrix, check_block, stack_csr
 
 TEXT_MAGIC = "MEMOIR1 text"
 BINARY_MAGIC = b"MEMOIR1\x00bin\x00"
@@ -54,8 +54,12 @@ class Dataset:
 
     ``Dataset(examples, dim, num_classes, label_map)`` stacks a list of
     ``(class id, SparseVector)`` pairs once; :meth:`from_csr` takes the
-    arrays as they are.  :attr:`examples` is a view of the block, built on
-    first use at one SparseVector per row.
+    arrays as they are.  Both check the labels and, by
+    :func:`~mipsvm.sparse.check_block`, that every feature index lies in
+    [0, dim) and every value is finite, naming the first bad row;
+    :meth:`subset` takes rows of checked arrays and checks nothing more.
+    :attr:`examples` is a view of the block, built on first use at one
+    SparseVector per row.
     """
 
     def __init__(self, examples, dim: int, num_classes: int,
@@ -80,17 +84,19 @@ class Dataset:
         return data
 
     def _init(self, labels, block, num_classes, label_map) -> None:
+        """:meth:`_hold` the arrays once they hold one label in [0,
+        num_classes) per row and :func:`check_block` passes the block as
+        stored data."""
         if labels.size != block.shape[0]:
             raise ValueError(f"{labels.size} labels for {block.shape[0]} rows")
         bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
         if bad.size:
             raise ValueError(f"label {labels[bad[0]]} of row {bad[0]} is outside "
                              f"[0, {num_classes})")
-        finite = np.isfinite(block.data)
-        if not finite.all():
-            k = int(finite.argmin())
-            raise ValueError(f"row {np.searchsorted(block.indptr, k, 'right') - 1} holds "
-                             f"the non-finite feature value {float(block.data[k])!r}")
+        check_block(block, block.shape[1], finite=True)
+        self._hold(labels, block, num_classes, label_map)
+
+    def _hold(self, labels, block, num_classes, label_map) -> None:
         self._labels = labels
         # labels_array() hands this array out
         labels.flags.writeable = False
@@ -130,8 +136,10 @@ class Dataset:
         rows = np.asarray(idx, dtype=np.int64)
         for i in rows[(rows < 0) | (rows >= len(self))][:1]:
             raise IndexError(f"row index {i} out of range [0, {len(self)})")
-        return Dataset.from_csr(self._labels[rows], self._block[rows],
-                                self.num_classes, self.label_map)
+        # a row take of checked arrays keeps them checked: no _init pass
+        data = Dataset.__new__(Dataset)
+        data._hold(self._labels[rows], self._block[rows], self.num_classes, self.label_map)
+        return data
 
 
 # Feature tokens are converted about this many characters of the file at a

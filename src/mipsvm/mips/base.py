@@ -8,7 +8,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import ScoringState, SparseVector, score_block, splice_rows, stack_csr
+from ..sparse import (ScoringState, SparseVector, check_block, score_block, splice_rows,
+                      stack_csr)
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -36,8 +37,8 @@ class MipsIndex:
       answers every row of a CSR query block exactly as ``query`` would:
       ``query`` is a batch of one, and ``query_batch`` is the one query
       path.  A backend only overrides ``_candidates``, which proposes
-      every row's pool of classes as one ``(indptr, ids)`` pair, an empty
-      pool leaving its row to the full scan;
+      every row's pool of store positions as one ``(indptr, positions)``
+      pair, an empty pool leaving its row to the full scan;
     * after ``update_rows(ids, rows)`` (row i of the CSR block ``rows``
       becomes class ``ids[i]``) or ``update_row(c, row)`` the index reflects
       the new rows before the next query; a bad block changes nothing;
@@ -47,6 +48,8 @@ class MipsIndex:
 
     The base class keeps the rows in one CSR block, into which :func:`splice_rows`
     writes only an update's rows, and does every exact scan (full, or of a pool).
+    Inside, excludes and pools are store positions (row i of the block holds
+    class ``_ids[i]``): class ids only enter and leave through ``query_batch``.
     """
 
     kind: str = "abstract"
@@ -61,22 +64,19 @@ class MipsIndex:
         self.fallback_count = 0
         self._count_lock = threading.Lock()
 
-    def _canonical(self, X, what: str) -> sp.csr_matrix:
-        """The ``what`` block ``X`` as canonical CSR of ``dim`` finite columns."""
-        X = X.tocsr()
+    def _canonical(self, X) -> sp.csr_matrix:
+        """``X`` as canonical CSR once :func:`check_block` passes it (another
+        format first goes through COO, whose constructor checks indices)."""
+        X = X if X.format == "csr" else X.tocoo().tocsr()
+        check_block(X, self.dim, "index dim", finite=True)
         if not X.has_canonical_format:  # row views need sorted, distinct indices
             X = X.tocoo().tocsr()
-        if X.shape[1] != self.dim:
-            raise ValueError(f"{what} block width {X.shape[1]} does not match "
-                             f"index dim {self.dim}")
-        if not np.isfinite(X.data).all():
-            raise ValueError(f"{what} block holds a non-finite value")
         return X
 
     def _checked(self, ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
         """``ids`` as int64 and ``rows`` as canonical CSR: one distinct id per row."""
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self._canonical(rows, "row")
+        rows = self._canonical(rows)
         if ids.size != rows.shape[0]:
             raise ValueError(f"{ids.size} class ids for {rows.shape[0]} rows")
         if np.unique(ids).size != ids.size:
@@ -90,52 +90,50 @@ class MipsIndex:
         vars(self).pop("_full_scan_state", None)
         return ids, rows
 
-    def _check_batch(self, X, exclude):
-        """``X`` as canonical CSR, once it is known to hold ``dim`` columns,
-        finite values, one exclude per row and a candidate for each; and
-        ``exclude`` as ``(classes, given)``: row i excludes ``classes[i]``
-        where ``given[i]`` (a mask, since any int64 is a class id)."""
-        X = self._canonical(X, "query")
+    def _check_batch(self, X, exclude) -> tuple[sp.csr_matrix, np.ndarray]:
+        """``(X, excluded)``: ``X`` as :meth:`_canonical` CSR, once it holds one
+        exclude per row and a candidate for each, and ``excluded[i]`` the store
+        position of row i's excluded class, or -1 for None or a class not held.
+        An integer array is taken as it is; a sequence holding None costs a pass."""
+        X = self._canonical(X)
         if len(exclude) != X.shape[0]:
             raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
-        given = np.array([e is not None for e in exclude], dtype=bool)
-        classes = np.array([0 if e is None else e for e in exclude], dtype=np.int64)
-        if len(self) <= 1 and (given & np.isin(classes, self._ids) | (not len(self))).any():
+        named = np.asarray(exclude)
+        given = np.not_equal(named, None) if named.dtype == object else slice(None)
+        excluded = np.full(X.shape[0], -1, dtype=np.int64)
+        if len(self):
+            classes = named[given].astype(np.int64, copy=False)
+            pos = np.minimum(np.searchsorted(self._ids, classes), len(self) - 1)
+            excluded[given] = np.where(self._ids[pos] == classes, pos, -1)
+        if len(self) <= 1 and ((excluded >= 0) | (not len(self))).any():
             raise NoCandidateError("no candidate class after exclusion")
-        return X, (classes, given)
+        return X, excluded
 
     @cached_property
-    def _full_scan_state(self):
-        """``(sorted ids, their rows' ScoringState)`` of every stored row."""
-        return self._ids, ScoringState(self._block)
+    def _full_scan_state(self) -> ScoringState:
+        """The :class:`ScoringState` of every stored row."""
+        return ScoringState(self._block)
 
-    def _scan(self, X: sp.csr_matrix, exclude,
-              pools=None) -> tuple[np.ndarray, np.ndarray]:
+    def _scan(self, X, excluded=None, pools=None) -> tuple[np.ndarray, np.ndarray]:
         """Best (class ids, exact scores) of the rows of the query block
-        ``X``, over every row or over each row's pool.
+        ``X``: over every stored row but its ``excluded`` position (None, or
+        :meth:`_check_batch`'s array), or over each row's pool.
 
-        ``exclude`` is None or :meth:`_check_batch`'s pair; an id outside the
-        scan masks nothing.  ``pools`` is :meth:`_candidates`'s pair for
-        these rows: the rows of their union are gathered into one CSR slice,
-        and each query is held to its own pool.  Either way the scores come
-        from one :func:`score_block` call, so re-ranking a batch never costs
-        more than a full scan of it, and ties go to the smallest id.
+        ``pools`` is :meth:`_candidates`'s pair for these rows, which holds
+        no excluded position: the rows of their union are gathered into one
+        CSR slice, and each query is held to its own pool.  Either way the
+        scores come from one :func:`score_block` call, so re-ranking a batch
+        never costs more than a full scan of it, and ties go to the smallest id.
         """
-        among = masked = None
         if pools is None:
-            ids, state = self._full_scan_state
-        else:
-            indptr, members = pools
-            ids, cols = np.unique(members, return_inverse=True)
-            state = ScoringState(self._block[np.searchsorted(self._ids, ids)])
-            among = sp.csr_matrix((np.ones(members.size, dtype=bool), cols, indptr),
-                                  shape=(X.shape[0], ids.size))
-        if exclude is not None:
-            classes, given = exclude
-            pos = np.minimum(np.searchsorted(ids, classes), ids.size - 1)
-            masked = np.where(given & (ids[pos] == classes), pos, -1)
-        best, score, _ = score_block(X, state, exclude=masked, among=among)
-        return ids[best], score
+            best, score, _ = score_block(X, self._full_scan_state, exclude=excluded)
+            return self._ids[best], score
+        indptr, members = pools
+        rows, cols = np.unique(members, return_inverse=True)
+        among = sp.csr_matrix((np.ones(members.size, dtype=bool), cols, indptr),
+                              shape=(X.shape[0], rows.size))
+        best, score, _ = score_block(X, ScoringState(self._block[rows]), among=among)
+        return self._ids[rows[best]], score
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         """Best (class_id, exact score of that class) with ``exclude`` removed,
@@ -144,34 +142,33 @@ class MipsIndex:
                                        [exclude])
         return int(ids[0]), float(scores[0])
 
-    def _candidates(self, X: sp.csr_matrix, exclude) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, ids)``: row i of the checked query block ``X`` gets the
-        pool ``ids[indptr[i]:indptr[i+1]]``, sorted indexed class ids without
-        its excluded class (``exclude`` as :meth:`_check_batch` gives it), and
-        an empty pool asks for the full scan.  This default asks for the full
-        scan everywhere."""
+    def _candidates(self, X: sp.csr_matrix, excluded) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, positions)``: row i of the checked query block ``X``
+        gets the pool ``positions[indptr[i]:indptr[i+1]]``, sorted store
+        positions without ``excluded[i]``, and an empty pool asks for the
+        full scan.  This default asks for the full scan everywhere."""
         return np.zeros(X.shape[0] + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     def query_batch(self, X, exclude) -> tuple[np.ndarray, np.ndarray]:
         """(class ids, exact scores) that :meth:`query` gives for each row of
-        the CSR query block ``X`` (n x dim, the block :func:`score_block`
-        takes), with ``exclude`` holding one class id or None per row: one
-        :meth:`_scan` of the rows :meth:`_candidates` leaves to the full
+        the CSR query block ``X`` (n x dim, as :func:`score_block` takes it),
+        ``exclude`` holding one class id or None per row, or an integer array:
+        one :meth:`_scan` of the rows :meth:`_candidates` leaves to the full
         scan, and one of the pooled rows, each held to its pool."""
-        X, exclude = self._check_batch(X, exclude)
-        indptr, members = self._candidates(X, exclude)
+        X, excluded = self._check_batch(X, exclude)
+        indptr, members = self._candidates(X, excluded)
         fell = np.diff(indptr) == 0
         with self._count_lock:
             self.query_count += fell.size
             self.fallback_count += int(fell.sum())
         if fell.all():
-            return self._scan(X, exclude)
+            return self._scan(X, excluded)
         ids, scores = np.empty(fell.size, dtype=np.int64), np.empty(fell.size)
         rows = np.flatnonzero(fell)
         if rows.size:
-            ids[rows], scores[rows] = self._scan(X[rows], tuple(a[rows] for a in exclude))
-        # a pool holds no excluded class, so the pooled scan masks none; the
-        # empty pools hold no ids, so the pooled rows' ends are their indptr
+            ids[rows], scores[rows] = self._scan(X[rows], excluded[rows])
+        # a pool holds no excluded position, so the pooled scan masks none;
+        # the empty pools hold nothing, so the pooled rows' ends are their indptr
         rows = np.flatnonzero(~fell)
         ids[rows], scores[rows] = self._scan(X[rows], None,
                                              (np.append(0, indptr[1:][rows]), members))

@@ -22,16 +22,17 @@ is O(PLANE_CHUNK_ENTRIES + n * planes hashed), never O(bits * support).
 
 A bucket hit needs a table's whole code, yet a short prefix already rules
 out almost every (query, table) pair.  So rows and queries are hashed to
-the first p = min(bits, PREFIX_BITS) bits of every table only (p * tables
-planes, not bits * tables).  The buckets are one sorted array of the
-(table, prefix) keys of every (row, table) pair, in which one
-``searchsorted`` pair finds every (query, table) pair's bucket.  Where a
-query's prefix bucket in table t is occupied, one pass per such table
-hashes the remaining bits - p bits of t for the queries that hit there and
-the rows of their buckets; a row is a candidate when those match too.  The
-pools are exactly those of whole codes, at about p / bits of the hashing
-while prefix buckets stay sparse (C well below 2^p).  Queries cache
-nothing, so they stay read-only.
+the first p = min(bits, PREFIX_BITS, 63 - bit_length(tables - 1)) bits of
+every table only (p * tables planes, not bits * tables).  The buckets are
+one sorted array of the int64 keys t * 2^p + prefix of every (row, table
+t) pair, below 2^63 by the last cap, in which one ``searchsorted`` pair
+finds every (query, table) pair's bucket.  Where a query's prefix bucket
+in table t is occupied, one pass per such table hashes the other bits of
+t for the queries that hit there and the rows of their buckets; a row is
+a candidate when those match too.  The pools are exactly
+those of whole codes, at about p / bits of the hashing while prefix
+buckets stay sparse (C well below 2^p).  Queries cache nothing, so they
+stay read-only.
 """
 
 from __future__ import annotations
@@ -180,27 +181,26 @@ def hash_code(z, planes: np.ndarray) -> int:
 
 
 def _prefix_keys(bits: np.ndarray) -> np.ndarray:
-    """One bytes key per (row, table) of the boolean (n, tables, p) ``bits``:
-    the table's number, then its bits packed, so that keys are equal exactly
-    when prefixes of one table are, at any p (PREFIX_BITS may pass 63)."""
+    """The int64 key t * 2^p + prefix of every (row, table t) of the boolean
+    (n, tables, p) ``bits``, the prefix read first bit first, as
+    :func:`pack_bits` reads a code; keys are equal exactly when prefixes of
+    one table are, as long as tables * 2^p <= 2^63."""
     n, tables, p = bits.shape
-    packed = np.empty((n, tables, 4 + -(-p // 8)), dtype=np.uint8)
-    packed[..., :4] = np.arange(tables, dtype=">u4").view(np.uint8).reshape(tables, 4)
-    packed[..., 4:] = np.packbits(bits, axis=-1)
-    return packed.view(f"S{packed.shape[-1]}")[..., 0]
+    return bits @ (1 << np.arange(p - 1, -1, -1, dtype=np.int64)) + (
+        np.arange(tables, dtype=np.int64) << p)
 
 
 class SimpleLshIndex(MipsIndex):
     """Multi-table sign-projection LSH with exact re-ranking.
 
-    Each row lives in exactly one bucket per table, keyed by the first
-    ``min(bits, PREFIX_BITS)`` bits of its code in that table (row i of
-    ``_keys``, for class ``_ids[i]``).  A query collects the rows whose
-    whole code matches its own in some table, re-scores them exactly and
-    returns the best; when no code matches, it falls back to a full scan,
-    so a returned candidate is never worse than any retrieved one.
-    :meth:`_candidates` proposes the pools, and
-    :meth:`MipsIndex.query_batch` scores them.
+    Each row lives in exactly one bucket per table, keyed by the first p
+    bits of its code in that table (the module docstring gives p): row i
+    of ``_keys``, the row at store position i, holds one int64 key per
+    table.  A query collects the rows whose whole code matches its own in
+    some table, re-scores them exactly and returns the best; when no code
+    matches, it falls back to a full scan, so a returned candidate is never
+    worse than any retrieved one.  :meth:`_candidates` proposes the pools
+    as store positions, and :meth:`MipsIndex.query_batch` scores them.
 
     The norm constant U is the largest row norm seen so far; a batch of
     updates whose largest norm exceeds it re-augments and re-hashes the
@@ -224,9 +224,9 @@ class SimpleLshIndex(MipsIndex):
         self.bits = int(bits)
         self.tables = int(tables)
         self.seed = int(seed)
-        self._prefix = min(self.bits, PREFIX_BITS)
+        self._prefix = min(self.bits, PREFIX_BITS, 63 - (self.tables - 1).bit_length())
         self._field = GaussianPlaneField(seed, self.tables * self.bits)
-        self._keys = _prefix_keys(np.zeros((0, self.tables, self._prefix), dtype=bool))
+        self._keys = np.empty((0, self.tables), dtype=np.int64)
         self._buckets = self._keys.ravel(), np.empty(0, dtype=np.int64)
         self._U = 0.0
         self.rebuild_count = 0
@@ -311,10 +311,10 @@ class SimpleLshIndex(MipsIndex):
         order = np.argsort(self._keys, axis=None)  # the sorted keys, and each one's row
         self._buckets = self._keys.ravel()[order], order // self.tables
 
-    def _candidates(self, X: sp.csr_matrix, exclude) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket-union pools of the rows of the query block ``X``, empty
-        where the exact-scan fallback fires (no bucket match, or a zero
-        query).
+    def _candidates(self, X: sp.csr_matrix, excluded) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket-union pools of the rows of the query block ``X``, as store
+        positions without each row's ``excluded`` one, empty where the
+        exact-scan fallback fires (no bucket match, or a zero query).
 
         The queries are normalized as one block and hashed to their code
         prefixes in one pass.  Each table in which some query's prefix
@@ -348,12 +348,11 @@ class SimpleLshIndex(MipsIndex):
                 rest = self._hash(block, tables=[t], lo=self._prefix)[:, 0]
                 match[at] = (rest[q_at] == rest[qs.size + r_at]).all(axis=1)
             queries, rows = queries[match], rows[match]
-        classes, given = exclude
-        kept = ~(given[queries] & (self._ids[rows] == classes[queries]))
+        kept = excluded[queries] != rows
         pairs = np.unique(queries[kept] * len(self) + rows[kept])  # sorted, each once
         queries, rows = np.divmod(pairs, len(self))
         # indptr[i] counts the pool entries of the queries before query i
-        return np.searchsorted(queries, np.arange(X.shape[0] + 1)), self._ids[rows]
+        return np.searchsorted(queries, np.arange(X.shape[0] + 1)), rows
 
     def counters(self) -> dict[str, int]:
         return {"rebuilds": self.rebuild_count, **super().counters(),

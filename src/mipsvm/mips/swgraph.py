@@ -192,16 +192,18 @@ class SwGraphIndex(MipsIndex):
             self._insert(c, row_view(rows, k, k + 1))
             self._repair_connectivity()
 
-    def _candidates(self, X, exclude):
-        """One traversal per row: its best node other than the excluded
-        class as a one-class pool, or an empty pool when the traversal
-        surfaced only the excluded class."""
+    def _candidates(self, X, excluded):
+        """One traversal per row: the store position of its best node other
+        than the excluded class as a one-position pool, or an empty pool when
+        the traversal surfaced only that class.  The graph keeps class ids,
+        which an insert does not shift."""
         bounds, indptr, pools = X.indptr.tolist(), [0], []
-        for lo, hi, e, given in zip(bounds[:-1], bounds[1:], *(a.tolist() for a in exclude)):
+        for lo, hi, e in zip(bounds[:-1], bounds[1:], excluded.tolist()):
             found = self._search(X.indices[lo:hi], X.data[lo:hi], self.ef_search)
-            pools += [c for _, c in found if not (given and c == e)][:1]
+            gone = self._ids[e] if e >= 0 else None
+            pools += [c for _, c in found if c != gone][:1]
             indptr.append(len(pools))
-        return np.array(indptr, dtype=np.int64), np.array(pools, dtype=np.int64)
+        return np.array(indptr, dtype=np.int64), np.searchsorted(self._ids, pools)
 
     # -- introspection (used by tests and demos) ----------------------------
 

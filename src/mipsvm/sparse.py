@@ -242,6 +242,31 @@ def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
                          shape=(len(indices), dim))
 
 
+def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = False) -> None:
+    """Raise ValueError unless the CSR block ``X`` is ``dim`` wide, every
+    column index lies in [0, dim) and, with ``finite`` (a block that
+    becomes stored data), every value is finite.  The width error names
+    ``whose`` width it must match, the others the first offending row and
+    its index or value.
+
+    scipy's CSR constructor does not bounds-check indices
+    (``check_format(full_check=False)``), and its kernels read and write
+    through them, so a block from outside passes here before any kernel
+    sees it.  Viewed as unsigned, a negative index exceeds every dim, so
+    one ``max`` pass finds both kinds."""
+    if X.shape[1] != dim:
+        raise ValueError(f"block width {X.shape[1]} does not match {whose} {dim}")
+    cols = X.indices
+    if cols.size and cols.view(f"u{cols.itemsize}").max() >= dim:
+        k = int(np.flatnonzero((cols < 0) | (cols >= dim))[0])
+        raise ValueError(f"row {np.searchsorted(X.indptr, k, 'right') - 1} holds the "
+                         f"feature index {cols[k]}, outside [0, {dim})")
+    if finite and not np.isfinite(X.data).all():
+        k = int(np.isfinite(X.data).argmin())
+        raise ValueError(f"row {np.searchsorted(X.indptr, k, 'right') - 1} holds the "
+                         f"non-finite feature value {float(X.data[k])!r}")
+
+
 def splice_rows(ids, block, new_ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
     """The store ``ids``, ``block`` with CSR row i of ``rows`` as id ``new_ids[i]``
     (distinct), as (sorted ids, CSR): one row take of both blocks stacked."""
@@ -597,6 +622,11 @@ class WeightMatrix:
     margins, re-scored pairs and audits against an unchanged matrix share
     one state.
 
+    Every block from outside (:meth:`from_csr`, :meth:`add`, :meth:`score`,
+    :meth:`score_pairs`) passes :func:`check_block` first, so a feature
+    index outside [0, dim), or a non-finite value in a block to be stored,
+    raises ValueError naming its row before any scipy kernel reads it.
+
     Single-writer: concurrent read-only access (scores and dot products
     against a frozen matrix) is safe, concurrent mutation is not.
     """
@@ -636,7 +666,9 @@ class WeightMatrix:
 
     @classmethod
     def from_csr(cls, block: sp.csr_matrix):
-        """Build from the logical rows of a CSR, taken; no rows give one zero row."""
+        """Build from the logical rows of a CSR, taken, once :func:`check_block`
+        passes them as stored data; no rows give one zero row."""
+        check_block(block, block.shape[1], finite=True)
         W = cls(max(block.shape[0], 1), block.shape[1])
         W._write(np.arange(block.shape[0]), block)
         return W
@@ -677,11 +709,15 @@ class WeightMatrix:
     # -- mutating operations ------------------------------------------
 
     def add(self, delta) -> None:
-        """Logical W += delta for a C x dim scipy sparse ``delta``."""
+        """Logical W += delta for a C x dim scipy sparse ``delta``, once
+        :func:`check_block` passes it, scaled, as stored data."""
         if delta.shape != (self.num_classes, self.dim):
             raise ValueError(f"delta shape {delta.shape} does not match the matrix")
         if delta.nnz:
-            delta = sp.csr_matrix(delta * (1.0 / self.scale))  # scaled before duplicates sum
+            # scaled before duplicates sum; COO's constructor checks its own indices
+            delta = delta * (1.0 / self.scale)
+            delta = sp.csr_matrix(delta if delta.format == "csr" else delta.tocoo())
+            check_block(delta, self.dim, finite=True)
             rows = np.flatnonzero(np.diff(delta.indptr))
             self._write(rows, self._store[rows] + delta[rows])
 
@@ -766,14 +802,18 @@ class WeightMatrix:
 
     def score(self, X: sp.csr_matrix, **options):
         """:func:`score_block` of the CSR block ``X`` against the logical
-        matrix, with ``options`` (exclude, at, among) passed on."""
+        matrix, with ``options`` (exclude, at, among) passed on, once
+        :func:`check_block` passes ``X``."""
+        check_block(X, self.dim, "the state's")
         return score_block(X, self._scoring_state, **options)
 
     def score_pairs(self, X: sp.csr_matrix, classes) -> np.ndarray:
         """Exact score of row i of the CSR block ``X`` against logical class
         ``classes[i]``, for every i: :func:`score_pairs` against the
         scoring state's rows when the matrix is :func:`scored_densely`, and
-        against :meth:`to_csr` otherwise, which builds no state."""
+        against :meth:`to_csr` otherwise, which builds no state; ``X`` is
+        checked by :func:`check_block` first."""
+        check_block(X, self.dim)
         if scored_densely(self._store):
             return score_pairs(X, classes, self._scoring_state.rows)
         return score_pairs(X, classes, self.to_csr())

@@ -220,7 +220,10 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
                  (np.concatenate([labels[active], rivals[active]]),
                   np.tile(np.arange(active.size), 2))),
                 shape=(W.num_classes, active.size))
-            W.add(signs @ batch.to_csr()[active])
+            try:
+                W.add(signs @ batch.to_csr()[active])
+            except ValueError as exc:  # an overflowed update, which W does not take
+                raise ValueError(f"training diverged at step {t}: {exc}") from exc
         if mode == "l2":
             touched = np.union1d(labels[active], rivals[active])
             W.project_to_ball(cfg.lam)
@@ -277,8 +280,9 @@ def train_l1(data: Dataset, cfg: TrainConfig, *, heldout: Optional[Dataset] = No
 
 
 def config_for_algo(algo: str, **overrides) -> TrainConfig:
-    """TrainConfig with the customary regularization default per algorithm."""
+    """TrainConfig with the customary regularization default per algorithm:
+    TrainConfig's own λ for l2, 1e-6 for l1."""
     if algo not in ("l2", "l1"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    cfg = TrainConfig(lam=1.0 if algo == "l2" else 1e-6)
+    cfg = TrainConfig() if algo == "l2" else TrainConfig(lam=1e-6)
     return replace(cfg, **overrides)

@@ -252,6 +252,15 @@ class TestDatasetLabels:
         with pytest.raises(ValueError, match=r"row 2 holds the non-finite"):
             Dataset.from_csr(np.array([0, 1, 0]), block, 2)
 
+    @pytest.mark.parametrize("column", [7, 3, -1])
+    def test_feature_index_outside_the_width_names_its_row(self, column):
+        # scipy's CSR constructor does not bounds-check indices: such a block
+        # used to be taken, and scored from memory past the class rows
+        block = sp.csr_matrix(([1.0, 2.0, 3.0], [0, 1, column], [0, 1, 1, 3]), shape=(3, 3))
+        with pytest.raises(ValueError, match=rf"row 2 holds the feature index {column}, "
+                                             r"outside \[0, 3\)"):
+            Dataset.from_csr(np.array([0, 1, 0]), block, 2)
+
 
 # -- the parser against a per-token reference --------------------------------
 

@@ -208,7 +208,7 @@ def test_screen_set_up_is_made_once_per_index_state(state_of):
             ids, scores = index.query_batch(X, exclude.tolist())
             assert ids.tobytes() == want[0].tobytes()
             assert scores.tobytes() == want[1].tobytes()
-            held.append(vars(vars(index)["_full_scan_state"][1])["screen_setup"])
+            held.append(vars(vars(index)["_full_scan_state"])["screen_setup"])
         assert held[1] is held[0] and held[2] is held[0]
         setups.append(held[0])
         W[3] = rng.standard_normal(dim)
@@ -330,17 +330,24 @@ def test_query_batch_scores_are_the_kernel_floats(kind, model, trained_models,
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
 def test_query_batch_rejects_a_bad_block(kind, as_block):
-    """A block of the wrong width, with a non-finite value or with another
-    number of excludes than rows fails closed, on every backend."""
+    """A block of the wrong width, with a feature index outside it, with a
+    non-finite value or with another number of excludes than rows fails
+    closed, on every backend."""
     rng = np.random.default_rng(32)
     index = build_index([(c, random_sparse(rng, 6)) for c in range(5)], kind, dim=6)
     xs = [random_sparse(rng, 6) for _ in range(3)]
     with pytest.raises(ValueError, match="width 7 does not match index dim 6"):
         index.query_batch(as_block([sv({0: 1.0}, 7)], 7), [None])
+    for column in (7, -1):
+        X = as_block(xs, 6)
+        X.indices[-1] = column
+        with pytest.raises(ValueError, match=rf"row 2 holds the feature index {column}, "
+                                             r"outside \[0, 6\)"):
+            index.query_batch(X, [None] * 3)
     for bad in (np.nan, np.inf):
         X = as_block(xs, 6)
         X.data[-1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="row 2 holds the non-finite"):
             index.query_batch(X, [None] * 3)
     with pytest.raises(ValueError, match="2 excludes for 3 queries"):
         index.query_batch(as_block(xs, 6), [None] * 2)
@@ -349,7 +356,10 @@ def test_query_batch_rejects_a_bad_block(kind, as_block):
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
 def test_negative_class_ids_are_answered_and_excluded(kind, as_block):
     """Any int64 is a class id: an exclude of None masks no class, -1
-    included, and a negative exclude masks its class only."""
+    included, and a negative exclude masks its class only.  The excludes
+    give the same answers, to the byte, as a list, a tuple or (with no
+    None) an int64 array; a block of no rows gets no answers, even from an
+    empty index, and a one-row index whose row is excluded has none."""
     rows = [(-1, sv({0: 3.0}, 2)), (-3, sv({0: 2.0}, 2)), (2, sv({0: 1.0}, 2))]
     index = build_index(rows, kind, dim=2, seed=1, **BACKEND_PARAMS[kind])
     X = as_block([sv({0: 1.0}, 2)] * 4, 2)
@@ -357,10 +367,34 @@ def test_negative_class_ids_are_answered_and_excluded(kind, as_block):
     assert ids.tolist() == [-1, -3, -1, -1]
     assert scores.tolist() == [3.0, 2.0, 3.0, 3.0]
 
+    def forms(exclude):
+        given = [list(exclude), tuple(exclude)]
+        return given if None in exclude else given + [np.array(exclude, dtype=np.int64)]
+
+    for exclude, want in (([None, -1, -3, 7], [-1, -3, -1, -1]),
+                          ([-2, -1, -3, 2], [-1, -3, -1, -1]),
+                          ([None] * 4, [-1] * 4)):
+        answers = [tuple(a.tobytes() for a in index.query_batch(X, form))
+                   for form in forms(exclude)]
+        assert answers == answers[:1] * len(answers)
+        assert index.query_batch(X, exclude)[0].tolist() == want
+    empty = build_index([], kind, dim=2, seed=1, **BACKEND_PARAMS[kind])
+    for held in (index, empty):
+        for exclude in forms([]):
+            assert [a.size for a in held.query_batch(as_block([], 2), exclude)] == [0, 0]
+    single = build_index([(-5, sv({0: 1.0}, 2))], kind, dim=2, seed=1,
+                         **BACKEND_PARAMS[kind])
+    for exclude in forms([-5]) + forms([None, -5]):
+        with pytest.raises(NoCandidateError):
+            single.query_batch(as_block([sv({0: 1.0}, 2)] * len(exclude), 2), exclude)
+    for exclude in forms([-1]) + forms([None]):
+        assert single.query_batch(as_block([sv({0: 1.0}, 2)], 2), exclude)[0].tolist() == [-5]
+
 
 class FixedPools(MipsIndex):
     """A backend proposing ``plan[i % len(plan)]`` for row i: a pool of
-    class ids, empty for the full scan."""
+    store positions, empty for the full scan.  Its classes are 0..C-1, so
+    a class's position is its id."""
 
     kind = "fixed-pools"
 
@@ -368,7 +402,7 @@ class FixedPools(MipsIndex):
         super().__init__(dim)
         self.plan = plan
 
-    def _candidates(self, X, exclude):
+    def _candidates(self, X, excluded):
         pools = [self.plan[i % len(self.plan)] for i in range(X.shape[0])]
         return (np.cumsum([0] + [len(pool) for pool in pools]),
                 np.array([c for pool in pools for c in pool], dtype=np.int64))
@@ -491,10 +525,10 @@ def test_update_rows_equals_update_row_per_row(kind, grow, as_block):
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
 def test_update_rows_rejects_a_bad_block(kind, as_block):
-    """A block of the wrong width, with a non-finite value, with a duplicate
-    id or with another number of ids than rows changes nothing, on every
-    backend.  The bad part comes last, after rows that an update taken row
-    by row would already have written."""
+    """A block of the wrong width, with a feature index outside it, with a
+    non-finite value, with a duplicate id or with another number of ids
+    than rows changes nothing, on every backend.  The bad part comes last,
+    after rows that an update taken row by row would already have written."""
     rng = np.random.default_rng(33)
     index = build_index([(c, random_sparse(rng, 6)) for c in range(5)], kind, dim=6,
                         **BACKEND_PARAMS[kind])
@@ -505,6 +539,11 @@ def test_update_rows_rejects_a_bad_block(kind, as_block):
         non_finite.data[-1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             index.update_rows([7, 8, 9], non_finite)
+    for column in (7, -1):
+        outside = good.copy()
+        outside.indices[-1] = column
+        with pytest.raises(ValueError, match=rf"row 2 holds the feature index {column}"):
+            index.update_rows([7, 8, 9], outside)
     wide = as_block([random_sparse(rng, 7) for _ in range(3)], 7)
     with pytest.raises(ValueError, match="width 7 does not match index dim 6"):
         index.update_rows([7, 8, 9], wide)

@@ -38,8 +38,10 @@ def scaled(v, alpha):
 
 def pools_of(index, X, exclude):
     """The pools ``_candidates`` proposes for the rows of the query block
-    ``X``, one sorted list of class ids per row (empty for the full scan)."""
-    indptr, ids = index._candidates(*index._check_batch(X, exclude))
+    ``X``, one sorted list of class ids per row (empty for the full scan),
+    mapped back from the store positions it proposes."""
+    indptr, positions = index._candidates(*index._check_batch(X, exclude))
+    ids = index._ids[positions]
     return [ids[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
 
@@ -331,14 +333,16 @@ class TestBatchedHashing:
             return [hash_code(z, planes[t * bits:(t + 1) * bits])
                     for t in range(tables)]
 
-        # row i is keyed by the prefixes of class _ids[i]'s codes
+        # row i is keyed by the prefixes of class _ids[i]'s codes: table t's
+        # key is t * 2^p + the prefix (pack_bits pads it to whole bytes)
         p = min(bits, slsh.PREFIX_BITS)
+        assert index._prefix == p
         assert index._ids.tolist() == [c for c, _ in rows]
         for c, row in rows:
             z = simplelsh_transform(row, index._U)
             prefixes = [sign_bits(z, planes[t * bits:t * bits + p]) for t in range(tables)]
-            assert index._keys[c].tobytes() == slsh._prefix_keys(
-                np.array([prefixes])).tobytes()
+            assert index._keys[c].tolist() == [(t << p) + (pack_bits(prefix) >> -p % 8)
+                                               for t, prefix in enumerate(prefixes)]
             assert [pack_bits(prefix) for prefix in prefixes] == [
                 code_prefix(code, bits, p) for code in expected(z)]
         zs = [simplelsh_transform(random_sparse(rng, dim, 12), 1.0, query=True)
@@ -510,11 +514,33 @@ class TestPrefixHashing:
             want.append(pool)
         assert pools_of(index, as_block(xs, dim), exclude) == want
         assert sum(bool(pool) for pool in want) >= 2
-        if prefix < bits:
-            # some prefix matches were confirmed and some rejected
-            assert index.prefix_hit_count > full_pairs > 0
+        # p is capped below PREFIX_BITS = 70, at 62, so that t * 2^p + prefix
+        # fits in an int64: that case hashes the rest of its bits too
+        if index._prefix < bits:
+            # every whole-code match was a prefix match and was confirmed
+            assert index.prefix_hit_count >= full_pairs > 0
+            if index._prefix <= 3:  # ... and a short prefix's were rejected too
+                assert index.prefix_hit_count > full_pairs
         else:
             assert index.prefix_hit_count == 0
+
+    @pytest.mark.parametrize("tables,p", [(1, 63), (2, 62), (32, 58), (33, 57)])
+    def test_every_bucket_key_is_one_int64(self, monkeypatch, tables, p):
+        """A (row, table t) key is t * 2^p + the first p bits of the row's
+        code in t, with p capped so that every key fits below 2^63
+        (PREFIX_BITS = 16 never binds: 58 bits at 32 tables)."""
+        monkeypatch.setattr(slsh, "PREFIX_BITS", 70)
+        rng = np.random.default_rng(27)
+        rows = [(c, random_sparse(rng, 5, 3)) for c in range(6)]
+        index = build_index(rows, "simplelsh", dim=5, lsh_bits=70, lsh_tables=tables,
+                            seed=3)
+        assert index._prefix == p and index._keys.dtype == np.int64
+        planes = index._field.columns(np.arange(6, dtype=np.uint64)).T
+        for c, row in rows:
+            z = simplelsh_transform(row, index._U)
+            assert index._keys[c].tolist() == [
+                (t << p) + (hash_code(z, planes[t * 70:t * 70 + p]) >> -p % 8)
+                for t in range(tables)]
 
     @pytest.mark.parametrize("prefix", [1, 4, 16])
     def test_candidates_equal_whole_code_matches(self, prefix):

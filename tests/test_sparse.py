@@ -158,6 +158,36 @@ class TestWeightMatrixBasics:
         with pytest.raises(IndexError, match="class id 3 out of range"):
             W.stored_rows([1, 3])
 
+    @pytest.mark.parametrize("column", [7, -1])
+    def test_a_block_with_a_feature_index_outside_the_width_fails_closed(self, column):
+        """scipy's CSR constructor does not bounds-check indices, and its
+        kernels read and write through them: each entry point names the row
+        before any kernel sees it, and W stays as it was."""
+        W = WeightMatrix.from_csr(sp.csr_matrix(np.arange(6.0).reshape(2, 3)))
+        before = W.to_csr().toarray()
+        bad = sp.csr_matrix(([1.0, 2.0], [0, column], [0, 1, 2]), shape=(2, 3))
+        message = rf"row 1 holds the feature index {column}, outside \[0, 3\)"
+        with pytest.raises(ValueError, match=message):
+            WeightMatrix.from_csr(bad)
+        with pytest.raises(ValueError, match=message):
+            W.add(bad)
+        with pytest.raises(ValueError, match=message):
+            W.score(bad)
+        with pytest.raises(ValueError, match=message):
+            W.score_pairs(bad, [0, 1])
+        np.testing.assert_array_equal(W.to_csr().toarray(), before)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_never_stored(self, value):
+        W = WeightMatrix.from_csr(sp.csr_matrix(np.arange(6.0).reshape(2, 3)))
+        bad = sp.csr_matrix(([1.0, value], [0, 2], [0, 1, 2]), shape=(2, 3))
+        message = rf"row 1 holds the non-finite feature value {value!r}"
+        with pytest.raises(ValueError, match=message):
+            WeightMatrix.from_csr(bad)
+        with pytest.raises(ValueError, match=message):
+            W.add(bad)
+        assert W.frob_norm() == np.sqrt(55.0)
+
     def test_class_out_of_range(self):
         W = WeightMatrix(2, 3)
         with pytest.raises(IndexError):

@@ -412,12 +412,13 @@ class TestTrainL2:
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="diverged at step 1"):
             train_l2(wide, TrainConfig(epochs=3, seed=0, batch_size=1))
-        # the first update overflows W itself to inf: the objective check
-        # names the step before the index refresh sees non-finite rows
+        # the first update itself overflows to inf: W.add refuses it, and the
+        # trainer names the step and the update's first non-finite row
         huge = Dataset([(0, sv({0: 1.7e308}, 2)), (1, sv({1: 1.7e308}, 2))] * 2, 2, 2)
         for trainer in (train_l2, train_l1):
             with np.errstate(all="ignore"), \
-                    pytest.raises(ValueError, match="diverged at step 1: objective is inf"):
+                    pytest.raises(ValueError, match="diverged at step 1: row 0 holds the "
+                                                    "non-finite feature value inf"):
                 trainer(huge, TrainConfig(epochs=3, seed=0, batch_size=8, lam=1e-3,
                                           eta0=0.9, backend="simplelsh"))
 
@@ -626,7 +627,7 @@ class TestTrainLog:
             result = query_phase(index, W, batch)
             copied.extend("operand" in vars(state)
                           for state in (vars(W).get("_scoring_state"),
-                                        vars(index)["_full_scan_state"][1])
+                                        vars(index)["_full_scan_state"])
                           if state is not None and state.dense)
             return result
 
