@@ -242,12 +242,13 @@ def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
                          shape=(len(indices), dim))
 
 
-def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = False) -> None:
+def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = False,
+                ids=None) -> None:
     """Raise ValueError unless the CSR block ``X`` is ``dim`` wide, every
     column index lies in [0, dim) and, with ``finite`` (a block that
     becomes stored data), every value is finite.  The width error names
-    ``whose`` width it must match, the others the first offending row and
-    its index or value.
+    ``whose`` width it must match, the others the first offending row (as
+    ``ids[row]`` when ``ids`` is given) and its index or value.
 
     scipy's CSR constructor does not bounds-check indices
     (``check_format(full_check=False)``), and its kernels read and write
@@ -256,15 +257,20 @@ def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = Fals
     one ``max`` pass finds both kinds."""
     if X.shape[1] != dim:
         raise ValueError(f"block width {X.shape[1]} does not match {whose} {dim}")
+
+    def row(k):
+        r = np.searchsorted(X.indptr, k, "right") - 1
+        return r if ids is None else ids[r]
+
     cols = X.indices
     if cols.size and cols.view(f"u{cols.itemsize}").max() >= dim:
         k = int(np.flatnonzero((cols < 0) | (cols >= dim))[0])
-        raise ValueError(f"row {np.searchsorted(X.indptr, k, 'right') - 1} holds the "
-                         f"feature index {cols[k]}, outside [0, {dim})")
+        raise ValueError(f"row {row(k)} holds the feature index {cols[k]}, "
+                         f"outside [0, {dim})")
     if finite and not np.isfinite(X.data).all():
         k = int(np.isfinite(X.data).argmin())
-        raise ValueError(f"row {np.searchsorted(X.indptr, k, 'right') - 1} holds the "
-                         f"non-finite feature value {float(X.data[k])!r}")
+        raise ValueError(f"row {row(k)} holds the non-finite feature value "
+                         f"{float(X.data[k])!r}")
 
 
 def splice_rows(ids, block, new_ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -613,6 +619,7 @@ class WeightMatrix:
 
     The stored rows are one canonical CSR (sorted indices, no duplicates,
     no explicit zeros).  Every write goes through :meth:`_write`, which
+    refuses a non-finite weight (a sum of finite ones can overflow),
     replaces only the rows it names (:func:`splice_rows`) and recomputes only
     their cached squared norms, each from its row alone, so none can drift.
 
@@ -623,9 +630,12 @@ class WeightMatrix:
     one state.
 
     Every block from outside (:meth:`from_csr`, :meth:`add`, :meth:`score`,
-    :meth:`score_pairs`) passes :func:`check_block` first, so a feature
-    index outside [0, dim), or a non-finite value in a block to be stored,
-    raises ValueError naming its row before any scipy kernel reads it.
+    :meth:`score_pairs`) passes :func:`check_block` before any scipy kernel
+    reads through its indices, so a feature index outside [0, dim) raises
+    ValueError naming its row (:meth:`from_csr`'s block is checked once
+    :meth:`_write` has made it canonical, which compares its indices but
+    reads nothing through them), and :meth:`_write` refuses a non-finite
+    value to be stored the same way, naming its class.
 
     Single-writer: concurrent read-only access (scores and dot products
     against a frozen matrix) is safe, concurrent mutation is not.
@@ -667,8 +677,7 @@ class WeightMatrix:
     @classmethod
     def from_csr(cls, block: sp.csr_matrix):
         """Build from the logical rows of a CSR, taken, once :func:`check_block`
-        passes them as stored data; no rows give one zero row."""
-        check_block(block, block.shape[1], finite=True)
+        passes them as stored data (in :meth:`_write`); no rows give one zero row."""
         W = cls(max(block.shape[0], 1), block.shape[1])
         W._write(np.arange(block.shape[0]), block)
         return W
@@ -688,9 +697,12 @@ class WeightMatrix:
 
     def _write(self, rows: np.ndarray, block: sp.csr_matrix) -> None:
         """The one writer: the fresh CSR ``block``, made canonical in place, becomes
-        classes ``rows`` (distinct) by :func:`splice_rows`; only their norms are redone."""
+        classes ``rows`` (distinct) by :func:`splice_rows` once :func:`check_block`
+        passes it as stored data, so W never holds a non-finite weight; only
+        their norms are redone."""
         block.sum_duplicates()
         block.eliminate_zeros()
+        check_block(block, self.dim, finite=True, ids=rows)
         _, self._store = splice_rows(np.arange(self.num_classes), self._store, rows, block)
         self._row_sq[rows] = row_sums(block.data ** 2, block.indptr)
         vars(self).pop("_scoring_state", None)
@@ -710,14 +722,15 @@ class WeightMatrix:
 
     def add(self, delta) -> None:
         """Logical W += delta for a C x dim scipy sparse ``delta``, once
-        :func:`check_block` passes it, scaled, as stored data."""
+        :func:`check_block` passes its indices; :meth:`_write` refuses a
+        non-finite sum, a non-finite delta's included."""
         if delta.shape != (self.num_classes, self.dim):
             raise ValueError(f"delta shape {delta.shape} does not match the matrix")
         if delta.nnz:
             # scaled before duplicates sum; COO's constructor checks its own indices
             delta = delta * (1.0 / self.scale)
             delta = sp.csr_matrix(delta if delta.format == "csr" else delta.tocoo())
-            check_block(delta, self.dim, finite=True)
+            check_block(delta, self.dim)
             rows = np.flatnonzero(np.diff(delta.indptr))
             self._write(rows, self._store[rows] + delta[rows])
 

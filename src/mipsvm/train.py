@@ -15,7 +15,9 @@ whole l1 penalty lives.
 The index is kept in the matrix's stored (unscaled) units: global scaling
 multiplies every logical row by the same positive factor and cannot change
 any argmax, so only rows whose stored values changed need re-indexing.  A
-scale fold rewrites every stored row and triggers a full refresh.
+scale fold rewrites every stored row and makes every row stale.  The rows a
+step changed are written into the index at the top of the next step, just
+before the query that reads them, so no refresh follows the last step.
 """
 
 from __future__ import annotations
@@ -119,6 +121,8 @@ class TrainLog:
     heldout_macro_f1: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     nnz: list[int] = field(default_factory=list)
+    # rows written into the index at the top of each step, before its query:
+    # the rows the previous step changed (none before step 1)
     index_refreshes: list[int] = field(default_factory=list)
     # the training index's work counts once training ends (MipsIndex.counters)
     index_counters: dict[str, int] = field(default_factory=dict)
@@ -198,11 +202,14 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
     log = TrainLog()
     best_maf1 = -np.inf
     stale_epochs = 0
+    stale = np.arange(0)
 
     for t in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         eta = learning_rate(t, cfg.eta0, cfg.eta_step)
         batch = sample_batch(data, batch_size, rng)
+        if t > 1:  # before this step's scaling, so a fold here waits for the next step
+            index.update_rows(stale, W.stored_rows(stale))
         fold_before = W.fold_count
 
         if mode == "l2":
@@ -235,22 +242,23 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
 
         held = evaluate(W, heldout) if heldout is not None else None
         obj = objective(W, data, cfg.lam)
-        if not math.isfinite(obj):  # before the index refresh rejects a non-finite W
+        if not math.isfinite(obj):
             raise ValueError(f"training diverged at step {t}: objective is {obj}")
 
-        # refresh the index with one row take of W's store (all of it after a
-        # fold), in descending norm order, ties by id: swgraph inserts the
-        # rows one by one in that order, and simplelsh, which hashes them in
-        # one pass, ends with the U and codes that order gives.
-        refresh = np.arange(W.num_classes) if W.fold_count != fold_before else touched
-        refresh = refresh[np.argsort(-W.row_sq_norms[refresh], kind="stable")]
-        index.update_rows(refresh, W.stored_rows(refresh))
+        # the rows the next step writes into the index, as one row take of
+        # W's store (all of it after a fold), in descending norm order, ties
+        # by id: swgraph inserts the rows one by one in that order, and
+        # simplelsh, which hashes them in one pass, ends with the U and codes
+        # that order gives.  Nothing writes W before then.
+        refreshed = stale.size
+        stale = np.arange(W.num_classes) if W.fold_count != fold_before else touched
+        stale = stale[np.argsort(-W.row_sq_norms[stale], kind="stable")]
         log.append(objective=obj,
                    heldout_accuracy=held.accuracy if held else math.nan,
                    heldout_macro_f1=held.macro_f1 if held else math.nan,
                    seconds=time.perf_counter() - t0,
                    nnz=W.nnz(),
-                   index_refreshes=len(refresh))
+                   index_refreshes=refreshed)
         if epoch_callback is not None:
             epoch_callback(t, W)
         if cfg.early_stop and held is not None:
@@ -268,14 +276,18 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
 def train_l2(data: Dataset, cfg: TrainConfig, *, heldout: Optional[Dataset] = None,
              epoch_callback: Optional[Callable[[int, WeightMatrix], None]] = None,
              initial: Optional[WeightMatrix] = None) -> tuple[WeightMatrix, TrainLog]:
-    """Pegasos-style l2 trainer: scale, hinge updates, ball projection."""
+    """Pegasos-style l2 trainer: scale, hinge updates, ball projection.
+
+    ``epoch_callback(t, W)`` runs after step t and must not write W: the
+    training index takes the rows step t changed only at the top of step t + 1."""
     return _train(data, cfg, "l2", heldout, epoch_callback, initial)
 
 
 def train_l1(data: Dataset, cfg: TrainConfig, *, heldout: Optional[Dataset] = None,
              epoch_callback: Optional[Callable[[int, WeightMatrix], None]] = None,
              initial: Optional[WeightMatrix] = None) -> tuple[WeightMatrix, TrainLog]:
-    """Subgradient l1 trainer: hinge updates plus per-batch truncation."""
+    """Subgradient l1 trainer: hinge updates plus per-batch truncation;
+    ``epoch_callback`` as for :func:`train_l2`."""
     return _train(data, cfg, "l1", heldout, epoch_callback, initial)
 
 

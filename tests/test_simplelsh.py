@@ -557,6 +557,9 @@ class TestPrefixHashing:
                seed=st.integers(0, 2**32 - 1), grow=st.booleans())
         @example(bits=prefix, tables=1, seed=0, grow=False)
         @example(bits=prefix + 5, tables=3, seed=1, grow=True)
+        # rows pool on each side of the prefix width here, whatever is drawn
+        @example(bits=prefix, tables=4, seed=0, grow=False)
+        @example(bits=prefix + 1, tables=4, seed=0, grow=False)
         def check(bits, tables, seed, grow):
             rng = np.random.default_rng(seed)
             dim = 6

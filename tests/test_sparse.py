@@ -188,6 +188,22 @@ class TestWeightMatrixBasics:
             W.add(bad)
         assert W.frob_norm() == np.sqrt(55.0)
 
+    def test_a_sum_that_overflows_is_never_stored(self):
+        """Two finite deltas whose sum overflows: the one writer refuses the
+        second, names the class it would have made infinite, and W keeps
+        the first (whose squared norm already overflows)."""
+        W = WeightMatrix(3, 2)
+        delta = sp.csr_matrix(([1.5e308, 1.0], [1, 0], [0, 0, 1, 2]), shape=(3, 2))
+        with np.errstate(over="ignore"):
+            W.add(delta)
+            before, norms = W.to_csr().toarray(), W.row_sq_norms
+            with pytest.raises(ValueError,
+                               match="row 1 holds the non-finite feature value inf"):
+                W.add(delta)
+        np.testing.assert_array_equal(W.to_csr().toarray(), before)
+        np.testing.assert_array_equal(W.row_sq_norms, norms)
+        assert np.isfinite(W.to_csr().data).all()
+
     def test_class_out_of_range(self):
         W = WeightMatrix(2, 3)
         with pytest.raises(IndexError):

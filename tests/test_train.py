@@ -6,17 +6,20 @@ same RNG draws, so any staleness or scaling bug in the real engine shows up
 as a divergence.
 """
 
+import hashlib
 import math
 import sys
 import threading
 
 import numpy as np
 import pytest
+import scipy
 
 import mipsvm.mips.simplelsh as slsh
 from mipsvm import sparse
 from mipsvm.dataio import Dataset, save_model
 from mipsvm.metrics import evaluate
+from mipsvm.mips import ExactIndex, SimpleLshIndex, SwGraphIndex
 from mipsvm.sparse import SparseVector, WeightMatrix
 from mipsvm.synth import make_synthetic, make_toy_dataset, toy_reference_margins
 from mipsvm.train import (TrainConfig, default_batch_size, learning_rate,
@@ -679,3 +682,127 @@ class TestTrainLog:
                           early_stop=True)
         _, log = train_l2(toy, cfg, heldout=toy)
         assert len(log) < 60
+
+
+class TestIndexRefresh:
+    """The rows a step changes reach the training index at the top of the
+    next step, just before the query that reads them: nothing is written
+    after the last step."""
+
+    BACKENDS = {"exact": ExactIndex, "simplelsh": SimpleLshIndex, "swgraph": SwGraphIndex}
+
+    def written(self, monkeypatch, backend):
+        """The row counts of the ``update_rows`` calls on ``backend``'s index,
+        as two lists: the training index's build (whose ``build_index`` call
+        writes no rows), then every call after it."""
+        import mipsvm.train as train_module
+
+        cls = self.BACKENDS[backend]
+        build, steps = [], []
+        calls = build
+
+        def counted(index, ids, rows, update_rows=cls.update_rows):
+            calls.append(len(ids))
+            return update_rows(index, ids, rows)
+
+        def building(*args, build_index=train_module._build_training_index):
+            nonlocal calls
+            index = build_index(*args)
+            calls = steps
+            return index
+
+        monkeypatch.setattr(cls, "update_rows", counted)
+        monkeypatch.setattr(train_module, "_build_training_index", building)
+        return build, steps
+
+    @pytest.mark.parametrize("fit", [train_l1, train_l2])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_a_run_of_t_steps_makes_t_minus_one_refreshes(self, monkeypatch, backend,
+                                                          fit):
+        build, steps = self.written(monkeypatch, backend)
+        data = make_synthetic(num_classes=6, dim=12, n=90, seed=3)
+        _, log = fit(data, TrainConfig(lam=1e-3, epochs=5, seed=5, batch_size=20,
+                                       backend=backend))
+        assert len(log) == 5
+        assert [n for n in build if n] == [data.num_classes]
+        assert len(steps) == 5 - 1
+        assert log.index_refreshes[0] == 0 and steps == log.index_refreshes[1:]
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_an_early_stop_skips_the_refresh_of_its_last_step(self, monkeypatch,
+                                                              backend):
+        build, steps = self.written(monkeypatch, backend)
+        toy = make_toy_dataset()
+        cfg = TrainConfig(lam=1.0, epochs=60, seed=9, backend=backend, early_stop=True)
+        _, log = train_l2(toy, cfg, heldout=toy)
+        assert len(log) < 60
+        assert [n for n in build if n] == [toy.num_classes]
+        assert len(steps) == len(log) - 1
+        assert log.index_refreshes[0] == 0 and steps == log.index_refreshes[1:]
+
+    @pytest.mark.parametrize("fit, folds", [(train_l1, False), (train_l2, False),
+                                            (train_l2, True)])
+    def test_each_query_reads_the_rows_of_the_step_before(self, monkeypatch, fit, folds):
+        """On exact, the index's store at every rival query is byte-identical
+        to W's store as the step before left it (the initial W before step
+        1), also when every l2 step's scaling folds W's scale into its rows:
+        a fold reaches the index only at the next step's query."""
+        import mipsvm.train as train_module
+
+        if folds:  # every step's scale, about 0.9999, is below the fold bound
+            monkeypatch.setattr(sparse, "SCALE_FOLD_LOW", 0.99995)
+        queried = []
+        query_phase = train_module._query_phase
+
+        def phase(index, W, batch):
+            queried.append(index._block.copy())
+            return query_phase(index, W, batch)
+
+        monkeypatch.setattr(train_module, "_query_phase", phase)
+        data = make_synthetic(num_classes=6, dim=12, n=90, seed=3)
+        initial = WeightMatrix(data.num_classes, data.dim)
+        initial.add(sparse.sp.csr_matrix(np.eye(data.num_classes, data.dim)))
+        every = range(data.num_classes)
+        ends = [initial.stored_rows(every)]
+        W, log = fit(data, TrainConfig(lam=1e-3, epochs=6, seed=5, batch_size=20),
+                     initial=initial,
+                     epoch_callback=lambda t, W: ends.append(W.stored_rows(every)))
+        assert len(queried) == len(log) == 6
+        assert W.fold_count == (len(log) if folds else 0)
+        for block, end in zip(queried, ends):
+            assert block.shape == end.shape
+            assert block.data.tobytes() == end.data.tobytes()
+            np.testing.assert_array_equal(block.indices, end.indices)
+            np.testing.assert_array_equal(block.indptr, end.indptr)
+
+
+# sha256 of the saved bytes of each fixed-seed model below, recorded with
+# numpy 2.4.6 and scipy 1.17.1 (the versions the tier-1 workflow pins)
+PINNED_MODELS = {
+    ("l2", "exact"): "ebbb6761d14e88d7f31e8aff2284276a18c7148e2fe28838b362c9a7974b1215",
+    ("l1", "exact"): "a4f50947298935c84a49abfd5b10efbd64e8f466dcbd553469d0542e79b70485",
+    ("l1", "simplelsh"): "4ec71b544336a08e2f02f3ddf1a2b39ddd06fd2476e189d56a9c556227cc76c3",
+    ("l2", "swgraph"): "ce988c5d626d12df540fe90782c5b8c6a1bb4d7ee3509c2fa652a1ae28c23c26",
+}
+PINNED_VERSIONS = ("2.4.6", "1.17.1")
+
+
+@pytest.mark.skipif((np.__version__, scipy.__version__) != PINNED_VERSIONS,
+                    reason=f"the pinned model hashes were recorded with numpy "
+                           f"{PINNED_VERSIONS[0]} and scipy {PINNED_VERSIONS[1]}, not "
+                           f"numpy {np.__version__} and scipy {scipy.__version__}")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fixed_seed_models_match_their_pinned_hashes(workers, kernel_workers, tmp_path):
+    """Small fixed-seed models of every trainer path keep their saved bytes:
+    a change that moves one float of a trained model shows here."""
+    kernel_workers(workers)
+    data = make_synthetic(num_classes=30, dim=40, n=400, seed=3)
+    heldout = make_synthetic(num_classes=30, dim=40, n=60, seed=4)
+    for (algo, backend), want in PINNED_MODELS.items():
+        cfg = TrainConfig(lam=1e-2 if algo == "l2" else 1e-3, epochs=6, seed=5,
+                          backend=backend, batch_size=50, lsh_bits=8, lsh_tables=4,
+                          swg_max_neighbors=2, swg_ef_construction=2, swg_ef_search=1)
+        W, _ = (train_l2 if algo == "l2" else train_l1)(data, cfg, heldout=heldout)
+        path = tmp_path / f"{algo}-{backend}-{workers}.bin"
+        save_model(path, W, lam=cfg.lam, algorithm=algo)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, (algo, backend)
