@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..sparse import stack_csr
+from ..sparse import WeightMatrix, stack_csr
 from .audit import AuditReport, audit_inexactness, recall_at_1
 from .base import BACKEND_DEFAULTS, MipsIndex, NoCandidateError
 from .exact import ExactIndex
 from .simplelsh import (GaussianPlaneField, SimpleLshIndex, hash_code,
                         hashing_quality, sign_bits, simplelsh_transform)
 from .swgraph import SwGraphIndex
-
-if TYPE_CHECKING:
-    from ..sparse import WeightMatrix
 
 BACKENDS = ("exact", "simplelsh", "swgraph")
 
@@ -24,10 +19,10 @@ def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
                 swg_max_neighbors: int = BACKEND_DEFAULTS["swg_max_neighbors"],
                 swg_ef_construction: int = BACKEND_DEFAULTS["swg_ef_construction"],
                 swg_ef_search: int = BACKEND_DEFAULTS["swg_ef_search"]) -> MipsIndex:
-    """Build an index of the given kind over (class_id, row) pairs.
+    """Build an index of the given kind over (class_id, row) pairs, whose
+    ids, being store positions, are 0, 1, ... in order.
 
-    Deterministic for a fixed seed and row order.  Duplicate class ids and
-    mismatched dimensions are rejected.
+    Deterministic for a fixed seed.  Mismatched dimensions are rejected.
     """
     rows = list(rows)
     if dim is None:
@@ -52,12 +47,11 @@ def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
     return index
 
 
-def index_from_matrix(W: "WeightMatrix", kind: str, **params) -> MipsIndex:
-    """Index over W's logical rows, as ``materialize_row`` gives them, in one block."""
-    logical = W.to_csr()
-    logical.eliminate_zeros()
+def index_from_matrix(W: WeightMatrix, kind: str, **params) -> MipsIndex:
+    """Index over W's logical rows, as ``materialize_row`` gives them: a
+    :meth:`~MipsIndex.refresh` from a matrix that stores them."""
     index = build_index([], kind, dim=W.dim, **params)
-    index.update_rows(range(W.num_classes), logical)
+    index.refresh(WeightMatrix.from_csr(W.to_csr()), range(W.num_classes))
     return index
 
 

@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import (ScoringState, SparseVector, check_block, score_block, splice_rows,
-                      stack_csr)
+from ..sparse import (ScoringState, SparseVector, WeightMatrix, check_block,
+                      check_positions, score_block, splice_rows, stack_csr)
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -29,7 +29,7 @@ class NoCandidateError(LookupError):
 class MipsIndex:
     """Incremental index over class rows answering argmax inner product.
 
-    Contract shared by all backends:
+    Contract shared by all backends, where a class id is its store position:
 
     * every returned score is the exact score (the stored-order sum of
       :mod:`mipsvm.sparse`) of the returned class's stored row;
@@ -40,16 +40,15 @@ class MipsIndex:
       every row's pool of store positions as one ``(indptr, positions)``
       pair, an empty pool leaving its row to the full scan;
     * after ``update_rows(ids, rows)`` (row i of the CSR block ``rows``
-      becomes class ``ids[i]``) or ``update_row(c, row)`` the index reflects
-      the new rows before the next query; a bad block changes nothing;
+      replaces class ``ids[i]`` or appends it as the next one) or
+      ``update_row(c, row)`` or ``refresh(W, rows)`` the index reflects the
+      new rows before the next query; a bad block or id changes nothing;
     * queries are read-only and may run concurrently against a frozen index;
       updates are exclusive.  The queries answered and those left to the
       full scan are counted (:meth:`counters`) under one lock.
 
     The base class keeps the rows in one CSR block, into which :func:`splice_rows`
     writes only an update's rows, and does every exact scan (full, or of a pool).
-    Inside, excludes and pools are store positions (row i of the block holds
-    class ``_ids[i]``): class ids only enter and leave through ``query_batch``.
     """
 
     kind: str = "abstract"
@@ -58,8 +57,7 @@ class MipsIndex:
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = int(dim)
-        self._ids = np.empty(0, dtype=np.int64)  # sorted; row i of _block is class _ids[i]
-        self._block = sp.csr_matrix((0, self.dim))  # canonical CSR, written by _write
+        self._block = sp.csr_matrix((0, self.dim))  # canonical CSR; row c is class c
         self.query_count = 0
         self.fallback_count = 0
         self._count_lock = threading.Lock()
@@ -73,38 +71,28 @@ class MipsIndex:
             X = X.tocoo().tocsr()
         return X
 
-    def _checked(self, ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
-        """``ids`` as int64 and ``rows`` as canonical CSR: one distinct id per row."""
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = self._canonical(rows)
-        if ids.size != rows.shape[0]:
-            raise ValueError(f"{ids.size} class ids for {rows.shape[0]} rows")
-        if np.unique(ids).size != ids.size:
-            raise ValueError("duplicate class id in one batch of updates")
-        return ids, rows
+    def _write(self, ids: np.ndarray, rows: sp.csr_matrix) -> None:
+        """Splice the checked ``rows`` in as classes ``ids``, never storing the caller's."""
+        block = splice_rows(self._block, ids, rows)
+        self._block = block.copy() if block is rows else block
 
-    def _write(self, ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
-        """The one writer: splice in :meth:`_checked` row i as class ``ids[i]``."""
-        ids, rows = self._checked(ids, rows)
-        self._ids, self._block = splice_rows(self._ids, self._block, ids, rows)
+    def _changed(self, ids: np.ndarray) -> None:
+        """Redo what depends on the stored rows ``ids``: here the full-scan state."""
         vars(self).pop("_full_scan_state", None)
-        return ids, rows
 
     def _check_batch(self, X, exclude) -> tuple[sp.csr_matrix, np.ndarray]:
         """``(X, excluded)``: ``X`` as :meth:`_canonical` CSR, once it holds one
-        exclude per row and a candidate for each, and ``excluded[i]`` the store
-        position of row i's excluded class, or -1 for None or a class not held.
-        An integer array is taken as it is; a sequence holding None costs a pass."""
+        exclude per row and a candidate for each, and ``excluded[i]`` row i's
+        excluded class, or -1 for None or an id outside [0, len).  An integer
+        array is taken as it is; a sequence holding None costs a pass."""
         X = self._canonical(X)
         if len(exclude) != X.shape[0]:
             raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
-        named = np.asarray(exclude)
-        given = np.not_equal(named, None) if named.dtype == object else slice(None)
-        excluded = np.full(X.shape[0], -1, dtype=np.int64)
-        if len(self):
-            classes = named[given].astype(np.int64, copy=False)
-            pos = np.minimum(np.searchsorted(self._ids, classes), len(self) - 1)
-            excluded[given] = np.where(self._ids[pos] == classes, pos, -1)
+        classes = np.asarray(exclude)
+        if classes.dtype == object:  # None masks nothing, as -1 does
+            classes = np.where(np.equal(classes, None), -1, classes)
+        classes = classes.astype(np.int64, copy=False)
+        excluded = np.where((classes >= 0) & (classes < len(self)), classes, -1)
         if len(self) <= 1 and ((excluded >= 0) | (not len(self))).any():
             raise NoCandidateError("no candidate class after exclusion")
         return X, excluded
@@ -115,7 +103,7 @@ class MipsIndex:
         return ScoringState(self._block)
 
     def _scan(self, X, excluded=None, pools=None) -> tuple[np.ndarray, np.ndarray]:
-        """Best (class ids, exact scores) of the rows of the query block
+        """Best (store positions, exact scores) of the rows of the query block
         ``X``: over every stored row but its ``excluded`` position (None, or
         :meth:`_check_batch`'s array), or over each row's pool.
 
@@ -126,14 +114,13 @@ class MipsIndex:
         never costs more than a full scan of it, and ties go to the smallest id.
         """
         if pools is None:
-            best, score, _ = score_block(X, self._full_scan_state, exclude=excluded)
-            return self._ids[best], score
+            return score_block(X, self._full_scan_state, exclude=excluded)[:2]
         indptr, members = pools
         rows, cols = np.unique(members, return_inverse=True)
         among = sp.csr_matrix((np.ones(members.size, dtype=bool), cols, indptr),
                               shape=(X.shape[0], rows.size))
         best, score, _ = score_block(X, ScoringState(self._block[rows]), among=among)
-        return self._ids[rows[best]], score
+        return rows[best], score
 
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         """Best (class_id, exact score of that class) with ``exclude`` removed,
@@ -180,13 +167,27 @@ class MipsIndex:
 
     def update_rows(self, ids, rows) -> None:
         """Make row i of the n x dim CSR block ``rows`` the row of class
-        ``ids[i]``, as one :meth:`update_row` per row in the given order
-        would; this default stores the block."""
+        ``ids[i]``, as one :meth:`update_row` per row in the given order would:
+        :meth:`_write` and :meth:`_changed`, once the block and the ids pass."""
+        rows = self._canonical(rows)
+        ids = check_positions(ids, len(self))
+        if ids.size != rows.shape[0]:
+            raise ValueError(f"{ids.size} class ids for {rows.shape[0]} rows")
         self._write(ids, rows)
+        self._changed(ids)
+
+    def refresh(self, W: WeightMatrix, rows) -> None:
+        """Hold W's stored rows by adopting W's store itself, with no copy and no
+        check (W writes no store in place), and redo what depends on ``rows``,
+        those changed since the index last read W (all, the first time)."""
+        if W.dim != self.dim:
+            raise ValueError(f"matrix dim {W.dim} does not match index dim {self.dim}")
+        self._block = W._store
+        self._changed(np.asarray(rows, dtype=np.int64))
 
     def counters(self) -> dict[str, int]:
         """The work counts this backend keeps, by name."""
         return {"queries": self.query_count, "fallbacks": self.fallback_count}
 
     def __len__(self) -> int:
-        return int(self._ids.size)
+        return self._block.shape[0]

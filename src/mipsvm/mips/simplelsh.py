@@ -194,9 +194,9 @@ class SimpleLshIndex(MipsIndex):
     """Multi-table sign-projection LSH with exact re-ranking.
 
     Each row lives in exactly one bucket per table, keyed by the first p
-    bits of its code in that table (the module docstring gives p): row i
-    of ``_keys``, the row at store position i, holds one int64 key per
-    table.  A query collects the rows whose whole code matches its own in
+    bits of its code in that table (the module docstring gives p): row c
+    of ``_keys`` holds class c's int64 keys.  A query collects the rows
+    whose whole code matches its own in
     some table, re-scores them exactly and returns the best; when no code
     matches, it falls back to a full scan, so a returned candidate is never
     worse than any retrieved one.  :meth:`_candidates` proposes the pools
@@ -289,25 +289,19 @@ class SimpleLshIndex(MipsIndex):
 
     # -- MipsIndex interface ----------------------------------------------
 
-    def update_rows(self, ids, rows) -> None:
-        """Store the block, then hash it in one pass.
-
-        When the block's largest norm exceeds U, U becomes the largest norm
-        of the index and every row is re-hashed (one rebuild); otherwise only
-        the given rows are, and their keys spliced in.  Either way U and
-        every key come out as one :meth:`update_row` per row in
-        descending-norm order leaves them.
-        """
-        old_ids, old_keys = self._ids, self._keys
-        ids, rows = self._write(ids, rows)
+    def _changed(self, ids: np.ndarray) -> None:
+        """Re-key the stored rows ``ids``, every new row among them, in one
+        hashing pass, or every row (one rebuild) when their largest norm
+        exceeds U, which becomes the largest norm held: the U and keys that
+        one :meth:`update_row` per row in descending-norm order leaves."""
+        super()._changed(ids)
+        rows = self._block[ids]
         if np.sqrt(row_sums(rows.data * rows.data, rows.indptr)).max(initial=0.0) > self._U:
-            ids, rows = self._ids, self._block
+            ids, rows = np.arange(len(self)), self._block
             self._U = float(np.sqrt(row_sums(rows.data * rows.data, rows.indptr)).max())
             self.rebuild_count += 1
-        keys = _prefix_keys(self._hash(self._augment(rows), hi=self._prefix))
-        # the new keys come first, so that each class's first one is its newest
-        _, first = np.unique(np.concatenate([ids, old_ids]), return_index=True)
-        self._keys = np.concatenate([keys, old_keys])[first]
+        self._keys = np.resize(self._keys, (len(self), self.tables))  # new rows are in ids
+        self._keys[ids] = _prefix_keys(self._hash(self._augment(rows), hi=self._prefix))
         order = np.argsort(self._keys, axis=None)  # the sorted keys, and each one's row
         self._buckets = self._keys.ravel()[order], order // self.tables
 

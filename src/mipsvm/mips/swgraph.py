@@ -45,7 +45,6 @@ class SwGraphIndex(MipsIndex):
         self.ef_construction = int(ef_construction)
         self.ef_search = int(ef_search)
         self._adj: dict[int, set[int]] = {}
-        self._spans: dict[int, tuple[int, int]] = {}  # class id -> its row's store offsets
         self._entries: list[int] = []
         self._rng = np.random.default_rng(seed)
         self._inserted_total = 0
@@ -54,17 +53,16 @@ class SwGraphIndex(MipsIndex):
 
     def _row(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Index and value views of the stored row of class ``c``."""
-        lo, hi = self._spans[c]
+        lo, hi = self._block.indptr[c:c + 2].tolist()
         return self._block.indices[lo:hi], self._block.data[lo:hi]
 
     def _search(self, idx, val, ef: int) -> list[tuple[float, int]]:
         """Greedy best-first candidates for the query ``(idx, val)``, best
         first, ranked by their BLAS dots (not the exact scores)."""
-        entries = self._entries if self._entries else self._ids[:1].tolist()
-        visited = set(entries)
+        visited = set(self._entries)
         frontier = []
         results: list[tuple[float, int]] = []
-        for e in entries:
+        for e in self._entries:
             s = _dot_arrays(*self._row(e), idx, val)
             heapq.heappush(frontier, (-s, e))
             heapq.heappush(results, (s, e))
@@ -148,9 +146,7 @@ class SwGraphIndex(MipsIndex):
 
     def _insert(self, c: int, row):
         others_exist = bool(self._adj)
-        self._write([c], row)
-        bounds = self._block.indptr.tolist()
-        self._spans = dict(zip(self._ids.tolist(), zip(bounds[:-1], bounds[1:])))
+        super()._write([c], row)
         self._adj[c] = set()
         if others_exist:
             candidates = [v for _, v in self._search(*self._row(c), self.ef_construction)
@@ -183,27 +179,29 @@ class SwGraphIndex(MipsIndex):
 
     # -- MipsIndex interface ------------------------------------------------
 
-    def update_rows(self, ids, rows) -> None:
-        """One delete and insert per row, in order, each writing its row."""
-        ids, rows = self._checked(ids, rows)
+    def _write(self, ids, rows) -> None:
+        """One delete and insert per checked row, in order, each writing its row."""
         for k, c in enumerate(ids.tolist()):
             if c in self._adj:
                 self._delete(c)
             self._insert(c, row_view(rows, k, k + 1))
             self._repair_connectivity()
 
+    def refresh(self, W, rows) -> None:
+        """:meth:`update_rows` of W's stored ``rows`` into the graph's own
+        store: each insert searches rows that must still hold old values."""
+        self.update_rows(rows, W.stored_rows(rows))
+
     def _candidates(self, X, excluded):
-        """One traversal per row: the store position of its best node other
-        than the excluded class as a one-position pool, or an empty pool when
-        the traversal surfaced only that class.  The graph keeps class ids,
-        which an insert does not shift."""
+        """One traversal per row: its best node other than the excluded
+        class as a one-class pool, or an empty pool when the traversal
+        surfaced only that class."""
         bounds, indptr, pools = X.indptr.tolist(), [0], []
         for lo, hi, e in zip(bounds[:-1], bounds[1:], excluded.tolist()):
             found = self._search(X.indices[lo:hi], X.data[lo:hi], self.ef_search)
-            gone = self._ids[e] if e >= 0 else None
-            pools += [c for _, c in found if c != gone][:1]
+            pools += [c for _, c in found if c != e][:1]
             indptr.append(len(pools))
-        return np.array(indptr, dtype=np.int64), np.searchsorted(self._ids, pools)
+        return np.array(indptr, dtype=np.int64), np.array(pools, dtype=np.int64)
 
     # -- introspection (used by tests and demos) ----------------------------
 

@@ -273,16 +273,33 @@ def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = Fals
                          f"{float(X.data[k])!r}")
 
 
-def splice_rows(ids, block, new_ids, rows) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The store ``ids``, ``block`` with CSR row i of ``rows`` as id ``new_ids[i]``
-    (distinct), as (sorted ids, CSR): one row take of both blocks stacked."""
-    kept = np.flatnonzero(~np.isin(ids, new_ids))
-    take = np.argsort(np.concatenate([ids[kept], new_ids]))
-    if kept.size:  # else every stored row is replaced: take from the new rows alone
-        take = np.concatenate([kept, ids.size + np.arange(new_ids.size)])[take]
-        new_ids = np.concatenate([ids, new_ids])
-        rows = sp.vstack([block, rows], format="csr")
-    return new_ids[take], rows[take]
+def check_positions(positions, n: int) -> np.ndarray:
+    """``positions`` as int64, once each is a row of a store of ``n`` rows or
+    the next new one (n, n + 1, ...); ValueError names the first that is not."""
+    positions = np.asarray(positions, dtype=np.int64)
+    repeated = np.ones(positions.size, dtype=bool)
+    repeated[np.unique(positions, return_index=True)[1]] = False
+    due = n - 1 + np.cumsum(positions >= n)  # the id each new position must be
+    for bad, why in ((positions < 0, "negative class id {}"),
+                     (repeated, "duplicate class id {}"),
+                     ((positions >= n) & (positions != due),
+                      "class id {} is not the next new id {}")):
+        if bad.any():
+            raise ValueError(why.format(positions[bad.argmax()], due[bad.argmax()]))
+    return positions
+
+
+def splice_rows(block, positions, rows) -> sp.csr_matrix:
+    """``block`` with CSR row i of ``rows`` at :func:`check_positions`'s
+    ``positions[i]``, replacing or appending a row: ``rows`` itself when it
+    is every row in order, else one row take of both blocks stacked."""
+    n = block.shape[0]
+    positions = check_positions(positions, n)
+    if positions.size >= n and (positions == np.arange(positions.size)).all():
+        return rows
+    take = np.arange(n + np.count_nonzero(positions >= n))
+    take[positions] = n + np.arange(positions.size)
+    return sp.vstack([block, rows], format="csr")[take]
 
 
 def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -622,6 +639,8 @@ class WeightMatrix:
     refuses a non-finite weight (a sum of finite ones can overflow),
     replaces only the rows it names (:func:`splice_rows`) and recomputes only
     their cached squared norms, each from its row alone, so none can drift.
+    A write replaces the store and never writes one in place, so a store
+    held earlier (by a MIPS index's ``refresh``) keeps its bytes.
 
     :meth:`score`, and :meth:`score_pairs` when the matrix is scored
     densely, read the logical matrix's :class:`ScoringState`;
@@ -662,22 +681,17 @@ class WeightMatrix:
         if not rows:
             raise ValueError("need at least one row")
         W = cls(max(c for c, _ in rows) + 1, dim)
-        given = {}
         for c, r in rows:
-            W._check_class(c)
-            if c in given:
-                raise ValueError(f"duplicate class id {c}")
             if r.dim != dim:
                 raise ValueError(f"row {c} has dim {r.dim}, expected {dim}")
-            given[c] = r
-        W._write(np.array(list(given)), stack_csr([r.indices for r in given.values()],
-                                                   [r.values for r in given.values()], dim))
+        W._write(np.array([c for c, _ in rows]), stack_csr([r.indices for _, r in rows],
+                                                          [r.values for _, r in rows], dim))
         return W
 
     @classmethod
     def from_csr(cls, block: sp.csr_matrix):
-        """Build from the logical rows of a CSR, taken, once :func:`check_block`
-        passes them as stored data (in :meth:`_write`); no rows give one zero row."""
+        """Build from the logical rows of a CSR, handed over as the store once
+        :func:`check_block` passes it (in :meth:`_write`); no rows give one zero row."""
         W = cls(max(block.shape[0], 1), block.shape[1])
         W._write(np.arange(block.shape[0]), block)
         return W
@@ -697,13 +711,13 @@ class WeightMatrix:
 
     def _write(self, rows: np.ndarray, block: sp.csr_matrix) -> None:
         """The one writer: the fresh CSR ``block``, made canonical in place, becomes
-        classes ``rows`` (distinct) by :func:`splice_rows` once :func:`check_block`
-        passes it as stored data, so W never holds a non-finite weight; only
-        their norms are redone."""
+        classes ``rows`` by :func:`splice_rows` once :func:`check_block` passes
+        it as stored data, so W never holds a non-finite weight; only their
+        norms are redone."""
         block.sum_duplicates()
         block.eliminate_zeros()
         check_block(block, self.dim, finite=True, ids=rows)
-        _, self._store = splice_rows(np.arange(self.num_classes), self._store, rows, block)
+        self._store = splice_rows(self._store, rows, block)
         self._row_sq[rows] = row_sums(block.data ** 2, block.indptr)
         vars(self).pop("_scoring_state", None)
 

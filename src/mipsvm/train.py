@@ -12,12 +12,12 @@ ball of radius 1/sqrt(lambda) afterwards; the l1 variant skips both and
 instead soft-thresholds every row touched by the batch, which is where the
 whole l1 penalty lives.
 
-The index is kept in the matrix's stored (unscaled) units: global scaling
+The index holds the matrix's stored (unscaled) rows: global scaling
 multiplies every logical row by the same positive factor and cannot change
-any argmax, so only rows whose stored values changed need re-indexing.  A
-scale fold rewrites every stored row and makes every row stale.  The rows a
-step changed are written into the index at the top of the next step, just
-before the query that reads them, so no refresh follows the last step.
+any argmax.  At the top of each step but the first, just before its query,
+the index adopts W's store (``MipsIndex.refresh``) and redoes only what
+depends on the rows the previous step changed (all of them after a fold),
+so no refresh follows the last step, and a step's own fold waits a step.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class TrainLog:
     heldout_macro_f1: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     nnz: list[int] = field(default_factory=list)
-    # rows written into the index at the top of each step, before its query:
+    # rows refreshed in the index at the top of each step, before its query:
     # the rows the previous step changed (none before step 1)
     index_refreshes: list[int] = field(default_factory=list)
     # the training index's work counts once training ends (MipsIndex.counters)
@@ -164,7 +164,7 @@ def objective_l1(W: WeightMatrix, data: Dataset, lam: float) -> float:
 def _build_training_index(W: WeightMatrix, cfg: TrainConfig) -> MipsIndex:
     index = build_index([], cfg.backend, dim=W.dim, seed=cfg.seed,
                         **{k: getattr(cfg, k) for k in BACKEND_DEFAULTS})
-    index.update_rows(range(W.num_classes), W.stored_rows(range(W.num_classes)))
+    index.refresh(W, np.arange(W.num_classes))
     return index
 
 
@@ -209,7 +209,7 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
         eta = learning_rate(t, cfg.eta0, cfg.eta_step)
         batch = sample_batch(data, batch_size, rng)
         if t > 1:  # before this step's scaling, so a fold here waits for the next step
-            index.update_rows(stale, W.stored_rows(stale))
+            index.refresh(W, stale)
         fold_before = W.fold_count
 
         if mode == "l2":
@@ -245,11 +245,9 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
         if not math.isfinite(obj):
             raise ValueError(f"training diverged at step {t}: objective is {obj}")
 
-        # the rows the next step writes into the index, as one row take of
-        # W's store (all of it after a fold), in descending norm order, ties
-        # by id: swgraph inserts the rows one by one in that order, and
-        # simplelsh, which hashes them in one pass, ends with the U and codes
-        # that order gives.  Nothing writes W before then.
+        # the rows the next step's refresh redoes, in descending norm order,
+        # ties by id, the order in which swgraph inserts them one by one.
+        # Nothing writes W before then.
         refreshed = stale.size
         stale = np.arange(W.num_classes) if W.fold_count != fold_before else touched
         stale = stale[np.argsort(-W.row_sq_norms[stale], kind="stable")]

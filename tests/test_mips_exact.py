@@ -65,15 +65,15 @@ class TestBuild:
             index.query_batch(as_block([sv({0: 1.0}, 3)], 3), [None])
 
     def test_exclusion_exhausts_single_row(self, as_block):
-        index = build_index([(4, sv({0: 1.0}, 2))], "exact", dim=2)
+        index = build_index([(0, sv({0: 1.0}, 2))], "exact", dim=2)
         with pytest.raises(NoCandidateError):
-            index.query(sv({0: 1.0}, 2), exclude=4)
+            index.query(sv({0: 1.0}, 2), exclude=0)
         with pytest.raises(NoCandidateError):
-            index.query_batch(as_block([sv({0: 1.0}, 2)] * 2, 2), [None, 4])
+            index.query_batch(as_block([sv({0: 1.0}, 2)] * 2, 2), [None, 0])
         # without exclusion the row is returned
-        assert index.query(sv({0: 1.0}, 2)) == (4, 1.0)
+        assert index.query(sv({0: 1.0}, 2)) == (0, 1.0)
         ids, scores = index.query_batch(as_block([sv({0: 1.0}, 2)] * 2, 2), [None, 7])
-        assert (ids.tolist(), scores.tolist()) == ([4, 4], [1.0, 1.0])
+        assert (ids.tolist(), scores.tolist()) == ([0, 0], [1.0, 1.0])
 
 
 class TestQuery:
@@ -355,25 +355,37 @@ def test_query_batch_rejects_a_bad_block(kind, as_block):
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
 def test_negative_class_ids_are_answered_and_excluded(kind, as_block):
-    """Any int64 is a class id: an exclude of None masks no class, -1
-    included, and a negative exclude masks its class only.  The excludes
-    give the same answers, to the byte, as a list, a tuple or (with no
-    None) an int64 array; a block of no rows gets no answers, even from an
-    empty index, and a one-row index whose row is excluded has none."""
-    rows = [(-1, sv({0: 3.0}, 2)), (-3, sv({0: 2.0}, 2)), (2, sv({0: 1.0}, 2))]
+    """A class id is its store position.  A negative, repeated, gapped or
+    out-of-order new id is refused with ValueError naming it, and the
+    index is left as it was.  An exclude of None or of an id outside
+    [0, len), negative ones included, masks nothing, and one inside masks
+    its class only.  The excludes give the same answers, to the byte, as a
+    list, a tuple or (with no None) an int64 array; a block of no rows gets
+    no answers, even from an empty index, and a one-row index whose row is
+    excluded has none."""
+    rows = [(0, sv({0: 3.0}, 2)), (1, sv({0: 2.0}, 2)), (2, sv({0: 1.0}, 2))]
     index = build_index(rows, kind, dim=2, seed=1, **BACKEND_PARAMS[kind])
+    before = backend_state(index)
+    for ids, message in (([-1], "negative class id -1"), ([1, 3, 1], "duplicate class id 1"),
+                         ([4], "class id 4 is not the next new id 3"),
+                         ([0, 4, 3], "class id 4 is not the next new id 3")):
+        with pytest.raises(ValueError, match=message):
+            index.update_rows(ids, as_block([sv({1: 1.0}, 2)] * len(ids), 2))
+    assert backend_state(index) == before
+    with pytest.raises(ValueError, match="class id 1 is not the next new id 0"):
+        build_index(rows[1:2] + rows[:1], kind, dim=2)
     X = as_block([sv({0: 1.0}, 2)] * 4, 2)
-    ids, scores = index.query_batch(X, [None, -1, -3, 7])
-    assert ids.tolist() == [-1, -3, -1, -1]
+    ids, scores = index.query_batch(X, [None, 0, 1, 7])
+    assert ids.tolist() == [0, 1, 0, 0]
     assert scores.tolist() == [3.0, 2.0, 3.0, 3.0]
 
     def forms(exclude):
         given = [list(exclude), tuple(exclude)]
         return given if None in exclude else given + [np.array(exclude, dtype=np.int64)]
 
-    for exclude, want in (([None, -1, -3, 7], [-1, -3, -1, -1]),
-                          ([-2, -1, -3, 2], [-1, -3, -1, -1]),
-                          ([None] * 4, [-1] * 4)):
+    for exclude, want in (([None, 0, 1, 7], [0, 1, 0, 0]),
+                          ([-1, 0, -3, 3], [0, 1, 0, 0]),
+                          ([None] * 4, [0] * 4)):
         answers = [tuple(a.tobytes() for a in index.query_batch(X, form))
                    for form in forms(exclude)]
         assert answers == answers[:1] * len(answers)
@@ -382,13 +394,13 @@ def test_negative_class_ids_are_answered_and_excluded(kind, as_block):
     for held in (index, empty):
         for exclude in forms([]):
             assert [a.size for a in held.query_batch(as_block([], 2), exclude)] == [0, 0]
-    single = build_index([(-5, sv({0: 1.0}, 2))], kind, dim=2, seed=1,
+    single = build_index([(0, sv({0: 1.0}, 2))], kind, dim=2, seed=1,
                          **BACKEND_PARAMS[kind])
-    for exclude in forms([-5]) + forms([None, -5]):
+    for exclude in forms([0]) + forms([None, 0]):
         with pytest.raises(NoCandidateError):
             single.query_batch(as_block([sv({0: 1.0}, 2)] * len(exclude), 2), exclude)
-    for exclude in forms([-1]) + forms([None]):
-        assert single.query_batch(as_block([sv({0: 1.0}, 2)], 2), exclude)[0].tolist() == [-5]
+    for exclude in forms([-1]) + forms([1]) + forms([None]):
+        assert single.query_batch(as_block([sv({0: 1.0}, 2)], 2), exclude)[0].tolist() == [0]
 
 
 class FixedPools(MipsIndex):
@@ -469,7 +481,7 @@ def backend_state(index):
     structures (simplelsh's U, bucket keys and rebuild count, swgraph's
     adjacency and entry points)."""
     B = index._block
-    state = [index._ids.tolist(), B.indptr.tolist(), B.indices.tolist(), B.data.tolist()]
+    state = [B.indptr.tolist(), B.indices.tolist(), B.data.tolist()]
     if index.kind == "simplelsh":
         state += [index._U, index._keys.tobytes(), index.rebuild_count]
     if index.kind == "swgraph":
@@ -487,9 +499,10 @@ def assert_same_answers(a, b, X, exclude):
 def test_update_rows_equals_update_row_per_row(kind, grow, as_block):
     """update_rows(ids, block) leaves an index as one update_row per row in
     the given order does: the same store, structures and answers.  The block
-    replaces some classes and adds others, in descending norm order as the
-    trainer passes them; with ``grow`` its norms pass simplelsh's U, which
-    costs one rebuild.  simplelsh reaches the same state from the block in
+    replaces some classes and appends others, in descending norm order as
+    the trainer passes them, the new ids ascending wherever that order puts
+    them; with ``grow`` its norms pass simplelsh's U, which costs one
+    rebuild.  simplelsh reaches the same state with the replaced rows in
     any order."""
     rng = np.random.default_rng(21)
     dim = 9
@@ -503,9 +516,12 @@ def test_update_rows_equals_update_row_per_row(kind, grow, as_block):
     rows[4] = (4, row(1.0, 1.0))  # U = 1
     top = 3.0 if grow else 0.95
     items = [(int(c), row(0.1, top)) for c in rng.choice(30, size=12, replace=False)]
-    items += [(30 + k, row(0.1, top)) for k in range(3)]  # new classes
+    items += [(None, row(0.1, top)) for _ in range(3)]  # new classes
     items.sort(key=lambda item: -item[1].norm())
-    shuffled = [items[k] for k in rng.permutation(len(items))]
+    new = iter(range(30, 33))
+    items = [(next(new) if c is None else c, r) for c, r in items]
+    shuffled = ([items[k] for k in rng.permutation(len(items)) if items[k][0] < 30]
+                + [item for item in items if item[0] >= 30])
     batched, serial, unordered = (build_index(rows, kind, dim=dim, seed=3,
                                               **BACKEND_PARAMS[kind]) for _ in range(3))
     rebuilds = getattr(batched, "rebuild_count", 0)
@@ -538,21 +554,21 @@ def test_update_rows_rejects_a_bad_block(kind, as_block):
         non_finite = good.copy()
         non_finite.data[-1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            index.update_rows([7, 8, 9], non_finite)
+            index.update_rows([5, 6, 7], non_finite)
     for column in (7, -1):
         outside = good.copy()
         outside.indices[-1] = column
         with pytest.raises(ValueError, match=rf"row 2 holds the feature index {column}"):
-            index.update_rows([7, 8, 9], outside)
+            index.update_rows([5, 6, 7], outside)
     wide = as_block([random_sparse(rng, 7) for _ in range(3)], 7)
     with pytest.raises(ValueError, match="width 7 does not match index dim 6"):
-        index.update_rows([7, 8, 9], wide)
+        index.update_rows([5, 6, 7], wide)
     with pytest.raises(ValueError, match="duplicate class id"):
-        index.update_rows([7, 8, np.int64(7)], good)
+        index.update_rows([5, 6, np.int64(5)], good)
     with pytest.raises(ValueError, match="2 class ids for 3 rows"):
-        index.update_rows([7, 8], good)
+        index.update_rows([5, 6], good)
     with pytest.raises(ValueError, match="width 5 does not match index dim 6"):
-        index.update_row(7, random_sparse(rng, 5))
+        index.update_row(5, random_sparse(rng, 5))
     assert len(index) == 5
     assert backend_state(index) == before
 

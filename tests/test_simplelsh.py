@@ -38,10 +38,9 @@ def scaled(v, alpha):
 
 def pools_of(index, X, exclude):
     """The pools ``_candidates`` proposes for the rows of the query block
-    ``X``, one sorted list of class ids per row (empty for the full scan),
-    mapped back from the store positions it proposes."""
-    indptr, positions = index._candidates(*index._check_batch(X, exclude))
-    ids = index._ids[positions]
+    ``X``, one sorted list of class ids (store positions) per row, empty
+    for the full scan."""
+    indptr, ids = index._candidates(*index._check_batch(X, exclude))
     return [ids[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
 
@@ -167,16 +166,16 @@ class TestIndex:
         keys, rows = index._buckets
         assert index._keys.shape == (30, 3) and (keys[:-1] <= keys[1:]).all()
         for t in range(3):
-            members = index._ids[rows[np.isin(keys, index._keys[:, t])]]
+            members = rows[np.isin(keys, index._keys[:, t])]
             assert sorted(members.tolist()) == list(range(30))
 
     def test_exclusion_and_errors(self):
         index = build_index([], "simplelsh", dim=4)
         with pytest.raises(NoCandidateError):
             index.query(sv({0: 1.0}, 4))
-        index.update_row(2, sv({0: 1.0}, 4))
+        index.update_row(0, sv({0: 1.0}, 4))
         with pytest.raises(NoCandidateError):
-            index.query(sv({0: 1.0}, 4), exclude=2)
+            index.query(sv({0: 1.0}, 4), exclude=0)
 
     def test_rerank_returns_best_retrieved_candidate(self, as_block):
         # small codes force real bucket collisions; the answer must be the
@@ -303,8 +302,8 @@ def random_sparse(rng, dim, max_nnz):
 def stored(index):
     """The rows of the index's CSR store, as {class id: SparseVector}."""
     B = index._block
-    return {int(c): SparseVector(B.indices[lo:hi], B.data[lo:hi], index.dim)
-            for c, lo, hi in zip(index._ids, B.indptr[:-1], B.indptr[1:])}
+    return {c: SparseVector(B.indices[lo:hi], B.data[lo:hi], index.dim)
+            for c, (lo, hi) in enumerate(zip(B.indptr[:-1], B.indptr[1:]))}
 
 
 class TestBatchedHashing:
@@ -333,11 +332,11 @@ class TestBatchedHashing:
             return [hash_code(z, planes[t * bits:(t + 1) * bits])
                     for t in range(tables)]
 
-        # row i is keyed by the prefixes of class _ids[i]'s codes: table t's
+        # row c is keyed by the prefixes of class c's codes: table t's
         # key is t * 2^p + the prefix (pack_bits pads it to whole bytes)
         p = min(bits, slsh.PREFIX_BITS)
         assert index._prefix == p
-        assert index._ids.tolist() == [c for c, _ in rows]
+        assert len(index) == len(rows)
         for c, row in rows:
             z = simplelsh_transform(row, index._U)
             prefixes = [sign_bits(z, planes[t * bits:t * bits + p]) for t in range(tables)]
@@ -548,8 +547,8 @@ class TestPrefixHashing:
         its excluded one, whose whole code matches its own in some table
         (none for a zero query), and prefix_hits counts the (query, table)
         pairs whose prefix bucket is occupied when the prefix is not the
-        whole code.  Class ids may be negative, and an exclude may name a
-        class the index does not hold."""
+        whole code.  An exclude may name an id outside the index, which
+        masks nothing."""
         seen = []
 
         @settings(max_examples=40, deadline=None, database=None)
@@ -568,11 +567,10 @@ class TestPrefixHashing:
                 r = random_sparse(rng, dim, 4)
                 return scaled(r, rng.uniform(0.1, top) / r.norm())
 
-            ids = rng.choice(np.arange(-40, 40), size=int(rng.integers(1, 30)),
-                             replace=False).tolist()
+            ids = list(range(int(rng.integers(1, 30))))
             rows = [(c, row(1.0)) for c in ids]
             if rng.random() < 0.5:
-                rows.append((-50, SparseVector([], [], dim)))
+                rows.append((len(rows), SparseVector([], [], dim)))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(slsh, "PREFIX_BITS", prefix)
                 index = build_index(rows, "simplelsh", dim=dim, lsh_bits=bits,
@@ -580,7 +578,7 @@ class TestPrefixHashing:
             # a partial update, which splices keys in or, growing U, rebuilds
             refresh = rng.choice(ids, size=min(len(ids), 3), replace=False).tolist()
             new_rows = [row(2.0 if grow else 0.9) for _ in refresh] + [row(0.5)]
-            index.update_rows(refresh + [-60], block(new_rows, dim))
+            index.update_rows(refresh + [len(rows)], block(new_rows, dim))
 
             stored_rows = stored(index)
             classes = sorted(stored_rows)

@@ -620,27 +620,51 @@ class TestRowSplice:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_splice_rows_replaces_and_inserts(self, seed):
-        """splice_rows keeps the untouched rows' bytes, replaces or inserts
-        the named ones and keeps the ids sorted, whatever their order, and
-        shares no array with its inputs."""
+        """splice_rows puts row i of the new rows at store position
+        positions[i]: a stored row is replaced, in any order, and a new one
+        appended, the new ones in order.  The other rows keep their bytes,
+        and no array is shared with the inputs, except that a write of every
+        row in order is the new block itself.  A negative, repeated or
+        gapped position raises ValueError naming it, and the block is left
+        as it was."""
         rng = np.random.default_rng(seed)
         d = 8
-        ids = np.sort(rng.choice(30, size=int(rng.integers(0, 12)), replace=False))
-        block = sp.random(ids.size, d, density=0.4, random_state=rng, format="csr")
-        new_ids = rng.choice(30, size=int(rng.integers(0, 8)), replace=False)
-        if rng.random() < 0.3:  # every stored row replaced: the new rows are taken alone
-            new_ids = rng.permutation(np.union1d(ids, new_ids))
-        rows = sp.random(new_ids.size, d, density=0.4, random_state=rng, format="csr")
-        want = {c: block[i] for i, c in enumerate(ids.tolist())}
-        want.update({c: rows[i] for i, c in enumerate(new_ids.tolist())})
-        got_ids, got = sparse.splice_rows(ids, block, new_ids, rows)
-        assert got_ids.tolist() == sorted(want)
-        for i, c in enumerate(got_ids.tolist()):
-            assert got[i].indices.tolist() == want[c].indices.tolist()
-            assert got[i].data.tobytes() == want[c].data.tobytes()
-        for a in (got_ids, got.data, got.indices, got.indptr):
-            for b in (ids, new_ids, block.data, rows.data, block.indices, rows.indices):
-                assert not np.shares_memory(a, b)
+        n = int(rng.integers(0, 12))
+        block = sp.random(n, d, density=0.4, random_state=rng, format="csr")
+        replaced = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        added = n + np.arange(int(rng.integers(0, 4)))
+        positions = np.empty(replaced.size + added.size, dtype=np.int64)
+        slots = np.zeros(positions.size, dtype=bool)
+        slots[rng.choice(positions.size, size=added.size, replace=False)] = True
+        positions[slots], positions[~slots] = added, replaced
+        if rng.random() < 0.3:  # every row, in order
+            positions = np.arange(n + added.size)
+        rows = sp.random(positions.size, d, density=0.4, random_state=rng, format="csr")
+        want = [block[i] for i in range(n)] + [None] * added.size
+        for i, p in enumerate(positions.tolist()):
+            want[p] = rows[i]
+        got = sparse.splice_rows(block, positions, rows)
+        assert got.shape == (len(want), d)
+        for p, row in enumerate(want):
+            assert got[p].indices.tolist() == row.indices.tolist()
+            assert got[p].data.tobytes() == row.data.tobytes()
+        if positions.tolist() == list(range(len(want))):
+            assert got is rows
+        else:
+            for a in (got.data, got.indices, got.indptr):
+                for b in (block.data, rows.data, block.indices, rows.indices):
+                    assert not np.shares_memory(a, b)
+        before = [block.data.tobytes(), block.indices.tobytes(), block.indptr.tobytes()]
+        more = sp.random(positions.size + 1, d, density=0.4, random_state=rng, format="csr")
+        bad = [(-1, "negative class id -1"), (n + added.size + 1, rf"class id "
+               rf"{n + added.size + 1} is not the next new id {n + added.size}")]
+        if positions.size:
+            bad.append((positions[-1], f"duplicate class id {positions[-1]}"))
+        for position, message in bad:
+            with pytest.raises(ValueError, match=message):
+                sparse.splice_rows(block, np.append(positions, position), more)
+        assert [block.data.tobytes(), block.indices.tobytes(),
+                block.indptr.tobytes()] == before
 
 
 def float_bytes(state):

@@ -692,18 +692,17 @@ class TestIndexRefresh:
     BACKENDS = {"exact": ExactIndex, "simplelsh": SimpleLshIndex, "swgraph": SwGraphIndex}
 
     def written(self, monkeypatch, backend):
-        """The row counts of the ``update_rows`` calls on ``backend``'s index,
-        as two lists: the training index's build (whose ``build_index`` call
-        writes no rows), then every call after it."""
+        """The row counts of the ``refresh`` calls on ``backend``'s index,
+        as two lists: the training index's build, then every call after it."""
         import mipsvm.train as train_module
 
         cls = self.BACKENDS[backend]
         build, steps = [], []
         calls = build
 
-        def counted(index, ids, rows, update_rows=cls.update_rows):
-            calls.append(len(ids))
-            return update_rows(index, ids, rows)
+        def counted(index, W, rows, refresh=cls.refresh):
+            calls.append(len(rows))
+            return refresh(index, W, rows)
 
         def building(*args, build_index=train_module._build_training_index):
             nonlocal calls
@@ -711,7 +710,7 @@ class TestIndexRefresh:
             calls = steps
             return index
 
-        monkeypatch.setattr(cls, "update_rows", counted)
+        monkeypatch.setattr(cls, "refresh", counted)
         monkeypatch.setattr(train_module, "_build_training_index", building)
         return build, steps
 
@@ -724,7 +723,7 @@ class TestIndexRefresh:
         _, log = fit(data, TrainConfig(lam=1e-3, epochs=5, seed=5, batch_size=20,
                                        backend=backend))
         assert len(log) == 5
-        assert [n for n in build if n] == [data.num_classes]
+        assert build == [data.num_classes]
         assert len(steps) == 5 - 1
         assert log.index_refreshes[0] == 0 and steps == log.index_refreshes[1:]
 
@@ -736,7 +735,7 @@ class TestIndexRefresh:
         cfg = TrainConfig(lam=1.0, epochs=60, seed=9, backend=backend, early_stop=True)
         _, log = train_l2(toy, cfg, heldout=toy)
         assert len(log) < 60
-        assert [n for n in build if n] == [toy.num_classes]
+        assert build == [toy.num_classes]
         assert len(steps) == len(log) - 1
         assert log.index_refreshes[0] == 0 and steps == log.index_refreshes[1:]
 
@@ -774,6 +773,64 @@ class TestIndexRefresh:
             assert block.data.tobytes() == end.data.tobytes()
             np.testing.assert_array_equal(block.indices, end.indices)
             np.testing.assert_array_equal(block.indptr, end.indptr)
+
+    @pytest.mark.parametrize("fit, folds", [(train_l1, False), (train_l2, False),
+                                            (train_l2, True)])
+    @pytest.mark.parametrize("backend", ["exact", "simplelsh"])
+    def test_each_query_reads_w_store_itself(self, monkeypatch, backend, fit, folds):
+        """On exact and simplelsh the index keeps no copy of W: at every
+        rival query its store is the very object W held at the end of the
+        step before (the initial W's before step 1), also when every l2
+        step's scaling folds, and no training refresh splices rows.  That
+        holds because W never writes a store in place: each store it held
+        keeps its bytes through the steps' writes, and so does the store
+        taken before each of add, truncate_rows, project_to_ball and a fold."""
+        import mipsvm.mips.base as mips_base
+        import mipsvm.train as train_module
+
+        def snapshot(S):
+            return [S.data.tobytes(), S.indices.astype(np.int64).tobytes(),
+                    S.indptr.astype(np.int64).tobytes()]
+
+        if folds:  # every step's scale, about 0.9999, is below the fold bound
+            monkeypatch.setattr(sparse, "SCALE_FOLD_LOW", 0.99995)
+        queried, splices = [], []
+        query_phase, splice_rows = train_module._query_phase, mips_base.splice_rows
+
+        def phase(index, W, batch):
+            queried.append(index._block)
+            return query_phase(index, W, batch)
+
+        def splicing(block, positions, rows):
+            splices.append(len(positions))
+            return splice_rows(block, positions, rows)
+
+        monkeypatch.setattr(train_module, "_query_phase", phase)
+        monkeypatch.setattr(mips_base, "splice_rows", splicing)
+        data = make_synthetic(num_classes=6, dim=12, n=90, seed=3)
+        initial = WeightMatrix(data.num_classes, data.dim)
+        initial.add(sparse.sp.csr_matrix(np.eye(data.num_classes, data.dim)))
+        ends = [(initial._store, snapshot(initial._store))]
+        W, log = fit(data, TrainConfig(lam=1e-3, epochs=6, seed=5, batch_size=20,
+                                       backend=backend, lsh_bits=4, lsh_tables=3),
+                     initial=initial,
+                     epoch_callback=lambda t, W: ends.append((W._store,
+                                                              snapshot(W._store))))
+        # the one splice is the build's empty index taking no rows
+        assert len(queried) == len(log) == 6 and splices == [0]
+        assert W.fold_count == (len(log) if folds else 0)
+        for block, (store, _) in zip(queried, ends):
+            assert block is store
+        assert all(snapshot(store) == taken for store, taken in ends)
+
+        folded = W.fold_count
+        ones = sparse.sp.csr_matrix(np.ones((data.num_classes, data.dim)))
+        for write in (lambda: W.add(ones), lambda: W.truncate_rows([0, 3], 0.5),
+                      lambda: W.project_to_ball(1e4), lambda: W.global_scale(1e-9)):
+            store, taken = W._store, snapshot(W._store)
+            write()
+            assert snapshot(store) == taken
+        assert W.fold_count > folded
 
 
 # sha256 of the saved bytes of each fixed-seed model below, recorded with
