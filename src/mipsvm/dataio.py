@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from .sparse import SparseVector, WeightMatrix, check_block, stack_csr
+from .sparse import SparseVector, WeightMatrix, check_block, check_ids, stack_csr
 
 TEXT_MAGIC = "MEMOIR1 text"
 BINARY_MAGIC = b"MEMOIR1\x00bin\x00"
@@ -133,9 +133,7 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         """The rows ``idx``, in that order (repeats allowed), as one row take;
         the IndexError names the first index outside [0, len)."""
-        rows = np.asarray(idx, dtype=np.int64)
-        for i in rows[(rows < 0) | (rows >= len(self))][:1]:
-            raise IndexError(f"row index {i} out of range [0, {len(self)})")
+        rows = check_ids(idx, len(self), "row index")
         # a row take of checked arrays keeps them checked: no _init pass
         data = Dataset.__new__(Dataset)
         data._hold(self._labels[rows], self._block[rows], self.num_classes, self.label_map)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix, stack_csr
+from .sparse import SparseVector, WeightMatrix, check_ids, stack_csr
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -41,14 +41,6 @@ class RiskReport:
     zero_one: float
 
 
-def _check_labels(labels, num_classes: int) -> np.ndarray:
-    """``labels`` as int64; the IndexError names the first outside [0, num_classes)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    for y in labels[(labels < 0) | (labels >= num_classes)][:1]:
-        raise IndexError(f"label {y} out of range [0, {num_classes})")
-    return labels
-
-
 def _margins(W: WeightMatrix, X, labels, index: Optional["MipsIndex"] = None):
     """``(rivals, true scores, rival scores)`` of the CSR block ``X``: the
     exact rivals from one :meth:`WeightMatrix.score` pass, or those ``index``
@@ -56,7 +48,7 @@ def _margins(W: WeightMatrix, X, labels, index: Optional["MipsIndex"] = None):
     :meth:`WeightMatrix.score_pairs`."""
     if W.num_classes < 2:
         raise ValueError("need at least two classes to compute a margin")
-    labels = _check_labels(labels, W.num_classes)
+    labels = check_ids(labels, W.num_classes, "label")
     if index is None:
         rivals, s_rival, s_true = W.score(X, exclude=labels, at=labels)
     else:

@@ -15,8 +15,8 @@ import numpy as np
 
 # exact_margin and inexact_margin are unused here; perfbench/tracing.py
 # patches them by these names on this module.
-from ..margin import _check_labels, exact_margin, inexact_margin  # noqa: F401
-from ..sparse import stack_csr
+from ..margin import exact_margin, inexact_margin  # noqa: F401
+from ..sparse import check_ids, stack_csr
 from .base import MipsIndex
 
 if TYPE_CHECKING:
@@ -62,7 +62,7 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
         raise ValueError(f"epsilon must be nonnegative, not {epsilon}")
     if len(queries) == 0:
         raise ValueError("empty query set")
-    labels = _check_labels(queries.labels_array(), W.num_classes)
+    labels = check_ids(queries.labels_array(), W.num_classes, "label")
     X = queries.to_csr()
     rivals, _ = index.query_batch(X, labels)
     _, best, proposed = W.score(X, exclude=labels, at=rivals)

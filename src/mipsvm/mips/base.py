@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import (ScoringState, SparseVector, WeightMatrix, check_block,
+from ..sparse import (ScoringState, SparseVector, WeightMatrix, check_block, check_ids,
                       check_positions, score_block, splice_rows, stack_csr)
 
 # Default backend parameters, keyed like the build_index keywords; the index
@@ -47,8 +47,10 @@ class MipsIndex:
       updates are exclusive.  The queries answered and those left to the
       full scan are counted (:meth:`counters`) under one lock.
 
-    The base class keeps the rows in one CSR block, into which :func:`splice_rows`
-    writes only an update's rows, and does every exact scan (full, or of a pool).
+    The base class holds the rows in one CSR block that nothing writes in
+    place (an update splices a new one, a refresh adopts W's), and does
+    every exact scan (full, or of a pool); :meth:`_changed` redoes what a
+    backend derives from the block.
     """
 
     kind: str = "abstract"
@@ -70,11 +72,6 @@ class MipsIndex:
         if not X.has_canonical_format:  # row views need sorted, distinct indices
             X = X.tocoo().tocsr()
         return X
-
-    def _write(self, ids: np.ndarray, rows: sp.csr_matrix) -> None:
-        """Splice the checked ``rows`` in as classes ``ids``, never storing the caller's."""
-        block = splice_rows(self._block, ids, rows)
-        self._block = block.copy() if block is rows else block
 
     def _changed(self, ids: np.ndarray) -> None:
         """Redo what depends on the stored rows ``ids``: here the full-scan state."""
@@ -167,23 +164,27 @@ class MipsIndex:
 
     def update_rows(self, ids, rows) -> None:
         """Make row i of the n x dim CSR block ``rows`` the row of class
-        ``ids[i]``, as one :meth:`update_row` per row in the given order would:
-        :meth:`_write` and :meth:`_changed`, once the block and the ids pass."""
+        ``ids[i]``, as one :meth:`update_row` per row in the given order would,
+        once the block and the ids pass: :func:`splice_rows` writes a new store,
+        never the caller's block, and :meth:`_changed` redoes what depends on it."""
         rows = self._canonical(rows)
         ids = check_positions(ids, len(self))
         if ids.size != rows.shape[0]:
             raise ValueError(f"{ids.size} class ids for {rows.shape[0]} rows")
-        self._write(ids, rows)
+        block = splice_rows(self._block, ids, rows)
+        self._block = block.copy() if block is rows else block
         self._changed(ids)
 
     def refresh(self, W: WeightMatrix, rows) -> None:
-        """Hold W's stored rows by adopting W's store itself, with no copy and no
-        check (W writes no store in place), and redo what depends on ``rows``,
-        those changed since the index last read W (all, the first time)."""
+        """Hold W's stored rows by adopting W's store itself, with no copy (W
+        writes no store in place), once :func:`check_ids` passes ``rows``, and
+        redo what depends on ``rows``, those changed since the index last read
+        W (all, the first time), in the given order."""
         if W.dim != self.dim:
             raise ValueError(f"matrix dim {W.dim} does not match index dim {self.dim}")
+        rows = check_ids(rows, W.num_classes, "class id")
         self._block = W._store
-        self._changed(np.asarray(rows, dtype=np.int64))
+        self._changed(rows)
 
     def counters(self) -> dict[str, int]:
         """The work counts this backend keeps, by name."""

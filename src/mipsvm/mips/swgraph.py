@@ -5,14 +5,16 @@ Nodes are class rows; links are undirected and kept to at most
 a small persistent entry set, keeping a candidate list of ``ef_search``
 nodes; inserts use the same traversal with ``ef_construction``.  Similarity
 is the raw inner product, which is what makes the graph usable as a MIPS
-backend even though it is not a metric.  The traversal ranks by those
-dots and proposes its best node as a one-class pool, and
-:meth:`MipsIndex.query_batch` gives that class's exact kernel score.
+backend even though it is not a metric.  The traversal ranks by
+:func:`mipsvm.sparse.dot`'s floats and proposes its best node as a
+one-class pool, and :meth:`MipsIndex.query_batch` gives its exact score.
 
-Deletion (the first half of an update) reconnects the removed node's
-neighbors pairwise before pruning, so the graph stays connected under the
-churn of training-time refreshes.  Entry points are reservoir-sampled at
-insert time; queries never touch the RNG and are safe to run concurrently.
+The graph keeps no rows: it reads the base class's store, and an update
+relinks the changed rows one at a time.  Deletion reconnects the removed
+node's neighbors pairwise before pruning, so the graph stays connected
+under the churn of training-time refreshes.  Entry points are
+reservoir-sampled at insert time; queries never touch the RNG and are
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 # dot is unused here; perfbench/tracing.py patches it on this module
-from ..sparse import _dot_arrays, dot, row_view  # noqa: F401
+from ..sparse import _dot_arrays, dot  # noqa: F401
 from .base import BACKEND_DEFAULTS, MipsIndex
 
 ENTRY_POINTS = 4
@@ -48,17 +50,21 @@ class SwGraphIndex(MipsIndex):
         self._entries: list[int] = []
         self._rng = np.random.default_rng(seed)
         self._inserted_total = 0
+        self._relinked = self._block  # the store the graph was last relinked from
+        self._pending: set[int] = set()  # the replaced rows not yet relinked
 
     # -- traversal --------------------------------------------------------
 
     def _row(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Index and value views of the stored row of class ``c``."""
-        lo, hi = self._block.indptr[c:c + 2].tolist()
-        return self._block.indices[lo:hi], self._block.data[lo:hi]
+        """Index and value views of the row of class ``c`` as the graph links
+        it: its previous value while ``c`` waits to be relinked."""
+        block = self._relinked if c in self._pending else self._block
+        lo, hi = block.indptr[c:c + 2].tolist()
+        return block.indices[lo:hi], block.data[lo:hi]
 
     def _search(self, idx, val, ef: int) -> list[tuple[float, int]]:
         """Greedy best-first candidates for the query ``(idx, val)``, best
-        first, ranked by their BLAS dots (not the exact scores)."""
+        first, ranked by their exact dots."""
         visited = set(self._entries)
         frontier = []
         results: list[tuple[float, int]] = []
@@ -144,9 +150,8 @@ class SwGraphIndex(MipsIndex):
             self._link(r, best)
             seen |= comp
 
-    def _insert(self, c: int, row):
+    def _insert(self, c: int):
         others_exist = bool(self._adj)
-        super()._write([c], row)
         self._adj[c] = set()
         if others_exist:
             candidates = [v for _, v in self._search(*self._row(c), self.ef_construction)
@@ -164,7 +169,7 @@ class SwGraphIndex(MipsIndex):
                 self._entries[j] = c
 
     def _delete(self, c: int):
-        """Unlink ``c``; the insert that follows overwrites its stored row."""
+        """Unlink ``c``; the insert that follows links its new row."""
         neighbors = sorted(self._adj.pop(c))
         for v in neighbors:
             self._adj[v].discard(c)
@@ -179,18 +184,21 @@ class SwGraphIndex(MipsIndex):
 
     # -- MipsIndex interface ------------------------------------------------
 
-    def _write(self, ids, rows) -> None:
-        """One delete and insert per checked row, in order, each writing its row."""
-        for k, c in enumerate(ids.tolist()):
+    def _changed(self, ids) -> None:
+        """Relink the rows ``ids`` in order, one delete, insert and repair
+        each, as one :meth:`update_row` per row would: a replaced row not yet
+        relinked reads its old value in the store last relinked from, which
+        no one writes in place; a new row is not linked before its insert."""
+        super()._changed(ids)
+        ids = ids.tolist()
+        self._pending = {c for c in ids if c in self._adj}
+        for c in ids:
+            self._pending.discard(c)
             if c in self._adj:
                 self._delete(c)
-            self._insert(c, row_view(rows, k, k + 1))
+            self._insert(c)
             self._repair_connectivity()
-
-    def refresh(self, W, rows) -> None:
-        """:meth:`update_rows` of W's stored ``rows`` into the graph's own
-        store: each insert searches rows that must still hold old values."""
-        self.update_rows(rows, W.stored_rows(rows))
+        self._relinked = self._block
 
     def _candidates(self, X, excluded):
         """One traversal per row: its best node other than the excluded

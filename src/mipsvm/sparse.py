@@ -198,30 +198,12 @@ class SparseVector:
 
 
 def _dot_arrays(ai, av, bi, bv) -> float:
-    """Sum of the products over shared indices, in the shorter array's
-    order.  A clipped ``take`` finds the matches: a search position past
-    the end lands on ``bi``'s last index, which is below the searched one.
-    Array methods skip numpy's function dispatch, the bulk of a small call.
-    """
-    if ai.size > bi.size:
-        ai, av, bi, bv = bi, bv, ai, av
-    if ai.size == 0:
-        return 0.0
-    pos = bi.searchsorted(ai)
-    hit = bi.take(pos, mode="clip") == ai
-    return float(av[hit].dot(bv[pos[hit]]))
-
-
-def dot(a: SparseVector, b: SparseVector) -> float:
-    """Exact sparse inner product: the kernel's float for row ``a`` against
-    a class row ``b``, the same for ``b`` against ``a``.  The matches are
-    found as :func:`_dot_arrays` finds them (which ranks swgraph's
-    traversal in BLAS's order), but their products are added left to right
-    by ``add.accumulate``, and + 0.0 turns its one possible difference from
-    the kernel's sum, which starts from +0.0, a -0.0 total, into +0.0."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ai, av, bi, bv = a.indices, a.values, b.indices, b.values
+    """The kernel's float: the products over shared indices added left to
+    right in the shorter array's order by ``add.accumulate``, + 0.0 turning
+    a -0.0 total into the kernel's +0.0.  A clipped ``take`` finds the
+    matches: a search position past the end lands on ``bi``'s last index,
+    which is below the searched one.  Array methods skip numpy's function
+    dispatch, the bulk of a small call."""
     if ai.size > bi.size:
         ai, av, bi, bv = bi, bv, ai, av
     if ai.size == 0:
@@ -230,6 +212,15 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     hit = bi.take(pos, mode="clip") == ai
     products = av[hit] * bv[pos[hit]]
     return float(np.add.accumulate(products)[-1]) + 0.0 if products.size else 0.0
+
+
+def dot(a: SparseVector, b: SparseVector) -> float:
+    """Exact sparse inner product: the kernel's float for row ``a`` against
+    a class row ``b``, the same for ``b`` against ``a``, as
+    :func:`_dot_arrays` sums it once the dimensions match."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return _dot_arrays(a.indices, a.values, b.indices, b.values)
 
 
 def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
@@ -271,6 +262,15 @@ def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = Fals
         k = int(np.isfinite(X.data).argmin())
         raise ValueError(f"row {row(k)} holds the non-finite feature value "
                          f"{float(X.data[k])!r}")
+
+
+def check_ids(ids, n: int, what: str) -> np.ndarray:
+    """``ids`` as int64, once each lies in [0, n); the IndexError names
+    ``what`` and the first that does not."""
+    ids = np.asarray(ids, dtype=np.int64)
+    for i in ids[(ids < 0) | (ids >= n)][:1]:
+        raise IndexError(f"{what} {i} out of range [0, {n})")
+    return ids
 
 
 def check_positions(positions, n: int) -> np.ndarray:
@@ -346,8 +346,7 @@ def score_pairs(X: sp.csr_matrix, classes, matrix, rows=None) -> np.ndarray:
         raise ValueError(f"block width {X.shape[1]} does not match the matrix's {dim}")
     if rows is None and classes.size != X.shape[0]:
         raise ValueError(f"{classes.size} classes for {X.shape[0]} rows")
-    for c in classes[(classes < 0) | (classes >= C)][:1]:
-        raise IndexError(f"class position {c} out of range [0, {C})")
+    check_ids(classes, C, "class position")
     if sp.issparse(matrix):
         # the last key, C * dim, stands for every unstored weight: the 0.0
         keys = np.repeat(np.arange(C + 1, dtype=np.int64) * dim,
@@ -698,17 +697,6 @@ class WeightMatrix:
 
     # -- internal helpers ---------------------------------------------
 
-    def _check_class(self, c):
-        if not 0 <= c < self.num_classes:
-            raise IndexError(f"class id {c} out of range [0, {self.num_classes})")
-
-    def _check_classes(self, rows) -> np.ndarray:
-        """``rows`` as int64, once :meth:`_check_class` passes the first bad one."""
-        rows = np.asarray(rows, dtype=np.int64)
-        for c in rows[(rows < 0) | (rows >= self.num_classes)][:1]:
-            self._check_class(c)
-        return rows
-
     def _write(self, rows: np.ndarray, block: sp.csr_matrix) -> None:
         """The one writer: the fresh CSR ``block``, made canonical in place, becomes
         classes ``rows`` by :func:`splice_rows` once :func:`check_block` passes
@@ -723,7 +711,7 @@ class WeightMatrix:
 
     def _row(self, c: int):
         """Index and value views of stored row c."""
-        self._check_class(c)
+        c = int(check_ids(c, self.num_classes, "class id"))
         lo, hi = self._store.indptr[c], self._store.indptr[c + 1]
         return self._store.indices[lo:hi], self._store.data[lo:hi]
 
@@ -750,7 +738,7 @@ class WeightMatrix:
 
     def add_to_row(self, c: int, coeff: float, x: SparseVector) -> None:
         """Logical row c += coeff * x."""
-        self._check_class(c)
+        check_ids(c, self.num_classes, "class id")
         if x.dim != self.dim:
             raise ValueError(f"vector dim {x.dim} does not match matrix dim {self.dim}")
         if not math.isfinite(coeff):
@@ -786,7 +774,7 @@ class WeightMatrix:
 
     def truncate_rows(self, rows, tau: float) -> None:
         """Soft-threshold the logical rows ``rows`` at tau; drops the resulting zeros."""
-        rows = self._check_classes(rows)
+        rows = check_ids(rows, self.num_classes, "class id")
         if not 0.0 <= tau < math.inf:
             raise ValueError(f"threshold must be nonnegative and finite, not {tau}")
         if tau == 0.0 or rows.size == 0:
@@ -812,7 +800,7 @@ class WeightMatrix:
 
     def stored_rows(self, rows) -> sp.csr_matrix:
         """Stored (unscaled) rows ``rows``, in that order, as one CSR block."""
-        return self._store[self._check_classes(rows)]
+        return self._store[check_ids(rows, self.num_classes, "class id")]
 
     def row_dot(self, c: int, x: SparseVector) -> float:
         """Logical inner product of row c with x: the float that

@@ -246,7 +246,7 @@ def _train(data: Dataset, cfg: TrainConfig, mode: str,
             raise ValueError(f"training diverged at step {t}: objective is {obj}")
 
         # the rows the next step's refresh redoes, in descending norm order,
-        # ties by id, the order in which swgraph inserts them one by one.
+        # ties by id, the order in which swgraph relinks them one by one.
         # Nothing writes W before then.
         refreshed = stale.size
         stale = np.arange(W.num_classes) if W.fold_count != fold_before else touched

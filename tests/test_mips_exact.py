@@ -574,6 +574,25 @@ def test_update_rows_rejects_a_bad_block(kind, as_block):
 
 
 @pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
+def test_refresh_rejects_a_class_outside_w(kind):
+    """refresh(W, rows) with a row past W's last class or negative, after
+    rows that a relink taken row by row would already have redone, raises
+    the IndexError naming it and changes nothing, on every backend: the
+    index keeps the store it held, its structures and so its answers."""
+    rng = np.random.default_rng(35)
+    W = WeightMatrix.from_rows([(c, random_sparse(rng, 6)) for c in range(5)], 6)
+    index = build_index([], kind, dim=6, **BACKEND_PARAMS[kind])
+    index.refresh(W, range(5))
+    store, before = index._block, backend_state(index)
+    W.add(sp.csr_matrix(np.ones((5, 6))))
+    for rows in ([2, 9], [4, -1], [5]):
+        with pytest.raises(IndexError, match=rf"class id {rows[-1]} out of range \[0, 5\)"):
+            index.refresh(W, rows)
+        assert index._block is store
+        assert backend_state(index) == before
+
+
+@pytest.mark.parametrize("kind", ["exact", "simplelsh", "swgraph"])
 def test_index_from_matrix_equals_the_materialized_rows(kind, as_block):
     """index_from_matrix(W, kind) holds and answers exactly what build_index
     over W.materialize_row does: the scale folded in, and a stored value that

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mipsvm.mips import NoCandidateError, SwGraphIndex, build_index, recall_at_1
-from mipsvm.sparse import SparseVector, stack_csr
+from mipsvm.sparse import SparseVector, WeightMatrix, stack_csr
 
 
 def sv(pairs, dim):
@@ -163,3 +163,36 @@ class TestQuery:
         index.update_row(7, spike)
         got, _ = index.query(sv({0: 1.0}, 8))
         assert got == 7
+
+
+class TestRefresh:
+    def test_refresh_relinks_as_update_row_does(self):
+        """refresh(W2, rows) of an index built from W1 leaves the adjacency,
+        entry points and answers that one update_row per row of W2 in the
+        same order leaves, though the index reads W2's store throughout:
+        each relink reads the rows not yet relinked at their W1 values, and
+        the new rows join the graph only at their inserts."""
+        rng = np.random.default_rng(11)
+        dim, n = 8, 40
+        W1 = WeightMatrix.from_rows([(c, unit_row(rng, dim)) for c in range(n)], dim)
+        changed = [int(c) for c in rng.choice(n, size=16, replace=False)]
+        new = {c: unit_row(rng, dim, rng.uniform(0.5, 2.0)) for c in changed + [n, n + 1]}
+        W2 = WeightMatrix.from_rows([(c, new[c] if c in new else W1.materialize_row(c))
+                                     for c in range(n + 2)], dim)
+        order = changed[:6] + [n] + changed[6:12] + [n + 1] + changed[12:]
+        graph, twin = (SwGraphIndex(dim, max_neighbors=4, ef_construction=8,
+                                    ef_search=4, seed=12) for _ in range(2))
+        for index in (graph, twin):
+            index.refresh(W1, range(n))
+        graph.refresh(W2, order)
+        for c in order:
+            twin.update_row(c, W2.materialize_row(c))
+        assert graph._block is W2._store
+        assert graph._adj == twin._adj
+        assert graph._entries == twin._entries
+        check_structure(graph)
+        queries = [unit_row(rng, dim) for _ in range(40)]
+        X = stack_csr([x.indices for x in queries], [x.values for x in queries], dim)
+        exclude = [None if k % 3 else int(rng.integers(n + 2)) for k in range(40)]
+        for got, want in zip(graph.query_batch(X, exclude), twin.query_batch(X, exclude)):
+            assert got.tobytes() == want.tobytes()

@@ -776,9 +776,9 @@ class TestIndexRefresh:
 
     @pytest.mark.parametrize("fit, folds", [(train_l1, False), (train_l2, False),
                                             (train_l2, True)])
-    @pytest.mark.parametrize("backend", ["exact", "simplelsh"])
+    @pytest.mark.parametrize("backend", ["exact", "simplelsh", "swgraph"])
     def test_each_query_reads_w_store_itself(self, monkeypatch, backend, fit, folds):
-        """On exact and simplelsh the index keeps no copy of W: at every
+        """On every backend the index keeps no copy of W: at every
         rival query its store is the very object W held at the end of the
         step before (the initial W's before step 1), also when every l2
         step's scaling folds, and no training refresh splices rows.  That
