@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from .sparse import SparseVector, WeightMatrix, check_block, check_ids, stack_csr
+from .sparse import (SparseVector, WeightMatrix, check_block, check_ids, stack_csr,
+                     whole_ids)
 
 TEXT_MAGIC = "MEMOIR1 text"
 BINARY_MAGIC = b"MEMOIR1\x00bin\x00"
@@ -53,8 +54,9 @@ class Dataset:
     dimension and class count.
 
     ``Dataset(examples, dim, num_classes, label_map)`` stacks a list of
-    ``(class id, SparseVector)`` pairs once; :meth:`from_csr` takes the
-    arrays as they are.  Both check the labels and, by
+    ``(class id, SparseVector)`` pairs once (an example of another dim is
+    named by its position); :meth:`from_csr` takes the arrays as they are.
+    Both check the labels (whole numbers, in range) and, by
     :func:`~mipsvm.sparse.check_block`, that every feature index lies in
     [0, dim) and every value is finite, naming the first bad row;
     :meth:`subset` takes rows of checked arrays and checks nothing more.
@@ -65,13 +67,8 @@ class Dataset:
     def __init__(self, examples, dim: int, num_classes: int,
                  label_map: dict[str, int] | None = None):
         examples = list(examples)
-        for k, (_, x) in enumerate(examples):
-            if x.dim != dim:
-                raise ValueError(f"example {k} has dim {x.dim}, expected {dim}")
-        labels = np.fromiter((y for y, _ in examples), np.int64, len(examples))
-        block = stack_csr([x.indices for _, x in examples],
-                          [x.values for _, x in examples], dim)
-        self._init(labels, block, num_classes, label_map)
+        block = stack_csr([x for _, x in examples], dim, "example")
+        self._init([y for y, _ in examples], block, num_classes, label_map)
         self.examples = examples
 
     @classmethod
@@ -85,8 +82,9 @@ class Dataset:
 
     def _init(self, labels, block, num_classes, label_map) -> None:
         """:meth:`_hold` the arrays once they hold one label in [0,
-        num_classes) per row and :func:`check_block` passes the block as
-        stored data."""
+        num_classes) per row, each a :func:`whole_ids` number, and
+        :func:`check_block` passes the block as stored data."""
+        labels = whole_ids(labels, "label")
         if labels.size != block.shape[0]:
             raise ValueError(f"{labels.size} labels for {block.shape[0]} rows")
         bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
@@ -132,7 +130,7 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         """The rows ``idx``, in that order (repeats allowed), as one row take;
-        the IndexError names the first index outside [0, len)."""
+        :func:`check_ids` refuses a boolean mask or an index outside [0, len)."""
         rows = check_ids(idx, len(self), "row index")
         # a row take of checked arrays keeps them checked: no _init pass
         data = Dataset.__new__(Dataset)
@@ -536,7 +534,7 @@ def _load_text(fh) -> tuple[WeightMatrix, dict]:
         raise ModelFormatError("trailing content after last row")
     header = {"format_version": version, "num_classes": num_classes,
               "dim": dim, "lambda": lam, "algorithm": algorithm}
-    block = stack_csr([r.indices for r in rows], [r.values for r in rows], dim)
+    block = stack_csr(rows, dim)
     return WeightMatrix.from_csr(block), header
 
 

@@ -60,7 +60,7 @@ def _margins(W: WeightMatrix, X, labels, index: Optional["MipsIndex"] = None):
 def _margin_of_one(W: WeightMatrix, x: SparseVector, y: int,
                    index: Optional["MipsIndex"] = None) -> MarginResult:
     """:func:`_margins` of the one example ``(x, y)``."""
-    found = _margins(W, stack_csr([x.indices], [x.values], x.dim), [y], index)
+    found = _margins(W, stack_csr([x], x.dim), [y], index)
     rival, s_true, s_rival = (a[0].item() for a in found)
     return MarginResult(s_true - s_rival, rival, s_true, s_rival)
 
@@ -79,9 +79,12 @@ def inexact_margin(index: "MipsIndex", W: WeightMatrix, x: SparseVector,
 
 
 def hinge_loss(margin: float, rho: float) -> float:
-    """(1 - margin/rho)_+ for finite rho > 0."""
+    """(1 - margin/rho)_+ for finite rho > 0 and a margin that is not NaN
+    (``max`` would drop a NaN loss as 0.0)."""
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, not {rho}")
+    if math.isnan(margin):
+        raise ValueError(f"margin must be a number, not {margin}")
     return max(0.0, 1.0 - margin / rho)
 
 

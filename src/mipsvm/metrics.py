@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sparse import SparseVector, WeightMatrix, stack_csr
+from .sparse import SparseVector, WeightMatrix, stack_csr, whole_ids
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -30,8 +30,8 @@ class PredictionSet:
     num_classes: int
 
     def __post_init__(self):
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-        self.predicted = np.asarray(self.predicted, dtype=np.int64)
+        self.true_labels = whole_ids(self.true_labels, "true label")
+        self.predicted = whole_ids(self.predicted, "predicted label")
         if self.true_labels.shape != self.predicted.shape:
             raise ValueError("true/predicted length mismatch")
         if self.true_labels.size:
@@ -52,7 +52,7 @@ def _predict(W: WeightMatrix, X) -> np.ndarray:
 def predict(W: WeightMatrix, x: SparseVector) -> int:
     """argmax over all class scores, ties toward the smallest class id: a
     :func:`predict_batch` of one example."""
-    return int(_predict(W, stack_csr([x.indices], [x.values], x.dim))[0])
+    return int(_predict(W, stack_csr([x], x.dim))[0])
 
 
 def predict_batch(W: WeightMatrix, data: "Dataset") -> np.ndarray:

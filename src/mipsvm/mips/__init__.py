@@ -22,16 +22,14 @@ def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
     """Build an index of the given kind over (class_id, row) pairs, whose
     ids, being store positions, are 0, 1, ... in order.
 
-    Deterministic for a fixed seed.  Mismatched dimensions are rejected.
+    Deterministic for a fixed seed.  A row of another dim is named by its
+    position in ``rows`` (:func:`~mipsvm.sparse.stack_csr`).
     """
     rows = list(rows)
     if dim is None:
         if not rows:
             raise ValueError("dim is required when building from no rows")
         dim = rows[0][1].dim
-    for c, r in rows:
-        if r.dim != dim:
-            raise ValueError(f"row {c} has dim {r.dim}, expected {dim}")
     if kind == "exact":
         index: MipsIndex = ExactIndex(dim)
     elif kind == "simplelsh":
@@ -42,8 +40,7 @@ def build_index(rows, kind: str, dim: int | None = None, *, seed: int = 0,
                              ef_search=swg_ef_search, seed=seed)
     else:
         raise ValueError(f"unknown backend {kind!r}; expected one of {BACKENDS}")
-    index.update_rows([c for c, _ in rows], stack_csr([r.indices for _, r in rows],
-                                                      [r.values for _, r in rows], dim))
+    index.update_rows([c for c, _ in rows], stack_csr([r for _, r in rows], dim))
     return index
 
 

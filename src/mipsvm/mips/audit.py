@@ -81,14 +81,13 @@ def audit_inexactness(index: MipsIndex, W: "WeightMatrix", queries: "Dataset",
 
 def recall_at_1(index: MipsIndex, oracle: MipsIndex, queries) -> float:
     """Fraction of (x, exclude) queries where ``index`` returns the oracle's
-    class; both answer the same stacked query block."""
+    class; both answer one stacked block, whose :func:`stack_csr` names a
+    query of another dim than the index's by its position."""
     queries = list(queries)
     if not queries:
         raise ValueError("empty query set")
     xs, exclude = zip(*queries)
-    if any(x.dim != index.dim for x in xs):
-        raise ValueError(f"a query's dim does not match index dim {index.dim}")
-    X = stack_csr([x.indices for x in xs], [x.values for x in xs], index.dim)
+    X = stack_csr(xs, index.dim, "query")
     got, _ = index.query_batch(X, exclude)
     want, _ = oracle.query_batch(X, exclude)
     return float((got == want).mean())

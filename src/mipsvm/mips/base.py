@@ -9,7 +9,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from ..sparse import (ScoringState, SparseVector, WeightMatrix, check_block, check_ids,
-                      check_positions, score_block, splice_rows, stack_csr)
+                      score_block, splice_rows, stack_csr, whole_ids)
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -81,14 +81,15 @@ class MipsIndex:
         """``(X, excluded)``: ``X`` as :meth:`_canonical` CSR, once it holds one
         exclude per row and a candidate for each, and ``excluded[i]`` row i's
         excluded class, or -1 for None or an id outside [0, len).  An integer
-        array is taken as it is; a sequence holding None costs a pass."""
+        array is taken as it is, any other must hold :func:`whole_ids`; a
+        sequence holding None costs a pass."""
         X = self._canonical(X)
         if len(exclude) != X.shape[0]:
             raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
         classes = np.asarray(exclude)
         if classes.dtype == object:  # None masks nothing, as -1 does
             classes = np.where(np.equal(classes, None), -1, classes)
-        classes = classes.astype(np.int64, copy=False)
+        classes = whole_ids(classes, "excluded class")
         excluded = np.where((classes >= 0) & (classes < len(self)), classes, -1)
         if len(self) <= 1 and ((excluded >= 0) | (not len(self))).any():
             raise NoCandidateError("no candidate class after exclusion")
@@ -122,8 +123,7 @@ class MipsIndex:
     def query(self, x: SparseVector, exclude: int | None = None) -> tuple[int, float]:
         """Best (class_id, exact score of that class) with ``exclude`` removed,
         as a :meth:`query_batch` of one row."""
-        ids, scores = self.query_batch(stack_csr([x.indices], [x.values], x.dim),
-                                       [exclude])
+        ids, scores = self.query_batch(stack_csr([x], x.dim), [exclude])
         return int(ids[0]), float(scores[0])
 
     def _candidates(self, X: sp.csr_matrix, excluded) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +160,7 @@ class MipsIndex:
 
     def update_row(self, c: int, new_row: SparseVector) -> None:
         """Insert or replace the row of class ``c``: an update of one row."""
-        self.update_rows([c], stack_csr([new_row.indices], [new_row.values], new_row.dim))
+        self.update_rows([c], stack_csr([new_row], new_row.dim))
 
     def update_rows(self, ids, rows) -> None:
         """Make row i of the n x dim CSR block ``rows`` the row of class
@@ -168,12 +168,11 @@ class MipsIndex:
         once the block and the ids pass: :func:`splice_rows` writes a new store,
         never the caller's block, and :meth:`_changed` redoes what depends on it."""
         rows = self._canonical(rows)
-        ids = check_positions(ids, len(self))
-        if ids.size != rows.shape[0]:
-            raise ValueError(f"{ids.size} class ids for {rows.shape[0]} rows")
+        if np.size(ids) != rows.shape[0]:
+            raise ValueError(f"{np.size(ids)} class ids for {rows.shape[0]} rows")
         block = splice_rows(self._block, ids, rows)
         self._block = block.copy() if block is rows else block
-        self._changed(ids)
+        self._changed(np.asarray(ids, dtype=np.int64))  # whole: splice_rows checked them
 
     def refresh(self, W: WeightMatrix, rows) -> None:
         """Hold W's stored rows by adopting W's store itself, with no copy (W

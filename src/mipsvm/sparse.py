@@ -129,7 +129,8 @@ class SparseVector:
     __slots__ = ("indices", "values", "dim")
 
     def __init__(self, indices, values, dim, *, check=True):
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = (whole_ids(indices, "feature index") if check
+                   else np.asarray(indices, dtype=np.int64))
         values = np.asarray(values, dtype=np.float64)
         if check:
             if indices.ndim != 1 or values.ndim != 1:
@@ -223,14 +224,19 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     return _dot_arrays(a.indices, a.values, b.indices, b.values)
 
 
-def stack_csr(indices, values, dim: int) -> sp.csr_matrix:
-    """Stack per-row sorted index arrays and their value arrays into CSR."""
-    indptr = np.zeros(len(indices) + 1, dtype=np.int64)
-    np.cumsum([idx.size for idx in indices], out=indptr[1:])
+def stack_csr(vectors, dim: int, what: str = "row") -> sp.csr_matrix:
+    """The SparseVectors ``vectors`` as the rows of one CSR block ``dim``
+    wide; the ValueError names the first of another dim as ``{what} k``."""
+    for k, x in enumerate(vectors):
+        if x.dim != dim:
+            raise ValueError(f"{what} {k} has dim {x.dim}, expected {dim}")
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([x.indices.size for x in vectors], out=indptr[1:])
     if indptr[-1] == 0:
-        return sp.csr_matrix((len(indices), dim))
-    return sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
-                         shape=(len(indices), dim))
+        return sp.csr_matrix((len(vectors), dim))
+    return sp.csr_matrix((np.concatenate([x.values for x in vectors]),
+                          np.concatenate([x.indices for x in vectors]), indptr),
+                         shape=(len(vectors), dim))
 
 
 def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = False,
@@ -264,19 +270,36 @@ def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = Fals
                          f"{float(X.data[k])!r}")
 
 
+def whole_ids(ids, what: str) -> np.ndarray:
+    """``ids`` from outside as int64, once each is a whole number: the
+    ValueError names ``what`` and the first that is fractional, not finite
+    or a boolean (a mask is not a list of ids).  ``1.0`` is the id 1."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind in "iu":
+        return ids.astype(np.int64, copy=False)
+    if ids.dtype.kind == "b":
+        bad = np.ones(ids.shape, dtype=bool)
+    else:
+        ids = ids.astype(np.float64)
+        bad = ~(np.isfinite(ids) & (np.trunc(ids) == ids))
+    for value in ids[bad][:1]:
+        raise ValueError(f"{what} {value.item()} is not a whole number")
+    return ids.astype(np.int64)
+
+
 def check_ids(ids, n: int, what: str) -> np.ndarray:
-    """``ids`` as int64, once each lies in [0, n); the IndexError names
-    ``what`` and the first that does not."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """:func:`whole_ids` ``ids``, once each lies in [0, n); the IndexError
+    names ``what`` and the first that does not."""
+    ids = whole_ids(ids, what)
     for i in ids[(ids < 0) | (ids >= n)][:1]:
         raise IndexError(f"{what} {i} out of range [0, {n})")
     return ids
 
 
 def check_positions(positions, n: int) -> np.ndarray:
-    """``positions`` as int64, once each is a row of a store of ``n`` rows or
-    the next new one (n, n + 1, ...); ValueError names the first that is not."""
-    positions = np.asarray(positions, dtype=np.int64)
+    """:func:`whole_ids` ``positions``, once each is a row of a store of ``n``
+    rows or the next new one (n, n + 1, ...); ValueError names the first not."""
+    positions = whole_ids(positions, "class id")
     repeated = np.ones(positions.size, dtype=bool)
     repeated[np.unique(positions, return_index=True)[1]] = False
     due = n - 1 + np.cumsum(positions >= n)  # the id each new position must be
@@ -340,13 +363,12 @@ def score_pairs(X: sp.csr_matrix, classes, matrix, rows=None) -> np.ndarray:
     8-byte arrays an entry against a dense array, five against a CSR:
     at most 3 or 5 x SCORE_BLOCK_ENTRIES bytes, never O(n x dim).
     """
-    classes = np.asarray(classes, dtype=np.int64)
     C, dim = matrix.shape
     if X.shape[1] != dim:
         raise ValueError(f"block width {X.shape[1]} does not match the matrix's {dim}")
+    classes = check_ids(classes, C, "class position")
     if rows is None and classes.size != X.shape[0]:
         raise ValueError(f"{classes.size} classes for {X.shape[0]} rows")
-    check_ids(classes, C, "class position")
     if sp.issparse(matrix):
         # the last key, C * dim, stands for every unstored weight: the 0.0
         keys = np.repeat(np.arange(C + 1, dtype=np.int64) * dim,
@@ -675,16 +697,13 @@ class WeightMatrix:
 
     @classmethod
     def from_rows(cls, rows, dim):
-        """Build from an iterable of (class_id, SparseVector) logical rows."""
+        """Build from an iterable of (class_id, SparseVector) logical rows; a row
+        of another dim is named by its position in ``rows`` (:func:`stack_csr`)."""
         rows = list(rows)
         if not rows:
             raise ValueError("need at least one row")
         W = cls(max(c for c, _ in rows) + 1, dim)
-        for c, r in rows:
-            if r.dim != dim:
-                raise ValueError(f"row {c} has dim {r.dim}, expected {dim}")
-        W._write(np.array([c for c, _ in rows]), stack_csr([r.indices for _, r in rows],
-                                                          [r.values for _, r in rows], dim))
+        W._write(np.array([c for c, _ in rows]), stack_csr([r for _, r in rows], dim))
         return W
 
     @classmethod

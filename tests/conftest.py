@@ -28,7 +28,7 @@ def as_block():
     ``MipsIndex.query_batch`` and the SimpleLSH hashing take:
     ``as_block(xs, dim)``."""
     def stack(xs, dim):
-        return sparse.stack_csr([x.indices for x in xs], [x.values for x in xs], dim)
+        return sparse.stack_csr(xs, dim)
     return stack
 
 

@@ -150,6 +150,14 @@ class TestParse:
                 data.subset(bad)
         assert len(data.subset([])) == 0 and len(data.subset([2])) == 1
 
+    def test_subset_rejects_a_boolean_mask(self, tmp_path):
+        # a mask used to be taken as row ids: [True, False, True] gave rows 1, 0, 1
+        data = parse_dataset(write(tmp_path, "a 1:1 3:2\nb 2:-1\na 3:0.5\n"))
+        with pytest.raises(ValueError, match=r"^row index True is not a whole number$"):
+            data.subset(np.array([True, False, True]))
+        with pytest.raises(ValueError, match=r"^row index 1\.5 is not a whole number$"):
+            data.subset([1.5])
+
     def test_index_beyond_int64_is_out_of_range(self, tmp_path):
         # an index whose dimension (index + 1) would not fit int64
         for text, zero_based in (("1 99999999999999999999:1.0\n", False),
@@ -229,6 +237,16 @@ class TestDatasetLabels:
         block = sp.csr_matrix(np.ones((3, 2)))
         with pytest.raises(ValueError, match="2 labels for 3 rows"):
             Dataset.from_csr(np.array([0, 1]), block, 2)
+
+    def test_labels_must_be_whole_numbers(self):
+        # float labels used to be held as they were: [1.5, 0.0] stayed float64
+        block = sp.csr_matrix(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"^label 1\.5 is not a whole number$"):
+            Dataset.from_csr(np.array([1.5, 0.0]), block, 2)
+        with pytest.raises(ValueError, match=r"^label 0\.5 is not a whole number$"):
+            Dataset([(0.5, SparseVector([0], [1.0], 2))], 2, 2)
+        labels = Dataset.from_csr(np.array([1.0, 0.0]), block, 2).labels_array()
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
 
     @pytest.mark.parametrize("width", [2, 10])
     def test_example_of_another_dim_names_itself(self, width):

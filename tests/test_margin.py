@@ -169,6 +169,13 @@ class TestHingeLoss:
             with pytest.raises(ValueError, match="rho must be positive and finite"):
                 empirical_risk(WeightMatrix(3, 4), data, rho)
 
+    def test_a_nan_margin_fails_closed(self):
+        # max(0.0, nan) is 0.0: a NaN margin used to count as no loss
+        with pytest.raises(ValueError, match="margin must be a number, not nan"):
+            hinge_loss(math.nan, 1.0)
+        assert hinge_loss(math.inf, 1.0) == 0.0
+        assert hinge_loss(-math.inf, 1.0) == math.inf
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-10, 10, allow_nan=False), st.floats(-10, 10, allow_nan=False),
            st.floats(0.01, 10, allow_nan=False), st.floats(0.01, 10, allow_nan=False))

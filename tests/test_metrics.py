@@ -173,6 +173,16 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(PredictionSet([], [], 2))
 
+    def test_labels_must_be_whole_numbers(self):
+        # PredictionSet([1.7], [0.2], 3) used to hold the labels [1] and [0]
+        with pytest.raises(ValueError, match=r"^true label 1\.7 is not a whole number$"):
+            PredictionSet([1.7], [0.2], 3)
+        with pytest.raises(ValueError, match=r"^predicted label 0\.2 is not a whole number$"):
+            PredictionSet([1], [0.2], 3)
+        p = PredictionSet([1.0, 2.0], [1.0, 0.0], 3)
+        assert p.true_labels.dtype == p.predicted.dtype == np.int64
+        assert accuracy(p) == 0.5
+
 
 class TestMacroF1:
     def test_perfect(self):

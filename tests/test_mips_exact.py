@@ -8,8 +8,11 @@ import pytest
 from scipy import sparse as sp
 
 from mipsvm import sparse
+from mipsvm.dataio import Dataset
+from mipsvm.margin import exact_margin, inexact_margin
+from mipsvm.metrics import predict
 from mipsvm.mips import (ExactIndex, MipsIndex, NoCandidateError, build_index,
-                         index_from_matrix)
+                         index_from_matrix, recall_at_1)
 from mipsvm.sparse import SparseVector, WeightMatrix, dot
 
 # small graph and LSH settings, so that neither backend is an exact scan
@@ -611,3 +614,63 @@ def test_index_from_matrix_equals_the_materialized_rows(kind, as_block):
     X = as_block([random_sparse(rng, dim) for _ in range(40)], dim)
     exclude = [None if k % 3 else int(rng.integers(13)) for k in range(40)]
     assert_same_answers(got, want, X, exclude)
+
+
+# every entry point that stacks SparseVectors, with the message naming the
+# one of another dim: a list's entry by its position, and a single vector,
+# a batch of one, by the width of the block it makes
+DIM_ENTRIES = {
+    "Dataset": (lambda index, W, good, bad: Dataset([(0, good), (1, bad)], 4, 3),
+                "example 1 has dim 5, expected 4"),
+    "from_rows": (lambda index, W, good, bad: WeightMatrix.from_rows([(0, good), (2, bad)], 4),
+                  "row 1 has dim 5, expected 4"),
+    "build_index": (lambda index, W, good, bad: build_index([(0, good), (1, bad)], "exact",
+                                                            dim=4),
+                    "row 1 has dim 5, expected 4"),
+    "recall_at_1": (lambda index, W, good, bad: recall_at_1(index, index,
+                                                            [(good, None), (bad, 0)]),
+                    "query 1 has dim 5, expected 4"),
+    "query": (lambda index, W, good, bad: index.query(bad),
+              "block width 5 does not match index dim 4"),
+    "update_row": (lambda index, W, good, bad: index.update_row(1, bad),
+                   "block width 5 does not match index dim 4"),
+    "predict": (lambda index, W, good, bad: predict(W, bad),
+                "block width 5 does not match the state's 4"),
+    "exact_margin": (lambda index, W, good, bad: exact_margin(W, bad, 0),
+                     "block width 5 does not match the state's 4"),
+    "inexact_margin": (lambda index, W, good, bad: inexact_margin(index, W, bad, 0),
+                       "block width 5 does not match index dim 4"),
+}
+
+
+@pytest.mark.parametrize("entry", DIM_ENTRIES)
+def test_a_vector_of_another_dim_is_named_and_changes_nothing(entry):
+    """A vector of another dim than the one expected fails closed at every
+    entry point, with the message that names it, and leaves W and the index
+    as they were."""
+    call, message = DIM_ENTRIES[entry]
+    rng = np.random.default_rng(34)
+    rows = [(c, random_sparse(rng, 4)) for c in range(3)]
+    W = WeightMatrix.from_rows(rows, 4)
+    index = build_index(rows, "exact", dim=4)
+    before = backend_state(index), index.counters(), W.to_csr().toarray()
+    good, bad = random_sparse(rng, 4), SparseVector([0, 4], [1.0, 2.0], 5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(index, W, good, bad)
+    after = backend_state(index), index.counters(), W.to_csr().toarray()
+    assert after[:2] == before[:2]
+    np.testing.assert_array_equal(after[2], before[2])
+
+
+def test_an_exclude_that_is_not_a_whole_number_fails_closed():
+    """A fractional or non-finite exclude used to be truncated to a class
+    id, and excluded that class."""
+    index = build_index([(c, sv({c: 1.0}, 4)) for c in range(4)], "exact", dim=4)
+    X = sp.csr_matrix(np.eye(4)[:3])
+    for exclude, first in ((np.array([1.9, 0.2, 3.99]), "1.9"),
+                           (np.array([1.0, np.nan, 2.0]), "nan")):
+        with pytest.raises(ValueError, match=rf"^excluded class {first} is not a whole number$"):
+            index.query_batch(X, exclude)
+    ids, _ = index.query_batch(X, np.array([0.0, 1.0, 2.0]))
+    assert ids.tolist() == [1, 0, 0]
+    assert index.counters()["queries"] == 3

@@ -290,7 +290,7 @@ def code_prefix(code, bits, p):
 
 
 def block(xs, dim):
-    return sparse.stack_csr([x.indices for x in xs], [x.values for x in xs], dim)
+    return sparse.stack_csr(xs, dim)
 
 
 def random_sparse(rng, dim, max_nnz):

@@ -86,10 +86,39 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector([0], [1.0, 2.0], 4)  # length mismatch
 
+    def test_indices_must_be_whole_numbers(self):
+        # a fractional index used to be truncated: [0.5, 2.7] stored [0, 2]
+        with pytest.raises(ValueError, match=r"^feature index 0\.5 is not a whole number$"):
+            SparseVector([0.5, 2.7], [1.0, 2.0], 4)
+        assert SparseVector([0.0, 2.0], [1.0, 2.0], 4).indices.tolist() == [0, 2]
+
     def test_dense_roundtrip(self):
         v = sv({0: 1.5, 7: -2.0}, 9)
         dense = v.to_dense()
         assert dense[0] == 1.5 and dense[7] == -2.0 and dense.sum() == -0.5
+
+
+class TestIds:
+    @pytest.mark.parametrize("ids, first", [([1.7], "1.7"), ([2.0, 0.5], "0.5"),
+                                            ([np.nan], "nan"), ([1.0, -np.inf], "-inf"),
+                                            (np.array([True, False]), "True")])
+    def test_an_id_that_is_not_a_whole_number_fails_closed(self, ids, first):
+        """A fractional or non-finite id, or a boolean mask, used to be
+        truncated to int64 ids: [1.7] named class 1, a mask rows 1 and 0.
+        The value is printed as a plain number."""
+        with pytest.raises(ValueError, match=rf"^class id {first} is not a whole number$"):
+            sparse.check_ids(ids, 5, "class id")
+
+    def test_a_position_that_is_not_a_whole_number_fails_closed(self):
+        # [0.4, 1.6] used to be the new rows 0 and 1 of an empty store
+        with pytest.raises(ValueError, match=r"^class id 0\.4 is not a whole number$"):
+            sparse.check_positions([0.4, 1.6], 0)
+        assert sparse.check_positions([0.0, 1.0], 0).tolist() == [0, 1]
+
+    def test_whole_floats_are_ids(self):
+        ids = sparse.check_ids(np.array([1.0, 4.0]), 5, "class id")
+        assert ids.dtype == np.int64 and ids.tolist() == [1, 4]
+        assert sparse.check_ids([], 5, "class id").dtype == np.int64
 
 
 class TestDot:

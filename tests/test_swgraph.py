@@ -105,7 +105,7 @@ class TestQuery:
         # every other query excludes its best class, the traversal's best
         # node at this size, so only the scan of the rest can answer it
         exclude = [oracle.query(x)[0] if k % 2 else None for k, x in enumerate(queries)]
-        X = stack_csr([x.indices for x in queries], [x.values for x in queries], 6)
+        X = stack_csr(queries, 6)
         ids, scores = graph.query_batch(X, exclude)
         # one full scan for every row that fell back, beside the pooled one
         assert [n for n, full in scanned if full] == [10]
@@ -192,7 +192,7 @@ class TestRefresh:
         assert graph._entries == twin._entries
         check_structure(graph)
         queries = [unit_row(rng, dim) for _ in range(40)]
-        X = stack_csr([x.indices for x in queries], [x.values for x in queries], dim)
+        X = stack_csr(queries, dim)
         exclude = [None if k % 3 else int(rng.integers(n + 2)) for k in range(40)]
         for got, want in zip(graph.query_batch(X, exclude), twin.query_batch(X, exclude)):
             assert got.tobytes() == want.tobytes()

@@ -557,9 +557,9 @@ class TestTrainLog:
         stacked_rows = []
         for module in [m for name, m in sys.modules.items()
                        if name.startswith("mipsvm") and "stack_csr" in vars(m)]:
-            def counting(indices, values, dim, stack_csr=module.stack_csr):
-                stacked_rows.append(len(indices))
-                return stack_csr(indices, values, dim)
+            def counting(vectors, dim, what="row", stack_csr=module.stack_csr):
+                stacked_rows.append(len(vectors))
+                return stack_csr(vectors, dim, what)
 
             monkeypatch.setattr(module, "stack_csr", counting)
         return stacked_rows
