@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from .sparse import (SparseVector, WeightMatrix, check_block, check_ids, stack_csr,
+from .sparse import (SparseVector, WeightMatrix, canonical_block, check_ids, stack_csr,
                      whole_ids)
 
 TEXT_MAGIC = "MEMOIR1 text"
@@ -50,16 +50,16 @@ class ModelFormatError(ValueError):
 class Dataset:
     """Labeled sparse examples: one label array (every class id in
     [0, num_classes), one per row) and one canonical CSR block (sorted,
-    distinct indices below ``dim``, no explicit zeros), with a fixed
-    dimension and class count.
+    distinct indices below ``dim``, finite values), with a fixed dimension
+    and class count.
 
     ``Dataset(examples, dim, num_classes, label_map)`` stacks a list of
     ``(class id, SparseVector)`` pairs once (an example of another dim is
-    named by its position); :meth:`from_csr` takes the arrays as they are.
-    Both check the labels (whole numbers, in range) and, by
-    :func:`~mipsvm.sparse.check_block`, that every feature index lies in
-    [0, dim) and every value is finite, naming the first bad row;
-    :meth:`subset` takes rows of checked arrays and checks nothing more.
+    named by its position); :meth:`from_csr` takes the arrays.  Both check
+    the labels (whole numbers, in range) and hold the block as
+    :func:`~mipsvm.sparse.canonical_block` makes it, once every feature
+    index lies in [0, dim) and every value is finite, naming the first bad
+    row; :meth:`subset` takes rows of checked arrays and checks nothing more.
     :attr:`examples` is a view of the block, built on first use at one
     SparseVector per row.
     """
@@ -75,15 +75,16 @@ class Dataset:
     def from_csr(cls, labels: np.ndarray, block: sp.csr_matrix, num_classes: int,
                  label_map: dict[str, int] | None = None) -> "Dataset":
         """The examples whose class ids are ``labels`` and whose rows are
-        ``block``, both taken as they are (neither may be changed after)."""
+        ``block``: a canonical block is held as it is, any other as a
+        canonical copy (neither array held may be changed after)."""
         data = cls.__new__(cls)
         data._init(labels, block, num_classes, label_map)
         return data
 
     def _init(self, labels, block, num_classes, label_map) -> None:
-        """:meth:`_hold` the arrays once they hold one label in [0,
-        num_classes) per row, each a :func:`whole_ids` number, and
-        :func:`check_block` passes the block as stored data."""
+        """:meth:`_hold` the labels, once they are one label in [0,
+        num_classes) per row, each a :func:`whole_ids` number, and the
+        block as :func:`canonical_block` makes it."""
         labels = whole_ids(labels, "label")
         if labels.size != block.shape[0]:
             raise ValueError(f"{labels.size} labels for {block.shape[0]} rows")
@@ -91,8 +92,7 @@ class Dataset:
         if bad.size:
             raise ValueError(f"label {labels[bad[0]]} of row {bad[0]} is outside "
                              f"[0, {num_classes})")
-        check_block(block, block.shape[1], finite=True)
-        self._hold(labels, block, num_classes, label_map)
+        self._hold(labels, canonical_block(block, block.shape[1]), num_classes, label_map)
 
     def _hold(self, labels, block, num_classes, label_map) -> None:
         self._labels = labels

@@ -5,7 +5,7 @@ of the true class minus the best competing score.  The exact version scans
 all classes; the approximate version asks a MIPS index for a competing class
 and re-scores that single candidate exactly against W, so the approximation
 error lives entirely in the candidate choice.  Both take every score as the
-stored-order sum of :mod:`mipsvm.sparse`, and the exact rival maximizes the
+exact score of :mod:`mipsvm.sparse`, and the exact rival maximizes the
 subtracted term, so the approximate margin is never below the exact one.
 """
 

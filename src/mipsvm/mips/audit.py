@@ -1,7 +1,7 @@
 """Audit of the gap between approximate and exact margins.
 
 The approximate margin can only exceed the exact one (the exact rival
-maximizes the subtracted score, every score the same stored-order sum), so
+maximizes the subtracted score, every score the same exact sum), so
 the audited quantity is the fraction of queries whose gap exceeds a chosen
 epsilon: an empirical delta for the (epsilon, delta) contract of a backend.
 """

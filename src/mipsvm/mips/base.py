@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import (ScoringState, SparseVector, WeightMatrix, check_block, check_ids,
-                      score_block, splice_rows, stack_csr, whole_ids)
+from ..sparse import (ScoringState, SparseVector, WeightMatrix, canonical_block,
+                      check_ids, score_block, splice_rows, stack_csr, whole_ids)
 
 # Default backend parameters, keyed like the build_index keywords; the index
 # constructors, TrainConfig and the CLI all read them from here.
@@ -31,7 +31,7 @@ class MipsIndex:
 
     Contract shared by all backends, where a class id is its store position:
 
-    * every returned score is the exact score (the stored-order sum of
+    * every returned score is the exact score (the increasing-index sum of
       :mod:`mipsvm.sparse`) of the returned class's stored row;
     * ``query`` never returns the excluded class, and ``query_batch``
       answers every row of a CSR query block exactly as ``query`` would:
@@ -64,26 +64,17 @@ class MipsIndex:
         self.fallback_count = 0
         self._count_lock = threading.Lock()
 
-    def _canonical(self, X) -> sp.csr_matrix:
-        """``X`` as canonical CSR once :func:`check_block` passes it (another
-        format first goes through COO, whose constructor checks indices)."""
-        X = X if X.format == "csr" else X.tocoo().tocsr()
-        check_block(X, self.dim, "index dim", finite=True)
-        if not X.has_canonical_format:  # row views need sorted, distinct indices
-            X = X.tocoo().tocsr()
-        return X
-
     def _changed(self, ids: np.ndarray) -> None:
         """Redo what depends on the stored rows ``ids``: here the full-scan state."""
         vars(self).pop("_full_scan_state", None)
 
     def _check_batch(self, X, exclude) -> tuple[sp.csr_matrix, np.ndarray]:
-        """``(X, excluded)``: ``X`` as :meth:`_canonical` CSR, once it holds one
-        exclude per row and a candidate for each, and ``excluded[i]`` row i's
-        excluded class, or -1 for None or an id outside [0, len).  An integer
-        array is taken as it is, any other must hold :func:`whole_ids`; a
-        sequence holding None costs a pass."""
-        X = self._canonical(X)
+        """``(X, excluded)``: ``X`` made :func:`canonical_block`, once it holds
+        one exclude per row and a candidate for each, and ``excluded[i]`` row
+        i's excluded class, or -1 for None or an id outside [0, len).  An
+        integer array is taken as it is, any other must hold
+        :func:`whole_ids`; a sequence holding None costs a pass."""
+        X = canonical_block(X, self.dim, "index dim")
         if len(exclude) != X.shape[0]:
             raise ValueError(f"{len(exclude)} excludes for {X.shape[0]} queries")
         classes = np.asarray(exclude)
@@ -167,7 +158,7 @@ class MipsIndex:
         ``ids[i]``, as one :meth:`update_row` per row in the given order would,
         once the block and the ids pass: :func:`splice_rows` writes a new store,
         never the caller's block, and :meth:`_changed` redoes what depends on it."""
-        rows = self._canonical(rows)
+        rows = canonical_block(rows, self.dim, "index dim")
         if np.size(ids) != rows.shape[0]:
             raise ValueError(f"{np.size(ids)} class ids for {rows.shape[0]} rows")
         block = splice_rows(self._block, ids, rows)

@@ -5,8 +5,8 @@ Every trainer, search index and metric in this package works on two
 structures: :class:`SparseVector` (sorted index/value pairs with an explicit
 dimension) and :class:`WeightMatrix` (one CSR of class rows behind a single
 scale multiplier, so that scaling the whole matrix is O(1)).
-An exact score is the stored-order sum of the CSR product: row i against
-class c sums x_ij w_jc over the row's stored entries, in stored order.
+An exact score is the sum of the CSR product of a :func:`canonical_block`:
+row i against class c sums x_ij w_jc in increasing index order j.
 :func:`score_block` finds argmaxes, chunk by chunk, against a
 :class:`ScoringState`: one copy of the class matrix, dense (densified
 blocks go through a BLAS screen that proposes, within a proven rounding
@@ -239,13 +239,12 @@ def stack_csr(vectors, dim: int, what: str = "row") -> sp.csr_matrix:
                          shape=(len(vectors), dim))
 
 
-def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = False,
-                ids=None) -> None:
+def check_block(X, dim: int, whose: str = "the matrix's", *, ids=None) -> None:
     """Raise ValueError unless the CSR block ``X`` is ``dim`` wide, every
-    column index lies in [0, dim) and, with ``finite`` (a block that
-    becomes stored data), every value is finite.  The width error names
-    ``whose`` width it must match, the others the first offending row (as
-    ``ids[row]`` when ``ids`` is given) and its index or value.
+    column index lies in [0, dim) and every value is finite.  The width
+    error names ``whose`` width it must match, the others the first
+    offending row (as ``ids[row]`` when ``ids`` is given) and its index or
+    value.
 
     scipy's CSR constructor does not bounds-check indices
     (``check_format(full_check=False)``), and its kernels read and write
@@ -264,16 +263,28 @@ def check_block(X, dim: int, whose: str = "the matrix's", *, finite: bool = Fals
         k = int(np.flatnonzero((cols < 0) | (cols >= dim))[0])
         raise ValueError(f"row {row(k)} holds the feature index {cols[k]}, "
                          f"outside [0, {dim})")
-    if finite and not np.isfinite(X.data).all():
+    if not np.isfinite(X.data).all():
         k = int(np.isfinite(X.data).argmin())
         raise ValueError(f"row {row(k)} holds the non-finite feature value "
                          f"{float(X.data[k])!r}")
 
 
+def canonical_block(X, dim: int, whose: str = "the matrix's") -> sp.csr_matrix:
+    """The scipy sparse block ``X`` as a CSR with sorted, distinct indices,
+    once :func:`check_block` passes it: ``X`` itself when it is one, else a
+    copy (another format first goes through COO, whose constructor checks
+    its indices).  The one entry of every block that is scored or queried,
+    so that each score sums a row's features in increasing index order."""
+    X = X if X.format == "csr" else X.tocoo().tocsr()
+    check_block(X, dim, whose)
+    return X if X.has_canonical_format else X.tocoo().tocsr()
+
+
 def whole_ids(ids, what: str) -> np.ndarray:
     """``ids`` from outside as int64, once each is a whole number: the
-    ValueError names ``what`` and the first that is fractional, not finite
-    or a boolean (a mask is not a list of ids).  ``1.0`` is the id 1."""
+    ValueError names ``what`` and, as given, the first that is fractional,
+    not finite, a boolean (a mask is not a list of ids) or beyond int64's
+    range.  ``1.0`` is the id 1."""
     ids = np.asarray(ids)
     if ids.dtype.kind in "iu":
         return ids.astype(np.int64, copy=False)
@@ -284,6 +295,8 @@ def whole_ids(ids, what: str) -> np.ndarray:
         bad = ~(np.isfinite(ids) & (np.trunc(ids) == ids))
     for value in ids[bad][:1]:
         raise ValueError(f"{what} {value.item()} is not a whole number")
+    for value in ids[(ids < -2.0 ** 63) | (ids >= 2.0 ** 63)][:1]:
+        raise ValueError(f"{what} {value.item()} is outside int64's range")
     return ids.astype(np.int64)
 
 
@@ -425,16 +438,6 @@ def row_view(X: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
     return view
 
 
-def _sorted_rows(X: sp.csr_matrix) -> bool:
-    """Whether every row of ``X`` stores strictly increasing column indices
-    (no duplicates), computed from the arrays rather than scipy's cached
-    flag, which a :func:`row_view` does not carry."""
-    starts = X.indptr[1:-1] - X.indptr[0]
-    step = np.diff(X.indices[X.indptr[0]:X.indptr[-1]]) > 0
-    step[starts[(starts > 0) & (starts <= step.size)] - 1] = True
-    return bool(step.all())
-
-
 class ScoringState:
     """One class matrix as :func:`score_block` multiplies by it, holding
     exactly one copy of its weights.
@@ -442,26 +445,25 @@ class ScoringState:
     ``classes`` holds one class per row.  A matrix that is
     :func:`scored_densely` is kept as its C x dim array ``rows``
     (class-major), a sparser one as its transpose in CSR (dim x C), the
-    :attr:`operand`.  Either way a score sums the example's stored entries
-    in stored order, so both give the same floats.
+    :attr:`operand`.  Either way a score sums the example's features in
+    increasing index order, so both give the same floats.
 
     The BLAS screen (:meth:`screen`) of a dense state scores a densified
     chunk with one GEMM, in whatever order BLAS sums.  Any order is within
     gamma_d * sum_j |x_j w_jc| of the exact sum, with gamma_d = d u /
     (1 - d u) and u = 2^-53 (Higham, *Accuracy and Stability of Numerical
     Algorithms*, section 3.1), and that sum is at most ||x|| max_c ||w_c||.
-    So the screen and the stored-order sum of the CSR product each lie
-    within E = 2 gamma_d ||x|| max_c ||w_c|| + d 2^-1070 of the exact
-    score: the factor 2 covers the rounding of the norms and of the
-    threshold below, the last term underflow.  Every class whose
-    stored-order score is the row's maximum therefore has a screen score
-    of at least max_c A_c - 4E.  Only those candidates are re-scored, by
-    :func:`score_pairs` from the chunk's own stored entries, so every
-    returned float is the CSR product's.  The bound assumes that nothing
-    overflows: a chunk whose ||x|| max_c ||w_c|| exceeds OVERFLOW_GUARD,
-    or is not finite, is scored by the CSR product instead, as is a chunk
-    whose rows are not sorted, since the densified row would lose their
-    stored order.
+    So the screen and the exact score (the CSR product's sum over the
+    row's features in increasing index order) each lie within E = 2
+    gamma_d ||x|| max_c ||w_c|| + d 2^-1070 of the real-number score: the
+    factor 2 covers the rounding of the norms and of the threshold below,
+    the last term underflow.  Every class whose exact score is the row's
+    maximum therefore has a screen score of at least max_c A_c - 4E.  Only
+    those candidates are re-scored, by :func:`score_pairs` from the chunk's
+    own entries, so every returned float is the CSR product's.  The bound
+    assumes that nothing overflows: a chunk whose ||x|| max_c ||w_c||
+    exceeds OVERFLOW_GUARD, or is not finite, is scored by the CSR product
+    instead.
     """
 
     OVERFLOW_GUARD = 2.0 ** 1000
@@ -492,8 +494,6 @@ class ScoringState:
         :func:`score_block` gives them, with ``mask`` applying its exclude
         and among to screen scores in place; None where the CSR product
         must score the chunk instead."""
-        if not _sorted_rows(block):
-            return None
         w_norm, zero_classes = self.screen_setup
         d = self.dim
         Xd = block.toarray()
@@ -549,16 +549,18 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
     """Best class and its score for every row of ``X`` against the class
     matrix of ``state``.
 
+    ``X`` must be a :func:`canonical_block`; any other raises ValueError.
     ``exclude`` optionally gives one class position per row that cannot be
-    the best (a negative position excludes nothing); ``among`` optionally
-    gives, as the nonzero pattern of an n x C CSR matrix, the class
-    positions each row may pick from (a row with none gets position 0 and
-    score -inf); ``at`` optionally gives one class position per row whose
-    score is returned too.  Ties go to the smallest position.
+    the best (a negative position excludes nothing, one past the classes
+    raises IndexError); ``among`` optionally gives, as the nonzero pattern
+    of an n x C CSR matrix, the class positions each row may pick from (a
+    row with none gets position 0 and score -inf); ``at`` optionally gives
+    one class position per row (:func:`check_ids`) whose score is returned
+    too.  Both are converted once here.  Ties go to the smallest position.
 
     Every score is the CSR product's: row i against class c is the
-    sequential sum of x_ij w_jc over the row's stored entries, in stored
-    order.  A block of at least DENSE_SCREEN_MIN_ROWS rows and at least
+    sequential sum of x_ij w_jc in increasing index order j.  A block of
+    at least DENSE_SCREEN_MIN_ROWS rows and at least
     DENSE_SCREEN_MIN_DENSITY full, against a dense state, is screened
     (:meth:`ScoringState.screen`): one BLAS product per chunk of rows
     proposes each row's candidates, and only those are re-scored by
@@ -585,6 +587,13 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
     """
     if X.shape[1] != state.dim:
         raise ValueError(f"block width {X.shape[1]} does not match the state's {state.dim}")
+    if not X.has_canonical_format:
+        raise ValueError("block is not canonical CSR")
+    at = None if at is None else check_ids(at, state.num_classes, "class position")
+    if exclude is not None:
+        exclude = whole_ids(exclude, "excluded class")
+        for c in exclude[exclude >= state.num_classes][:1]:
+            raise IndexError(f"excluded class {c} out of range: {state.num_classes} classes")
     n, C = X.shape[0], max(state.num_classes, 1)
     screened = (state.dense and X.nnz and state.num_classes
                 and n >= DENSE_SCREEN_MIN_ROWS
@@ -669,13 +678,13 @@ class WeightMatrix:
     margins, re-scored pairs and audits against an unchanged matrix share
     one state.
 
-    Every block from outside (:meth:`from_csr`, :meth:`add`, :meth:`score`,
-    :meth:`score_pairs`) passes :func:`check_block` before any scipy kernel
-    reads through its indices, so a feature index outside [0, dim) raises
-    ValueError naming its row (:meth:`from_csr`'s block is checked once
-    :meth:`_write` has made it canonical, which compares its indices but
-    reads nothing through them), and :meth:`_write` refuses a non-finite
-    value to be stored the same way, naming its class.
+    Every block from outside passes :func:`check_block` before any scipy
+    kernel reads through its indices, so a feature index outside [0, dim)
+    or a non-finite value raises ValueError naming its row: a block to
+    score (:meth:`score`, :meth:`score_pairs`) as it enters through
+    :func:`canonical_block`, :meth:`add`'s delta as it comes, and every
+    block :meth:`_write` stores, naming its class, once it is made
+    canonical (which compares its indices but reads nothing through them).
 
     Single-writer: concurrent read-only access (scores and dot products
     against a frozen matrix) is safe, concurrent mutation is not.
@@ -719,11 +728,10 @@ class WeightMatrix:
     def _write(self, rows: np.ndarray, block: sp.csr_matrix) -> None:
         """The one writer: the fresh CSR ``block``, made canonical in place, becomes
         classes ``rows`` by :func:`splice_rows` once :func:`check_block` passes
-        it as stored data, so W never holds a non-finite weight; only their
-        norms are redone."""
+        it, so W never holds a non-finite weight; only their norms are redone."""
         block.sum_duplicates()
         block.eliminate_zeros()
-        check_block(block, self.dim, finite=True, ids=rows)
+        check_block(block, self.dim, ids=rows)
         self._store = splice_rows(self._store, rows, block)
         self._row_sq[rows] = row_sums(block.data ** 2, block.indptr)
         vars(self).pop("_scoring_state", None)
@@ -743,8 +751,8 @@ class WeightMatrix:
 
     def add(self, delta) -> None:
         """Logical W += delta for a C x dim scipy sparse ``delta``, once
-        :func:`check_block` passes its indices; :meth:`_write` refuses a
-        non-finite sum, a non-finite delta's included."""
+        :func:`check_block` passes it; :meth:`_write` refuses a sum that
+        overflows."""
         if delta.shape != (self.num_classes, self.dim):
             raise ValueError(f"delta shape {delta.shape} does not match the matrix")
         if delta.nnz:
@@ -834,20 +842,20 @@ class WeightMatrix:
         """The logical matrix's :class:`ScoringState`."""
         return ScoringState(self.to_csr())
 
-    def score(self, X: sp.csr_matrix, **options):
-        """:func:`score_block` of the CSR block ``X`` against the logical
-        matrix, with ``options`` (exclude, at, among) passed on, once
-        :func:`check_block` passes ``X``."""
-        check_block(X, self.dim, "the state's")
+    def score(self, X, **options):
+        """:func:`score_block` of the sparse block ``X``, made
+        :func:`canonical_block`, against the logical matrix, with
+        ``options`` (exclude, at, among) passed on."""
+        X = canonical_block(X, self.dim, "the state's")
         return score_block(X, self._scoring_state, **options)
 
-    def score_pairs(self, X: sp.csr_matrix, classes) -> np.ndarray:
-        """Exact score of row i of the CSR block ``X`` against logical class
-        ``classes[i]``, for every i: :func:`score_pairs` against the
-        scoring state's rows when the matrix is :func:`scored_densely`, and
-        against :meth:`to_csr` otherwise, which builds no state; ``X`` is
-        checked by :func:`check_block` first."""
-        check_block(X, self.dim)
+    def score_pairs(self, X, classes) -> np.ndarray:
+        """Exact score of row i of the sparse block ``X``, made
+        :func:`canonical_block`, against logical class ``classes[i]``, for
+        every i: :func:`score_pairs` against the scoring state's rows when
+        the matrix is :func:`scored_densely`, and against :meth:`to_csr`
+        otherwise, which builds no state."""
+        X = canonical_block(X, self.dim)
         if scored_densely(self._store):
             return score_pairs(X, classes, self._scoring_state.rows)
         return score_pairs(X, classes, self.to_csr())

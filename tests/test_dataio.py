@@ -259,8 +259,8 @@ class TestDatasetLabels:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_feature_value_names_its_row(self, bad):
-        # such a row used to be scored: a NaN score never wins an argmax, so
-        # evaluate() reported a row of a NaN feature as classified
+        # such a row used to be scored, and evaluate() counted a row of a
+        # NaN feature as classified
         good = SparseVector(np.array([0]), np.array([1.0]), 3)
         row = SparseVector(np.array([0, 2]), np.array([1.0, bad]), 3, check=False)
         with pytest.raises(ValueError, match=rf"row 1 holds the non-finite feature "

@@ -10,9 +10,9 @@ from scipy import sparse as sp
 from mipsvm import sparse
 from mipsvm.dataio import Dataset
 from mipsvm.margin import exact_margin, inexact_margin
-from mipsvm.metrics import predict
-from mipsvm.mips import (ExactIndex, MipsIndex, NoCandidateError, build_index,
-                         index_from_matrix, recall_at_1)
+from mipsvm.metrics import predict, predict_batch
+from mipsvm.mips import (ExactIndex, MipsIndex, NoCandidateError, audit_inexactness,
+                         build_index, index_from_matrix, recall_at_1)
 from mipsvm.sparse import SparseVector, WeightMatrix, dot
 
 # small graph and LSH settings, so that neither backend is an exact scan
@@ -674,3 +674,33 @@ def test_an_exclude_that_is_not_a_whole_number_fails_closed():
     ids, _ = index.query_batch(X, np.array([0.0, 1.0, 2.0]))
     assert ids.tolist() == [1, 0, 0]
     assert index.counters()["queries"] == 3
+
+
+def test_a_non_canonical_dataset_is_scored_as_the_exact_index_scores_it():
+    """Rows stored shuffled, with a duplicate column and entries that cancel
+    (1e16, -1e16): summed in stored order, class 0 scores 1.0, and in
+    increasing index order 0.0, below class 1's 0.5.  W.score used to sum
+    in stored order and ExactIndex in index order, so predictions and the
+    exact backend disagreed and its audit reported a delta of 1.0.  The
+    Dataset holds a canonical copy, so every scorer reads one block."""
+    rng = np.random.default_rng(34)
+    W = WeightMatrix.from_csr(sp.csr_matrix([[1.0, 1.0, 1.0], [0.5, 0.0, 0.0],
+                                             [0.0, 0.0, 0.0]]))
+    n = 40
+    cols, vals = np.array([1, 2, 0, 0]), np.array([1e16, -1e16, 0.5, 0.5])
+    order = np.concatenate([rng.permutation(4) for _ in range(n)])
+    order[:4] = np.arange(4)  # row 0 in the order that sums to 1.0
+    block = sp.csr_matrix((vals[order], cols[order], np.arange(n + 1) * 4), shape=(n, 3))
+    assert not block.has_canonical_format
+    assert (block[0] @ np.ones(3)).tolist() == [1.0]
+    data = Dataset.from_csr(np.full(n, 2), block, 3)
+    index = index_from_matrix(W, "exact")
+    ids, scores = index.query_batch(data.to_csr(), [None] * n)
+    assert ids.tolist() == [1] * n and scores.tolist() == [0.5] * n
+    np.testing.assert_array_equal(predict_batch(W, data), ids)
+    best, best_scores, _ = W.score(block)
+    np.testing.assert_array_equal(best, ids)
+    np.testing.assert_array_equal(best_scores, scores)
+    report = audit_inexactness(index, W, data, epsilon=0.0)
+    assert report.delta_hat == 0.0 and report.max_gap == 0.0
+    assert data.to_csr().has_canonical_format

@@ -4,6 +4,7 @@ The randomized checks compare against a dense numpy mirror that applies the
 same logical operations literally, with no scale trick.
 """
 
+import re
 import threading
 from functools import partial
 
@@ -119,6 +120,16 @@ class TestIds:
         ids = sparse.check_ids(np.array([1.0, 4.0]), 5, "class id")
         assert ids.dtype == np.int64 and ids.tolist() == [1, 4]
         assert sparse.check_ids([], 5, "class id").dtype == np.int64
+
+    @pytest.mark.parametrize("value, named", [(1e20, "1e+20"), (-1e20, "-1e+20"),
+                                              (2.0 ** 63, "9.223372036854776e+18")])
+    def test_a_float_beyond_int64_is_named_as_given(self, value, named):
+        """Such an id used to be cast to -2^63, with numpy's RuntimeWarning,
+        and named as class id -9223372036854775808."""
+        with pytest.raises(ValueError, match=rf"^class id {re.escape(named)} is outside "
+                                             r"int64's range$"):
+            sparse.check_ids([0.0, value], 5, "class id")
+        assert sparse.whole_ids([-2.0 ** 63], "class id").tolist() == [-2 ** 63]
 
 
 class TestDot:
@@ -1038,7 +1049,8 @@ class TestDenseScreen:
     def test_fuzz_gives_the_csr_operand_floats(self, assert_same_floats, state_of, seed,
                                                n, d, C, magnitude, shuffle, budget):
         # magnitude 1e150 puts ||x|| max ||w|| past the overflow guard, so
-        # those chunks fall back; shuffled rows are not sorted, so they do too
+        # those chunks fall back; a block whose rows are shuffled out of
+        # order is not canonical, and either state refuses it
         rng = np.random.default_rng(seed)
         X, W = adversarial_block(rng, n, d, max(C, 5))
         W = W[:, :C] * magnitude
@@ -1048,9 +1060,15 @@ class TestDenseScreen:
                 lo, hi = X.indptr[i], X.indptr[i + 1]
                 order = lo + rng.permutation(hi - lo)
                 X.indices[lo:hi], X.data[lo:hi] = X.indices[order], X.data[order]
+            X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse, "SCORE_BLOCK_ENTRIES", budget)
             for kw in kernel_options(rng, n, C):
+                if not X.has_canonical_format:
+                    for dense in (True, False):
+                        with pytest.raises(ValueError, match="block is not canonical CSR"):
+                            screened(X, state_of(W.T, dense), **kw)
+                    continue
                 assert_same_floats(screened(X, state_of(W.T, True), **kw),
                                    score_block(X, state_of(W.T, False), **kw))
 
@@ -1146,6 +1164,37 @@ class TestDenseScreen:
         # buffers and Python objects, with no copy of the class matrix;
         # uncapped, the products alone would take n * C * d * 8 = 7.4 MB
         assert peak <= 8 * sparse.SCORE_BLOCK_ENTRIES + 24 * n + (64 << 10)
+
+
+@pytest.mark.parametrize("bad, value, error, message", [
+    ("data", np.nan, ValueError, "row 2 holds the non-finite feature value nan"),
+    ("indices", 30, ValueError, "row 2 holds the feature index 30, outside [0, 30)"),
+    ("at", -1, IndexError, "class position -1 out of range [0, 6)"),
+    ("at", 7, IndexError, "class position 7 out of range [0, 6)"),
+    ("at", 1.5, ValueError, "class position 1.5 is not a whole number"),
+    ("exclude", 2.5, ValueError, "excluded class 2.5 is not a whole number"),
+    ("exclude", 7, IndexError, "excluded class 7 out of range: 6 classes")])
+def test_every_scoring_path_refuses_bad_input_alike(bad, value, error, message):
+    """W.score on a dense block that is screened, a dense block small enough
+    for the CSR product and a sparse state: each bad value, in row 2,
+    raises the same exception.  at = -1 used to return the last class's
+    score on the CSR product, while the screen refused it."""
+    rng = np.random.default_rng(57)
+    n, d, C = sparse.DENSE_SCREEN_MIN_ROWS + 8, 30, 6
+    dense_W = WeightMatrix.from_csr(sp.csr_matrix(rng.standard_normal((C, d))))
+    sparse_W = WeightMatrix.from_csr(sp.random(C, d, density=0.05, format="csr",
+                                               random_state=58))
+    assert dense_W._scoring_state.dense and not sparse_W._scoring_state.dense
+    block = sp.csr_matrix(rng.standard_normal((n, d)))
+    for W, X in [(dense_W, block), (dense_W, block[:4]), (sparse_W, block)]:
+        X = X.copy()
+        options = {"exclude": np.zeros(X.shape[0]), "at": np.ones(X.shape[0])}
+        if bad in options:
+            options[bad][2] = value
+        else:
+            getattr(X, bad)[X.indptr[2]] = value
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            W.score(X, **options)
 
 
 def elementwise_pairs(X, rows):
@@ -1245,10 +1294,10 @@ class TestScorePairs:
         assert_same_floats([score_pairs(X, at, dense.rows)], [want])
         assert_same_floats([score_pairs(X, at, sp.csr_matrix(W.T))], [want])
 
-    def test_unsorted_rows_give_the_csr_product_floats(self, state_of,
-                                                       assert_same_floats):
+    def test_unsorted_rows_give_the_csr_product_floats(self, assert_same_floats):
         """Rows whose stored entries are shuffled: the pairs sum in their
-        stored order, as the CSR product does."""
+        stored order, as scipy's own CSR product does (score_block refuses
+        such a block)."""
         rng = np.random.default_rng(61)
         X, W = pair_case(rng, 40, 16, 6)
         for i in range(X.shape[0]):
@@ -1257,7 +1306,7 @@ class TestScorePairs:
             X.indices[lo:hi], X.data[lo:hi] = X.indices[order], X.data[order]
         X.has_sorted_indices = False
         at = rng.integers(W.num_classes, size=X.shape[0])
-        want = score_block(X, state_of(W.to_csr(), False), at=at)[2]
+        want = (X @ W.to_csr().T).toarray()[np.arange(X.shape[0]), at]
         for matrix in both_forms(W.to_csr()):
             assert_same_floats([score_pairs(X, at, matrix)], [want])
 
@@ -1293,7 +1342,8 @@ class TestScorePairs:
         floats bit for bit, signed zeros included: against an all-zero
         matrix, weights that a tiny scale turns into stored zeros (-0.0
         among them), pairs whose weight is not stored, and query rows
-        whose entries are out of order."""
+        whose entries are out of order, which score_block refuses, so
+        scipy's own CSR product is their reference."""
         rng = np.random.default_rng(62)
         n, d, C = 50, 20, 8
         Xd = rng.standard_normal((n, d))
@@ -1325,13 +1375,16 @@ class TestScorePairs:
                 X.indices[lo:hi], X.data[lo:hi] = X.indices[order], X.data[order]
             X.has_sorted_indices = False
         product = state_of(classes, False)
+        if case == "unsorted rows":
+            table = (X @ classes.T).toarray()
+        else:
+            table = np.stack([score_block(X, product, at=np.full(n, c))[2]
+                              for c in range(C)], axis=1)
         at = rng.integers(C, size=n)
-        want = score_block(X, product, at=at)[2]
-        assert_same_floats([score_pairs(X, at, classes)], [want])
+        assert_same_floats([score_pairs(X, at, classes)], [table[np.arange(n), at]])
         rows = rng.integers(n, size=2 * n)
         picked = rng.integers(C, size=rows.size)
-        assert_same_floats([score_pairs(X, picked, classes, rows)],
-                           [at_scores(X, product, rows, picked)])
+        assert_same_floats([score_pairs(X, picked, classes, rows)], [table[rows, picked]])
 
 
 def bincount_row_sums(values, indptr):
