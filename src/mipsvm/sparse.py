@@ -12,10 +12,10 @@ row i against class c sums x_ij w_jc in increasing index order j.
 blocks go through a BLAS screen that proposes, within a proven rounding
 bound, the classes that can be a row's best, and only those are re-scored)
 or, when sparse, CSR; :func:`score_pairs` scores (row, class) pairs.  The CSR
-product and SimpleLSH's plane pass cut their work into pieces that
-:func:`run_pieces` runs on one shared thread pool; scipy's sparse products
-and numpy's ufuncs release the interpreter lock, so the pieces run on
-every CPU the process may use.
+product (:func:`_product`) and SimpleLSH's plane pass cut their work into
+pieces that :func:`run_pieces` runs on one shared thread pool; scipy's
+sparse kernels and numpy's ufuncs release the interpreter lock, so the
+pieces run on every CPU the process may use.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse as sp
+# private to scipy: its ``@`` runs a symbolic pass, only to size its output, before
+# csr_matmat; _product sizes it itself (test_scipy_product_kernels pins both)
+from scipy.sparse._sparsetools import csr_matmat, csr_todense
 
 # The shared multiplier is folded back into the stored rows once it leaves
 # this range; keeps double precision comfortable during long runs.
@@ -36,12 +39,12 @@ SCALE_FOLD_HIGH = 1e8
 
 # The chunks that score_block scores at once keep at most 8 x this many
 # bytes (32 MiB) alive: their dense scores, 8 bytes each, and with them the
-# CSR product's output and among's mask (see score_block).  Against the
+# product kernel's buffers and among's mask (see score_block).  Against the
 # l1-trained sparse-lsh-l1 model (C = 1000, a CSR operand), on both cores
-# of a 2-vCPU Xeon, its 4000 test rows took 17-20 ms in chunks of 699 rows
-# (13 MiB traced), as long as in chunks of 2097 rows (33 MiB), but 37 ms
-# in chunks of 174 rows (a 2^20 cap); its 20000 training rows took 91-105
-# ms from 2^21 to 2^23 and 103-147 ms below.
+# of a 2-vCPU Xeon (quartiles of 25 interleaved calls), its 4000 test rows
+# took 17-19 ms in chunks of up to 699 rows (20 MiB traced), as long with
+# caps of 2^20 and 2^21, but 27-34 ms in chunks of 1398 (2^23, 41 MiB); its
+# 20000 training rows, with exclude and at, 68-78, 67-83 and 116-143 ms.
 SCORE_BLOCK_ENTRIES = 1 << 22
 # Class matrices at least this full are multiplied as a dense array, sparser
 # ones as CSR.  Block scoring crossed over between 0.07 (40-nnz rows at
@@ -286,16 +289,18 @@ def whole_ids(ids, what: str) -> np.ndarray:
     not finite, a boolean (a mask is not a list of ids) or beyond int64's
     range.  ``1.0`` is the id 1."""
     ids = np.asarray(ids)
-    if ids.dtype.kind in "iu":
+    if ids.dtype.kind == "i":
         return ids.astype(np.int64, copy=False)
-    if ids.dtype.kind == "b":
-        bad = np.ones(ids.shape, dtype=bool)
+    if ids.dtype.kind in "bu":
+        bad = np.full(ids.shape, ids.dtype.kind == "b")
     else:
         ids = ids.astype(np.float64)
         bad = ~(np.isfinite(ids) & (np.trunc(ids) == ids))
     for value in ids[bad][:1]:
         raise ValueError(f"{what} {value.item()} is not a whole number")
-    for value in ids[(ids < -2.0 ** 63) | (ids >= 2.0 ** 63)][:1]:
+    # a uint64 meets an int bound: 2^63 - 1 is 2^63 as a float
+    high = 2 ** 63 if ids.dtype.kind == "u" else 2.0 ** 63
+    for value in ids[(ids < -2.0 ** 63) | (ids >= high)][:1]:
         raise ValueError(f"{what} {value.item()} is outside int64's range")
     return ids.astype(np.int64)
 
@@ -438,6 +443,26 @@ def row_view(X: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
     return view
 
 
+def _product(block: sp.csr_matrix, operand) -> np.ndarray:
+    """The dense scores ``block @ operand`` of the CSR ``block`` and a
+    :attr:`ScoringState.operand`; against a CSR, ``csr_matmat`` (the numeric
+    pass of scipy's ``@``) into buffers of rows x C entries, densified by
+    ``csr_todense``, where a sum it drops as an exact zero reads +0.0."""
+    if not sp.issparse(operand):
+        return block @ operand
+    n, C = block.shape[0], operand.shape[1]
+    # the kernel reads each index array as its outputs' type, the widest
+    index = np.result_type(block.indptr, block.indices, operand.indptr, operand.indices,
+                           np.int32 if n * C < 2 ** 31 else np.int64)
+    indptr, indices = np.empty(n + 1, dtype=index), np.empty(n * C, dtype=index)
+    values = np.empty(n * C, dtype=np.result_type(block.data, operand.data))
+    csr_matmat(n, C, block.indptr, block.indices, block.data, operand.indptr,
+               operand.indices, operand.data, indptr, indices, values)
+    scores = np.zeros((n, C), dtype=values.dtype)
+    csr_todense(n, C, indptr, indices, values, scores)
+    return scores
+
+
 class ScoringState:
     """One class matrix as :func:`score_block` multiplies by it, holding
     exactly one copy of its weights.
@@ -569,14 +594,15 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
     densified rows and screen scores, and then the re-score passes'
     gathered entries, stay within the budget below.
 
-    Any other block is multiplied as CSR by :attr:`ScoringState.operand`,
-    read before any piece runs, a small one inline, a larger one cut into
-    row pieces (:func:`piece_bounds`) that run on the kernel pool, each one
-    a view of ``X`` writing its own slice of the results.  Each piece
-    scores its rows in chunks, and a chunk's arrays are freed before the
-    next one's product starts.  A chunk holds its dense scores, 8 bytes a class a row; with a
-    CSR state, also the sparse product's output (up to 16 bytes a score)
-    while it is densified, and with ``among``, the gathered allowed scores
+    Any other block is multiplied as CSR by :attr:`ScoringState.operand`
+    (:func:`_product`), read before any piece runs, a small one inline, a
+    larger one cut into row pieces (:func:`piece_bounds`) that run on the
+    kernel pool, each one a view of ``X`` writing its own slice of the
+    results.  Each piece scores its rows in chunks, and a chunk's arrays
+    are freed before the next one's product starts.  A chunk holds its dense
+    scores, 8 bytes a class a row; with a CSR state, also the product
+    kernel's buffers (12 bytes a score, 16 with int64 indices) while they
+    are densified, and with ``among``, the gathered allowed scores
     and their positions (16 bytes an allowed class) while the rest are set
     to -inf in place; so a chunk with either gets a third of the rows.
     Either way the chunks alive at once take at most 8 x
@@ -636,9 +662,7 @@ def score_block(X: sp.csr_matrix, state: ScoringState, *, exclude=None, at=None,
         at_rows = None if at is None else at[lo:hi]
         result = state.screen(block, mask, at_rows) if screened else None
         if result is None:
-            scores = block @ (state.operand if operand is None else operand)
-            if sp.issparse(scores):
-                scores = scores.toarray()
+            scores = _product(block, state.operand if operand is None else operand)
             at_part = None if at is None else scores[rows, at_rows]
             mask(scores)
             top = scores.argmax(axis=1)

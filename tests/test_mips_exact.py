@@ -676,6 +676,19 @@ def test_an_exclude_that_is_not_a_whole_number_fails_closed():
     assert index.counters()["queries"] == 3
 
 
+def test_an_unsigned_exclude_beyond_int64_fails_closed():
+    """A uint64 exclude of 2^63 or more used to wrap to a negative id, which
+    excludes nothing: 2^64 - 1 became -1 and row 0 got back class 0."""
+    index = build_index([(c, sv({c: 1.0}, 4)) for c in range(4)], "exact", dim=4)
+    X = sp.csr_matrix(np.eye(4)[:3])
+    for value in (2 ** 63, 2 ** 64 - 1):
+        with pytest.raises(ValueError, match=rf"^excluded class {value} is outside "
+                                             r"int64's range$"):
+            index.query_batch(X, np.array([value, 1, 2], dtype=np.uint64))
+    ids, _ = index.query_batch(X, np.array([0, 1, 2], dtype=np.uint64))
+    assert ids.tolist() == [1, 0, 0]
+
+
 def test_a_non_canonical_dataset_is_scored_as_the_exact_index_scores_it():
     """Rows stored shuffled, with a duplicate column and entries that cancel
     (1e16, -1e16): summed in stored order, class 0 scores 1.0, and in

@@ -131,6 +131,17 @@ class TestIds:
             sparse.check_ids([0.0, value], 5, "class id")
         assert sparse.whole_ids([-2.0 ** 63], "class id").tolist() == [-2 ** 63]
 
+    @pytest.mark.parametrize("value", [2 ** 63, 2 ** 64 - 1])
+    def test_an_unsigned_id_beyond_int64_is_named_as_given(self, value):
+        """Such a uint64 id used to wrap to a negative int64 with no warning:
+        2^63 was named as class id -9223372036854775808."""
+        ids = np.array([0, value], dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"^class id {value} is outside int64's range$"):
+            sparse.check_ids(ids, 5, "class id")
+        largest = np.array([2 ** 63 - 1, 4], dtype=np.uint64)
+        assert sparse.whole_ids(largest, "class id").tolist() == [2 ** 63 - 1, 4]
+        assert sparse.check_ids(largest[1:], 5, "class id").dtype == np.int64
+
 
 class TestDot:
     def test_disjoint_supports(self):
@@ -970,6 +981,81 @@ class TestKernelPool:
                 assert np.shares_memory(view.indices, X.indices)
 
 
+def test_scipy_product_kernels():
+    """``sparse._product`` calls scipy's private ``csr_matmat`` and
+    ``csr_todense`` (``scipy.sparse._sparsetools``) as scipy's own ``@`` and
+    ``toarray`` call them: a scipy release that changes either fails here,
+    on a 2 x 3 product, rather than inside scoring."""
+    A = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
+    B = sp.csr_matrix(np.array([[0.0, 3.0, -1.0], [5.0, 0.0, 0.0], [4.0, 0.0, 0.5]]))
+    indptr, indices, values = np.empty(3, np.int32), np.empty(6, np.int32), np.empty(6)
+    sparse.csr_matmat(2, 3, A.indptr, A.indices, A.data, B.indptr, B.indices, B.data,
+                      indptr, indices, values)
+    assert indptr.tolist() == [0, 2, 2]  # -1 + 2 x 0.5, an exact zero, is dropped
+    scores = np.zeros((2, 3))
+    sparse.csr_todense(2, 3, indptr, indices, values, scores)
+    assert scores.tolist() == [[8.0, 3.0, 0.0], [0.0, 0.0, 0.0]]
+    assert scores.tobytes() == (A @ B).toarray().tobytes()
+    # int64 outputs: the kernel reads the int32 index arrays of B as int64
+    wide = np.empty(3, np.int64), np.empty(6, np.int64), np.empty(6)
+    sparse.csr_matmat(2, 3, A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data,
+                      B.indptr, B.indices, B.data, *wide)
+    nnz = indptr[-1]
+    assert [wide[0].tolist(), wide[1][:nnz].tolist(), wide[2][:nnz].tolist()] == [
+        indptr.tolist(), indices[:nnz].tolist(), values[:nnz].tolist()]
+
+
+class TestProduct:
+    """``sparse._product``, scipy's numeric product kernel alone, gives the
+    floats of the public ``(X @ operand).toarray()``, and score_block's
+    argmaxes through it are that array's, at any worker count."""
+
+    @staticmethod
+    def cases(rng):
+        """(X, d x C operand) pairs: an empty row, a row whose products
+        cancel to an exact zero, an all-zero class matrix, and a block
+        with int64 indptr and indices against an int32 operand."""
+        n, d, C = 24, 20, 9
+        Xd = sp.random(n, d, density=0.3, random_state=rng).toarray()
+        Xd[3] = Xd[7] = 0.0
+        Xd[7, [2, 5]] = 1e16, -1e16
+        Wd = sp.random(d, C, density=0.4, random_state=rng).toarray()
+        Wd[[2, 5], 4] = 1.0
+        X, operand = sp.csr_matrix(Xd), sp.csr_matrix(Wd)
+        assert 4 not in (X @ operand)[7].indices  # scipy drops the exact zero
+        assert operand.indices.dtype == np.int32
+        wide = sp.csr_matrix(X.shape)
+        wide.data = X.data
+        wide.indices, wide.indptr = X.indices.astype(np.int64), X.indptr.astype(np.int64)
+        return [(X, operand), (X, sp.csr_matrix((d, C))), (wide, operand)]
+
+    def test_equals_the_public_product(self, assert_same_floats):
+        rng = np.random.default_rng(80)
+        for X, operand in self.cases(rng):
+            want = (X @ operand).toarray()
+            assert_same_floats([sparse._product(X, operand)], [want])
+            for lo, hi in ((0, 5), (7, 8), (3, 4)):
+                view = sparse.row_view(X, lo, hi)
+                assert_same_floats([sparse._product(view, operand)], [want[lo:hi]])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_argmaxes_are_the_public_products(self, monkeypatch, kernel_workers,
+                                              state_of, assert_same_floats, workers):
+        rng = np.random.default_rng(81)
+        kernel_workers(workers)
+        monkeypatch.setattr(sparse, "MIN_PIECE_ENTRIES", 1)
+        for X, operand in self.cases(rng):
+            n, C = X.shape[0], operand.shape[1]
+            monkeypatch.setattr(sparse, "SCORE_BLOCK_ENTRIES", 3 * C * 5)  # 5-row chunks
+            scores = (X @ operand).toarray()
+            at = rng.integers(C, size=n)
+            best = scores.argmax(axis=1)
+            rows = np.arange(n)
+            state = state_of(sp.csr_matrix(operand.T), False)
+            assert_same_floats(score_block(X, state, at=at),
+                               [best, scores[rows, best], scores[rows, at]])
+
+
 def kernel_options(rng, n, C):
     """The three keyword sets of the kernel oracles for an n-row block
     against C classes, with some rows excluding nothing and some allowed
@@ -1086,15 +1172,16 @@ class TestDenseScreen:
 
     def test_the_path_each_block_takes(self, monkeypatch, kernel_cases, state_of):
         """A dense block against a dense state is screened: no CSR product.
-        Sparse rows, few rows or a CSR state go through the CSR product."""
+        Sparse rows, few rows or a CSR state go through the CSR product,
+        ``sparse._product``."""
         screens, products = screen_results(monkeypatch), []
-        original_product = sp.csr_matrix.__matmul__
+        original_product = sparse._product
 
-        def product(self, other):
-            products.append(other)
-            return original_product(self, other)
+        def product(block, operand):
+            products.append(operand)
+            return original_product(block, operand)
 
-        monkeypatch.setattr(sp.csr_matrix, "__matmul__", product)
+        monkeypatch.setattr(sparse, "_product", product)
         rng = np.random.default_rng(53)
         dense_rows = sp.csr_matrix(rng.standard_normal((40, 30)))
         W = rng.standard_normal((20, 30))
